@@ -33,6 +33,7 @@ module Flowcache = Bespoke_core.Flowcache
 module Campaign = Bespoke_campaign.Campaign
 module Guard = Bespoke_guard.Guard
 module Obs = Bespoke_obs.Obs
+module J = Obs.Json
 
 let freq_hz = 1e8
 let profile_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
@@ -1106,10 +1107,15 @@ let append_bench_history buf =
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_history.jsonl"
   in
-  Printf.fprintf oc
-    "{\"schema\": \"bespoke-bench/v1\", \"unix_time\": %.0f, \"label\": %S, \
-     \"bench\": %s}\n"
-    now label compact;
+  output_string oc
+    (J.obj
+       [
+         ("schema", J.str Bespoke_obs.Stats.history_schema);
+         ("unix_time", J.num now);
+         ("label", J.str label);
+         ("bench", compact);
+       ]);
+  output_char oc '\n';
   close_out oc;
   printf "appended %s entry to BENCH_history.jsonl\n" label
 
@@ -1231,9 +1237,9 @@ let run_bench_sim () =
   List.iteri
     (fun i (eng, d, e) ->
       out
-        "    {\"benchmark\": \"mult\", \"engine\": %S, \"disabled_cps\": \
+        "    {\"benchmark\": \"mult\", \"engine\": %s, \"disabled_cps\": \
          %.0f, \"enabled_cps\": %.0f, \"enabled_slowdown\": %.4f}%s\n"
-        eng d e
+        (J.str eng) d e
         (1.0 -. (e /. d))
         (if i = List.length obs_rows - 1 then "" else ","))
     obs_rows;
@@ -1273,14 +1279,14 @@ let run_bench_sim () =
   List.iteri
     (fun i r ->
       out
-        "    {\"name\": %S, \"core\": %S, \"sim_cycles\": %d,\n\
+        "    {\"name\": %s, \"core\": %s, \"sim_cycles\": %d,\n\
         \     \"cycles_per_sec\": {\"full\": %.0f, \"event\": %.0f, \
          \"packed\": %.0f, \"compiled\": %.0f},\n\
         \     \"speedup_vs_full\": {\"event\": %.2f, \"packed\": %.2f, \
          \"compiled\": %.2f},\n\
         \     \"phase_seconds\": {\"analysis\": %.3f, \"cut\": %.3f, \
          \"profile\": %.3f}}%s\n"
-        r.sr_name r.sr_core r.sr_sim_cycles r.full_cps r.event_cps r.packed_cps
+        (J.str r.sr_name) (J.str r.sr_core) r.sr_sim_cycles r.full_cps r.event_cps r.packed_cps
         r.compiled_cps
         (r.event_cps /. r.full_cps)
         (r.packed_cps /. r.full_cps)
@@ -1352,47 +1358,38 @@ let validate_bench_sim_artifact () =
     if Sys.file_exists "BENCH_sim.json" then "BENCH_sim.json"
     else "../BENCH_sim.json"
   in
-  let ic = open_in path in
-  let rows = ref [] in
-  let name = ref "" in
-  let camp_cold_speedup = ref None in
-  let camp_warm_speedup = ref None in
-  let obs_engines = ref [] in
-  let guard_monitors = ref None in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       (try Scanf.sscanf line "{\"name\": %S" (fun n -> name := n)
-        with Scanf.Scan_failure _ | End_of_file -> ());
-       (try
-          Scanf.sscanf line "{\"benchmark\": %S, \"engine\": %S" (fun _ e ->
-              obs_engines := e :: !obs_engines)
-        with Scanf.Scan_failure _ | End_of_file -> ());
-       (try
-          Scanf.sscanf line "\"speedup_cold_jobs4_vs_oneshot\": %f" (fun x ->
-              camp_cold_speedup := Some x)
-        with Scanf.Scan_failure _ | End_of_file -> ());
-       (try
-          Scanf.sscanf line
-            "\"guard_overhead\": {\"benchmark\": %S, \"engine\": %S, \
-             \"monitors\": %d," (fun _ _ m -> guard_monitors := Some m)
-        with Scanf.Scan_failure _ | End_of_file -> ());
-       (try
-          Scanf.sscanf line "\"speedup_warm_vs_cold\": %f" (fun x ->
-              camp_warm_speedup := Some x)
-        with Scanf.Scan_failure _ | End_of_file -> ());
-       if
-         String.length line >= 17
-         && String.sub line 0 17 = "\"cycles_per_sec\":"
-       then
-         Scanf.sscanf line
-           "\"cycles_per_sec\": {\"full\": %f, \"event\": %f, \"packed\": \
-            %f, \"compiled\": %f}%_s"
-           (fun _full event _packed compiled ->
-             rows := (!name, event, compiled) :: !rows)
-     done
-   with End_of_file -> close_in ic);
-  if !rows = [] then
+  let j =
+    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j -> j
+    | Error m -> failwith (Printf.sprintf "bench-smoke: %s does not parse: %s" path m)
+  in
+  let field block k = Option.bind (J.member block j) (J.mem_num k) in
+  (* (core/bench, event, compiled) from the cps/<core>/<bench>/<engine>
+     flattening of stats --compare *)
+  let cps =
+    match Bespoke_obs.Stats.load_bench path with
+    | Ok e -> e.Bespoke_obs.Stats.b_metrics
+    | Error _ -> []
+  in
+  let rows =
+    List.filter_map
+      (fun (m, event) ->
+        match Filename.chop_suffix_opt ~suffix:"/event" m with
+        | Some base when String.starts_with ~prefix:"cps/" base ->
+          Option.map
+            (fun compiled -> (String.sub base 4 (String.length base - 4), event, compiled))
+            (List.assoc_opt (base ^ "/compiled") cps)
+        | _ -> None)
+      cps
+  in
+  let obs_engines =
+    List.filter_map (J.mem_str "engine")
+      (Option.value ~default:[] (J.mem_arr "obs_overhead" j))
+  in
+  let camp_cold_speedup = field "campaign" "speedup_cold_jobs4_vs_oneshot" in
+  let camp_warm_speedup = field "campaign" "speedup_warm_vs_cold" in
+  let guard_monitors = Option.map int_of_float (field "guard_overhead" "monitors") in
+  if rows = [] then
     failwith
       (Printf.sprintf
          "bench-smoke: no cycles_per_sec rows with a compiled column in %s \
@@ -1400,7 +1397,7 @@ let validate_bench_sim_artifact () =
          path);
   List.iter
     (fun engine ->
-      if not (List.mem engine !obs_engines) then
+      if not (List.mem engine obs_engines) then
         failwith
           (Printf.sprintf
              "bench-smoke: no obs_overhead row for the %s engine in %s \
@@ -1415,11 +1412,11 @@ let validate_bench_sim_artifact () =
              "bench-smoke: %s records compiled %.0f < event %.0f cycles/sec \
               in %s — compiled engine regression"
              n compiled event path))
-    !rows;
+    rows;
   (* the campaign acceptance bars: batch throughput >= 2.5x one-shot,
      warm cache >= 5x cold *)
   let cold =
-    match !camp_cold_speedup with
+    match camp_cold_speedup with
     | Some x -> x
     | None ->
       failwith
@@ -1429,7 +1426,7 @@ let validate_bench_sim_artifact () =
            path)
   in
   let warm =
-    match !camp_warm_speedup with
+    match camp_warm_speedup with
     | Some x -> x
     | None ->
       failwith
@@ -1451,7 +1448,7 @@ let validate_bench_sim_artifact () =
           flow cache regression"
          warm path);
   let guard_mons =
-    match !guard_monitors with
+    match guard_monitors with
     | Some m -> m
     | None ->
       failwith
@@ -1470,7 +1467,7 @@ let validate_bench_sim_artifact () =
     "bench-smoke: BENCH_sim.json valid (%d benchmarks, compiled >= event on \
      all; campaign %.2fx vs one-shot cold, %.1fx warm vs cold; guard \
      watcher measured over %d monitor(s))\n"
-    (List.length !rows) cold warm guard_mons
+    (List.length rows) cold warm guard_mons
 
 let run_bench_smoke () =
   let b = B.find "mult" in

@@ -103,36 +103,16 @@ let jobs_cache : (string * string) list Flowcache.t =
 
 let freq_hz = 1e8
 
-let num f =
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = "\"" ^ json_escape s ^ "\""
+module J = Obs.Json
 
 let count_toggled a =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a
 
 let analyze_payload (report : Activity.report) =
   [
-    ("toggled_gates", string_of_int (count_toggled report.Activity.possibly_toggled));
-    ("paths", string_of_int report.Activity.paths);
-    ("total_cycles", string_of_int report.Activity.total_cycles);
+    ("toggled_gates", J.int (count_toggled report.Activity.possibly_toggled));
+    ("paths", J.int report.Activity.paths);
+    ("total_cycles", J.int report.Activity.total_cycles);
   ]
 
 (* Tailored designs are cached too, so a Report job after (or racing)
@@ -165,10 +145,10 @@ let tailored ~core b =
 
 let stats_payload (stats : Cut.stats) =
   [
-    ("gates_original", string_of_int stats.Cut.original_gates);
-    ("gates_cut", string_of_int stats.Cut.cut_gates);
-    ("gates_bespoke", string_of_int stats.Cut.bespoke_gates);
-    ("area_ratio", num (stats.Cut.bespoke_area /. stats.Cut.original_area));
+    ("gates_original", J.int stats.Cut.original_gates);
+    ("gates_cut", J.int stats.Cut.cut_gates);
+    ("gates_bespoke", J.int stats.Cut.bespoke_gates);
+    ("area_ratio", J.num (stats.Cut.bespoke_area /. stats.Cut.original_area));
   ]
 
 let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
@@ -190,9 +170,9 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
     in
     stats_payload stats
     @ [
-        ("area_um2", num p.Report.area_um2);
-        ("total_nw", num p.Report.total_nw);
-        ("cycles", string_of_int o.Runner.g_cycles);
+        ("area_um2", J.num p.Report.area_um2);
+        ("total_nw", J.num p.Report.total_nw);
+        ("cycles", J.int o.Runner.g_cycles);
       ]
   | Verify ->
     let c =
@@ -201,17 +181,17 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
     in
     let score = Verify.kill_stats c in
     [
-      ("equivalent", if c.Verify.equivalent then "true" else "false");
-      ("faults_injected", string_of_int score.Verify.injected);
-      ("faults_survived", string_of_int score.Verify.survived);
-      ("kill_score_pct", num (Verify.kill_score_pct score));
+      ("equivalent", J.bool c.Verify.equivalent);
+      ("faults_injected", J.int score.Verify.injected);
+      ("faults_survived", J.int score.Verify.survived);
+      ("kill_score_pct", J.num (Verify.kill_score_pct score));
     ]
   | Run ->
     let iss = Runner.check_equivalence ~engine:j.engine ~core b ~seed:j.seed in
     [
-      ("cycles", string_of_int iss.Runner.cycles);
-      ("instructions", string_of_int iss.Runner.instructions);
-      ("equivalent", "true");
+      ("cycles", J.int iss.Runner.cycles);
+      ("instructions", J.int iss.Runner.instructions);
+      ("equivalent", J.bool true);
     ]
   | Guard ->
     (* deployment-guard replay: the bespoke design tailored to [b],
@@ -255,17 +235,17 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
         ~seed:j.seed
     in
     [
-      ("workload", json_str workload.B.name);
-      ("assumptions", string_of_int (List.length plan.Guard.p_assumptions));
-      ("monitors", string_of_int (List.length plan.Guard.p_monitors));
-      ("implied", string_of_int plan.Guard.p_implied);
-      ("unmonitorable", string_of_int plan.Guard.p_unmonitorable);
-      ("halted", if Result.is_ok rp.Guard.rp_result then "true" else "false");
-      ("cycles_checked", string_of_int (Guard.cycles_checked w));
-      ("violations", string_of_int (Guard.total_violations w));
+      ("workload", J.str workload.B.name);
+      ("assumptions", J.int (List.length plan.Guard.p_assumptions));
+      ("monitors", J.int (List.length plan.Guard.p_monitors));
+      ("implied", J.int plan.Guard.p_implied);
+      ("unmonitorable", J.int plan.Guard.p_unmonitorable);
+      ("halted", J.bool (Result.is_ok rp.Guard.rp_result));
+      ("cycles_checked", J.int (Guard.cycles_checked w));
+      ("violations", J.int (Guard.total_violations w));
       ( "violating_gates",
-        string_of_int (List.length (Guard.violations w)) );
-      ("clean", if Guard.clean w then "true" else "false");
+        J.int (List.length (Guard.violations w)) );
+      ("clean", J.bool (Guard.clean w));
     ]
 
 (* The part of a benchmark's input content the image hash cannot see:
@@ -576,70 +556,64 @@ let parse_file path =
 (* ---- the bespoke-campaign/v1 JSONL stream ---- *)
 
 let schema = "bespoke-campaign/v1"
-let str = json_str
-
-let obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields)
-  ^ "}"
 
 let header_jsonl ~jobs ~cores ~total =
-  obj
+  J.obj
     [
-      ("schema", str schema);
-      ("total_jobs", string_of_int total);
-      ("jobs", string_of_int jobs);
-      ("cores", "[" ^ String.concat "," (List.map str cores) ^ "]");
+      ("schema", J.str schema);
+      ("total_jobs", J.int total);
+      ("jobs", J.int jobs);
+      ("cores", J.arr (List.map J.str cores));
     ]
 
 let outcome_jsonl (o : outcome) =
   let common =
     [
-      ("job", string_of_int o.o_index);
-      ("kind", str (kind_to_string o.o_job.kind));
-      ("core", str o.o_job.core);
-      ("bench", str (program_name o.o_job.program));
-      ("seed", string_of_int o.o_job.seed);
-      ("faults", string_of_int o.o_job.faults);
-      ("mutant", string_of_int o.o_job.mutant);
-      ("engine", str (Runner.engine_to_string o.o_job.engine));
-      ("cached", if o.cached then "true" else "false");
-      ("time_s", num o.time_s);
+      ("job", J.int o.o_index);
+      ("kind", J.str (kind_to_string o.o_job.kind));
+      ("core", J.str o.o_job.core);
+      ("bench", J.str (program_name o.o_job.program));
+      ("seed", J.int o.o_job.seed);
+      ("faults", J.int o.o_job.faults);
+      ("mutant", J.int o.o_job.mutant);
+      ("engine", J.str (Runner.engine_to_string o.o_job.engine));
+      ("cached", J.bool o.cached);
+      ("time_s", J.num o.time_s);
     ]
   in
   match o.status with
   | Ok payload ->
-    obj (common @ [ ("status", str "ok"); ("payload", obj payload) ])
-  | Error m -> obj (common @ [ ("status", str "error"); ("error", str m) ])
+    J.obj (common @ [ ("status", J.str "ok"); ("payload", J.obj payload) ])
+  | Error m -> J.obj (common @ [ ("status", J.str "error"); ("error", J.str m) ])
 
 (* Heartbeats interleave with outcome records in the stream; readers
    distinguish them by the ["heartbeat"] field (outcome records have
    ["job"], the trailer has ["summary"]). *)
 let heartbeat_jsonl ~seq (p : progress) =
-  obj
+  J.obj
     ([
-       ("heartbeat", "true");
-       ("seq", string_of_int seq);
-       ("done", string_of_int p.p_done);
-       ("ok", string_of_int p.p_ok);
-       ("failed", string_of_int p.p_failed);
-       ("cached", string_of_int p.p_cached);
-       ("running", string_of_int p.p_running);
-       ("total", string_of_int p.p_total);
-       ("elapsed_s", num p.p_elapsed_s);
-       ("jobs_per_sec", num (jobs_per_sec p));
-       ("cache_hit_rate", num (cache_hit_rate p));
+       ("heartbeat", J.bool true);
+       ("seq", J.int seq);
+       ("done", J.int p.p_done);
+       ("ok", J.int p.p_ok);
+       ("failed", J.int p.p_failed);
+       ("cached", J.int p.p_cached);
+       ("running", J.int p.p_running);
+       ("total", J.int p.p_total);
+       ("elapsed_s", J.num p.p_elapsed_s);
+       ("jobs_per_sec", J.num (jobs_per_sec p));
+       ("cache_hit_rate", J.num (cache_hit_rate p));
      ]
-    @ match eta_s p with Some e -> [ ("eta_s", num e) ] | None -> [])
+    @ match eta_s p with Some e -> [ ("eta_s", J.num e) ] | None -> [])
 
 let summary_jsonl (s : summary) =
-  obj
+  J.obj
     [
-      ("summary", "true");
-      ("total", string_of_int s.total);
-      ("ok", string_of_int s.ok);
-      ("failed", string_of_int s.failed);
-      ("cache_hits", string_of_int s.cache_hits);
-      ("wall_s", num s.wall_s);
-      ("jobs", string_of_int s.jobs_used);
+      ("summary", J.bool true);
+      ("total", J.int s.total);
+      ("ok", J.int s.ok);
+      ("failed", J.int s.failed);
+      ("cache_hits", J.int s.cache_hits);
+      ("wall_s", J.num s.wall_s);
+      ("jobs", J.int s.jobs_used);
     ]

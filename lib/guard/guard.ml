@@ -394,31 +394,21 @@ let replay ?(engine = Runner.Compiled) ?(max_cycles = 300_000) w ~core ~netlist
 
 let schema = "bespoke-guard/v1"
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let str s = "\"" ^ escape s ^ "\""
+module J = Obs.Json
 
 let header_jsonl plan ~core ~design ~workload ~mode =
-  Printf.sprintf
-    "{\"schema\":%s,\"core\":%s,\"design\":%s,\"workload\":%s,\"mode\":%s,\"assumptions\":%d,\"monitors\":%d,\"implied\":%d,\"unmonitorable\":%d}"
-    (str schema) (str core) (str design) (str workload) (str mode)
-    (List.length plan.p_assumptions)
-    (List.length plan.p_monitors)
-    plan.p_implied plan.p_unmonitorable
+  J.obj
+    [
+      ("schema", J.str schema);
+      ("core", J.str core);
+      ("design", J.str design);
+      ("workload", J.str workload);
+      ("mode", J.str mode);
+      ("assumptions", J.int (List.length plan.p_assumptions));
+      ("monitors", J.int (List.length plan.p_monitors));
+      ("implied", J.int plan.p_implied);
+      ("unmonitorable", J.int plan.p_unmonitorable);
+    ]
 
 let reason_of plan gate =
   match plan.p_prov.Provenance.reason.(gate) with
@@ -430,19 +420,27 @@ let violation_jsonl plan v =
   let names = Netlist.names_of plan.p_original v.v_gate in
   let modname = Netlist.module_of plan.p_original v.v_gate in
   let label, detail = reason_of plan v.v_gate in
-  Printf.sprintf
-    "{\"cycle\":%d,\"gate\":%d,\"names\":[%s],\"module\":%s,\"assumed\":%s,\"observed\":%s,\"reason\":%s,\"detail\":%s}"
-    v.v_cycle v.v_gate
-    (String.concat "," (List.map str names))
-    (str modname)
-    (str (String.make 1 (Bit.to_char v.v_assumed)))
-    (str (String.make 1 (Bit.to_char v.v_observed)))
-    (str label) (str detail)
+  J.obj
+    [
+      ("cycle", J.int v.v_cycle);
+      ("gate", J.int v.v_gate);
+      ("names", J.arr (List.map J.str names));
+      ("module", J.str modname);
+      ("assumed", J.str (String.make 1 (Bit.to_char v.v_assumed)));
+      ("observed", J.str (String.make 1 (Bit.to_char v.v_observed)));
+      ("reason", J.str label);
+      ("detail", J.str detail);
+    ]
 
 let summary_jsonl w =
-  Printf.sprintf
-    "{\"summary\":true,\"cycles\":%d,\"violations\":%d,\"violating_gates\":%d,\"clean\":%b}"
-    w.cycles w.total (violating_gates w) (clean w)
+  J.obj
+    [
+      ("summary", J.bool true);
+      ("cycles", J.int w.cycles);
+      ("violations", J.int w.total);
+      ("violating_gates", J.int (violating_gates w));
+      ("clean", J.bool (clean w));
+    ]
 
 let write_stream oc plan ~core ~design ~workload ~mode w =
   output_string oc (header_jsonl plan ~core ~design ~workload ~mode);

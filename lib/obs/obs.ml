@@ -16,29 +16,216 @@ let now_us () = (Unix.gettimeofday () -. t0) *. 1e6
 let main_tid = (Domain.self () :> int)
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission helpers (no external JSON dependency)                 *)
+(* JSON: the one encoder and the one reader every artifact goes
+   through (no external JSON dependency)                              *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
 
-let json_float f =
-  (* JSON has no NaN/Infinity; clamp those to zero *)
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
+  (* Encoders build already-encoded JSON text, so a raw value (a
+     trace's %.3f timestamp, a stored payload field) composes with
+     encoded ones unchanged. *)
+
+  let escape s =
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+
+  let str s = "\"" ^ escape s ^ "\""
+
+  let num f =
+    (* JSON has no NaN/Infinity; clamp those to zero *)
+    if not (Float.is_finite f) then "0"
+    else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.6g" f
+
+  let int = string_of_int
+  let bool b = if b then "true" else "false"
+  let arr items = "[" ^ String.concat "," items ^ "]"
+
+  let obj fields =
+    "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
+
+  exception Bad of string
+
+  let parse (s : string) : (t, string) result =
+    let n = String.length s in
+    let pos = ref 0 in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let fail m = raise (Bad (Printf.sprintf "%s at offset %d" m !pos)) in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected %C" c)
+    in
+    let literal word v =
+      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        v
+      end
+      else fail (Printf.sprintf "expected %s" word)
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' -> (
+          advance ();
+          match peek () with
+          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
+          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
+          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
+          | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
+          | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
+          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
+          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
+          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
+          | Some 'u' ->
+            advance ();
+            if !pos + 4 > n then fail "bad \\u escape";
+            let hex = String.sub s !pos 4 in
+            (match int_of_string_opt ("0x" ^ hex) with
+            | None -> fail "bad \\u escape"
+            | Some code ->
+              (* keep it simple: BMP code points as UTF-8 *)
+              if code < 0x80 then Buffer.add_char b (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+              end;
+              pos := !pos + 4;
+              go ())
+          | _ -> fail "bad escape")
+        | Some c ->
+          Buffer.add_char b c;
+          advance ();
+          go ()
+      in
+      go ();
+      Buffer.contents b
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        match c with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while (match peek () with Some c -> is_num_char c | None -> false) do
+        advance ()
+      done;
+      if !pos = start then fail "expected number";
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> f
+      | None -> fail "malformed number"
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some 'n' -> literal "null" Null
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some '"' -> Str (parse_string ())
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          Arr []
+        end
+        else begin
+          let items = ref [ parse_value () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            items := parse_value () :: !items;
+            skip_ws ()
+          done;
+          expect ']';
+          Arr (List.rev !items)
+        end
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else begin
+          let field () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            (k, v)
+          in
+          let fields = ref [ field () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            fields := field () :: !fields;
+            skip_ws ()
+          done;
+          expect '}';
+          Obj (List.rev !fields)
+        end
+      | Some _ -> Num (parse_number ())
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Bad m -> Error m
+
+  let member k = function
+    | Obj fields -> List.assoc_opt k fields
+    | _ -> None
+
+  let mem_str k j = match member k j with Some (Str s) -> Some s | _ -> None
+  let mem_num k j = match member k j with Some (Num f) -> Some f | _ -> None
+  let mem_bool k j = match member k j with Some (Bool b) -> Some b | _ -> None
+  let mem_arr k j = match member k j with Some (Arr l) -> Some l | _ -> None
+  let mem_obj k j = match member k j with Some (Obj l) -> Some l | _ -> None
+end
 
 (* ------------------------------------------------------------------ *)
 (* Trace buffers                                                       *)
@@ -120,59 +307,74 @@ module Trace = struct
             b.last_ts <- 0.0)
           !buffers)
 
-  let event_to_json e =
-    let b = Buffer.create 96 in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"bespoke\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":0,\"tid\":%d"
-         (json_escape e.name) e.ph e.ts_us e.tid);
-    if e.args <> [] then begin
-      Buffer.add_string b ",\"args\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-        e.args;
-      Buffer.add_char b '}'
-    end;
-    Buffer.add_char b '}';
-    Buffer.contents b
+  let event_json ~name ~ph ~ts ~tid args =
+    Json.obj
+      ([
+         ("name", Json.str name);
+         ("cat", Json.str "bespoke");
+         ("ph", Json.str (String.make 1 ph));
+         ("ts", ts);
+         ("pid", "0");
+         ("tid", Json.int tid);
+       ]
+      @
+      if args = [] then []
+      else [ ("args", Json.obj (List.map (fun (k, v) -> (k, Json.str v)) args)) ])
 
   (* Chrome-trace metadata ([ph:"M"]) naming the process and one track
      per domain, so Perfetto shows "pool-worker-N" instead of a bare
      domain id.  Only emitted when the trace has real events — an
      empty trace stays empty. *)
-  let metadata_jsonl () =
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      "{\"name\":\"process_name\",\"cat\":\"bespoke\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\"args\":{\"name\":\"bespoke\"}}\n";
+  let metadata () =
+    let meta tid kind label = event_json ~name:kind ~ph:'M' ~ts:"0" ~tid [ ("name", label) ] in
+    meta 0 "process_name" "bespoke"
+    :: List.map
+         (fun (tid, name) ->
+           meta tid "thread_name"
+             (if name <> "" then name
+              else if tid = main_tid then "main"
+              else Printf.sprintf "domain-%d" tid))
+         (List.sort compare (thread_names ()))
+
+  (* Spans still open at export — a pool worker parked in [pool.idle],
+     a run cut short by an early exit — are closed by a synthesized end
+     event at the trace's last timestamp, marked [truncated], so every
+     track's B/E events balance. *)
+  let close_open (evs : event list) =
+    let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+    let last_ts = ref 0.0 in
     List.iter
-      (fun (tid, name) ->
-        let name =
-          if name <> "" then name
-          else if tid = main_tid then "main"
-          else Printf.sprintf "domain-%d" tid
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"cat\":\"bespoke\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}\n"
-             tid (json_escape name)))
-      (List.sort compare (thread_names ()));
-    Buffer.contents b
+      (fun (e : event) ->
+        last_ts := e.ts_us;
+        let stack = Option.value ~default:[] (Hashtbl.find_opt stacks e.tid) in
+        match (e.ph, stack) with
+        | 'B', _ -> Hashtbl.replace stacks e.tid (e.name :: stack)
+        | 'E', _ :: rest -> Hashtbl.replace stacks e.tid rest
+        | _ -> ())
+      evs;
+    Hashtbl.fold
+      (fun tid stack acc ->
+        List.map
+          (fun name ->
+            { name; ph = 'E'; ts_us = !last_ts; tid; args = [ ("truncated", "true") ] })
+          stack
+        @ acc)
+      stacks []
+    |> List.stable_sort (fun (a : event) b -> compare a.tid b.tid)
 
   let to_jsonl () =
     match events () with
     | [] -> ""
     | evs ->
-      let b = Buffer.create 4096 in
-      Buffer.add_string b (metadata_jsonl ());
-      List.iter
-        (fun e ->
-          Buffer.add_string b (event_to_json e);
-          Buffer.add_char b '\n')
-        evs;
-      Buffer.contents b
+      let lines =
+        metadata ()
+        @ List.map
+            (fun e ->
+              event_json ~name:e.name ~ph:e.ph ~ts:(Printf.sprintf "%.3f" e.ts_us)
+                ~tid:e.tid e.args)
+            (evs @ close_open evs)
+      in
+      String.concat "\n" lines ^ "\n"
 
   let write_jsonl path =
     let oc = open_out path in
@@ -374,45 +576,38 @@ module Metrics = struct
     let entries =
       List.sort (fun (a, _) (b, _) -> String.compare a b) entries
     in
-    let b = Buffer.create 1024 in
-    let section tag keep pp =
-      Buffer.add_string b (Printf.sprintf "\"%s\":{" tag);
-      let first = ref true in
-      List.iter
-        (fun (name, m) ->
-          match keep m with
-          | None -> ()
-          | Some v ->
-            if not !first then Buffer.add_char b ',';
-            first := false;
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\":%s" (json_escape name) (pp v)))
-        entries;
-      Buffer.add_char b '}'
+    let section keep pp =
+      Json.obj
+        (List.filter_map
+           (fun (name, m) -> Option.map (fun v -> (name, pp v)) (keep m))
+           entries)
     in
-    Buffer.add_char b '{';
-    section "counters"
-      (function C c -> Some c | _ -> None)
-      (fun c -> string_of_int (Atomic.get c));
-    Buffer.add_char b ',';
-    section "gauges"
-      (function G g -> Some g | _ -> None)
-      (fun g -> json_float (Atomic.get g));
-    Buffer.add_char b ',';
-    section "histograms"
-      (function H h -> Some h | _ -> None)
-      (fun h ->
-        let count = Atomic.get h.h_count in
-        let mn = if count = 0 then 0 else Atomic.get h.h_min in
-        let mx = if count = 0 then 0 else Atomic.get h.h_max in
-        Printf.sprintf
-          "{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-          count (Atomic.get h.h_sum) mn mx
-          (json_float (percentile h 0.5))
-          (json_float (percentile h 0.9))
-          (json_float (percentile h 0.99)));
-    Buffer.add_char b '}';
-    Buffer.contents b
+    Json.obj
+      [
+        ( "counters",
+          section
+            (function C c -> Some c | _ -> None)
+            (fun c -> Json.int (Atomic.get c)) );
+        ( "gauges",
+          section
+            (function G g -> Some g | _ -> None)
+            (fun g -> Json.num (Atomic.get g)) );
+        ( "histograms",
+          section
+            (function H h -> Some h | _ -> None)
+            (fun h ->
+              let count = Atomic.get h.h_count in
+              Json.obj
+                [
+                  ("count", Json.int count);
+                  ("sum", Json.int (Atomic.get h.h_sum));
+                  ("min", Json.int (if count = 0 then 0 else Atomic.get h.h_min));
+                  ("max", Json.int (if count = 0 then 0 else Atomic.get h.h_max));
+                  ("p50", Json.num (percentile h 0.5));
+                  ("p90", Json.num (percentile h 0.9));
+                  ("p99", Json.num (percentile h 0.99));
+                ]) );
+      ]
 
   let reset () =
     Mutex.protect mu (fun () ->
@@ -470,9 +665,12 @@ module Sampler = struct
   let current : state option ref = ref None
 
   let snapshot_line ~seq =
-    Printf.sprintf "{\"seq\":%d,\"ts_us\":%s,\"metrics\":%s}" seq
-      (json_float (now_us ()))
-      (Metrics.snapshot_json ())
+    Json.obj
+      [
+        ("seq", Json.int seq);
+        ("ts_us", Json.num (now_us ()));
+        ("metrics", Metrics.snapshot_json ());
+      ]
 
   let emit st =
     run_probes ();
@@ -513,8 +711,10 @@ module Sampler = struct
         | Some _ -> ()  (* already sampling; keep the running series *)
         | None ->
           let oc = open_out path in
-          Printf.fprintf oc "{\"schema\":\"%s\",\"interval_ms\":%d}\n"
-            (json_escape schema) interval_ms;
+          output_string oc
+            (Json.obj
+               [ ("schema", Json.str schema); ("interval_ms", Json.int interval_ms) ]);
+          output_char oc '\n';
           let st =
             {
               oc;
@@ -549,176 +749,6 @@ module Sampler = struct
           in
           st.ticker <- Some ticker;
           current := Some st)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader (for validating exports without a JSON dep)     *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : (t, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail m = raise (Bad (Printf.sprintf "%s at offset %d" m !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'u' ->
-            advance ();
-            if !pos + 4 > n then fail "bad \\u escape";
-            let hex = String.sub s !pos 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | None -> fail "bad \\u escape"
-            | Some code ->
-              (* keep it simple: BMP code points as UTF-8 *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              pos := !pos + 4;
-              go ())
-          | _ -> fail "bad escape")
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> is_num_char c | None -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '"' -> Str (parse_string ())
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          Arr (List.rev !items)
-        end
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !fields)
-        end
-      | Some _ -> Num (parse_number ())
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Bad m -> Error m
-
-  let member k = function
-    | Obj fields -> List.assoc_opt k fields
-    | _ -> None
 end
 
 (* ------------------------------------------------------------------ *)

@@ -79,8 +79,7 @@ module Metrics : sig
   val snapshot_json : unit -> string
   (** The whole registry as a JSON object
       [{"counters":{..},"gauges":{..},"histograms":{..}}], with
-      histograms expanded to count/sum/min/max/p50/p90/p99.  Built
-      with no JSON library dependency. *)
+      histograms expanded to count/sum/min/max/p50/p90/p99. *)
 
   val reset : unit -> unit
 end
@@ -108,9 +107,12 @@ module Trace : sig
   val to_jsonl : unit -> string
   (** One Chrome-trace event object per line: [M]-phase
       process/thread-name metadata first, then events
-      ([ph:"B"/"E"/"i"], [ts] in microseconds).  Wrap the lines in a
-      JSON array (e.g. [jq -s .]) to load the file in a Chrome-trace
-      viewer. *)
+      ([ph:"B"/"E"/"i"], [ts] in microseconds).  A span still open at
+      export (a pool worker parked in [pool.idle], an early exit) is
+      closed by a synthesized [E] event at the trace's last timestamp
+      carrying the arg ["truncated":"true"], so B/E events balance on
+      every track.  Wrap the lines in a JSON array (e.g. [jq -s .]) to
+      load the file in a Chrome-trace viewer. *)
 
   val write_jsonl : string -> unit
   (** Write {!to_jsonl} to a file. *)
@@ -156,9 +158,13 @@ module Sampler : sig
       Idempotent; also registered [at_exit] by {!start}. *)
 end
 
-(** A minimal JSON reader, used to validate exported traces and
-    metrics snapshots in tests and smoke checks without an external
-    JSON dependency. *)
+(** The one JSON layer of the flow, with no external dependency: every
+    [bespoke-*/v1] artifact, the trace and the metrics are emitted
+    with these encoders and read back with {!parse}.
+
+    The encoders return already-encoded JSON text, so a raw value
+    (a preformatted number, a stored payload field) composes with
+    encoded ones unchanged. *)
 module Json : sig
   type t =
     | Null
@@ -168,9 +174,38 @@ module Json : sig
     | Arr of t list
     | Obj of (string * t) list
 
+  val str : string -> string
+  (** A quoted JSON string: double quote and backslash are
+      backslash-escaped, newline, carriage return and tab use their
+      short escapes, every other byte below 0x20 becomes [\u00XX]; all
+      other bytes (multi-byte UTF-8 included) pass through unchanged.
+      This is the only JSON string escaper in the tree. *)
+
+  val num : float -> string
+  (** NaN and ±infinity encode as [0]; integers below 1e15 in magnitude
+      as [%.0f] (so they round-trip exactly); anything else as [%.6g]. *)
+
+  val int : int -> string
+  val bool : bool -> string
+
+  val arr : string list -> string
+  (** [[v1,v2,...]] over encoded values. *)
+
+  val obj : (string * string) list -> string
+  (** [{"k1":v1,...}] over encoded values, keys in the given order. *)
+
   val parse : string -> (t, string) result
   (** Parse one complete JSON value (surrounding whitespace allowed). *)
 
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] otherwise. *)
+
+  (** Typed field lookups: [None] when the field is absent or of
+      another type. *)
+
+  val mem_str : string -> t -> string option
+  val mem_num : string -> t -> float option
+  val mem_bool : string -> t -> bool option
+  val mem_arr : string -> t -> t list option
+  val mem_obj : string -> t -> (string * t) list option
 end

@@ -27,20 +27,9 @@ let read_lines path =
 let skip_truncated path m =
   Printf.eprintf "warning: %s: skipping truncated final line (%s)\n%!" path m
 
-let mem_num name j =
-  match J.member name j with
-  | Some (J.Num f) -> Some f
-  | _ -> None
-
-let mem_str name j =
-  match J.member name j with
-  | Some (J.Str s) -> Some s
-  | _ -> None
-
-let mem_bool name j =
-  match J.member name j with
-  | Some (J.Bool b) -> Some b
-  | _ -> None
+let mem_num = J.mem_num
+let mem_str = J.mem_str
+let mem_bool = J.mem_bool
 
 let pct f = 100.0 *. f
 

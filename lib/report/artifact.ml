@@ -22,70 +22,44 @@ type entry = {
 
 let schema = "bespoke-report/v1"
 
-(* ---- minimal JSON writer (mirrors the style of Bespoke_obs) ---- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let num f =
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-let str s = "\"" ^ escape s ^ "\""
-let obj fields = "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
-let arr items = "[" ^ String.concat "," items ^ "]"
-let int_ i = string_of_int i
+module J = Bespoke_obs.Obs.Json
 
 let pct ~original ~bespoke =
   if original = 0.0 then 0.0 else 100.0 *. (1.0 -. (bespoke /. original))
 
 let savings_obj ~original ~bespoke =
-  obj
+  J.obj
     [
-      ("original", num original);
-      ("bespoke", num bespoke);
-      ("saved_pct", num (pct ~original ~bespoke));
+      ("original", J.num original);
+      ("bespoke", J.num bespoke);
+      ("saved_pct", J.num (pct ~original ~bespoke));
     ]
 
 let module_json (r : Attribution.row) =
-  obj
+  J.obj
     [
-      ("module", str r.Attribution.module_name);
-      ("gates_original", int_ r.Attribution.gates_original);
-      ("gates_bespoke", int_ r.Attribution.gates_bespoke);
-      ("area_original_um2", num r.Attribution.area_original);
-      ("area_bespoke_um2", num r.Attribution.area_bespoke);
-      ("leakage_original_nw", num r.Attribution.leak_original);
-      ("leakage_bespoke_nw", num r.Attribution.leak_bespoke);
+      ("module", J.str r.Attribution.module_name);
+      ("gates_original", J.int r.Attribution.gates_original);
+      ("gates_bespoke", J.int r.Attribution.gates_bespoke);
+      ("area_original_um2", J.num r.Attribution.area_original);
+      ("area_bespoke_um2", J.num r.Attribution.area_bespoke);
+      ("leakage_original_nw", J.num r.Attribution.leak_original);
+      ("leakage_bespoke_nw", J.num r.Attribution.leak_bespoke);
     ]
 
 let entry_json e =
-  obj
+  J.obj
     [
-      ("name", str e.name);
-      ("group", str e.group);
+      ("name", J.str e.name);
+      ("group", J.str e.group);
       ( "gates",
-        obj
+        J.obj
           [
-            ("original", int_ e.gates_original);
-            ("cut", int_ e.gates_cut);
-            ("bespoke", int_ e.gates_bespoke);
+            ("original", J.int e.gates_original);
+            ("cut", J.int e.gates_cut);
+            ("bespoke", J.int e.gates_bespoke);
             ( "saved_pct",
-              num
+              J.num
                 (pct
                    ~original:(float_of_int e.gates_original)
                    ~bespoke:(float_of_int e.gates_bespoke)) );
@@ -95,63 +69,63 @@ let entry_json e =
       ( "leakage_nw",
         savings_obj ~original:e.leak_original ~bespoke:e.leak_bespoke );
       ( "timing",
-        obj
+        J.obj
           [
-            ("critical_ps_original", num e.critical_ps_original);
-            ("critical_ps_bespoke", num e.critical_ps_bespoke);
+            ("critical_ps_original", J.num e.critical_ps_original);
+            ("critical_ps_bespoke", J.num e.critical_ps_bespoke);
             ( "slack_pct",
-              num
+              J.num
                 (pct ~original:e.critical_ps_original
                    ~bespoke:e.critical_ps_bespoke) );
-            ("vmin_v", num e.vmin);
+            ("vmin_v", J.num e.vmin);
           ] );
       ( "analysis",
-        obj
+        J.obj
           [
-            ("paths", int_ e.paths);
-            ("merges", int_ e.merges);
-            ("prunes", int_ e.prunes);
-            ("escapes", int_ e.escapes);
-            ("cycles", int_ e.cycles);
+            ("paths", J.int e.paths);
+            ("merges", J.int e.merges);
+            ("prunes", J.int e.prunes);
+            ("escapes", J.int e.escapes);
+            ("cycles", J.int e.cycles);
           ] );
       ( "cut_reasons",
-        obj (List.map (fun (k, v) -> (k, int_ v)) e.cut_reasons) );
-      ("modules", arr (List.map module_json e.modules));
+        J.obj (List.map (fun (k, v) -> (k, J.int v)) e.cut_reasons) );
+      ("modules", J.arr (List.map module_json e.modules));
     ]
 
 let to_json entries =
-  obj
+  J.obj
     [
-      ("schema", str schema);
-      ("generator", str "bespoke_cli report");
-      ("benchmarks", arr (List.map entry_json entries));
+      ("schema", J.str schema);
+      ("generator", J.str "bespoke_cli report");
+      ("benchmarks", J.arr (List.map entry_json entries));
     ]
   ^ "\n"
 
 let analysis_to_json ~name ~paths ~merges ~prunes ~escapes ~cycles ~modules =
-  obj
+  J.obj
     [
-      ("schema", str schema);
-      ("generator", str "bespoke_cli analyze");
-      ("benchmark", str name);
+      ("schema", J.str schema);
+      ("generator", J.str "bespoke_cli analyze");
+      ("benchmark", J.str name);
       ( "analysis",
-        obj
+        J.obj
           [
-            ("paths", int_ paths);
-            ("merges", int_ merges);
-            ("prunes", int_ prunes);
-            ("escapes", int_ escapes);
-            ("cycles", int_ cycles);
+            ("paths", J.int paths);
+            ("merges", J.int merges);
+            ("prunes", J.int prunes);
+            ("escapes", J.int escapes);
+            ("cycles", J.int cycles);
           ] );
       ( "modules",
-        arr
+        J.arr
           (List.map
              (fun (m, active, total) ->
-               obj
+               J.obj
                  [
-                   ("module", str m);
-                   ("exercisable", int_ active);
-                   ("total", int_ total);
+                   ("module", J.str m);
+                   ("exercisable", J.int active);
+                   ("total", J.int total);
                  ])
              modules) );
     ]

@@ -335,67 +335,37 @@ let run_campaign ?engine ?faults ?seed ?explore_budget ?jobs ~core benches =
 
 let schema = "bespoke-verify/v1"
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let num f =
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-let str s = "\"" ^ escape s ^ "\""
-let int_ = string_of_int
-let bool_ b = if b then "true" else "false"
-
-let obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields)
-  ^ "}"
-
-let arr items = "[" ^ String.concat "," items ^ "]"
+module J = Obs.Json
 
 let repro_json (r : Shrink.repro) =
-  obj
+  J.obj
     [
-      ("seeds", arr (List.map int_ r.Shrink.seeds));
-      ("at_insn", int_ r.Shrink.info.Lockstep.at_insn);
-      ("at_pc", int_ r.Shrink.info.Lockstep.at_pc);
-      ("what", str r.Shrink.info.Lockstep.what);
-      ("detail", str r.Shrink.info.Lockstep.detail);
+      ("seeds", J.arr (List.map J.int r.Shrink.seeds));
+      ("at_insn", J.int r.Shrink.info.Lockstep.at_insn);
+      ("at_pc", J.int r.Shrink.info.Lockstep.at_pc);
+      ("what", J.str r.Shrink.info.Lockstep.what);
+      ("detail", J.str r.Shrink.info.Lockstep.detail);
     ]
 
 let fault_json fr =
   let f = fr.fault in
-  obj
-    (("id", int_ f.Fault.id)
-     :: ("kind", str (Fault.kind_name f.Fault.kind))
-     :: ("gate", int_ f.Fault.gate)
-     :: ("site", str f.Fault.desc)
-     :: ("detectable", bool_ f.Fault.detectable)
+  J.obj
+    (("id", J.int f.Fault.id)
+     :: ("kind", J.str (Fault.kind_name f.Fault.kind))
+     :: ("gate", J.int f.Fault.gate)
+     :: ("site", J.str f.Fault.desc)
+     :: ("detectable", J.bool f.Fault.detectable)
      :: ( "kill",
-          str
+          J.str
             (match fr.kill with
             | Killed_input _ -> "input"
             | Killed_symbolic _ -> "symbolic"
             | Survived -> "survived") )
-     :: ("time_s", num fr.fr_time_s)
+     :: ("time_s", J.num fr.fr_time_s)
      ::
      (match fr.kill with
      | Killed_input r -> [ ("repro", repro_json r) ]
-     | Killed_symbolic m -> [ ("detail", str m) ]
+     | Killed_symbolic m -> [ ("detail", J.str m) ]
      | Survived -> []))
 
 let campaign_json c =
@@ -404,66 +374,66 @@ let campaign_json c =
     List.fold_left (fun acc ir -> acc +. ir.ir_time_s) 0.0 c.inputs
   in
   let n_inputs = List.length c.inputs in
-  obj
-    (("name", str c.benchmark)
-     :: ("core", str c.core)
+  J.obj
+    (("name", J.str c.benchmark)
+     :: ("core", J.str c.core)
      :: ( "gates",
-          obj
+          J.obj
             [
-              ("original", int_ c.gates_original);
-              ("bespoke", int_ c.gates_bespoke);
+              ("original", J.int c.gates_original);
+              ("bespoke", J.int c.gates_bespoke);
             ] )
      :: ( "symbolic",
-          obj
-            (("equivalent", bool_ c.symbolic.sym_ok)
-             :: ("paths", int_ c.symbolic.sym_paths)
-             :: ("time_s", num c.symbolic.sym_time_s)
+          J.obj
+            (("equivalent", J.bool c.symbolic.sym_ok)
+             :: ("paths", J.int c.symbolic.sym_paths)
+             :: ("time_s", J.num c.symbolic.sym_time_s)
              ::
              (match c.symbolic.sym_detail with
-             | Some m -> [ ("detail", str m) ]
+             | Some m -> [ ("detail", J.str m) ]
              | None -> [])) )
      :: ( "inputs",
-          obj
+          J.obj
             [
-              ("count", int_ n_inputs);
-              ("seeds", arr (List.map (fun ir -> int_ ir.ir_seed) c.inputs));
-              ("time_s", num input_time);
+              ("count", J.int n_inputs);
+              ("seeds", J.arr (List.map (fun ir -> J.int ir.ir_seed) c.inputs));
+              ("time_s", J.num input_time);
               ( "time_s_per_input",
-                num (if n_inputs = 0 then 0.0 else input_time /. float_of_int n_inputs) );
-              ("line_pct", num c.coverage.Coverage.line_pct);
-              ("branch_pct", num c.coverage.Coverage.branch_pct);
-              ("branch_dir_pct", num c.coverage.Coverage.branch_dir_pct);
-              ("gate_pct", num c.gate_pct);
+                J.num (if n_inputs = 0 then 0.0 else input_time /. float_of_int n_inputs) );
+              ("line_pct", J.num c.coverage.Coverage.line_pct);
+              ("branch_pct", J.num c.coverage.Coverage.branch_pct);
+              ("branch_dir_pct", J.num c.coverage.Coverage.branch_dir_pct);
+              ("gate_pct", J.num c.gate_pct);
               ( "all_ok",
-                bool_ (List.for_all (fun ir -> ir.ir_diverged = None) c.inputs)
+                J.bool (List.for_all (fun ir -> ir.ir_diverged = None) c.inputs)
               );
             ] )
-     :: ("verdict", str (if c.equivalent then "equivalent" else "divergent"))
+     :: ("verdict", J.str (if c.equivalent then "equivalent" else "divergent"))
      :: ( "fault_injection",
-          obj
+          J.obj
             [
-              ("injected", int_ s.injected);
-              ("killed_input", int_ s.killed_input);
-              ("killed_symbolic", int_ s.killed_symbolic);
-              ("survived", int_ s.survived);
-              ("detectable", int_ s.detectable);
-              ("detectable_killed", int_ s.detectable_killed);
-              ("kill_score_pct", num (kill_score_pct s));
-              ("detectable_score_pct", num (detectable_score_pct s));
-              ("faults", arr (List.map fault_json c.faults));
+              ("injected", J.int s.injected);
+              ("killed_input", J.int s.killed_input);
+              ("killed_symbolic", J.int s.killed_symbolic);
+              ("survived", J.int s.survived);
+              ("detectable", J.int s.detectable);
+              ("detectable_killed", J.int s.detectable_killed);
+              ("kill_score_pct", J.num (kill_score_pct s));
+              ("detectable_score_pct", J.num (detectable_score_pct s));
+              ("faults", J.arr (List.map fault_json c.faults));
             ] )
      :: ( "guard",
-          obj
+          J.obj
             [
-              ("assumptions", int_ c.guard.gc_assumptions);
-              ("monitors", int_ c.guard.gc_monitors);
-              ("implied", int_ c.guard.gc_implied);
-              ("unmonitorable", int_ c.guard.gc_unmonitorable);
-              ("cycles", int_ c.guard.gc_cycles);
-              ("violations", int_ c.guard.gc_violations);
-              ("clean", bool_ (c.guard.gc_violations = 0));
+              ("assumptions", J.int c.guard.gc_assumptions);
+              ("monitors", J.int c.guard.gc_monitors);
+              ("implied", J.int c.guard.gc_implied);
+              ("unmonitorable", J.int c.guard.gc_unmonitorable);
+              ("cycles", J.int c.guard.gc_cycles);
+              ("violations", J.int c.guard.gc_violations);
+              ("clean", J.bool (c.guard.gc_violations = 0));
             ] )
-     :: ("time_s", num c.total_time_s)
+     :: ("time_s", J.num c.total_time_s)
      ::
      (match c.repro with
      | Some r -> [ ("repro", repro_json r) ]
@@ -473,12 +443,12 @@ let to_json campaigns =
   let core_name =
     match campaigns with c :: _ -> c.core | [] -> "unknown"
   in
-  obj
+  J.obj
     [
-      ("schema", str schema);
-      ("generator", str "bespoke_cli verify");
-      ("core", str core_name);
-      ("benchmarks", arr (List.map campaign_json campaigns));
+      ("schema", J.str schema);
+      ("generator", J.str "bespoke_cli verify");
+      ("core", J.str core_name);
+      ("benchmarks", J.arr (List.map campaign_json campaigns));
     ]
   ^ "\n"
 

@@ -103,47 +103,163 @@ let json_num k j =
   | Some (Obs.Json.Num n) -> n
   | _ -> Alcotest.failf "field %S missing or not a number" k
 
+(* Parse a trace export and hold it to the checker's discipline: every
+   line parses, ts >= 0, B/E strictly balanced per tid in LIFO order. *)
+let balanced_events jsonl =
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl) in
+  Alcotest.(check bool) "trace is non-empty" true (lines <> []);
+  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 4 in
+  let events =
+    List.map
+      (fun line ->
+        match Obs.Json.parse line with
+        | Error m -> Alcotest.failf "unparseable line %S: %s" line m
+        | Ok j ->
+          let tid = int_of_float (json_num "tid" j) in
+          Alcotest.(check bool) "ts is non-negative" true (json_num "ts" j >= 0.0);
+          let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+          (match json_str "ph" j with
+          | "B" -> Hashtbl.replace stacks tid (json_str "name" j :: stack)
+          | "E" -> (
+            match stack with
+            | top :: rest ->
+              Alcotest.(check string) "E closes innermost B" top (json_str "name" j);
+              Hashtbl.replace stacks tid rest
+            | [] -> Alcotest.failf "E with no open span: %s" line)
+          | "i" | "M" -> ()
+          | ph -> Alcotest.failf "unexpected ph %S" ph);
+          j)
+      lines
+  in
+  Hashtbl.iter
+    (fun tid stack ->
+      if stack <> [] then
+        Alcotest.failf "tid %d ends with %d unclosed spans" tid (List.length stack))
+    stacks;
+  events
+
 let test_jsonl_wellformed () =
   with_tracing (fun () ->
       ignore (run_tailor_mult ());
-      let lines =
-        List.filter
-          (fun l -> l <> "")
-          (String.split_on_char '\n' (Obs.Trace.to_jsonl ()))
+      ignore (balanced_events (Obs.Trace.to_jsonl ())))
+
+(* A pool worker parks inside an open [pool.idle] span once a map
+   drains; exporting then must close that span with a synthesized,
+   truncated-marked end event.  An explicit ~jobs is not clamped, so
+   this spawns a worker on any host. *)
+let test_parked_worker_closed () =
+  with_tracing (fun () ->
+      ignore (Pool.map ~jobs:2 (fun x -> x * x) [ 1; 2; 3; 4 ]);
+      let open_idle () =
+        let depth = Hashtbl.create 4 in
+        List.iter
+          (fun (e : Obs.Trace.event) ->
+            if e.name = "pool.idle" then
+              let d = Option.value ~default:0 (Hashtbl.find_opt depth e.tid) in
+              Hashtbl.replace depth e.tid (if e.ph = 'B' then d + 1 else d - 1))
+          (Obs.Trace.events ());
+        Hashtbl.fold (fun _ d acc -> acc || d > 0) depth false
       in
-      Alcotest.(check bool) "trace is non-empty" true (lines <> []);
-      (* every line parses; B/E strictly balanced per tid, LIFO order *)
-      let stacks : (int, string list) Hashtbl.t = Hashtbl.create 4 in
-      List.iter
-        (fun line ->
-          match Obs.Json.parse line with
-          | Error m -> Alcotest.failf "unparseable line %S: %s" line m
-          | Ok j -> (
-            let tid = int_of_float (json_num "tid" j) in
-            Alcotest.(check bool)
-              "ts is non-negative" true
-              (json_num "ts" j >= 0.0);
-            let stack =
-              Option.value ~default:[] (Hashtbl.find_opt stacks tid)
-            in
-            match json_str "ph" j with
-            | "B" -> Hashtbl.replace stacks tid (json_str "name" j :: stack)
-            | "E" -> (
-              match stack with
-              | top :: rest ->
-                Alcotest.(check string) "E closes innermost B" top
-                  (json_str "name" j);
-                Hashtbl.replace stacks tid rest
-              | [] -> Alcotest.failf "E with no open span: %s" line)
-            | "i" | "M" -> ()
-            | ph -> Alcotest.failf "unexpected ph %S" ph))
-        lines;
-      Hashtbl.iter
-        (fun tid stack ->
-          if stack <> [] then
-            Alcotest.failf "tid %d ends with %d unclosed spans" tid
-              (List.length stack))
-        stacks)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (not (open_idle ())) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check bool) "a worker is parked in pool.idle" true (open_idle ());
+      let truncated =
+        List.filter
+          (fun j ->
+            json_str "ph" j = "E"
+            && Option.bind (Obs.Json.member "args" j) (Obs.Json.mem_str "truncated")
+               = Some "true")
+          (balanced_events (Obs.Trace.to_jsonl ()))
+      in
+      Alcotest.(check bool) "the parked span is closed as truncated" true
+        (List.exists (fun j -> json_str "name" j = "pool.idle") truncated))
+
+(* ---- the JSON encoders ---- *)
+
+(* Strings built from the bytes an escaper gets wrong: quote,
+   backslash, every control byte (NUL included), DEL, and valid
+   2/3/4-byte UTF-8. *)
+let adversarial =
+  let pieces =
+    [ "\""; "\\"; "\x7f"; "a"; "Z"; " "; "/"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e" ]
+    @ List.init 0x20 (fun c -> String.make 1 (Char.chr c))
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(map (String.concat "") (list_size (int_bound 24) (oneofl pieces)))
+
+let nasty = "q\"b\\\x00n\n\x01\x1f\x7f\xc3\xa9\xe2\x82\xac\xf0\x9d\x84\x9e\t\r\x08\x0c"
+
+let prop_str_roundtrip =
+  QCheck.Test.make ~name:"parse (str s) = Str s" ~count:500 adversarial (fun s ->
+      Obs.Json.parse (Obs.Json.str s) = Ok (Obs.Json.Str s))
+
+let prop_nested_roundtrip =
+  QCheck.Test.make ~name:"nested obj/arr parse back field for field" ~count:300
+    (QCheck.pair adversarial adversarial) (fun (k, v) ->
+      let module J = Obs.Json in
+      J.parse
+        (J.obj
+           [
+             (k, J.str v);
+             ("list", J.arr [ J.str k; J.str v; J.obj [ (v, J.str k) ] ]);
+           ])
+      = Ok
+          (J.Obj
+             [
+               (k, J.Str v);
+               ("list", J.Arr [ J.Str k; J.Str v; J.Obj [ (v, J.Str k) ] ]);
+             ]))
+
+let prop_int_exact =
+  QCheck.Test.make ~name:"integers below 1e15 round-trip exactly" ~count:500
+    (QCheck.int_range (-999_999_999_999_999) 999_999_999_999_999) (fun i ->
+      let f = float_of_int i in
+      Obs.Json.num f = string_of_int i && Obs.Json.parse (Obs.Json.num f) = Ok (Obs.Json.Num f))
+
+let test_num_nonfinite () =
+  List.iter
+    (fun f -> Alcotest.(check string) (Printf.sprintf "%h encodes as 0" f) "0" (Obs.Json.num f))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* The emitted artifacts themselves stay valid JSON for any string. *)
+let test_artifacts_adversarial () =
+  let module Campaign = Bespoke_campaign.Campaign in
+  let module Verify = Bespoke_verify.Verify in
+  let o =
+    {
+      Campaign.o_job = Campaign.job (Campaign.Named nasty);
+      o_index = 0;
+      status = Error nasty;
+      time_s = Float.nan;
+      cached = false;
+    }
+  in
+  (match Obs.Json.parse (Campaign.outcome_jsonl o) with
+  | Error m -> Alcotest.failf "campaign error record does not parse: %s" m
+  | Ok j ->
+    Alcotest.(check string) "error message intact" nasty (json_str "error" j);
+    Alcotest.(check string) "bench name intact" nasty (json_str "bench" j);
+    Alcotest.(check (float 0.0)) "NaN time encodes as 0" 0.0 (json_num "time_s" j));
+  let c = Verify.check_benchmark ~faults:1 ~core (B.find "mult") in
+  let c =
+    {
+      c with
+      Verify.benchmark = nasty;
+      symbolic = { c.Verify.symbolic with Verify.sym_detail = Some nasty };
+      faults = List.map (fun fr -> { fr with Verify.kill = Verify.Killed_symbolic nasty }) c.faults;
+    }
+  in
+  match Obs.Json.parse (Verify.to_json [ c ]) with
+  | Error m -> Alcotest.failf "verify artifact does not parse: %s" m
+  | Ok j -> (
+    match Obs.Json.mem_arr "benchmarks" j with
+    | Some [ b ] ->
+      Alcotest.(check string) "benchmark name intact" nasty (json_str "name" b);
+      Alcotest.(check (option string)) "symbolic detail intact" (Some nasty)
+        (Option.bind (Obs.Json.member "symbolic" b) (Obs.Json.mem_str "detail"))
+    | _ -> Alcotest.fail "verify artifact lists one benchmark")
 
 (* ---- histograms ---- *)
 
@@ -504,7 +620,18 @@ let () =
         [
           Alcotest.test_case "jsonl well-formed and balanced" `Quick
             test_jsonl_wellformed;
+          Alcotest.test_case "parked worker span closed as truncated" `Quick
+            test_parked_worker_closed;
         ] );
+      ( "json",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_str_roundtrip; prop_nested_roundtrip; prop_int_exact ]
+        @ [
+            Alcotest.test_case "non-finite numbers encode as 0" `Quick
+              test_num_nonfinite;
+            Alcotest.test_case "artifacts valid for adversarial strings" `Quick
+              test_artifacts_adversarial;
+          ] );
       ( "metrics",
         [
           Alcotest.test_case "histogram percentiles" `Quick
