@@ -801,8 +801,8 @@ let run_bechamel () =
   List.iter benchmark [ t_tern; t_asm; t_cycle ]
 
 (* ------------------------------------------------------------------ *)
-(* Simulator throughput: full-eval vs event-driven vs 64-way packed
-   vs compiled word-level                                              *)
+(* Simulator throughput: full-eval vs 64-way packed vs compiled
+   word-level                                                          *)
 
 (* Every cycles/sec figure is the median of [timing_reps] repetitions
    of the whole measurement (recorded in the artifact), so a transient
@@ -822,7 +822,6 @@ type sim_row = {
   sr_name : string;
   sr_sim_cycles : int;  (** total simulated cycles (all profiling seeds) *)
   full_cps : float;
-  event_cps : float;
   packed_cps : float;
   compiled_cps : float;
   t_analysis : float;
@@ -848,7 +847,6 @@ let bench_sim_row ~core (b : B.t) : sim_row =
         float_of_int !cyc /. dt)
   in
   let full_cps = run_engine Runner.Full in
-  let event_cps = run_engine Runner.Event in
   let compiled_cps = run_engine Runner.Compiled in
   let packed_cps =
     median_of_reps (fun () ->
@@ -878,7 +876,6 @@ let bench_sim_row ~core (b : B.t) : sim_row =
     sr_name = b.B.name;
     sr_sim_cycles = sim_cycles;
     full_cps;
-    event_cps;
     packed_cps;
     compiled_cps;
     t_analysis;
@@ -887,14 +884,14 @@ let bench_sim_row ~core (b : B.t) : sim_row =
   }
 
 (* Observability overhead: cycles/sec on one small benchmark with
-   tracing disabled vs enabled, measured per engine (the event and
-   compiled engines have different hook densities).  The disabled path
-   is the default for every other row in this table, so any regression
-   there shows up directly in the cps columns; the enabled slowdown is
-   only paid when --trace/--metrics-out/BESPOKE_TRACE is in effect. *)
+   tracing disabled vs enabled, on the compiled engine (the default
+   for every scalar run).  The disabled path is the default for every
+   other row in this table, so any regression there shows up directly
+   in the cps columns; the enabled slowdown is only paid when
+   --trace/--metrics-out/BESPOKE_TRACE is in effect. *)
 let obs_reps = 5
 
-let measure_obs_overhead engine =
+let measure_obs_overhead () =
   let b = B.find "mult" in
   let net = stock () in
   let reps = 40 in
@@ -903,7 +900,10 @@ let measure_obs_overhead engine =
     let (), dt =
       time (fun () ->
           for _ = 1 to reps do
-            let o = Runner.run_gate ~core ~engine ~netlist:net b ~seed:1 in
+            let o =
+              Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:net b
+                ~seed:1
+            in
             cyc := !cyc + o.Runner.sim_cycles
           done)
     in
@@ -941,7 +941,8 @@ let measure_sampler_overhead () =
       time (fun () ->
           for _ = 1 to reps do
             let o =
-              Runner.run_gate ~core ~engine:Runner.Event ~netlist:net b ~seed:1
+              Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:net b
+                ~seed:1
             in
             cyc := !cyc + o.Runner.sim_cycles
           done)
@@ -996,11 +997,11 @@ let measure_guard_overhead () =
                 (* violations are sticky per watcher: a fresh one per
                    run keeps every rep on the same (clean) fast path *)
                 let w = Guard.watch_bespoke plan in
-                Runner.run_gate ~core ~engine:Runner.Event
+                Runner.run_gate ~core ~engine:Runner.Compiled
                   ~attach:(Guard.attach w) ~netlist:bespoke b ~seed:1)
               else
-                Runner.run_gate ~core ~engine:Runner.Event ~netlist:bespoke b
-                  ~seed:1
+                Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:bespoke
+                  b ~seed:1
             in
             cyc := !cyc + o.Runner.sim_cycles
           done)
@@ -1121,8 +1122,8 @@ let append_bench_history buf =
 
 let run_bench_sim () =
   printf "=== simulator throughput: cycles/sec over the profiling workload ===\n";
-  printf "%-8s %-12s %9s %9s %9s %9s %9s %8s | %8s %6s %8s\n" "Core"
-    "Benchmark" "cycles" "full" "event" "packed" "compiled" "speedup"
+  printf "%-8s %-12s %9s %9s %9s %9s %8s | %8s %6s %8s\n" "Core"
+    "Benchmark" "cycles" "full" "packed" "compiled" "speedup"
     "analy(s)" "cut(s)" "prof(s)";
   (* per-core rows: the MSP430 suite the paper evaluates, plus every
      other registered core's benchmarks — same engines, same netlist
@@ -1144,10 +1145,9 @@ let run_bench_sim () =
           (fun b ->
             let r = bench_sim_row ~core:c b in
             printf
-              "%-8s %-12s %9d %9.0f %9.0f %9.0f %9.0f %7.1fx | %8.2f %6.2f \
-               %8.2f\n"
-              r.sr_core r.sr_name r.sr_sim_cycles r.full_cps r.event_cps
-              r.packed_cps r.compiled_cps
+              "%-8s %-12s %9d %9.0f %9.0f %9.0f %7.1fx | %8.2f %6.2f %8.2f\n"
+              r.sr_core r.sr_name r.sr_sim_cycles r.full_cps r.packed_cps
+              r.compiled_cps
               (r.compiled_cps /. r.full_cps)
               r.t_analysis r.t_cut r.t_profile;
             r)
@@ -1164,11 +1164,9 @@ let run_bench_sim () =
           /. float_of_int (List.length crows))
       in
       printf
-        "geomean cycles/sec (%s): full %.0f, event %.0f, packed %.0f, \
-         compiled %.0f\n"
+        "geomean cycles/sec (%s): full %.0f, packed %.0f, compiled %.0f\n"
         cname
         (geomean (fun r -> r.full_cps))
-        (geomean (fun r -> r.event_cps))
         (geomean (fun r -> r.packed_cps))
         (geomean (fun r -> r.compiled_cps)))
     per_core;
@@ -1178,22 +1176,15 @@ let run_bench_sim () =
      (%d hits / %d misses this run)\n"
     compile_cold_s compile_warm_s (Compile.cache_hits ())
     (Compile.cache_misses ());
-  let obs_rows =
-    List.map
-      (fun engine ->
-        let d, e = measure_obs_overhead engine in
-        printf
-          "obs overhead (mult, %s engine): disabled %.0f cps, enabled %.0f \
-           cps (%.1f%% slower when tracing)\n"
-          (Runner.engine_to_string engine)
-          d e
-          (100.0 *. (1.0 -. (e /. d)));
-        (Runner.engine_to_string engine, d, e))
-      [ Runner.Event; Runner.Compiled ]
-  in
+  let obs_disabled_cps, obs_enabled_cps = measure_obs_overhead () in
+  printf
+    "obs overhead (mult, compiled engine): disabled %.0f cps, enabled %.0f \
+     cps (%.1f%% slower when tracing)\n"
+    obs_disabled_cps obs_enabled_cps
+    (100.0 *. (1.0 -. (obs_enabled_cps /. obs_disabled_cps)));
   let smp_enabled_cps, smp_sampled_cps = measure_sampler_overhead () in
   printf
-    "sampler overhead (mult, event engine, %d ms ticks): enabled %.0f cps, \
+    "sampler overhead (mult, compiled engine, %d ms ticks): enabled %.0f cps, \
      +sampler %.0f cps (%.1f%% slower)\n"
     sampler_interval_ms smp_enabled_cps smp_sampled_cps
     (100.0 *. (1.0 -. (smp_sampled_cps /. smp_enabled_cps)));
@@ -1201,7 +1192,7 @@ let run_bench_sim () =
     measure_guard_overhead ()
   in
   printf
-    "guard overhead (mult, event engine, %d monitor(s)): plain %.0f cps, \
+    "guard overhead (mult, compiled engine, %d monitor(s)): plain %.0f cps, \
      +watcher %.0f cps (%.1f%% slower in shadow mode)\n"
     guard_monitors guard_plain_cps guard_watched_cps
     (100.0 *. (1.0 -. (guard_watched_cps /. guard_plain_cps)));
@@ -1233,26 +1224,22 @@ let run_bench_sim () =
     \                      \"cache_hits\": %d, \"cache_misses\": %d},\n"
     compile_cold_s compile_warm_s (Compile.cache_hits ())
     (Compile.cache_misses ());
-  out "  \"obs_overhead\": [\n";
-  List.iteri
-    (fun i (eng, d, e) ->
-      out
-        "    {\"benchmark\": \"mult\", \"engine\": %s, \"disabled_cps\": \
-         %.0f, \"enabled_cps\": %.0f, \"enabled_slowdown\": %.4f}%s\n"
-        (J.str eng) d e
-        (1.0 -. (e /. d))
-        (if i = List.length obs_rows - 1 then "" else ","))
-    obs_rows;
-  out "  ],\n";
+  out
+    "  \"obs_overhead\": [\n\
+    \    {\"benchmark\": \"mult\", \"engine\": \"compiled\", \"disabled_cps\": \
+     %.0f, \"enabled_cps\": %.0f, \"enabled_slowdown\": %.4f}\n\
+    \  ],\n"
+    obs_disabled_cps obs_enabled_cps
+    (1.0 -. (obs_enabled_cps /. obs_disabled_cps));
   out
     "  \"sampler_overhead\": {\"benchmark\": \"mult\", \"engine\": \
-     \"event\", \"interval_ms\": %d,\n\
+     \"compiled\", \"interval_ms\": %d,\n\
     \                       \"enabled_cps\": %.0f, \"sampler_cps\": %.0f, \
      \"sampler_slowdown\": %.4f},\n"
     sampler_interval_ms smp_enabled_cps smp_sampled_cps
     (1.0 -. (smp_sampled_cps /. smp_enabled_cps));
   out
-    "  \"guard_overhead\": {\"benchmark\": \"mult\", \"engine\": \"event\", \
+    "  \"guard_overhead\": {\"benchmark\": \"mult\", \"engine\": \"compiled\", \
      \"monitors\": %d,\n\
     \                     \"plain_cps\": %.0f, \"watched_cps\": %.0f, \
      \"watch_slowdown\": %.4f},\n"
@@ -1280,15 +1267,13 @@ let run_bench_sim () =
     (fun i r ->
       out
         "    {\"name\": %s, \"core\": %s, \"sim_cycles\": %d,\n\
-        \     \"cycles_per_sec\": {\"full\": %.0f, \"event\": %.0f, \
-         \"packed\": %.0f, \"compiled\": %.0f},\n\
-        \     \"speedup_vs_full\": {\"event\": %.2f, \"packed\": %.2f, \
-         \"compiled\": %.2f},\n\
+        \     \"cycles_per_sec\": {\"full\": %.0f, \"packed\": %.0f, \
+         \"compiled\": %.0f},\n\
+        \     \"speedup_vs_full\": {\"packed\": %.2f, \"compiled\": %.2f},\n\
         \     \"phase_seconds\": {\"analysis\": %.3f, \"cut\": %.3f, \
          \"profile\": %.3f}}%s\n"
-        (J.str r.sr_name) (J.str r.sr_core) r.sr_sim_cycles r.full_cps r.event_cps r.packed_cps
-        r.compiled_cps
-        (r.event_cps /. r.full_cps)
+        (J.str r.sr_name) (J.str r.sr_core) r.sr_sim_cycles r.full_cps
+        r.packed_cps r.compiled_cps
         (r.packed_cps /. r.full_cps)
         (r.compiled_cps /. r.full_cps)
         r.t_analysis r.t_cut r.t_profile
@@ -1344,15 +1329,15 @@ let run_guard_table () =
      the same monitors at zero hardware)\n"
 
 (* ------------------------------------------------------------------ *)
-(* bench-smoke: one tiny benchmark through all four engines, asserting
+(* bench-smoke: one tiny benchmark through all three engines, asserting
    bit-identical outcomes, plus a validation pass over the recorded
    BENCH_sim.json artifact.  Wired into `dune runtest` via the
    @bench-smoke alias.                                                 *)
 
 (* Validate the checked-in BENCH_sim.json: every benchmark row must
-   carry a compiled column, and the recorded compiled engine must not
-   be slower than the event engine on any benchmark — a regression
-   gate on the artifact the docs quote. *)
+   carry exactly the full/packed/compiled columns, and the recorded
+   compiled engine must not be slower than the full sweep on any
+   benchmark — a regression gate on the artifact the docs quote. *)
 let validate_bench_sim_artifact () =
   let path =
     if Sys.file_exists "BENCH_sim.json" then "BENCH_sim.json"
@@ -1364,7 +1349,7 @@ let validate_bench_sim_artifact () =
     | Error m -> failwith (Printf.sprintf "bench-smoke: %s does not parse: %s" path m)
   in
   let field block k = Option.bind (J.member block j) (J.mem_num k) in
-  (* (core/bench, event, compiled) from the cps/<core>/<bench>/<engine>
+  (* (core/bench, full, compiled) from the cps/<core>/<bench>/<engine>
      flattening of stats --compare *)
   let cps =
     match Bespoke_obs.Stats.load_bench path with
@@ -1373,11 +1358,11 @@ let validate_bench_sim_artifact () =
   in
   let rows =
     List.filter_map
-      (fun (m, event) ->
-        match Filename.chop_suffix_opt ~suffix:"/event" m with
+      (fun (m, full) ->
+        match Filename.chop_suffix_opt ~suffix:"/full" m with
         | Some base when String.starts_with ~prefix:"cps/" base ->
           Option.map
-            (fun compiled -> (String.sub base 4 (String.length base - 4), event, compiled))
+            (fun compiled -> (String.sub base 4 (String.length base - 4), full, compiled))
             (List.assoc_opt (base ^ "/compiled") cps)
         | _ -> None)
       cps
@@ -1385,6 +1370,14 @@ let validate_bench_sim_artifact () =
   let obs_engines =
     List.filter_map (J.mem_str "engine")
       (Option.value ~default:[] (J.mem_arr "obs_overhead" j))
+  in
+  let cps_keys =
+    List.map
+      (fun row ->
+        ( Option.value ~default:"?" (J.mem_str "name" row),
+          List.map fst
+            (Option.value ~default:[] (J.mem_obj "cycles_per_sec" row)) ))
+      (Option.value ~default:[] (J.mem_arr "benchmarks" j))
   in
   let camp_cold_speedup = field "campaign" "speedup_cold_jobs4_vs_oneshot" in
   let camp_warm_speedup = field "campaign" "speedup_warm_vs_cold" in
@@ -1395,23 +1388,29 @@ let validate_bench_sim_artifact () =
          "bench-smoke: no cycles_per_sec rows with a compiled column in %s \
           (regenerate with --bench-sim)"
          path);
+  if obs_engines <> [ "compiled" ] then
+    failwith
+      (Printf.sprintf
+         "bench-smoke: obs_overhead in %s must hold one compiled-engine row \
+          (regenerate with --bench-sim)"
+         path);
   List.iter
-    (fun engine ->
-      if not (List.mem engine obs_engines) then
+    (fun (n, keys) ->
+      if keys <> [ "full"; "packed"; "compiled" ] then
         failwith
           (Printf.sprintf
-             "bench-smoke: no obs_overhead row for the %s engine in %s \
-              (regenerate with --bench-sim)"
-             engine path))
-    [ "event"; "compiled" ];
+             "bench-smoke: %s cycles_per_sec keys in %s are [%s], expected \
+              full/packed/compiled (regenerate with --bench-sim)"
+             n path (String.concat "; " keys)))
+    cps_keys;
   List.iter
-    (fun (n, event, compiled) ->
-      if compiled < event then
+    (fun (n, full, compiled) ->
+      if compiled < full then
         failwith
           (Printf.sprintf
-             "bench-smoke: %s records compiled %.0f < event %.0f cycles/sec \
+             "bench-smoke: %s records compiled %.0f < full %.0f cycles/sec \
               in %s — compiled engine regression"
-             n compiled event path))
+             n compiled full path))
     rows;
   (* the campaign acceptance bars: batch throughput >= 2.5x one-shot,
      warm cache >= 5x cold *)
@@ -1464,7 +1463,7 @@ let validate_bench_sim_artifact () =
           shadow watcher measured nothing"
          path);
   printf
-    "bench-smoke: BENCH_sim.json valid (%d benchmarks, compiled >= event on \
+    "bench-smoke: BENCH_sim.json valid (%d benchmarks, compiled >= full on \
      all; campaign %.2fx vs one-shot cold, %.1fx warm vs cold; guard \
      watcher measured over %d monitor(s))\n"
     (List.length rows) cold warm guard_mons
@@ -1477,7 +1476,6 @@ let run_bench_smoke () =
     List.map (fun s -> Runner.run_gate ~core ~engine ~netlist:net b ~seed:s) seeds
   in
   let full = run Runner.Full in
-  let event = run Runner.Event in
   let compiled = run Runner.Compiled in
   let packed = List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds) in
   let check tag (a : Runner.gate_outcome) (c : Runner.gate_outcome) =
@@ -1489,11 +1487,10 @@ let run_bench_smoke () =
       || a.Runner.toggles <> c.Runner.toggles
     then failwith (Printf.sprintf "bench-smoke: %s engine diverges on %s" tag b.B.name)
   in
-  List.iter2 (check "event") full event;
   List.iter2 (check "packed") full packed;
   List.iter2 (check "compiled") full compiled;
   printf
-    "bench-smoke: full/event/packed/compiled bit-identical on %s (%d seeds, \
+    "bench-smoke: full/packed/compiled bit-identical on %s (%d seeds, \
      %d cycles each)\n"
     b.B.name (List.length seeds) (List.hd full).Runner.sim_cycles;
   validate_bench_sim_artifact ()

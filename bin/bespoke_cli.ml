@@ -113,22 +113,18 @@ let engine_conv =
       Error
         (`Msg
            (Printf.sprintf
-              "unknown engine %S (expected full, event, packed or compiled)" s))
+              "unknown engine %S (expected full, packed or compiled)" s))
   in
   Arg.conv
     (parse, fun ppf e -> Format.pp_print_string ppf (Runner.engine_to_string e))
 
-(* Every engine is bit-identical; they differ only in speed.  The
-   default varies per subcommand: concrete runs default to the
-   compiled engine, symbolic analysis to the event-driven one. *)
-let engine_arg default =
-  Arg.(value & opt engine_conv default
+(* Every engine is bit-identical; they differ only in speed. *)
+let engine_arg =
+  Arg.(value & opt engine_conv Runner.Compiled
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:(Printf.sprintf
-                   "Gate-level simulation engine: $(b,full), $(b,event), \
-                    $(b,packed) or $(b,compiled) (default %s).  All engines \
-                    are bit-identical."
-                   (Runner.engine_to_string default)))
+           ~doc:"Gate-level simulation engine: $(b,full), $(b,packed) or \
+                 $(b,compiled) (default compiled).  All engines are \
+                 bit-identical.")
 
 (* The packed engine is seed-parallel (many inputs in one bit-parallel
    run); subcommands that simulate a single concrete or symbolic
@@ -137,7 +133,7 @@ let require_scalar cmd engine =
   if engine = Runner.Packed then
     failwith
       (cmd
-     ^ ": --engine packed is seed-parallel; choose full, event or compiled")
+     ^ ": --engine packed is seed-parallel; choose full or compiled")
 
 let load_program (entry : Cores.entry) file bench : (B.t, string) result =
   match bench, file with
@@ -539,7 +535,7 @@ let cmd_run =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ gpio_arg $ seed_arg
-        $ netlist_arg $ engine_arg Runner.Compiled $ jobs_arg $ guard_flag
+        $ netlist_arg $ engine_arg $ jobs_arg $ guard_flag
         $ guard_out_arg $ obs_args))
 
 (* ---- analyze ---- *)
@@ -600,7 +596,7 @@ let cmd_analyze =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ tree_dot_arg
-        $ engine_arg Runner.Event $ jobs_arg $ obs_args))
+        $ engine_arg $ jobs_arg $ obs_args))
 
 (* ---- tailor ---- *)
 
@@ -741,7 +737,7 @@ let cmd_tailor =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ verify_arg $ save_arg
-        $ json_arg $ explain_arg $ instrument_arg $ engine_arg Runner.Event
+        $ json_arg $ explain_arg $ instrument_arg $ engine_arg
         $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- report (savings artifact across benchmarks) ---- *)
@@ -875,7 +871,7 @@ let cmd_verify =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ faults_arg
-        $ seed_arg $ budget_arg $ engine_arg Runner.Compiled $ jobs_arg
+        $ seed_arg $ budget_arg $ engine_arg $ jobs_arg
         $ obs_args $ cache_stats_arg))
 
 (* ---- campaign (batch jobs on the pool, JSONL stream) ---- *)
@@ -1218,7 +1214,7 @@ let cmd_guard =
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ mutant_arg $ list_arg
         $ mode_arg $ out_arg $ seed_arg $ max_cycles_arg
-        $ engine_arg Runner.Compiled $ jobs_arg $ obs_args $ cache_stats_arg))
+        $ engine_arg $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- update-check (paper Section 3.5) ---- *)
 

@@ -17,9 +17,11 @@ let m_rounds = Obs.Metrics.counter "resynth.rounds"
    with all primary inputs X, stuck DFFs at their inits and the rest
    X; a DFF whose D pin is not definitely its init value is demoted.
    Ternary evaluation is monotone, so any real reachable state refines
-   the evaluated one and the surviving DFFs truly never change. *)
+   the evaluated one and the surviving DFFs truly never change.  Runs
+   the full sweep: compiling would cache a program for every
+   intermediate netlist of the optimization rounds. *)
 let stuck_dffs net =
-  let eng = Engine.create net in
+  let eng = Engine.create ~mode:Full net in
   let dffs = Engine.dff_ids eng in
   let init_of id =
     match net.Netlist.gates.(id).Gate.op with

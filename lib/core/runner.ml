@@ -16,27 +16,24 @@ let m_gate_runs = Obs.Metrics.counter "runner.gate_runs"
 
 (* Uniform engine selector shared by the library entry points and the
    CLI.  [Packed] is seed-parallel (one Engine64 lane per seed); the
-   other three map onto {!Engine.mode} for a single scalar run. *)
-type engine = Full | Event | Packed | Compiled
+   other two map onto {!Engine.mode} for a single scalar run. *)
+type engine = Full | Packed | Compiled
 
-let all_engines = [ Full; Event; Packed; Compiled ]
+let all_engines = [ Full; Packed; Compiled ]
 
 let engine_to_string = function
   | Full -> "full"
-  | Event -> "event"
   | Packed -> "packed"
   | Compiled -> "compiled"
 
 let engine_of_string = function
   | "full" -> Some Full
-  | "event" -> Some Event
   | "packed" -> Some Packed
   | "compiled" -> Some Compiled
   | _ -> None
 
 let mode_of_engine = function
   | Full -> Engine.Full
-  | Event -> Engine.Event
   | Compiled -> Engine.Compiled
   | Packed ->
     invalid_arg "Runner.mode_of_engine: packed is seed-parallel, not a mode"
@@ -383,14 +380,14 @@ let resolve_analysis_config ?config (b : Benchmark.t) =
       irq_x = b.Benchmark.uses_irq;
     }
 
-let analyze ?config ?(engine = Event) ?netlist ~core (b : Benchmark.t) =
+let analyze ?config ?(engine = Compiled) ?netlist ~core (b : Benchmark.t) =
   Obs.Span.with_ ~name:"runner.analyze"
     ~args:[ ("benchmark", b.Benchmark.name) ]
   @@ fun () ->
   (match engine with
   | Packed ->
     invalid_arg
-      "Runner.analyze: packed is seed-parallel; use full, event or compiled"
+      "Runner.analyze: packed is seed-parallel; use full or compiled"
   | _ -> ());
   let net = match netlist with Some n -> n | None -> shared_netlist core in
   let sys =

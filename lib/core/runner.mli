@@ -13,14 +13,13 @@ module Activity := Bespoke_analysis.Activity
 module Coredef := Bespoke_coreapi.Coredef
 module Lockstep := Bespoke_coreapi.Lockstep
 
-type engine = Full | Event | Packed | Compiled
+type engine = Full | Packed | Compiled
 (** Uniform gate-simulation engine selector, shared by the library
     entry points and the CLI's [--engine] flag: [Full] re-evaluates
-    every gate per settle (the reference), [Event] is event-driven,
-    [Packed] packs one run per seed into Engine64 lanes, [Compiled]
-    executes the memoized word-level program
-    ({!Bespoke_sim.Compile}).  All four are bit-identical in results,
-    cycle counts and per-gate activity. *)
+    every gate per settle (the reference), [Packed] packs one run per
+    seed into Engine64 lanes, [Compiled] executes the memoized
+    word-level program ({!Bespoke_sim.Compile}).  All three are
+    bit-identical in results, cycle counts and per-gate activity. *)
 
 val all_engines : engine list
 
@@ -109,7 +108,7 @@ val analyze :
 (** Input-independent analysis of the benchmark (inputs per its
     [input_ranges]; GPIO X; IRQ X only if the benchmark uses it).
     Returns the report and the netlist analyzed.  [engine] (default
-    [Event]) selects the scalar engine driving the symbolic
+    [Compiled]) selects the scalar engine driving the symbolic
     exploration; @raise Invalid_argument on [Packed]. *)
 
 val resolve_analysis_config :

@@ -21,9 +21,8 @@
 
     State is dual-rail (can-be-0 / can-be-1 masks), making the word
     operations exact three-valued Kleene evaluation: values, toggle
-    counts and possibly-toggled flags are bit-identical to
-    {!Engine} in both [Full] and [Event] modes (enforced by
-    [test_compile_equiv]).  Instructions are re-executed only when an
+    counts and possibly-toggled flags are bit-identical to the
+    {!Engine} [Full] sweep (enforced by [test_compile_equiv]).  Instructions are re-executed only when an
     operand word actually changed (a pending bitmask in topological
     order), so settles after small input changes are cheap.
 

@@ -20,23 +20,19 @@ module Netlist := Bespoke_netlist.Netlist
 type t
 
 type mode =
-  | Full  (** re-evaluate the whole levelized order on every settle *)
-  | Event
-      (** event-driven: propagate only through the fanout of gates
-          whose output actually changed (dirty-queue levelized sweep),
-          and commit activity for touched gates only.  Produces
-          bit-identical values, toggle counts and possibly-toggled
-          flags to [Full] — enforced by [test_engine_equiv]. *)
+  | Full
+      (** re-evaluate the whole levelized order on every settle: the
+          reference the other engines are checked against *)
   | Compiled
       (** word-level compiled evaluation (see {!Compile}): the netlist
           is lowered once into a flat instruction program over native
           63-bit words (vector ops, recovered integer adders, packed
           registers) and memoized by design hash.  Values, toggle
-          counts and possibly-toggled flags are bit-identical to the
-          other modes — enforced by [test_compile_equiv]. *)
+          counts and possibly-toggled flags are bit-identical to
+          [Full] — enforced by [test_compile_equiv]. *)
 
 val create : ?mode:mode -> Netlist.t -> t
-(** [mode] defaults to [Event]. *)
+(** [mode] defaults to [Compiled]. *)
 
 val mode : t -> mode
 val netlist : t -> Netlist.t
@@ -78,16 +74,17 @@ val set_all_inputs_x : t -> unit
 (** {1 Evaluation} *)
 
 val eval : t -> unit
-(** Settle all combinational logic.  In [Event] mode this drains the
-    dirty queue (gates downstream of changed sources) instead of
-    sweeping the full order; the settled values are identical. *)
+(** Settle all combinational logic.  In [Compiled] mode only
+    instructions downstream of changed words re-execute; the settled
+    values are identical to a [Full] sweep. *)
 
 type cone
 
 val make_cone : t -> int array -> cone
 (** Precompute the forward combinational cone of the given source
     gates (typically an input port's bits), for cheap incremental
-    re-evaluation. *)
+    re-evaluation.  Empty in [Compiled] mode, whose pending-instruction
+    tracking subsumes cones. *)
 
 val eval_cone : t -> cone -> unit
 

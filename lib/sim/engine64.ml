@@ -18,8 +18,7 @@ let h_dirty = Obs.Metrics.histogram "sim.packed_dirty_set_size"
 
    Gate functions become whole-word boolean operations with exact
    Kleene (ternary) semantics per lane; lanes never interact.  The
-   evaluation core is the same dirty-queue levelized sweep as the
-   event-driven {!Engine}. *)
+   evaluation core is an event-driven dirty-queue levelized sweep. *)
 
 let max_lanes = 63  (* OCaml native ints carry 63 usable bits *)
 
@@ -60,7 +59,7 @@ type t = {
   toggles : int array array;  (* per lane, per gate *)
   possibly : int array;  (* lane bitmask per gate *)
   mutable committed : int;
-  (* event-driven machinery, as in {!Engine} *)
+  (* event-driven machinery: levels, CSR fanout, dirty queue, touched list *)
   level : int array;
   fan_start : int array;
   fan : int array;

@@ -9,8 +9,8 @@
     like a scalar {!Engine} run — the packed profiling path relies on
     this and [test_engine_equiv] enforces it.
 
-    The evaluation core is the same dirty-queue levelized sweep as the
-    event-driven {!Engine}: only the fanout of gates whose packed word
+    The evaluation core is an event-driven dirty-queue levelized
+    sweep: only the fanout of gates whose packed word
     actually changed is re-evaluated, and per-cycle activity commits
     walk the touched list only. *)
 

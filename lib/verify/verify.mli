@@ -115,7 +115,7 @@ val check_benchmark :
     with PRNG [seed] (default 1) and require layer 1 to kill them.
     [engine] (default [Compiled]) selects the gate-level engine for
     the input-based co-simulation layer; the symbolic layer always
-    runs event-driven.  [explore_budget] is passed to
+    runs on the default compiled engine.  [explore_budget] is passed to
     {!Bespoke_coverage.Coverage.explore}. *)
 
 val run_campaign :

@@ -4,15 +4,25 @@
    [Bespoke_cpu.]/[Bespoke_isa.] reference in their sources, or a
    [bespoke_cpu]/[bespoke_isa] entry in their dune library lists,
    fails the build: that is how a second core stays a drop-in and a
-   third one becomes possible. *)
+   third one becomes possible.
+
+   The same pass enforces one JSON string escaper: a [\u]-escape
+   format ([u%04x]) anywhere in lib/, bin/ or bench/main.ml outside
+   lib/obs/obs.ml is a private escaper, and fails the build too —
+   every artifact encodes strings through [Obs.Json.str]. *)
 
 let layers = [ "core"; "analysis"; "verify"; "guard" ]
 let forbidden_src = [ "Bespoke_cpu."; "Bespoke_isa." ]
 let forbidden_dep = [ "bespoke_cpu"; "bespoke_isa" ]
 
-let lib_root =
-  if Sys.file_exists "lib" && Sys.is_directory "lib" then "lib"
-  else Filename.concat ".." "lib"
+let root =
+  if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
+
+let lib_root = Filename.concat root "lib"
+
+(* split so this file never matches its own needle *)
+let escaper_needles = [ "u%" ^ "04x"; "u%" ^ "04X" ]
+let escaper_home = Filename.concat lib_root (Filename.concat "obs" "obs.ml")
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -39,8 +49,26 @@ let scan_file ~patterns path =
                  :: !violations))
     patterns
 
+let rec ml_files path =
+  if Sys.is_directory path then
+    Array.to_list (Sys.readdir path)
+    |> List.sort compare
+    |> List.concat_map (fun f -> ml_files (Filename.concat path f))
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+  then [ path ]
+  else []
+
 let () =
   let files = ref 0 in
+  List.iter
+    (fun path ->
+      if path <> escaper_home then begin
+        incr files;
+        scan_file ~patterns:escaper_needles path
+      end)
+    (ml_files lib_root
+    @ ml_files (Filename.concat root "bin")
+    @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]);
   List.iter
     (fun layer ->
       let dir = Filename.concat lib_root layer in
@@ -64,8 +92,9 @@ let () =
   match !violations with
   | [] ->
     Printf.printf
-      "boundary-check: %d file(s) in lib/{%s} are core-agnostic (no \
-       Bespoke_cpu/Bespoke_isa references)\n"
+      "boundary-check: %d file(s) checked: lib/{%s} are core-agnostic (no \
+       Bespoke_cpu/Bespoke_isa references), and lib/obs/obs.ml holds the \
+       only JSON string escaper\n"
       !files
       (String.concat "," layers)
   | vs ->
@@ -73,5 +102,5 @@ let () =
       (List.rev vs);
     Printf.eprintf
       "boundary-check: the flow layers must target Coredef, not a \
-       concrete core\n";
+       concrete core, and JSON strings must go through Obs.Json.str\n";
     exit 1

@@ -7,14 +7,19 @@
    - lockstep: every registered benchmark runs gate-level vs. the
      core's ISS golden model, exact architectural state at every
      instruction boundary;
-   - engines: full-eval, event-driven, 64-way packed and compiled
-     word-level engines are bit-identical on the core's netlist
-     (results, cycles, GPIO, per-gate toggle counts);
+   - engines: full-eval, 64-way packed and compiled word-level
+     engines are bit-identical on the core's netlist (results, cycles,
+     GPIO, per-gate toggle counts);
    - fuzz: the core's seed-replayable random-program generator
      ({!Fuzzgen.program_for}) runs in lockstep; any divergence report
      carries the core name, the seed and the generated assembly, so
      `BESPOKE_FUZZ_SEED=<seed> dune exec test/core_matrix.exe`
      replays it;
+   - analysis: on generated programs (beyond the curated suite) the
+     symbolic analysis gives the same report under the full-sweep
+     oracle and the compiled engine, and it is sound: every gate that
+     toggles in a concrete run on random GPIO words is marked
+     possibly-toggled, so none of them would be cut;
    - serialization: the stock and tailored netlists survive a
      to_string/of_string round trip as a byte-identical fixpoint;
    - guard: the cut-assumption shadow watcher stays silent when the
@@ -67,7 +72,7 @@ struct
           [ 1; 2 ])
       benches
 
-  (* engines: all four simulation engines bit-identical *)
+  (* engines: all three simulation engines bit-identical *)
   let check_outcome_equal name tag (a : Runner.gate_outcome)
       (b : Runner.gate_outcome) =
     Alcotest.(check (list (pair int (option int))))
@@ -96,12 +101,10 @@ struct
             seeds
         in
         let full = run Runner.Full in
-        let event = run Runner.Event in
         let compiled = run Runner.Compiled in
         let packed =
           List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds)
         in
-        List.iter2 (check_outcome_equal name "event") full event;
         List.iter2 (check_outcome_equal name "packed") full packed;
         List.iter2 (check_outcome_equal name "compiled") full compiled)
       benches
@@ -138,6 +141,65 @@ struct
       QCheck.(pair (int_bound 1_000_000) (int_bound 0xffff))
       (fun (seed, gpio) -> fuzz_one ~seed ~gpio)
 
+  (* analysis: Full vs Compiled report, then soundness against
+     concrete runs.  GPIO is X in the analysis and a random word in
+     each concrete run; the programs use no RAM inputs and no IRQs. *)
+  let analysis_seeds = List.init 8 (fun i -> i + 1)
+
+  let check_analysis ~seed =
+    let src = Fuzzgen.program_for core ~seed in
+    let b =
+      B.mk ~result_addrs:[]
+        ~gen_inputs:(fun s -> ([], (seed * 40503 + s * 7919) land 0xffff))
+        (Printf.sprintf "fuzz%d" seed) "generated program" src
+    in
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          Alcotest.failf
+            "core %s seed %d: %s\n\
+             replay: BESPOKE_FUZZ_SEED=%d dune exec test/core_matrix.exe\n\
+             --- generated %s assembly (seed %d) ---\n\
+             %s--- end assembly ---"
+            cname seed m seed cname seed src)
+        fmt
+    in
+    let net = Lazy.force stock in
+    let analyze engine = fst (Runner.analyze ~engine ~netlist:net ~core b) in
+    let full = analyze Runner.Full and compiled = analyze Runner.Compiled in
+    let same what x y =
+      if x <> y then fail "full and compiled analyses differ in %s" what
+    in
+    same "possibly_toggled" full.Activity.possibly_toggled
+      compiled.Activity.possibly_toggled;
+    same "constant_values" full.Activity.constant_values
+      compiled.Activity.constant_values;
+    same "paths" full.Activity.paths compiled.Activity.paths;
+    same "merges" full.Activity.merges compiled.Activity.merges;
+    same "prunes" full.Activity.prunes compiled.Activity.prunes;
+    List.iter
+      (fun run ->
+        let o = Runner.run_gate ~core ~netlist:net b ~seed:run in
+        let toggled id = o.Runner.toggles.(id) > 0 in
+        match
+          Seq.find
+            (fun id -> toggled id && not full.Activity.possibly_toggled.(id))
+            (Seq.init (Array.length o.Runner.toggles) Fun.id)
+        with
+        | None -> ()
+        | Some id ->
+          fail
+            "unsound analysis: gate %d [%s] (module %S) toggles %d time(s) \
+             on GPIO 0x%04x but is marked never-toggling"
+            id
+            (String.concat ", " (Netlist.names_of net id))
+            (Netlist.module_of net id) o.Runner.toggles.(id)
+            (snd (b.B.gen_inputs run)))
+      [ 1; 2; 3 ]
+
+  let test_analysis () =
+    List.iter (fun seed -> check_analysis ~seed) analysis_seeds
+
   let replay_cases =
     match Sys.getenv_opt "BESPOKE_FUZZ_SEED" with
     | None -> []
@@ -151,7 +213,8 @@ struct
             let src = Fuzzgen.program_for core ~seed in
             Printf.printf "--- generated %s assembly (seed %d) ---\n%s%!"
               cname seed src;
-            ignore (fuzz_one ~seed ~gpio:0));
+            ignore (fuzz_one ~seed ~gpio:0);
+            check_analysis ~seed);
       ]
 
   (* serialization: stock and tailored netlists round-trip *)
@@ -210,8 +273,10 @@ struct
       ( cname,
         [
           tc "lockstep on all benchmarks" test_lockstep;
-          tc "four engines bit-identical" test_engines;
+          tc "three engines bit-identical" test_engines;
           QCheck_alcotest.to_alcotest test_fuzz;
+          tc "analysis: full = compiled, sound on fuzz programs"
+            test_analysis;
           tc "serialization fixpoint" test_serial;
           tc "guard watcher clean" test_guard_clean;
         ]

@@ -3,6 +3,7 @@
    parsing, warm-rerun caching, and input-order results. *)
 
 module Campaign = Bespoke_campaign.Campaign
+module Runner = Bespoke_core.Runner
 module B = Bespoke_programs.Benchmark
 module Json = Bespoke_obs.Obs.Json
 
@@ -120,11 +121,16 @@ let test_parse_line () =
     Alcotest.(check string) "bench" "mult"
       (Campaign.program_name j.Campaign.program)
   | _ -> Alcotest.fail "plain line");
-  (match Campaign.parse_line "  verify mult seed=7 faults=4 engine=event " with
+  (match Campaign.parse_line "  verify mult seed=7 faults=4 engine=full " with
   | Ok (Some j) ->
     Alcotest.(check int) "seed" 7 j.Campaign.seed;
-    Alcotest.(check int) "faults" 4 j.Campaign.faults
+    Alcotest.(check int) "faults" 4 j.Campaign.faults;
+    Alcotest.(check string) "engine" "full"
+      (Runner.engine_to_string j.Campaign.engine)
   | _ -> Alcotest.fail "options line");
+  (match Campaign.parse_line "analyze mult engine=event" with
+  | Error _ -> ()
+  | _ -> Alcotest.fail "the removed event engine must be a parse error");
   (match Campaign.parse_line "# a comment" with
   | Ok None -> ()
   | _ -> Alcotest.fail "comment line");

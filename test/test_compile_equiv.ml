@@ -1,8 +1,8 @@
 (* Differential equivalence of the compiled word-level engine.
 
-   The event-driven engine is already proven against the full-order
-   sweep (test_engine_equiv); here the compiled engine (Engine mode
-   Compiled, lib/sim/compile.ml) must be bit-identical to it:
+   The full-order sweep (Engine mode Full) is the reference
+   semantics; the compiled engine (Engine mode Compiled,
+   lib/sim/compile.ml) must be bit-identical to it:
 
    - every in-tree benchmark runs gate-level under both engines and
      must agree on result words (the RAM the program wrote), cycle
@@ -35,7 +35,7 @@ module B = Bespoke_programs.Benchmark
 let core = Bespoke_cpu.Msp430.core
 
 (* ------------------------------------------------------------------ *)
-(* Benchmarks: event vs compiled outcomes                              *)
+(* Benchmarks: full vs compiled outcomes                               *)
 
 let check_outcome_equal name tag (a : Runner.gate_outcome)
     (b : Runner.gate_outcome) =
@@ -56,9 +56,9 @@ let test_benchmark (b : B.t) () =
   let net = Runner.shared_netlist core in
   List.iter
     (fun seed ->
-      let ev = Runner.run_gate ~core ~engine:Runner.Event ~netlist:net b ~seed in
+      let fu = Runner.run_gate ~core ~engine:Runner.Full ~netlist:net b ~seed in
       let co = Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:net b ~seed in
-      check_outcome_equal b.B.name (Printf.sprintf "seed %d" seed) ev co)
+      check_outcome_equal b.B.name (Printf.sprintf "seed %d" seed) fu co)
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
@@ -73,16 +73,16 @@ let test_fuzz_programs () =
     let img = Asm.assemble src in
     let gpio = (seed * 40503) land 0xffff in
     let run mode = Lockstep.run ~mode ~netlist:net ~gpio_in:gpio img in
-    let ev = run Engine.Event and co = run Engine.Compiled in
-    if ev <> co then
+    let fu = run Engine.Full and co = run Engine.Compiled in
+    if fu <> co then
       Alcotest.failf
-        "fuzz seed %d: compiled lockstep differs from event\n\
+        "fuzz seed %d: compiled lockstep differs from full\n\
          (insns %d/%d, cycles %d/%d, gpio %04x/%04x, toggles equal: %b)\n\
          replay: BESPOKE_FUZZ_SEED=%d dune exec test/test_fuzz.exe"
-        seed ev.Lockstep.instructions co.Lockstep.instructions
-        ev.Lockstep.cycles co.Lockstep.cycles ev.Lockstep.gpio_final
+        seed fu.Lockstep.instructions co.Lockstep.instructions
+        fu.Lockstep.cycles co.Lockstep.cycles fu.Lockstep.gpio_final
         co.Lockstep.gpio_final
-        (ev.Lockstep.toggles = co.Lockstep.toggles)
+        (fu.Lockstep.toggles = co.Lockstep.toggles)
         seed
   done
 
@@ -142,38 +142,38 @@ let run_diff seed =
   let r = { s = (seed * 48271) lor 1 } in
   let net, inputs = gen_net seed in
   let cycles = 8 + (next r mod 16) in
-  let ee = Engine.create ~mode:Event net in
+  let ef = Engine.create ~mode:Full net in
   let ec = Engine.create ~mode:Compiled net in
-  Engine.reset ee;
+  Engine.reset ef;
   Engine.reset ec;
   let ng = Netlist.gate_count net in
   for c = 0 to cycles - 1 do
     Array.iter
       (fun id ->
         let b = rand_bit r in
-        Engine.set_gate ee id b;
+        Engine.set_gate ef id b;
         Engine.set_gate ec id b)
       inputs;
-    Engine.eval ee;
+    Engine.eval ef;
     Engine.eval ec;
     for id = 0 to ng - 1 do
-      if Engine.value ec id <> Engine.value ee id then
+      if Engine.value ec id <> Engine.value ef id then
         QCheck.Test.fail_reportf
           "seed %d cycle %d gate %d: compiled value differs" seed c id
     done;
-    Engine.commit_cycle ee;
+    Engine.commit_cycle ef;
     Engine.commit_cycle ec;
-    Engine.step ee;
+    Engine.step ef;
     Engine.step ec
   done;
-  if Engine.toggle_counts ec <> Engine.toggle_counts ee then
+  if Engine.toggle_counts ec <> Engine.toggle_counts ef then
     QCheck.Test.fail_reportf "seed %d: compiled toggles differ" seed;
-  if Engine.possibly_toggled ec <> Engine.possibly_toggled ee then
+  if Engine.possibly_toggled ec <> Engine.possibly_toggled ef then
     QCheck.Test.fail_reportf "seed %d: compiled possibly-toggled differ" seed;
   true
 
 let test_random_netlists =
-  QCheck.Test.make ~name:"random netlists: compiled = event (values + activity)"
+  QCheck.Test.make ~name:"random netlists: compiled = full (values + activity)"
     ~count:25
     QCheck.(int_bound 1_000_000)
     run_diff
@@ -190,11 +190,11 @@ let test_tailored () =
   in
   List.iter
     (fun seed ->
-      let ev = Runner.run_gate ~core ~engine:Runner.Event ~netlist:bespoke b ~seed in
+      let fu = Runner.run_gate ~core ~engine:Runner.Full ~netlist:bespoke b ~seed in
       let co =
         Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:bespoke b ~seed
       in
-      check_outcome_equal "mult-bespoke" (Printf.sprintf "seed %d" seed) ev co)
+      check_outcome_equal "mult-bespoke" (Printf.sprintf "seed %d" seed) fu co)
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)

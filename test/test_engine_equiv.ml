@@ -1,10 +1,12 @@
-(* Differential equivalence of the three simulation engines.
+(* Differential equivalence of the packed engine, and of partially
+   propagated compiled state, against the reference.
 
    The full-order sweep (Engine mode Full) is the reference semantics;
-   the event-driven engine (mode Event) and the 64-way bit-parallel
-   engine (Engine64) must be bit-identical to it:
+   the 64-way bit-parallel engine (Engine64) must be bit-identical to
+   it (the compiled engine's own differential suite is
+   test_compile_equiv):
 
-   - every benchmark runs gate-level under all three engines and must
+   - every benchmark runs gate-level under both engines and must
      agree on result words, cycle counts, GPIO and per-gate toggle
      counts;
    - randomized netlists (random DAGs with DFF feedback, driven by
@@ -12,8 +14,9 @@
      value at every cycle, and on final toggle counts and
      possibly-toggled marks, lane by lane;
    - reset and restore_dff_state must discard partially-propagated
-     event state: interleaving un-evaluated input writes with reset /
-     restore must leave Event indistinguishable from Full. *)
+     state: interleaving un-evaluated input writes with reset /
+     restore must leave Compiled (pending instructions) and Packed
+     (dirty queue) indistinguishable from Full. *)
 
 module Bit = Bespoke_logic.Bit
 module Netlist = Bespoke_netlist.Netlist
@@ -25,7 +28,7 @@ module B = Bespoke_programs.Benchmark
 let core = Bespoke_cpu.Msp430.core
 
 (* ------------------------------------------------------------------ *)
-(* Benchmarks under all three engines                                  *)
+(* Benchmarks under the reference and the packed engine               *)
 
 let check_outcome_equal name tag (a : Runner.gate_outcome)
     (b : Runner.gate_outcome) =
@@ -50,13 +53,7 @@ let test_benchmark (b : B.t) () =
       (fun s -> Runner.run_gate ~core ~engine:Runner.Full ~netlist:net b ~seed:s)
       seeds
   in
-  let event =
-    List.map
-      (fun s -> Runner.run_gate ~core ~engine:Runner.Event ~netlist:net b ~seed:s)
-      seeds
-  in
   let packed = List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds) in
-  List.iter2 (check_outcome_equal b.B.name "event") full event;
   List.iter2 (check_outcome_equal b.B.name "packed") full packed
 
 (* ------------------------------------------------------------------ *)
@@ -115,8 +112,8 @@ let gen_net seed =
     (Array.of_list (List.filteri (fun i _ -> i < 4) !pool));
   (Netlist.Builder.finish bld, inputs)
 
-(* Drive [lanes] pre-generated stimulus sequences through one Full and
-   one Event scalar engine per lane plus a single packed engine, and
+(* Drive [lanes] pre-generated stimulus sequences through one Full
+   scalar engine per lane plus a single packed engine, and
    require identical values every cycle and identical activity at the
    end. *)
 let run_diff seed =
@@ -130,10 +127,8 @@ let run_diff seed =
             Array.init (Array.length inputs) (fun _ -> rand_bit r)))
   in
   let fulls = Array.init lanes (fun _ -> Engine.create ~mode:Full net) in
-  let events = Array.init lanes (fun _ -> Engine.create ~mode:Event net) in
   let packed = Engine64.create ~lanes net in
   Array.iter Engine.reset fulls;
-  Array.iter Engine.reset events;
   Engine64.reset packed;
   let ng = Netlist.gate_count net in
   for c = 0 to cycles - 1 do
@@ -141,20 +136,14 @@ let run_diff seed =
       Array.iteri
         (fun k id ->
           Engine.set_gate fulls.(lane) id stim.(lane).(c).(k);
-          Engine.set_gate events.(lane) id stim.(lane).(c).(k);
           Engine64.set_gate_lane packed id lane stim.(lane).(c).(k))
         inputs
     done;
     Array.iter Engine.eval fulls;
-    Array.iter Engine.eval events;
     Engine64.eval packed;
     for lane = 0 to lanes - 1 do
       for id = 0 to ng - 1 do
         let vf = Engine.value fulls.(lane) id in
-        if Engine.value events.(lane) id <> vf then
-          QCheck.Test.fail_reportf
-            "seed %d cycle %d lane %d gate %d: event value differs" seed c
-            lane id;
         if Engine64.value_lane packed id lane <> vf then
           QCheck.Test.fail_reportf
             "seed %d cycle %d lane %d gate %d: packed value differs" seed c
@@ -162,28 +151,22 @@ let run_diff seed =
       done
     done;
     Array.iter Engine.commit_cycle fulls;
-    Array.iter Engine.commit_cycle events;
     Engine64.commit_cycle packed;
     Array.iter Engine.step fulls;
-    Array.iter Engine.step events;
     Engine64.step packed
   done;
   for lane = 0 to lanes - 1 do
     let tf = Engine.toggle_counts fulls.(lane) in
-    if Engine.toggle_counts events.(lane) <> tf then
-      QCheck.Test.fail_reportf "seed %d lane %d: event toggles differ" seed lane;
     if Engine64.toggle_counts_lane packed lane <> tf then
       QCheck.Test.fail_reportf "seed %d lane %d: packed toggles differ" seed lane;
     let pf = Engine.possibly_toggled fulls.(lane) in
-    if Engine.possibly_toggled events.(lane) <> pf then
-      QCheck.Test.fail_reportf "seed %d lane %d: event possibly differ" seed lane;
     if Engine64.possibly_toggled_lane packed lane <> pf then
       QCheck.Test.fail_reportf "seed %d lane %d: packed possibly differ" seed lane
   done;
   true
 
 let test_random_netlists =
-  QCheck.Test.make ~name:"random netlists: full = event = packed (all lanes)"
+  QCheck.Test.make ~name:"random netlists: full = packed (all lanes)"
     ~count:25
     QCheck.(int_bound 1_000_000)
     run_diff
@@ -227,87 +210,88 @@ let test_full_width () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Reset / restore must invalidate partially-propagated event state    *)
+(* Reset / restore must invalidate partially-propagated state          *)
 
-let drive_and_compare name ef ee inputs r cycles =
+let drive_and_compare name ef ec inputs r cycles =
   let ng = Netlist.gate_count (Engine.netlist ef) in
   for c = 1 to cycles do
     Array.iter
       (fun id ->
         let b = rand_bit r in
         Engine.set_gate ef id b;
-        Engine.set_gate ee id b)
+        Engine.set_gate ec id b)
       inputs;
     Engine.eval ef;
-    Engine.eval ee;
+    Engine.eval ec;
     for id = 0 to ng - 1 do
-      if Engine.value ee id <> Engine.value ef id then
-        Alcotest.failf "%s: cycle %d gate %d: event diverges from full" name c
+      if Engine.value ec id <> Engine.value ef id then
+        Alcotest.failf "%s: cycle %d gate %d: compiled diverges from full" name c
           id
     done;
     Engine.commit_cycle ef;
-    Engine.commit_cycle ee;
+    Engine.commit_cycle ec;
     Engine.step ef;
-    Engine.step ee
+    Engine.step ec
   done;
   Alcotest.(check bool) (name ^ ": toggles") true
-    (Engine.toggle_counts ee = Engine.toggle_counts ef);
+    (Engine.toggle_counts ec = Engine.toggle_counts ef);
   Alcotest.(check bool) (name ^ ": possibly") true
-    (Engine.possibly_toggled ee = Engine.possibly_toggled ef)
+    (Engine.possibly_toggled ec = Engine.possibly_toggled ef)
 
 let test_reset_after_partial () =
   let net, inputs = gen_net 42 in
   let ef = Engine.create ~mode:Full net in
-  let ee = Engine.create ~mode:Event net in
+  let ec = Engine.create ~mode:Compiled net in
   let r = { s = 0xbeef1 } in
   Engine.reset ef;
-  Engine.reset ee;
-  (* settle one stimulus, then write new inputs WITHOUT eval: the event
-     engine now holds a non-empty dirty queue which reset must discard *)
+  Engine.reset ec;
+  (* settle one stimulus, then write new inputs WITHOUT eval: the
+     compiled engine now holds pending instructions which reset must
+     discard *)
   Array.iter
     (fun id ->
       Engine.set_gate ef id Bit.One;
-      Engine.set_gate ee id Bit.One)
+      Engine.set_gate ec id Bit.One)
     inputs;
   Engine.eval ef;
-  Engine.eval ee;
+  Engine.eval ec;
   Array.iter
     (fun id ->
       Engine.set_gate ef id Bit.Zero;
-      Engine.set_gate ee id Bit.Zero)
+      Engine.set_gate ec id Bit.Zero)
     inputs;
   Engine.reset ef;
-  Engine.reset ee;
-  drive_and_compare "reset-after-partial" ef ee inputs r 8
+  Engine.reset ec;
+  drive_and_compare "reset-after-partial" ef ec inputs r 8
 
 let test_restore_after_partial () =
   let net, inputs = gen_net 99 in
   let ef = Engine.create ~mode:Full net in
-  let ee = Engine.create ~mode:Event net in
+  let ec = Engine.create ~mode:Compiled net in
   let r = { s = 0xcafe3 } in
   Engine.reset ef;
-  Engine.reset ee;
-  drive_and_compare "restore: warm-up" ef ee inputs r 4;
+  Engine.reset ec;
+  drive_and_compare "restore: warm-up" ef ec inputs r 4;
   let st = Engine.dff_state ef in
-  Alcotest.(check bool) "dff snapshots agree" true (st = Engine.dff_state ee);
+  Alcotest.(check bool) "dff snapshots agree" true (st = Engine.dff_state ec);
   (* pending un-evaluated input writes, then snapshot restore: the
-     event engine must re-settle from the restored state, not from the
-     stale queue *)
+     compiled engine must re-settle from the restored state, not from
+     the stale pending set *)
   Array.iter
     (fun id ->
       Engine.set_gate ef id Bit.X;
-      Engine.set_gate ee id Bit.X)
+      Engine.set_gate ec id Bit.X)
     inputs;
   Engine.restore_dff_state ef st;
-  Engine.restore_dff_state ee st;
+  Engine.restore_dff_state ec st;
   Engine.sync_prev ef;
-  Engine.sync_prev ee;
+  Engine.sync_prev ec;
   let ng = Netlist.gate_count net in
   for id = 0 to ng - 1 do
-    if Engine.value ee id <> Engine.value ef id then
+    if Engine.value ec id <> Engine.value ef id then
       Alcotest.failf "restore: gate %d differs right after restore" id
   done;
-  drive_and_compare "restore: after" ef ee inputs r 8
+  drive_and_compare "restore: after" ef ec inputs r 8
 
 let test_packed_reset_after_partial () =
   let net, inputs = gen_net 17 in

@@ -557,6 +557,11 @@ let test_tailor_metrics () =
       Alcotest.(check bool)
         "settle iterations counted" true
         (c "sim.settle_iterations" > 0);
+      (* the sweep counters above come from resynthesis; the analysis
+         itself runs compiled *)
+      Alcotest.(check bool)
+        "compiled analysis cycles counted" true
+        (c "sim.compile.cycles" > 0);
       Alcotest.(check bool) "analysis paths counted" true (c "analysis.paths" > 0);
       Alcotest.(check int) "cut.gates_removed matches Cut.stats"
         stats.Cut.cut_gates (c "cut.gates_removed");
