@@ -832,22 +832,22 @@ type sim_row = {
 let bench_sim_row ~core (b : B.t) : sim_row =
   let net = Runner.shared_netlist core in
   let sim_cycles = ref 0 in
-  let run_engine engine =
+  let run_engine mode =
     median_of_reps (fun () ->
         let cyc = ref 0 in
         let (), dt =
           time (fun () ->
               List.iter
                 (fun seed ->
-                  let o = Runner.run_gate ~core ~engine ~netlist:net b ~seed in
+                  let o = Runner.run_gate ~core ~mode ~netlist:net b ~seed in
                   cyc := !cyc + o.Runner.sim_cycles)
                 profile_seeds)
         in
         sim_cycles := !cyc;
         float_of_int !cyc /. dt)
   in
-  let full_cps = run_engine Runner.Full in
-  let compiled_cps = run_engine Runner.Compiled in
+  let full_cps = run_engine Engine.Full in
+  let compiled_cps = run_engine Engine.Compiled in
   let packed_cps =
     median_of_reps (fun () ->
         let cyc = ref 0 in
@@ -883,91 +883,79 @@ let bench_sim_row ~core (b : B.t) : sim_row =
     t_profile;
   }
 
-(* Observability overhead: cycles/sec on one small benchmark with
-   tracing disabled vs enabled, on the compiled engine (the default
-   for every scalar run).  The disabled path is the default for every
-   other row in this table, so any regression there shows up directly
-   in the cps columns; the enabled slowdown is only paid when
-   --trace/--metrics-out/BESPOKE_TRACE is in effect. *)
+(* The obs, sampler and guard rows share one paired-trial discipline:
+   each trial is [trial_runs] back-to-back runs of mult, measured in
+   cycles/sec; after one warm-up trial (paging in the netlist and code
+   paths), [obs_reps] alternating trials per side, paired so both
+   sides see the same load environment, then the median of each.  A
+   single transient spike (or lull) cannot produce a nonsense
+   comparison such as a negative enabled slowdown. *)
 let obs_reps = 5
+let trial_runs = 40
 
+let trial_cps run_once () =
+  let cyc = ref 0 in
+  let (), dt =
+    time (fun () ->
+        for _ = 1 to trial_runs do
+          cyc := !cyc + (run_once ()).Runner.sim_cycles
+        done)
+  in
+  float_of_int !cyc /. dt
+
+let paired_trials base variant =
+  ignore (base ());
+  let xs = ref [] and ys = ref [] in
+  for _ = 1 to obs_reps do
+    xs := base () :: !xs;
+    ys := variant () :: !ys
+  done;
+  (median !xs, median !ys)
+
+(* Observability overhead: tracing disabled vs enabled, on the
+   compiled engine (the engine of every scalar run).  The disabled
+   path is the default for every other row in this table, so any
+   regression there shows up directly in the cps columns; the enabled
+   slowdown is only paid when --trace/--metrics-out/BESPOKE_TRACE is
+   in effect. *)
 let measure_obs_overhead () =
   let b = B.find "mult" in
   let net = stock () in
-  let reps = 40 in
-  let run () =
-    let cyc = ref 0 in
-    let (), dt =
-      time (fun () ->
-          for _ = 1 to reps do
-            let o =
-              Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:net b
-                ~seed:1
-            in
-            cyc := !cyc + o.Runner.sim_cycles
-          done)
-    in
-    float_of_int !cyc /. dt
-  in
-  ignore (run ());  (* warm-up: page in the netlist and code paths *)
-  (* [obs_reps] alternating trials per mode, paired so both modes see
-     the same load environment, then the median of each: a single
-     transient spike (or lull) cannot produce a nonsense comparison
-     such as a negative enabled slowdown *)
-  let disabled = ref [] and enabled = ref [] in
-  for _ = 1 to obs_reps do
-    disabled := run () :: !disabled;
-    Obs.enable ();
-    enabled := run () :: !enabled;
-    Obs.disable ();
-    Obs.Trace.clear ();
-    Obs.Metrics.reset ()
-  done;
-  (median !disabled, median !enabled)
+  let run = trial_cps (fun () -> Runner.run_gate ~core ~netlist:net b ~seed:1) in
+  paired_trials run (fun () ->
+      Obs.enable ();
+      let cps = run () in
+      Obs.disable ();
+      Obs.Trace.clear ();
+      Obs.Metrics.reset ();
+      cps)
 
 (* Marginal cost of the background metrics sampler on top of enabled
-   telemetry: the same paired-trial discipline, enabled-only vs
-   enabled-with-a-live-Sampler (ticking into a scratch file at the
-   interval the acceptance flow uses). *)
+   telemetry: enabled-only vs enabled-with-a-live-Sampler (ticking
+   into a scratch file at the interval the acceptance flow uses). *)
 let sampler_interval_ms = 100
 
 let measure_sampler_overhead () =
   let b = B.find "mult" in
   let net = stock () in
-  let reps = 40 in
-  let run () =
-    let cyc = ref 0 in
-    let (), dt =
-      time (fun () ->
-          for _ = 1 to reps do
-            let o =
-              Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:net b
-                ~seed:1
-            in
-            cyc := !cyc + o.Runner.sim_cycles
-          done)
-    in
-    float_of_int !cyc /. dt
-  in
+  let run = trial_cps (fun () -> Runner.run_gate ~core ~netlist:net b ~seed:1) in
   let path = Filename.temp_file "bespoke_sampler_bench" ".jsonl" in
   Obs.enable ();
-  ignore (run ());
-  let enabled = ref [] and sampled = ref [] in
-  for _ = 1 to obs_reps do
-    enabled := run () :: !enabled;
-    Obs.Sampler.start ~path ~interval_ms:sampler_interval_ms ();
-    sampled := run () :: !sampled;
-    Obs.Sampler.stop ()
-  done;
+  let medians =
+    paired_trials run (fun () ->
+        Obs.Sampler.start ~path ~interval_ms:sampler_interval_ms ();
+        let cps = run () in
+        Obs.Sampler.stop ();
+        cps)
+  in
   Obs.disable ();
   Obs.Trace.clear ();
   Obs.Metrics.reset ();
   (try Sys.remove path with Sys_error _ -> ());
-  (median !enabled, median !sampled)
+  medians
 
-(* Marginal cost of the zero-hardware guard: the same paired-trial
-   discipline as the obs/sampler rows, plain bespoke runs vs runs with
-   the cut-assumption shadow watcher attached (`run --guard`'s hot
+(* Marginal cost of the zero-hardware guard: plain bespoke runs vs runs
+   with the cut-assumption shadow watcher attached (`run --guard`'s hot
    path).  The watcher recomputes every monitored cut function at each
    committed cycle, so its cost scales with the monitor count — the
    artifact records both. *)
@@ -986,35 +974,17 @@ let guard_plan_of (b : B.t) =
 let measure_guard_overhead () =
   let b = B.find "mult" in
   let plan, bespoke = guard_plan_of b in
-  let reps = 40 in
-  let run ~watch () =
-    let cyc = ref 0 in
-    let (), dt =
-      time (fun () ->
-          for _ = 1 to reps do
-            let o =
-              if watch then (
-                (* violations are sticky per watcher: a fresh one per
-                   run keeps every rep on the same (clean) fast path *)
-                let w = Guard.watch_bespoke plan in
-                Runner.run_gate ~core ~engine:Runner.Compiled
-                  ~attach:(Guard.attach w) ~netlist:bespoke b ~seed:1)
-              else
-                Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:bespoke
-                  b ~seed:1
-            in
-            cyc := !cyc + o.Runner.sim_cycles
-          done)
-    in
-    float_of_int !cyc /. dt
+  let plain, watched =
+    paired_trials
+      (trial_cps (fun () -> Runner.run_gate ~core ~netlist:bespoke b ~seed:1))
+      (trial_cps (fun () ->
+           (* violations are sticky per watcher: a fresh one per run
+              keeps every rep on the same (clean) fast path *)
+           let w = Guard.watch_bespoke plan in
+           Runner.run_gate ~core ~attach:(Guard.attach w) ~netlist:bespoke b
+             ~seed:1))
   in
-  ignore (run ~watch:false ());
-  let plain = ref [] and watched = ref [] in
-  for _ = 1 to obs_reps do
-    plain := run ~watch:false () :: !plain;
-    watched := run ~watch:true () :: !watched
-  done;
-  (List.length plan.Guard.p_monitors, median !plain, median !watched)
+  (List.length plan.Guard.p_monitors, plain, watched)
 
 (* One-time program-compilation cost of the compiled engine for the
    stock core, and the per-instance cost of a design-cache hit
@@ -1472,11 +1442,11 @@ let run_bench_smoke () =
   let b = B.find "mult" in
   let net = stock () in
   let seeds = [ 1; 2; 3 ] in
-  let run engine =
-    List.map (fun s -> Runner.run_gate ~core ~engine ~netlist:net b ~seed:s) seeds
+  let run mode =
+    List.map (fun s -> Runner.run_gate ~core ~mode ~netlist:net b ~seed:s) seeds
   in
-  let full = run Runner.Full in
-  let compiled = run Runner.Compiled in
+  let full = run Engine.Full in
+  let compiled = run Engine.Compiled in
   let packed = List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds) in
   let check tag (a : Runner.gate_outcome) (c : Runner.gate_outcome) =
     if

@@ -105,36 +105,6 @@ let json_arg =
                  $(b,bespoke-report/v1)); all human-readable output moves to \
                  stderr so stdout stays parseable.")
 
-let engine_conv =
-  let parse s =
-    match Runner.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "unknown engine %S (expected full, packed or compiled)" s))
-  in
-  Arg.conv
-    (parse, fun ppf e -> Format.pp_print_string ppf (Runner.engine_to_string e))
-
-(* Every engine is bit-identical; they differ only in speed. *)
-let engine_arg =
-  Arg.(value & opt engine_conv Runner.Compiled
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Gate-level simulation engine: $(b,full), $(b,packed) or \
-                 $(b,compiled) (default compiled).  All engines are \
-                 bit-identical.")
-
-(* The packed engine is seed-parallel (many inputs in one bit-parallel
-   run); subcommands that simulate a single concrete or symbolic
-   execution cannot use it. *)
-let require_scalar cmd engine =
-  if engine = Runner.Packed then
-    failwith
-      (cmd
-     ^ ": --engine packed is seed-parallel; choose full or compiled")
-
 let load_program (entry : Cores.entry) file bench : (B.t, string) result =
   match bench, file with
   | Some name, _ -> (
@@ -441,8 +411,8 @@ let cmd_run =
              ~doc:"With $(b,--guard): write the bespoke-guard/v1 JSONL \
                    violation stream to $(docv).")
   in
-  let run file bench core_name gpio seed netlist_file engine jobs guard
-      guard_out obs =
+  let run file bench core_name gpio seed netlist_file jobs guard guard_out
+      obs =
     handle
       (with_obs obs @@ fun () ->
        catching (fun () ->
@@ -456,7 +426,6 @@ let cmd_run =
                  "--guard tailors the benchmark itself and cannot rebuild the \
                   cut provenance of a saved netlist; drop --netlist"
              else begin
-               require_scalar "run" engine;
                let report, net = Runner.analyze ~core b in
                let bespoke, _, prov =
                  Cut.tailor_explained net
@@ -470,7 +439,7 @@ let cmd_run =
                in
                let w = Guard.watch_bespoke plan in
                let o =
-                 Runner.check_equivalence ~engine ~attach:(Guard.attach w)
+                 Runner.check_equivalence ~attach:(Guard.attach w)
                    ~netlist:bespoke ~core b ~seed
                in
                Printf.printf
@@ -504,18 +473,14 @@ let cmd_run =
            let o =
              if b.B.gen_inputs seed = ([], 0) && gpio <> 0 then begin
                (* raw program: run via lockstep with the given gpio *)
-               require_scalar "run" engine;
                let img = core.Coredef.assemble b.B.source in
-               let r =
-                 Lockstep.run ~mode:(Runner.mode_of_engine engine) ?netlist
-                   ~gpio_in:gpio ~core img
-               in
+               let r = Lockstep.run ?netlist ~gpio_in:gpio ~core img in
                Printf.printf "ran %d instructions, %d cycles, gpio_out=0x%0*x\n"
                  r.Lockstep.instructions r.Lockstep.cycles
                  (Coredef.hex_digits core) r.Lockstep.gpio_final;
                None
              end
-             else Some (Runner.check_equivalence ~engine ?netlist ~core b ~seed)
+             else Some (Runner.check_equivalence ?netlist ~core b ~seed)
            in
            (match o with
            | Some o ->
@@ -535,7 +500,7 @@ let cmd_run =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ gpio_arg $ seed_arg
-        $ netlist_arg $ engine_arg $ jobs_arg $ guard_flag
+        $ netlist_arg $ jobs_arg $ guard_flag
         $ guard_out_arg $ obs_args))
 
 (* ---- analyze ---- *)
@@ -547,7 +512,7 @@ let cmd_analyze =
              ~doc:"Write the explored symbolic execution tree as a Graphviz \
                    digraph to $(docv) (nodes colored by how each path ended).")
   in
-  let run file bench core_name json tree_dot engine jobs obs =
+  let run file bench core_name json tree_dot jobs obs =
     handle
       (with_obs obs @@ fun () ->
        catching (fun () ->
@@ -555,8 +520,7 @@ let cmd_analyze =
            let* entry = resolve_core core_name in
            let core = entry.Cores.core in
            let* b = load_program entry file bench in
-           require_scalar "analyze" engine;
-           let report, net = Runner.analyze ~engine ~core b in
+           let report, net = Runner.analyze ~core b in
            let oc = if json then stderr else stdout in
            Printf.fprintf oc
              "explored %d paths (%d merges, %d prunes, %d escapes), %d cycles\n"
@@ -596,7 +560,7 @@ let cmd_analyze =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ tree_dot_arg
-        $ engine_arg $ jobs_arg $ obs_args))
+        $ jobs_arg $ obs_args))
 
 (* ---- tailor ---- *)
 
@@ -630,8 +594,8 @@ let cmd_tailor =
                    own area/power overhead; with $(b,--save) the saved \
                    netlist is the instrumented one.")
   in
-  let run file bench core_name verify save json explain instrument engine jobs
-      obs cache_stats =
+  let run file bench core_name verify save json explain instrument jobs obs
+      cache_stats =
     handle
       (with_obs obs @@ fun () ->
        with_cache_stats cache_stats @@ fun () ->
@@ -640,8 +604,7 @@ let cmd_tailor =
            let* entry = resolve_core core_name in
            let core = entry.Cores.core in
            let* b = load_program entry file bench in
-           require_scalar "tailor" engine;
-           let report, net = Runner.analyze ~engine ~core b in
+           let report, net = Runner.analyze ~core b in
            let bespoke, stats, prov =
              Cut.tailor_explained net
                ~possibly_toggled:report.Activity.possibly_toggled
@@ -689,27 +652,29 @@ let cmd_tailor =
                  Ok ())
                (Ok ()) explain
            in
-           if verify then begin
-             List.iter
-               (fun seed ->
-                 ignore
-                   (Runner.check_equivalence ~engine ~netlist:bespoke ~core b
-                      ~seed))
-               [ 1; 2; 3 ];
-             let img = Runner.image ~core b in
-             let sys = System.create ~core img in
-             let sh = System.create ~netlist:bespoke ~core img in
-             let config =
-               {
-                 Activity.default_config with
-                 Activity.ram_x_ranges = b.B.input_ranges;
-                 irq_x = b.B.uses_irq;
-               }
-             in
-             ignore (Activity.analyze ~config ~shadow:sh sys);
-             Printf.fprintf oc
-               "verified: input-based equivalence (3 seeds) and symbolic shadow analysis\n"
-           end;
+           let* () =
+             if not verify then Ok ()
+             else begin
+               List.iter
+                 (fun seed ->
+                   ignore
+                     (Runner.check_equivalence ~netlist:bespoke ~core b ~seed))
+                 [ 1; 2; 3 ];
+               let sym =
+                 Verify.symbolic_check ~core ~original:net ~shadow_net:bespoke b
+               in
+               if sym.Verify.sym_ok then begin
+                 Printf.fprintf oc
+                   "verified: input-based equivalence (3 seeds) and symbolic \
+                    shadow analysis\n";
+                 Ok ()
+               end
+               else
+                 Error
+                   ("symbolic shadow analysis: "
+                   ^ Option.value ~default:"mismatch" sym.Verify.sym_detail)
+             end
+           in
            (match save with
            | None -> ()
            | Some path ->
@@ -737,8 +702,8 @@ let cmd_tailor =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ verify_arg $ save_arg
-        $ json_arg $ explain_arg $ instrument_arg $ engine_arg
-        $ jobs_arg $ obs_args $ cache_stats_arg))
+        $ json_arg $ explain_arg $ instrument_arg $ jobs_arg $ obs_args
+        $ cache_stats_arg))
 
 (* ---- report (savings artifact across benchmarks) ---- *)
 
@@ -808,8 +773,7 @@ let cmd_verify =
          & info [ "explore-budget" ] ~docv:"N"
              ~doc:"Candidate budget for the coverage-directed input search.")
   in
-  let run file bench core_name json faults seed budget engine jobs obs
-      cache_stats =
+  let run file bench core_name json faults seed budget jobs obs cache_stats =
     handle
       (with_obs obs @@ fun () ->
        with_cache_stats cache_stats @@ fun () ->
@@ -824,13 +788,12 @@ let cmd_verify =
                let* b = load_program entry file bench in
                Ok [ b ]
            in
-           require_scalar "verify" engine;
            List.iter
              (fun (b : B.t) ->
                Printf.eprintf "verifying %-18s ...\n%!" b.B.name)
              benches;
            let campaigns =
-             Verify.run_campaign ~engine ~faults ~seed ?explore_budget:budget
+             Verify.run_campaign ~faults ~seed ?explore_budget:budget
                ~core benches
            in
            let oc = if json then stderr else stdout in
@@ -871,8 +834,7 @@ let cmd_verify =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ faults_arg
-        $ seed_arg $ budget_arg $ engine_arg $ jobs_arg
-        $ obs_args $ cache_stats_arg))
+        $ seed_arg $ budget_arg $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- campaign (batch jobs on the pool, JSONL stream) ---- *)
 
@@ -881,7 +843,7 @@ let cmd_campaign =
     Arg.(value & opt (some file) None
          & info [ "file" ] ~docv:"JOBS.TXT"
              ~doc:"Job-list file: one $(b,KIND BENCH [core=NAME] [seed=N] \
-                   [faults=N] [mutant=N] [engine=E]) per line, where KIND is \
+                   [faults=N] [mutant=N]) per line, where KIND is \
                    analyze, tailor, report, verify, run or guard; blank lines \
                    and # comments are skipped.")
   in
@@ -889,7 +851,7 @@ let cmd_campaign =
     Arg.(value & pos_all string []
          & info [] ~docv:"JOB"
              ~doc:"Inline job specs, colon-separated: \
-                   $(b,KIND:BENCH[:core=NAME][:seed=N][:faults=N][:engine=E]), \
+                   $(b,KIND:BENCH[:core=NAME][:seed=N][:faults=N][:mutant=N]), \
                    e.g. $(b,verify:mult:core=rv32:faults=4).")
   in
   let out_arg =
@@ -1074,8 +1036,8 @@ let cmd_guard =
                    the design was not tailored for may never halt; the \
                    violations seen before the deadline are the point.")
   in
-  let run file bench core_name mutant list_only mode out seed max_cycles engine
-      jobs obs cache_stats =
+  let run file bench core_name mutant list_only mode out seed max_cycles jobs
+      obs cache_stats =
     handle
       (with_obs obs @@ fun () ->
        with_cache_stats cache_stats @@ fun () ->
@@ -1106,7 +1068,6 @@ let cmd_guard =
              Ok ()
            end
            else begin
-             require_scalar "guard" engine;
              let* workload =
                match mutant with
                | None -> Ok b
@@ -1159,8 +1120,7 @@ let cmd_guard =
                (List.length plan.Guard.p_monitors)
                plan.Guard.p_implied plan.Guard.p_unmonitorable;
              let rp =
-               Guard.replay ~engine ~max_cycles watcher ~core ~netlist workload
-                 ~seed
+               Guard.replay ~max_cycles watcher ~core ~netlist workload ~seed
              in
              (match rp.Guard.rp_result with
              | Ok o -> Printf.printf "halted after %d cycle(s)\n" o.Runner.g_cycles
@@ -1213,8 +1173,8 @@ let cmd_guard =
     Term.(
       ret
         (const run $ file_arg $ bench_arg $ core_arg $ mutant_arg $ list_arg
-        $ mode_arg $ out_arg $ seed_arg $ max_cycles_arg
-        $ engine_arg $ jobs_arg $ obs_args $ cache_stats_arg))
+        $ mode_arg $ out_arg $ seed_arg $ max_cycles_arg $ jobs_arg $ obs_args
+        $ cache_stats_arg))
 
 (* ---- update-check (paper Section 3.5) ---- *)
 

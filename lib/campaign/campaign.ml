@@ -60,17 +60,16 @@ type job = {
   seed : int;
   faults : int;
   mutant : int;
-  engine : Runner.engine;
 }
 
 let job ?(kind = Analyze) ?core ?(seed = 1) ?(faults = 3) ?(mutant = -1)
-    ?(engine = Runner.Compiled) program =
+    program =
   let core =
     match core with
     | Some c -> c
     | None -> Cores.default.Cores.core.Coredef.name
   in
-  { kind; core; program; seed; faults; mutant; engine }
+  { kind; core; program; seed; faults; mutant }
 
 let program_name = function Named n -> n | Inline b -> b.B.name
 
@@ -94,9 +93,8 @@ let resolve_program (entry : Cores.entry) = function
 (* ------------------------------------------------------------------ *)
 (* Job execution.  Every kind goes through the campaign job cache —
    keyed by kind, binary image hash, netlist hash and the parameters
-   that affect the result (seed/faults where they matter; the engine
-   is excluded because all engines are bit-identical).  The payload is
-   a list of (field, raw JSON value) pairs, ready to stream. *)
+   that affect the result (seed/faults where they matter).  The payload
+   is a list of (field, raw JSON value) pairs, ready to stream. *)
 
 let jobs_cache : (string * string) list Flowcache.t =
   Flowcache.create ~name:"campaign.jobs" ()
@@ -161,9 +159,7 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
     stats_payload stats
   | Report ->
     let _, bespoke, stats = tailored ~core b in
-    let o =
-      Runner.run_gate ~engine:j.engine ~netlist:bespoke ~core b ~seed:j.seed
-    in
+    let o = Runner.run_gate ~netlist:bespoke ~core b ~seed:j.seed in
     let p =
       Report.power ~freq_hz ~toggles:o.Runner.toggles
         ~cycles:o.Runner.sim_cycles bespoke
@@ -175,10 +171,7 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
         ("cycles", J.int o.Runner.g_cycles);
       ]
   | Verify ->
-    let c =
-      Verify.check_benchmark ~engine:j.engine ~faults:j.faults ~seed:j.seed
-        ~core b
-    in
+    let c = Verify.check_benchmark ~faults:j.faults ~seed:j.seed ~core b in
     let score = Verify.kill_stats c in
     [
       ("equivalent", J.bool c.Verify.equivalent);
@@ -187,7 +180,7 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
       ("kill_score_pct", J.num (Verify.kill_score_pct score));
     ]
   | Run ->
-    let iss = Runner.check_equivalence ~engine:j.engine ~core b ~seed:j.seed in
+    let iss = Runner.check_equivalence ~core b ~seed:j.seed in
     [
       ("cycles", J.int iss.Runner.cycles);
       ("instructions", J.int iss.Runner.instructions);
@@ -230,10 +223,7 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
                j.mutant b.B.name)
     in
     let w = Guard.watch_bespoke plan in
-    let rp =
-      Guard.replay ~engine:j.engine w ~core ~netlist:bespoke workload
-        ~seed:j.seed
-    in
+    let rp = Guard.replay w ~core ~netlist:bespoke workload ~seed:j.seed in
     [
       ("workload", J.str workload.B.name);
       ("assumptions", J.int (List.length plan.Guard.p_assumptions));
@@ -492,7 +482,7 @@ let run ?jobs ?on_outcome ?on_event (js : job list) =
 
 (* ------------------------------------------------------------------ *)
 (* Job-list parsing: one job per line, `KIND BENCH [core=NAME] [seed=N]
-   [faults=N] [engine=E]`; blank lines and #-comments are skipped.  A
+   [faults=N] [mutant=N]`; blank lines and #-comments are skipped.  A
    malformed line is a campaign-level error (the file is wrong, not a
    job); an unknown core or benchmark NAME is a job-level error,
    surfaced when the job runs. *)
@@ -530,10 +520,6 @@ let parse_line line =
             match int_of_string_opt v with
             | Some m -> j := { !j with mutant = m }
             | None -> bad := Some (Printf.sprintf "bad mutant %S" v))
-          | [ "engine"; v ] -> (
-            match Runner.engine_of_string v with
-            | Some e -> j := { !j with engine = e }
-            | None -> bad := Some (Printf.sprintf "unknown engine %S" v))
           | _ -> bad := Some (Printf.sprintf "unknown option %S" opt))
         opts;
       match !bad with Some m -> Error m | None -> Ok (Some !j)))
@@ -576,7 +562,6 @@ let outcome_jsonl (o : outcome) =
       ("seed", J.int o.o_job.seed);
       ("faults", J.int o.o_job.faults);
       ("mutant", J.int o.o_job.mutant);
-      ("engine", J.str (Runner.engine_to_string o.o_job.engine));
       ("cached", J.bool o.cached);
       ("time_s", J.num o.time_s);
     ]

@@ -40,14 +40,13 @@ type job = {
   seed : int;  (** concrete-input seed for report/run/verify/guard *)
   faults : int;  (** injected faults for verify *)
   mutant : int;  (** guard workload: mutant id, or < 0 for the program *)
-  engine : Runner.engine;
 }
 
 val job :
   ?kind:kind -> ?core:string -> ?seed:int -> ?faults:int -> ?mutant:int ->
-  ?engine:Runner.engine -> program -> job
+  program -> job
 (** Defaults: [Analyze], the default core ([msp430]), seed 1, 3
-    faults, mutant -1, [Compiled]. *)
+    faults, mutant -1. *)
 
 val program_name : program -> string
 
@@ -117,8 +116,7 @@ val run :
     serialized under one lock — safe to write a stream from.
     Outcomes are returned in input order regardless.  Each job is
     memoized by (kind, binary hash, netlist hash, input content,
-    params) — the engine is not part of the key, engines are
-    bit-identical.
+    params).
 
     Exception: [Sys.Break] is {e not} crash-isolated — an interrupt
     aborts the campaign (pending jobs are skipped, the whole run
@@ -127,7 +125,7 @@ val run :
 
 val parse_line : string -> (job option, string) result
 (** One job-list line:
-    [KIND BENCH [core=NAME] [seed=N] [faults=N] [mutant=N] [engine=E]].
+    [KIND BENCH [core=NAME] [seed=N] [faults=N] [mutant=N]].
     Blank lines and [#] comments are [Ok None]. *)
 
 val parse_file : string -> (job list, string) result

@@ -14,8 +14,7 @@ type t = {
   total_cycles : int;
 }
 
-let profile ?netlist ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-    ?(engine = Runner.Packed) ~core b =
+let profile ?netlist ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ~core b =
   Obs.Span.with_ ~name:"profiling.profile"
     ~args:[ ("benchmark", b.Benchmark.name) ]
     (fun () ->
@@ -28,20 +27,10 @@ let profile ?netlist ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
   let totals = Array.make ng 0 in
   let cycles = ref 0 in
   Obs.Metrics.incr m_runs;
-  (* All profiling seeds in one bit-parallel run (the default), or one
-     scalar run per seed fanned across the domain pool; every engine
-     produces bit-identical per-seed outcomes. *)
-  let outcomes =
-    match engine with
-    | Runner.Packed when List.length seeds > 1 ->
-      Obs.Metrics.add m_lanes_packed (List.length seeds);
-      Runner.run_gate_packed ~netlist:net ~core b ~seeds
-    | e ->
-      let e = if e = Runner.Packed then Runner.Compiled else e in
-      Pool.map
-        (fun seed -> (seed, Runner.run_gate ~engine:e ~netlist:net ~core b ~seed))
-        seeds
-  in
+  (* Every seed runs in one bit-parallel packed simulation, which is
+     bit-identical to a scalar run per seed. *)
+  Obs.Metrics.add m_lanes_packed (List.length seeds);
+  let outcomes = Runner.run_gate_packed ~netlist:net ~core b ~seeds in
   let per_seed =
     List.map
       (fun (seed, o) ->

@@ -18,13 +18,11 @@ type t = {
 }
 
 val profile :
-  ?netlist:Netlist.t -> ?seeds:int list -> ?engine:Runner.engine ->
+  ?netlist:Netlist.t -> ?seeds:int list ->
   core:Bespoke_coreapi.Coredef.t -> Benchmark.t -> t
-(** Default seeds: 1..8.  [engine] (default [Packed]) selects the
-    simulation engine: [Packed] runs all seeds in one bit-parallel
-    {!Bespoke_sim.Engine64} simulation, the scalar engines run one
-    simulation per seed, fanned across the domain pool when
-    [BESPOKE_JOBS] > 1.  All engines are bit-identical. *)
+(** Default seeds: 1..8.  All seeds run in one bit-parallel
+    {!Bespoke_sim.Engine64} simulation ({!Runner.run_gate_packed}),
+    bit-identical to a scalar run per seed. *)
 
 val untoggled_fraction_range :
   Netlist.t -> t -> float * float * float

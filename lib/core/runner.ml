@@ -14,30 +14,6 @@ module Obs = Bespoke_obs.Obs
 
 let m_gate_runs = Obs.Metrics.counter "runner.gate_runs"
 
-(* Uniform engine selector shared by the library entry points and the
-   CLI.  [Packed] is seed-parallel (one Engine64 lane per seed); the
-   other two map onto {!Engine.mode} for a single scalar run. *)
-type engine = Full | Packed | Compiled
-
-let all_engines = [ Full; Packed; Compiled ]
-
-let engine_to_string = function
-  | Full -> "full"
-  | Packed -> "packed"
-  | Compiled -> "compiled"
-
-let engine_of_string = function
-  | "full" -> Some Full
-  | "packed" -> Some Packed
-  | "compiled" -> Some Compiled
-  | _ -> None
-
-let mode_of_engine = function
-  | Full -> Engine.Full
-  | Compiled -> Engine.Compiled
-  | Packed ->
-    invalid_arg "Runner.mode_of_engine: packed is seed-parallel, not a mode"
-
 type iss_outcome = {
   results : (int * int) list;
   cycles : int;
@@ -121,18 +97,21 @@ let config_fingerprint (c : Activity.config) =
     | `Pc_gie -> "pc_gie"
     | `Full -> "full")
 
-let run_iss ~core (b : Benchmark.t) ~seed =
-  let img = image ~core b in
-  let t = img.Coredef.mk_iss () in
+let loaded_iss ~core (b : Benchmark.t) ~seed =
+  let t = (image ~core b).Coredef.mk_iss () in
   t.Coredef.reset ();
   let ram_writes, gpio = b.Benchmark.gen_inputs seed in
   List.iter (fun (a, v) -> t.Coredef.write_ram_word a v) ram_writes;
   t.Coredef.set_gpio_in gpio;
   let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
+  (t, fun () -> t.Coredef.set_irq_line (List.mem (t.Coredef.retired ()) pulses))
+
+let run_iss ~core (b : Benchmark.t) ~seed =
+  let t, set_irq = loaded_iss ~core b ~seed in
   let limit = 2_000_000 in
   let n = ref 0 in
   while (not (t.Coredef.halted ())) && !n < limit do
-    t.Coredef.set_irq_line (List.mem (t.Coredef.retired ()) pulses);
+    set_irq ();
     t.Coredef.step ();
     incr n
   done;
@@ -146,7 +125,7 @@ let run_iss ~core (b : Benchmark.t) ~seed =
     gpio_out = t.Coredef.gpio_out ();
   }
 
-let run_gate_scalar ~mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
+let run_gate ?mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
     (b : Benchmark.t) ~seed =
   Obs.Span.with_ ~name:"runner.run_gate"
     ~args:[ ("benchmark", b.Benchmark.name); ("seed", string_of_int seed) ]
@@ -154,7 +133,7 @@ let run_gate_scalar ~mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
   Obs.Metrics.incr m_gate_runs;
   let img = image ~core b in
   let net = match netlist with Some n -> n | None -> shared_netlist core in
-  let sys = System.create ~mode ~netlist:net ~core img in
+  let sys = System.create ?mode ~netlist:net ~core img in
   (match attach with None -> () | Some f -> f (System.engine sys));
   System.reset sys;
   let ram_writes, gpio = b.Benchmark.gen_inputs seed in
@@ -202,7 +181,7 @@ let run_gate_scalar ~mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
    and lanes leave the active set when (and only when) the scalar loop
    would have exited, so every lane's toggle counts are bit-identical
    to its scalar run. *)
-let run_packed_chunk ?attach64 ~netlist ~max_cycles ~core (b : Benchmark.t)
+let run_packed_chunk ~netlist ~max_cycles ~core (b : Benchmark.t)
     (seeds : int array) =
   Obs.Span.with_ ~name:"runner.run_gate_packed"
     ~args:
@@ -214,7 +193,6 @@ let run_packed_chunk ?attach64 ~netlist ~max_cycles ~core (b : Benchmark.t)
   let lanes = Array.length seeds in
   let img = image ~core b in
   let sys = System64.create ~lanes ~netlist ~core img in
-  (match attach64 with None -> () | Some f -> f (System64.engine sys));
   System64.reset sys;
   Array.iteri
     (fun lane seed ->
@@ -290,7 +268,7 @@ let run_packed_chunk ?attach64 ~netlist ~max_cycles ~core (b : Benchmark.t)
            } ))
        seeds)
 
-let run_gate_packed ?attach64 ?netlist ?(max_cycles = 3_000_000) ~core
+let run_gate_packed ?netlist ?(max_cycles = 3_000_000) ~core
     (b : Benchmark.t) ~seeds =
   let net = match netlist with Some n -> n | None -> shared_netlist core in
   let rec chunk acc = function
@@ -300,29 +278,13 @@ let run_gate_packed ?attach64 ?netlist ?(max_cycles = 3_000_000) ~core
       let head = Array.of_list (List.filteri (fun i _ -> i < n) rest) in
       let tail = List.filteri (fun i _ -> i >= n) rest in
       chunk
-        (run_packed_chunk ?attach64 ~netlist:net ~max_cycles ~core b head
+        (run_packed_chunk ~netlist:net ~max_cycles ~core b head
          :: acc)
         tail
   in
   chunk [] seeds
 
-(* The selector entry point.  [Packed] runs a one-lane Engine64
-   simulation, so every engine answers the same single-seed question
-   with bit-identical results. *)
-let run_gate ?(engine = Compiled) ?attach ?attach64 ?netlist ?max_cycles ~core
-    (b : Benchmark.t) ~seed =
-  match engine with
-  | Packed -> (
-    match
-      run_gate_packed ?attach64 ?netlist ?max_cycles ~core b ~seeds:[ seed ]
-    with
-    | [ (_, o) ] -> o
-    | _ -> assert false)
-  | e ->
-    run_gate_scalar ~mode:(mode_of_engine e) ?attach ?netlist ?max_cycles ~core
-      b ~seed
-
-let co_simulate ?(engine = Compiled) ?netlist ?x_dont_care ~core
+let co_simulate ?netlist ?x_dont_care ~core
     (b : Benchmark.t) ~seed =
   Obs.Span.with_ ~name:"runner.co_simulate"
     ~args:[ ("benchmark", b.Benchmark.name); ("seed", string_of_int seed) ]
@@ -333,13 +295,12 @@ let co_simulate ?(engine = Compiled) ?netlist ?x_dont_care ~core
     if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else []
   in
   let netlist = match netlist with Some n -> n | None -> shared_netlist core in
-  Lockstep.run_result ~mode:(mode_of_engine engine) ~netlist ~gpio_in:gpio
+  Lockstep.run_result ~netlist ~gpio_in:gpio
     ~ram_writes ~irq_pulse_at ?x_dont_care ~core img
 
-let check_equivalence ?engine ?attach ?attach64 ?netlist ~core (b : Benchmark.t)
-    ~seed =
+let check_equivalence ?attach ?netlist ~core (b : Benchmark.t) ~seed =
   let iss = run_iss ~core b ~seed in
-  let gate = run_gate ?engine ?attach ?attach64 ?netlist ~core b ~seed in
+  let gate = run_gate ?attach ?netlist ~core b ~seed in
   List.iter2
     (fun (a, expect) (a', got) ->
       assert (a = a');
@@ -380,32 +341,24 @@ let resolve_analysis_config ?config (b : Benchmark.t) =
       irq_x = b.Benchmark.uses_irq;
     }
 
-let analyze ?config ?(engine = Compiled) ?netlist ~core (b : Benchmark.t) =
+let analyze ?config ?mode ?netlist ~core (b : Benchmark.t) =
   Obs.Span.with_ ~name:"runner.analyze"
     ~args:[ ("benchmark", b.Benchmark.name) ]
   @@ fun () ->
-  (match engine with
-  | Packed ->
-    invalid_arg
-      "Runner.analyze: packed is seed-parallel; use full or compiled"
-  | _ -> ());
   let net = match netlist with Some n -> n | None -> shared_netlist core in
-  let sys =
-    System.create ~mode:(mode_of_engine engine) ~netlist:net ~core
-      (image ~core b)
-  in
+  let sys = System.create ?mode ~netlist:net ~core (image ~core b) in
   let config = resolve_analysis_config ?config b in
   (Activity.analyze ~config sys, net)
 
 let analysis_cache : (Activity.report * Netlist.t) Flowcache.t =
   Flowcache.create ~name:"analysis" ()
 
-let analyze_cached ?config ?engine ?netlist ~core (b : Benchmark.t) =
+let analyze_cached ?config ?netlist ~core (b : Benchmark.t) =
   let rc = resolve_analysis_config ?config b in
   if rc.Activity.probe <> None || rc.Activity.verbose then
     (* a probe observes every simulated cycle and verbose logs as it
        explores — a cache hit would silently skip both *)
-    (analyze ~config:rc ?engine ?netlist ~core b, false)
+    (analyze ~config:rc ?netlist ~core b, false)
   else begin
     let net = match netlist with Some n -> n | None -> shared_netlist core in
     let key =
@@ -418,8 +371,6 @@ let analyze_cached ?config ?engine ?netlist ~core (b : Benchmark.t) =
           config_fingerprint rc;
         ]
     in
-    (* the engine is not part of the key: all engines are bit-identical,
-       so the report is engine-independent *)
     Flowcache.find_or_compute_report analysis_cache ~key (fun () ->
-        analyze ~config:rc ?engine ~netlist:net ~core b)
+        analyze ~config:rc ~netlist:net ~core b)
   end

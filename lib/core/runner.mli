@@ -13,29 +13,19 @@ module Activity := Bespoke_analysis.Activity
 module Coredef := Bespoke_coreapi.Coredef
 module Lockstep := Bespoke_coreapi.Lockstep
 
-type engine = Full | Packed | Compiled
-(** Uniform gate-simulation engine selector, shared by the library
-    entry points and the CLI's [--engine] flag: [Full] re-evaluates
-    every gate per settle (the reference), [Packed] packs one run per
-    seed into Engine64 lanes, [Compiled] executes the memoized
-    word-level program ({!Bespoke_sim.Compile}).  All three are
-    bit-identical in results, cycle counts and per-gate activity. *)
-
-val all_engines : engine list
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
-
-val mode_of_engine : engine -> Bespoke_sim.Engine.mode
-(** @raise Invalid_argument on [Packed] (seed-parallel, not a scalar
-    engine mode). *)
-
 type iss_outcome = {
   results : (int * int) list;  (** benchmark result words (addr, value) *)
   cycles : int;
   instructions : int;
   gpio_out : int;
 }
+
+val loaded_iss :
+  core:Coredef.t -> Benchmark.t -> seed:int -> Coredef.iss * (unit -> unit)
+(** A reset ISS with input [seed]'s RAM words and GPIO applied, and the
+    IRQ setter to call before each [step]: it drives the line from the
+    seed's pulse list, keyed on the retired-instruction count.  Every
+    ISS run of a benchmark input starts here. *)
 
 val run_iss : core:Coredef.t -> Benchmark.t -> seed:int -> iss_outcome
 
@@ -49,23 +39,21 @@ type gate_outcome = {
 }
 
 val run_gate :
-  ?engine:engine ->
+  ?mode:Bespoke_sim.Engine.mode ->
   ?attach:(Bespoke_sim.Engine.t -> unit) ->
-  ?attach64:(Bespoke_sim.Engine64.t -> unit) ->
   ?netlist:Netlist.t -> ?max_cycles:int -> core:Coredef.t ->
   Benchmark.t -> seed:int ->
   gate_outcome
 (** Runs on a fresh system unless [netlist] is given (e.g. a bespoke
     design).  IRQ pulses are applied at the benchmark's instruction
-    indices.  [engine] selects the gate-evaluation strategy (default
-    [Compiled]; [Packed] runs a one-lane packed simulation).
-    [attach] ([attach64] for [Packed]) is called on the freshly
-    created engine before the run — probe hook-up point for guard
-    shadow watchers ({!Bespoke_sim.Engine.set_cycle_hook}) without
-    this module depending on them. *)
+    indices.  The run uses the compiled engine; [mode] exists for the
+    differential tests and the engine benchmark, which pass [Full] as
+    the reference.  [attach] is called on the freshly created engine
+    before the run — probe hook-up point for guard shadow watchers
+    ({!Bespoke_sim.Engine.set_cycle_hook}) without this module
+    depending on them. *)
 
 val run_gate_packed :
-  ?attach64:(Bespoke_sim.Engine64.t -> unit) ->
   ?netlist:Netlist.t -> ?max_cycles:int -> core:Coredef.t ->
   Benchmark.t -> seeds:int list ->
   (int * gate_outcome) list
@@ -75,7 +63,7 @@ val run_gate_packed :
     same seed and are returned in seed order. *)
 
 val co_simulate :
-  ?engine:engine -> ?netlist:Netlist.t -> ?x_dont_care:bool ->
+  ?netlist:Netlist.t -> ?x_dont_care:bool ->
   core:Coredef.t -> Benchmark.t -> seed:int ->
   (Lockstep.result, Lockstep.divergence_info) Stdlib.result
 (** Input-based co-simulation (paper Section 5.1): run the benchmark's
@@ -84,32 +72,28 @@ val co_simulate :
     the core's ISS — every architectural register at every instruction
     boundary, exact cycle counts, final RAM and GPIO.  Never raises on
     divergence; the structured first mismatch is returned so the
-    verification campaign can shrink and report it.  [engine] (default
-    [Compiled]) selects the scalar gate-level engine;
-    @raise Invalid_argument on [Packed].  [x_dont_care]
+    verification campaign can shrink and report it.  [x_dont_care]
     (for tailored designs, see {!Bespoke_coreapi.Lockstep.run})
     requires only the concrete gate-level bits to match. *)
 
 exception Mismatch of string
 
 val check_equivalence :
-  ?engine:engine ->
   ?attach:(Bespoke_sim.Engine.t -> unit) ->
-  ?attach64:(Bespoke_sim.Engine64.t -> unit) ->
   ?netlist:Netlist.t -> core:Coredef.t -> Benchmark.t -> seed:int ->
   iss_outcome
 (** Run both models and require identical results, GPIO and cycle
-    counts.  Returns the ISS outcome.  [attach]/[attach64] as in
-    {!run_gate}.  @raise Mismatch. *)
+    counts.  Returns the ISS outcome.  [attach] as in {!run_gate}.  @raise Mismatch. *)
 
 val analyze :
-  ?config:Activity.config -> ?engine:engine -> ?netlist:Netlist.t ->
-  core:Coredef.t -> Benchmark.t -> Activity.report * Netlist.t
+  ?config:Activity.config -> ?mode:Bespoke_sim.Engine.mode ->
+  ?netlist:Netlist.t -> core:Coredef.t -> Benchmark.t ->
+  Activity.report * Netlist.t
 (** Input-independent analysis of the benchmark (inputs per its
     [input_ranges]; GPIO X; IRQ X only if the benchmark uses it).
-    Returns the report and the netlist analyzed.  [engine] (default
-    [Compiled]) selects the scalar engine driving the symbolic
-    exploration; @raise Invalid_argument on [Packed]. *)
+    Returns the report and the netlist analyzed.  The symbolic
+    exploration runs on the compiled engine; [mode] exists for the
+    differential tests, which pass [Full] as the reference. *)
 
 val resolve_analysis_config :
   ?config:Activity.config -> Benchmark.t -> Activity.config
@@ -118,13 +102,12 @@ val resolve_analysis_config :
     its IRQ usage) applied. *)
 
 val analyze_cached :
-  ?config:Activity.config -> ?engine:engine -> ?netlist:Netlist.t ->
+  ?config:Activity.config -> ?netlist:Netlist.t ->
   core:Coredef.t -> Benchmark.t -> (Activity.report * Netlist.t) * bool
 (** {!analyze} through the content-addressed flow cache: keyed by
     (core fingerprint, binary image hash, netlist hash, config
     fingerprint), so a repeat analysis of the same tuple returns the
     memoized report.  The returned flag is [true] on a cache hit.
-    [engine] is not part of the key (all engines are bit-identical).
     Bypasses the cache (and reports a miss) when the config carries a
     [probe] or [verbose]. *)
 

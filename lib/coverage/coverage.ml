@@ -61,15 +61,10 @@ let program_shape ~core (img : Coredef.image) =
 let trace_run ~core (b : Benchmark.t) ~seed ~executed ~taken ~not_taken =
   Obs.Metrics.incr m_trace_runs;
   let img = Runner.image ~core b in
-  let t = img.Coredef.mk_iss () in
-  t.Coredef.reset ();
-  let ram_writes, gpio = b.Benchmark.gen_inputs seed in
-  List.iter (fun (a, v) -> t.Coredef.write_ram_word a v) ram_writes;
-  t.Coredef.set_gpio_in gpio;
-  let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
+  let t, set_irq = Runner.loaded_iss ~core b ~seed in
   let steps = ref 0 in
   while (not (t.Coredef.halted ())) && !steps < 500_000 do
-    t.Coredef.set_irq_line (List.mem (t.Coredef.retired ()) pulses);
+    set_irq ();
     let pc0 = t.Coredef.pc () in
     let info = classify_opt ~core img pc0 in
     t.Coredef.step ();

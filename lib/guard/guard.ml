@@ -2,7 +2,6 @@ module Bit = Bespoke_logic.Bit
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module Engine = Bespoke_sim.Engine
-module Engine64 = Bespoke_sim.Engine64
 module Report = Bespoke_power.Report
 module Provenance = Bespoke_report.Provenance
 module Cut = Bespoke_core.Cut
@@ -341,15 +340,6 @@ let attach w eng =
   Engine.set_cycle_hook eng
     (Some (fun cycle -> check_cycle w (fun id -> Engine.value_code eng id) cycle))
 
-let attach64 w ~lane eng =
-  Obs.Metrics.incr m_watchers;
-  Engine64.set_cycle_hook eng
-    (Some
-       (fun cycle ->
-         check_cycle w
-           (fun id -> Bit.to_int (Engine64.value_lane eng id lane))
-           cycle))
-
 let violations w = List.rev w.listed
 let total_violations w = w.total
 let cycles_checked w = w.cycles
@@ -367,17 +357,15 @@ type replay = {
   rp_hw_violation : Bit.t option;
 }
 
-let replay ?(engine = Runner.Compiled) ?(max_cycles = 300_000) w ~core ~netlist
-    b ~seed =
+let replay ?(max_cycles = 300_000) w ~core ~netlist b ~seed =
   let eng = ref None in
   let result =
     try
       Ok
-        (Runner.run_gate ~engine
+        (Runner.run_gate
            ~attach:(fun e ->
              eng := Some e;
              attach w e)
-           ~attach64:(fun e -> attach64 w ~lane:0 e)
            ~netlist ~max_cycles ~core b ~seed)
     with Failure msg -> Error msg
   in

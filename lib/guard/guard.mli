@@ -18,16 +18,15 @@
       the savings it protects.
     - {b Shadow mode} ({!watch_original}/{!watch_bespoke} +
       {!attach}): zero hardware — an {!Bespoke_sim.Engine.set_cycle_hook}
-      probe checks the same assumptions during any simulation (all
-      four engines) and streams schema-versioned [bespoke-guard/v1]
-      JSONL violation records carrying the cut/keep provenance chain
+      probe checks the same assumptions during any scalar simulation
+      (compiled, or the full reference sweep) and streams
+      schema-versioned [bespoke-guard/v1] JSONL violation records carrying the cut/keep provenance chain
       from {!Bespoke_report.Provenance}, so a violation names exactly
       which cut decision it invalidates. *)
 
 module Bit := Bespoke_logic.Bit
 module Netlist := Bespoke_netlist.Netlist
 module Engine := Bespoke_sim.Engine
-module Engine64 := Bespoke_sim.Engine64
 module Provenance := Bespoke_report.Provenance
 module Runner := Bespoke_core.Runner
 module Benchmark := Bespoke_programs.Benchmark
@@ -137,9 +136,6 @@ val attach : watcher -> Engine.t -> unit
     One watcher per engine; violations are sticky per gate (a gate is
     reported once, at its first violating cycle). *)
 
-val attach64 : watcher -> lane:int -> Engine64.t -> unit
-(** Packed-engine variant: watch one lane of an {!Engine64}. *)
-
 val violations : watcher -> violation list
 (** First violation per gate, in detection order (capped at 10_000). *)
 
@@ -156,12 +152,10 @@ type replay = {
       (** [Error] carries the failure text when the workload did not
           halt within [max_cycles] — itself a symptom on a cut design *)
   rp_hw_violation : Bit.t option;
-      (** final settled [guard_violation] port, when the netlist has
-          one and the engine is scalar *)
+      (** final settled [guard_violation] port, when the netlist has one *)
 }
 
 val replay :
-  ?engine:Runner.engine ->
   ?max_cycles:int ->
   watcher ->
   core:Bespoke_coreapi.Coredef.t ->
@@ -170,9 +164,10 @@ val replay :
   seed:int ->
   replay
 (** Run a workload (e.g. a {!Bespoke_mutation} mutant benchmark) on
-    [netlist] with the watcher attached.  [max_cycles] defaults to
-    300_000 — a mutant on a cut design may never halt, and the
-    violations seen before the deadline are the point. *)
+    [netlist] on the compiled engine with the watcher attached.
+    [max_cycles] defaults to 300_000 — a mutant on a cut design may
+    never halt, and the violations seen before the deadline are the
+    point. *)
 
 (** {1 bespoke-guard/v1 stream} *)
 

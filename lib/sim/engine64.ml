@@ -70,9 +70,6 @@ type t = {
   mutable touched_len : int;
   in_touched : Bytes.t;
   mutable full_commit : bool;
-  mutable on_cycle : (int -> unit) option;
-      (* probe hook: called after every [commit_cycle] with the new
-         committed count (guard shadow watchers) *)
 }
 
 let create ?(lanes = max_lanes) net =
@@ -183,7 +180,6 @@ let create ?(lanes = max_lanes) net =
       touched_len = 0;
       in_touched = Bytes.make ng '\000';
       full_commit = true;
-      on_cycle = None;
     }
   in
   Array.iter
@@ -455,10 +451,8 @@ let commit_cycle ?active t =
       commit_one t (Array.unsafe_get t.touched k) active
     done;
   clear_touched t;
-  t.committed <- t.committed + 1;
-  match t.on_cycle with None -> () | Some f -> f t.committed
+  t.committed <- t.committed + 1
 
-let set_cycle_hook t f = t.on_cycle <- f
 let cycles_committed t = t.committed
 let toggle_counts_lane t lane = Array.copy t.toggles.(lane)
 

@@ -73,11 +73,6 @@ val commit_cycle : ?active:int -> t -> unit
     accumulating activity exactly like a scalar run that has stopped.
     Lanes must leave the active set monotonically. *)
 
-val set_cycle_hook : t -> (int -> unit) option -> unit
-(** Probe hook: [f n] is called at the end of every {!commit_cycle}
-    with the new committed count [n].  Zero cost when unset (cf.
-    {!Engine.set_cycle_hook}). *)
-
 val cycles_committed : t -> int
 val toggle_counts_lane : t -> int -> int array
 val possibly_toggled_lane : t -> int -> bool array

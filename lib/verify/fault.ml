@@ -99,32 +99,33 @@ let shuffle rng a =
   done;
   a
 
-(* The nets the lockstep comparator reads at every instruction
-   boundary (System.reg over the core's architectural registers): a
-   toggling DFF behind one of these holds each of its values across at
-   least one boundary (architectural registers only change at
-   instruction writes, and the PC feeds every fetch), so a stuck-at
-   there is both activated and propagated — detectable by
-   construction. *)
-let observed_nets (core : Bespoke_coreapi.Coredef.t) =
-  List.filter_map core.Bespoke_coreapi.Coredef.reg_hook
-    core.Bespoke_coreapi.Coredef.arch_regs
-
-let observed_dffs ~core net =
-  let set = Hashtbl.create 64 in
+(* The DFFs the lockstep comparator reads at every instruction
+   boundary (System.reg over the core's architectural registers), each
+   with the (register, bit) it is read as.  A DFF stuck at the
+   complement of its register bit's value at the first compared
+   boundary differs from the ISS right there, so the fault is both
+   activated and propagated — detectable by construction.  Merely
+   toggling is not enough: a high PC bit toggles once, when reset
+   loads the entry point before any compared boundary, and its
+   stuck-at-1 is equivalent. *)
+let observed_dffs ~(core : Bespoke_coreapi.Coredef.t) net =
+  let map = Hashtbl.create 64 in
   List.iter
-    (fun name ->
-      if Netlist.mem_name net name then
-        Array.iter
-          (fun id ->
+    (fun r ->
+      match core.Bespoke_coreapi.Coredef.reg_hook r with
+      | Some name when Netlist.mem_name net name ->
+        Array.iteri
+          (fun bit id ->
             match net.Netlist.gates.(id).Gate.op with
-            | Gate.Dff _ -> Hashtbl.replace set id ()
+            | Gate.Dff _ when not (Hashtbl.mem map id) ->
+              Hashtbl.replace map id (r, bit)
             | _ -> ())
-          (Netlist.find_name net name))
-    (observed_nets core);
-  set
+          (Netlist.find_name net name)
+      | _ -> ())
+    core.Bespoke_coreapi.Coredef.arch_regs;
+  map
 
-let generate ?(seed = 1) ~core ~n ~toggles net =
+let generate ?(seed = 1) ~core ~n ~toggles ~first_boundary net =
   let rng = ref (lcg ((seed * 2654435761) lor 1)) in
   let exercised id = id < Array.length toggles && toggles.(id) > 0 in
   let observed = observed_dffs ~core net in
@@ -186,7 +187,13 @@ let generate ?(seed = 1) ~core ~n ~toggles net =
         in
         let kind, detectable =
           match k with
-          | 0 -> (Stuck_at (stuck_value ()), true)
+          | 0 ->
+            (* the drawn value is discarded, so the PRNG stream (and
+               every later draw) stays as it was *)
+            ignore (stuck_value ());
+            let r, bit = Hashtbl.find observed gid in
+            let v = (first_boundary r lsr bit) land 1 in
+            (Stuck_at (if v = 1 then Bit.Zero else Bit.One), true)
           | 1 -> (Stuck_at (stuck_value ()), false)
           | 2 -> (Wrong_tie, false)
           | 3 -> (Drop_gate, false)

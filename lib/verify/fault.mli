@@ -14,14 +14,18 @@
     - {b swapped-function}: the gate computes a sibling function
       (and<->or, nand<->nor, xor<->xnor, buf<->not, mux data swap).
 
-    A fault is {e detectable} when it is a stuck-at on an exercised
-    (positive toggle count) DFF behind a net the lockstep comparator
-    observes at every instruction boundary (the core's hooked
-    architectural registers — PC, SP, SR, R4-R15 on MSP430): the
-    fault-free run holds each value of such a state bit across at
-    least one boundary, so the stuck value is both activated and
-    propagated to a compared net.  The campaign asserts a 100% kill
-    rate over detectable faults; stuck-ats on other exercised gates
+    A fault is {e detectable} when it is a stuck-at on a DFF the
+    lockstep comparator reads at every instruction boundary (the
+    core's hooked architectural registers — PC, SP, SR, R4-R15 on
+    MSP430), stuck at the complement of that register bit's value at
+    the first compared boundary (after the first instruction) of an
+    input the campaign co-simulates.  The faulty run then differs from
+    the ISS at that boundary at the latest, so the fault is both
+    activated and propagated to a compared net.  (A toggle alone does
+    not make a register bit's stuck-at detectable: a high PC bit
+    toggles once, when reset loads the entry point before any
+    compared boundary, and its stuck-at-1 is equivalent.)  The
+    campaign asserts a 100% kill rate over detectable faults; stuck-ats on other exercised gates
     and the remaining classes may be logically masked or functionally
     equivalent (a dead tie, a redundant gate) and are reported
     honestly as killed/survived. *)
@@ -39,8 +43,9 @@ type t = {
   kind : kind;
   gate : int;  (** gate id in the bespoke netlist *)
   detectable : bool;
-      (** stuck-at on an exercised, boundary-observed state bit:
-          guaranteed activated and propagated, must be killed *)
+      (** stuck-at on a boundary-observed state bit, against its value
+          at the first compared boundary: guaranteed activated and
+          propagated, must be killed *)
   desc : string;  (** human-readable site description *)
 }
 
@@ -54,11 +59,13 @@ val inject : Netlist.t -> t -> Netlist.t
 
 val generate :
   ?seed:int -> core:Bespoke_coreapi.Coredef.t -> n:int ->
-  toggles:int array -> Netlist.t -> t list
+  toggles:int array -> first_boundary:(int -> int) -> Netlist.t -> t list
 (** Up to [n] faults, deterministically drawn (PRNG [seed], default 1)
     from the candidate sites of every kind, stuck-at sites first.
     [core] supplies the boundary-observed register nets that make a
     stuck-at detectable.  [toggles] are per-gate toggle counts from a
     fault-free co-simulated run of the same netlist; stuck-at sites
-    are restricted to exercised gates so the resulting faults are
-    detectable by construction. *)
+    are restricted to exercised gates.  [first_boundary r] is the
+    ISS value of architectural register [r] at the first compared
+    instruction boundary of an input the campaign co-simulates; a
+    detectable fault is stuck at the complement of its bit there. *)

@@ -122,8 +122,8 @@ let detectable_score_pct s = pct s.detectable_killed s.detectable
    netlist under test is always a tailored design (or a mutant of
    one), whose const-X ties on application-dead state are correct by
    construction; only the concrete bits must match the ISS. *)
-let cosim ?engine ~core ~netlist b ~seed =
-  match Runner.co_simulate ?engine ~netlist ~x_dont_care:true ~core b ~seed with
+let cosim ~core ~netlist b ~seed =
+  match Runner.co_simulate ~netlist ~x_dont_care:true ~core b ~seed with
   | r -> r
   | exception Failure m ->
     Error
@@ -138,13 +138,7 @@ let symbolic_check ~core ~original ~shadow_net b =
   let img = Runner.image ~core b in
   let sys = System.create ~netlist:original ~core img in
   let sh = System.create ~netlist:shadow_net ~core img in
-  let config =
-    {
-      Activity.default_config with
-      Activity.ram_x_ranges = b.B.input_ranges;
-      irq_x = b.B.uses_irq;
-    }
-  in
+  let config = Runner.resolve_analysis_config b in
   match Activity.analyze ~config ~shadow:sh sys with
   | report ->
     {
@@ -170,10 +164,19 @@ let symbolic_check ~core ~original ~shadow_net b =
       sym_detail = Some ("analysis diverged: " ^ m);
     }
 
+(* The ISS's architectural registers at the first instruction boundary
+   lockstep compares (after the first instruction) on input [seed] —
+   what {!Fault.generate} contradicts to make a stuck-at detectable. *)
+let first_boundary_regs ~core b ~seed =
+  let iss, set_irq = Runner.loaded_iss ~core b ~seed in
+  set_irq ();
+  iss.Coredef.step ();
+  iss.Coredef.reg
+
 let real_gate (g : Gate.t) =
   match g.Gate.op with Gate.Input | Gate.Const _ -> false | _ -> true
 
-let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
+let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   Obs.Span.with_ ~name:"verify.campaign"
     ~args:[ ("benchmark", b.B.name); ("core", core.Coredef.name) ]
   @@ fun () ->
@@ -196,7 +199,7 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
       (fun s ->
         Obs.Metrics.incr m_inputs;
         let t = now () in
-        let r = cosim ?engine ~core ~netlist:bespoke b ~seed:s in
+        let r = cosim ~core ~netlist:bespoke b ~seed:s in
         (match r with
         | Ok lr ->
           Array.iteri
@@ -228,7 +231,7 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
     else
       Shrink.of_seeds
         ~check:(fun s ->
-          match cosim ?engine ~core ~netlist:bespoke b ~seed:s with
+          match cosim ~core ~netlist:bespoke b ~seed:s with
           | Ok _ -> None
           | Error i -> Some i)
         cov.Coverage.kept_seeds
@@ -247,7 +250,7 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
         ~constants:report.Activity.constant_values
     in
     let gw = Guard.watch_bespoke gplan in
-    let _ = Guard.replay ?engine gw ~core ~netlist:bespoke b ~seed in
+    let _ = Guard.replay gw ~core ~netlist:bespoke b ~seed in
     {
       gc_assumptions = List.length gplan.Guard.p_assumptions;
       gc_monitors = List.length gplan.Guard.p_monitors;
@@ -261,7 +264,13 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
      input layer first and the symbolic layer as a fallback; layer 3
      shrinks every diverging case before it is recorded *)
   let fault_list =
-    Fault.generate ~seed ~core ~n:faults ~toggles:toggle_union bespoke
+    (* explore always keeps its initial seeds, and the kill check below
+       co-simulates every kept seed *)
+    let first_boundary =
+      first_boundary_regs ~core b ~seed:(List.hd cov.Coverage.kept_seeds)
+    in
+    Fault.generate ~seed ~core ~n:faults ~toggles:toggle_union ~first_boundary
+      bespoke
   in
   let fault_results =
     List.map
@@ -281,7 +290,7 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
           match
             Shrink.of_seeds
               ~check:(fun s ->
-                match cosim ?engine ~core ~netlist:faulty b ~seed:s with
+                match cosim ~core ~netlist:faulty b ~seed:s with
                 | Ok _ -> None
                 | Error i -> Some i)
               cov.Coverage.kept_seeds
@@ -321,14 +330,14 @@ let check_benchmark ?engine ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
     Obs.Metrics.set g_kill_score (kill_score_pct (kill_stats campaign));
   campaign
 
-let run_campaign ?engine ?faults ?seed ?explore_budget ?jobs ~core benches =
+let run_campaign ?faults ?seed ?explore_budget ?jobs ~core benches =
   (* the core's stock netlist and its hash are shared by every task:
      force both before the domains fan out (the memo tables are not
      domain-safe) *)
   ignore (Runner.shared_netlist core);
   ignore (Runner.shared_netlist_hash core);
   Pool.map ?jobs
-    (fun b -> check_benchmark ?engine ?faults ?seed ?explore_budget ~core b)
+    (fun b -> check_benchmark ?faults ?seed ?explore_budget ~core b)
     benches
 
 (* ---- the bespoke-verify/v1 artifact ---- *)

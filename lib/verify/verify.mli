@@ -24,9 +24,9 @@
 
 module B := Bespoke_programs.Benchmark
 module Coredef := Bespoke_coreapi.Coredef
+module Netlist := Bespoke_netlist.Netlist
 module Lockstep := Bespoke_coreapi.Lockstep
 module Coverage := Bespoke_coverage.Coverage
-module Runner := Bespoke_core.Runner
 
 type input_run = {
   ir_seed : int;
@@ -106,20 +106,28 @@ val detectable_score_pct : score -> float
 (** Killed fraction over the detectable (stuck-at on an exercised
     gate) faults — the campaign's acceptance bar is 100. *)
 
+val symbolic_check :
+  core:Coredef.t -> original:Netlist.t -> shadow_net:Netlist.t -> B.t ->
+  symbolic
+(** The symbolic layer alone: replay [original]'s input-independent
+    execution tree (config per {!Bespoke_core.Runner.resolve_analysis_config})
+    on [shadow_net], comparing architectural state at every
+    instruction boundary.  A mismatch, or a shadow that drives the
+    exploration off its bounds, gives [sym_ok = false]. *)
+
 val check_benchmark :
-  ?engine:Runner.engine -> ?faults:int -> ?seed:int -> ?explore_budget:int ->
+  ?faults:int -> ?seed:int -> ?explore_budget:int ->
   core:Coredef.t -> B.t -> campaign
 (** Run the full three-layer campaign on one benchmark of [core]:
     tailor it, check equivalence symbolically and on the explored
     input set, then inject [faults] (default 8) netlist faults drawn
     with PRNG [seed] (default 1) and require layer 1 to kill them.
-    [engine] (default [Compiled]) selects the gate-level engine for
-    the input-based co-simulation layer; the symbolic layer always
-    runs on the default compiled engine.  [explore_budget] is passed to
+    Every gate-level layer runs on the compiled engine.
+    [explore_budget] is passed to
     {!Bespoke_coverage.Coverage.explore}. *)
 
 val run_campaign :
-  ?engine:Runner.engine -> ?faults:int -> ?seed:int -> ?explore_budget:int ->
+  ?faults:int -> ?seed:int -> ?explore_budget:int ->
   ?jobs:int -> core:Coredef.t -> B.t list -> campaign list
 (** {!check_benchmark} over several benchmarks on the
     {!Bespoke_core.Pool} (jobs default [BESPOKE_JOBS]). *)

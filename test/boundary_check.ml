@@ -9,11 +9,20 @@
    The same pass enforces one JSON string escaper: a [\u]-escape
    format ([u%04x]) anywhere in lib/, bin/ or bench/main.ml outside
    lib/obs/obs.ml is a private escaper, and fails the build too —
-   every artifact encodes strings through [Obs.Json.str]. *)
+   every artifact encodes strings through [Obs.Json.str].
+
+   And engine choice stays in lib/core and lib/sim: bin/ and the
+   layers above lib/core (campaign, verify, guard) may not name an
+   engine mode, the packed engine or the packed runner — each entry
+   point runs the engine its library picks. *)
 
 let layers = [ "core"; "analysis"; "verify"; "guard" ]
 let forbidden_src = [ "Bespoke_cpu."; "Bespoke_isa." ]
 let forbidden_dep = [ "bespoke_cpu"; "bespoke_isa" ]
+let engine_free = [ "bin"; "lib/campaign"; "lib/verify"; "lib/guard" ]
+
+let engine_needles =
+  [ "Engine.Full"; "Engine.Compiled"; "Engine64"; "run_gate_packed" ]
 
 let root =
   if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
@@ -69,6 +78,12 @@ let () =
     (ml_files lib_root
     @ ml_files (Filename.concat root "bin")
     @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]);
+  (* already counted: every engine-free file lies under lib/ or bin/ *)
+  List.iter
+    (fun dir ->
+      List.iter (scan_file ~patterns:engine_needles)
+        (ml_files (Filename.concat root dir)))
+    engine_free;
   List.iter
     (fun layer ->
       let dir = Filename.concat lib_root layer in
@@ -93,14 +108,16 @@ let () =
   | [] ->
     Printf.printf
       "boundary-check: %d file(s) checked: lib/{%s} are core-agnostic (no \
-       Bespoke_cpu/Bespoke_isa references), and lib/obs/obs.ml holds the \
-       only JSON string escaper\n"
+       Bespoke_cpu/Bespoke_isa references), lib/obs/obs.ml holds the only \
+       JSON string escaper, and %s pick no engine\n"
       !files
       (String.concat "," layers)
+      (String.concat ", " engine_free)
   | vs ->
     List.iter (fun v -> Printf.eprintf "boundary-check: %s\n" v)
       (List.rev vs);
     Printf.eprintf
       "boundary-check: the flow layers must target Coredef, not a \
-       concrete core, and JSON strings must go through Obs.Json.str\n";
+       concrete core, JSON strings must go through Obs.Json.str, and \
+       engine choice belongs to lib/core and lib/sim\n";
     exit 1

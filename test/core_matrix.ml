@@ -33,6 +33,7 @@ module Netlist = Bespoke_netlist.Netlist
 module Serial = Bespoke_netlist.Serial
 module Activity = Bespoke_analysis.Activity
 module Runner = Bespoke_core.Runner
+module Engine = Bespoke_sim.Engine
 module Cut = Bespoke_core.Cut
 module Coredef = Bespoke_coreapi.Coredef
 module Lockstep = Bespoke_coreapi.Lockstep
@@ -95,13 +96,13 @@ struct
     List.iter
       (fun (b : B.t) ->
         let name = cname ^ "/" ^ b.B.name in
-        let run engine =
+        let run mode =
           List.map
-            (fun seed -> Runner.run_gate ~core ~engine ~netlist:net b ~seed)
+            (fun seed -> Runner.run_gate ~core ~mode ~netlist:net b ~seed)
             seeds
         in
-        let full = run Runner.Full in
-        let compiled = run Runner.Compiled in
+        let full = run Engine.Full in
+        let compiled = run Engine.Compiled in
         let packed =
           List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds)
         in
@@ -165,8 +166,8 @@ struct
         fmt
     in
     let net = Lazy.force stock in
-    let analyze engine = fst (Runner.analyze ~engine ~netlist:net ~core b) in
-    let full = analyze Runner.Full and compiled = analyze Runner.Compiled in
+    let analyze mode = fst (Runner.analyze ~mode ~netlist:net ~core b) in
+    let full = analyze Engine.Full and compiled = analyze Engine.Compiled in
     let same what x y =
       if x <> y then fail "full and compiled analyses differ in %s" what
     in

@@ -3,7 +3,6 @@
    parsing, warm-rerun caching, and input-order results. *)
 
 module Campaign = Bespoke_campaign.Campaign
-module Runner = Bespoke_core.Runner
 module B = Bespoke_programs.Benchmark
 module Json = Bespoke_obs.Obs.Json
 
@@ -121,16 +120,15 @@ let test_parse_line () =
     Alcotest.(check string) "bench" "mult"
       (Campaign.program_name j.Campaign.program)
   | _ -> Alcotest.fail "plain line");
-  (match Campaign.parse_line "  verify mult seed=7 faults=4 engine=full " with
+  (match Campaign.parse_line "  verify mult seed=7 faults=4 mutant=2 " with
   | Ok (Some j) ->
     Alcotest.(check int) "seed" 7 j.Campaign.seed;
     Alcotest.(check int) "faults" 4 j.Campaign.faults;
-    Alcotest.(check string) "engine" "full"
-      (Runner.engine_to_string j.Campaign.engine)
+    Alcotest.(check int) "mutant" 2 j.Campaign.mutant
   | _ -> Alcotest.fail "options line");
-  (match Campaign.parse_line "analyze mult engine=event" with
+  (match Campaign.parse_line "verify mult engine=full" with
   | Error _ -> ()
-  | _ -> Alcotest.fail "the removed event engine must be a parse error");
+  | _ -> Alcotest.fail "the removed engine= key must be a parse error");
   (match Campaign.parse_line "# a comment" with
   | Ok None -> ()
   | _ -> Alcotest.fail "comment line");

@@ -56,8 +56,8 @@ let test_benchmark (b : B.t) () =
   let net = Runner.shared_netlist core in
   List.iter
     (fun seed ->
-      let fu = Runner.run_gate ~core ~engine:Runner.Full ~netlist:net b ~seed in
-      let co = Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:net b ~seed in
+      let fu = Runner.run_gate ~core ~mode:Engine.Full ~netlist:net b ~seed in
+      let co = Runner.run_gate ~core ~mode:Engine.Compiled ~netlist:net b ~seed in
       check_outcome_equal b.B.name (Printf.sprintf "seed %d" seed) fu co)
     [ 1; 2 ]
 
@@ -190,9 +190,9 @@ let test_tailored () =
   in
   List.iter
     (fun seed ->
-      let fu = Runner.run_gate ~core ~engine:Runner.Full ~netlist:bespoke b ~seed in
+      let fu = Runner.run_gate ~core ~mode:Engine.Full ~netlist:bespoke b ~seed in
       let co =
-        Runner.run_gate ~core ~engine:Runner.Compiled ~netlist:bespoke b ~seed
+        Runner.run_gate ~core ~mode:Engine.Compiled ~netlist:bespoke b ~seed
       in
       check_outcome_equal "mult-bespoke" (Printf.sprintf "seed %d" seed) fu co)
     [ 1; 2 ]

@@ -50,7 +50,7 @@ let test_benchmark (b : B.t) () =
   let seeds = [ 1; 2 ] in
   let full =
     List.map
-      (fun s -> Runner.run_gate ~core ~engine:Runner.Full ~netlist:net b ~seed:s)
+      (fun s -> Runner.run_gate ~core ~mode:Engine.Full ~netlist:net b ~seed:s)
       seeds
   in
   let packed = List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds) in

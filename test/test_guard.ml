@@ -83,36 +83,40 @@ let test_instrumented_design_valid () =
     (hw.Guard.h_leakage_nw > 0.0)
 
 (* Soundness, clean side: on its own benchmark the instrumented design
-   is bit-identical to the ISS (check_equivalence raises otherwise),
-   the shadow watcher sees zero violations, and the hardware
-   guard_violation port stays 0 — on every scalar engine and the
-   packed one. *)
+   matches the ISS (results, GPIO, cycles), the shadow watcher sees zero
+   violations, and the hardware guard_violation port stays 0 — on the
+   compiled engine and on the full reference sweep. *)
 let test_clean_on_own_benchmark () =
   let base, _, _, _, _, _, plan = Lazy.force tailored in
   let inst = Guard.instrument plan in
+  let iss = Runner.run_iss ~core base ~seed:1 in
   List.iter
-    (fun engine ->
+    (fun (label, mode) ->
       let w = Guard.watch_bespoke plan in
       let eng = ref None in
-      let (_ : Runner.iss_outcome) =
-        Runner.check_equivalence ~core ~engine
+      let o =
+        Runner.run_gate ~core ~mode
           ~attach:(fun e ->
             eng := Some e;
             Guard.attach w e)
-          ~attach64:(fun e -> Guard.attach64 w ~lane:0 e)
           ~netlist:inst.Guard.i_design base ~seed:1
       in
-      let label = Runner.engine_to_string engine in
+      Alcotest.(check (list (pair int (option int))))
+        (label ^ ": results match the ISS")
+        (List.map (fun (a, v) -> (a, Some v)) iss.Runner.results)
+        o.Runner.g_results;
+      Alcotest.(check (option int)) (label ^ ": gpio matches the ISS")
+        (Some iss.Runner.gpio_out) o.Runner.g_gpio_out;
+      Alcotest.(check int) (label ^ ": cycles match the ISS")
+        (iss.Runner.cycles + core.Bespoke_coreapi.Coredef.reset_extra_cycles)
+        o.Runner.g_cycles;
       Alcotest.(check bool) (label ^ ": shadow clean") true (Guard.clean w);
       Alcotest.(check bool) (label ^ ": cycles checked") true
         (Guard.cycles_checked w > 0);
-      match !eng with
-      | Some e ->
-        let port = (Netlist.find_output inst.Guard.i_design "guard_violation").(0) in
-        Alcotest.(check string) (label ^ ": hw guard_violation low") "0"
-          (String.make 1 (Bit.to_char (Engine.value e port)))
-      | None -> ())
-    Runner.all_engines
+      let port = (Netlist.find_output inst.Guard.i_design "guard_violation").(0) in
+      Alcotest.(check string) (label ^ ": hw guard_violation low") "0"
+        (String.make 1 (Bit.to_char (Engine.value (Option.get !eng) port))))
+    [ ("full", Engine.Full); ("compiled", Engine.Compiled) ]
 
 (* Shadow mode on the original design is also clean on the base
    benchmark: the analysis constants really are invariants of every
@@ -282,7 +286,7 @@ let () =
             test_assumptions_match_cuts;
           Alcotest.test_case "instrumented design valid" `Quick
             test_instrumented_design_valid;
-          Alcotest.test_case "clean on own benchmark (all engines)" `Quick
+          Alcotest.test_case "clean on own benchmark (full and compiled)" `Quick
             test_clean_on_own_benchmark;
           Alcotest.test_case "original shadow clean" `Quick
             test_original_shadow_clean;

@@ -71,14 +71,17 @@ let all_exercised net =
       match g.Gate.op with Gate.Input | Gate.Const _ -> 0 | _ -> 1)
     net.Netlist.gates
 
+(* any register file will do for drawing: it only picks stuck values *)
+let first_boundary _ = 0
+
 let test_generate_deterministic () =
   let net = Lazy.force bespoke_mult in
   let toggles = all_exercised net in
-  let a = Fault.generate ~core ~seed:3 ~n:8 ~toggles net in
-  let b = Fault.generate ~core ~seed:3 ~n:8 ~toggles net in
+  let a = Fault.generate ~core ~seed:3 ~n:8 ~toggles ~first_boundary net in
+  let b = Fault.generate ~core ~seed:3 ~n:8 ~toggles ~first_boundary net in
   Alcotest.(check int) "n faults" 8 (List.length a);
   Alcotest.(check bool) "same seed, same faults" true (a = b);
-  let c = Fault.generate ~core ~seed:4 ~n:8 ~toggles net in
+  let c = Fault.generate ~core ~seed:4 ~n:8 ~toggles ~first_boundary net in
   Alcotest.(check bool) "different seed, different draw" true (a <> c);
   (* distinct sites *)
   let sites = List.map (fun f -> f.Fault.gate) a in
@@ -106,7 +109,7 @@ let test_inject_one_gate () =
         Alcotest.(check bool) "stuck gate is a tie" true
           (mutant.Netlist.gates.(f.Fault.gate).Gate.op = Gate.Const v)
       | _ -> ())
-    (Fault.generate ~core ~seed:1 ~n:10 ~toggles net)
+    (Fault.generate ~core ~seed:1 ~n:10 ~toggles ~first_boundary net)
 
 (* --- a small fixed-seed campaign ------------------------------------ *)
 
@@ -142,6 +145,25 @@ let test_campaign_kills () =
           (r.Shrink.seeds <> [])
       | _ -> ())
     c.Verify.faults
+
+(* Every detectable fault must be killed, on every fault seed: a sweep
+   of seeds 1-10 at two faults on mult and irq.  Seed 4 on mult and
+   seed 10 on irq draw a high PC bit (pc[12], pc[13]) into the
+   detectable class — a bit only reset toggles, so a stuck value equal
+   to its value after reset would be an equivalent fault. *)
+let test_detectable_always_killed () =
+  List.iter
+    (fun name ->
+      for seed = 1 to 10 do
+        let c = Verify.check_benchmark ~core ~faults:2 ~seed (B.find name) in
+        let s = Verify.kill_stats c in
+        let tag = Printf.sprintf "%s fault seed %d" name seed in
+        Alcotest.(check bool) (tag ^ ": a detectable fault was drawn") true
+          (s.Verify.detectable >= 1);
+        Alcotest.(check (float 0.01)) (tag ^ ": detectable kill score") 100.0
+          (Verify.detectable_score_pct s)
+      done)
+    [ "mult"; "irq" ]
 
 let test_json_artifact () =
   let c = Lazy.force campaign in
@@ -179,6 +201,8 @@ let () =
         [
           Alcotest.test_case "mult equivalent" `Quick test_campaign_equivalent;
           Alcotest.test_case "fault kills" `Quick test_campaign_kills;
+          Alcotest.test_case "detectable faults killed, seeds 1-10" `Quick
+            test_detectable_always_killed;
           Alcotest.test_case "json artifact" `Quick test_json_artifact;
         ] );
     ]
