@@ -1188,6 +1188,7 @@ let run_bench_sim () =
   out "  \"timing\": {\"reps\": %d, \"statistic\": \"median\", \
        \"obs_reps\": %d},\n"
     timing_reps obs_reps;
+  out "  \"host\": {\"nproc\": %d},\n" (Domain.recommended_domain_count ());
   out
     "  \"compiled_engine\": {\"compile_seconds\": %.4f, \
      \"cached_create_seconds\": %.4f,\n\
@@ -1438,6 +1439,34 @@ let validate_bench_sim_artifact () =
      watcher measured over %d monitor(s))\n"
     (List.length rows) cold warm guard_mons
 
+(* Allocation gate: RAM state is held as packed rails, so analysing
+   rv32 intAVG (many loads and stores with X addresses) allocates about
+   1k words per cycle; per-bit ternary memory paths allocate about 47k.
+   Allocated words do not depend on host speed. *)
+let max_analysis_words_per_cycle = 8000.
+
+let check_analysis_alloc () =
+  let e = Bespoke_cores.Cores.rv32 in
+  let b = Option.get (Bespoke_cores.Cores.benchmark e "intAVG") in
+  let core = e.Bespoke_cores.Cores.core in
+  let netlist = Runner.shared_netlist core in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Obs.disable ();
+  (* the first analysis also fills the compile and image memos *)
+  ignore (Runner.analyze ~core ~netlist b);
+  let before = allocated () in
+  let report, _ = Runner.analyze ~core ~netlist b in
+  let per_cycle =
+    (allocated () -. before) /. float_of_int report.Activity.total_cycles
+  in
+  printf "bench-smoke: rv32 %s analysis allocates %.0f words/cycle (gate %.0f)\n"
+    b.B.name per_cycle max_analysis_words_per_cycle;
+  if per_cycle > max_analysis_words_per_cycle then
+    failwith "bench-smoke: analysis allocation gate exceeded"
+
 let run_bench_smoke () =
   let b = B.find "mult" in
   let net = stock () in
@@ -1463,6 +1492,7 @@ let run_bench_smoke () =
     "bench-smoke: full/packed/compiled bit-identical on %s (%d seeds, \
      %d cycles each)\n"
     b.B.name (List.length seeds) (List.hd full).Runner.sim_cycles;
+  check_analysis_alloc ();
   validate_bench_sim_artifact ()
 
 (* ------------------------------------------------------------------ *)

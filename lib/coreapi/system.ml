@@ -45,9 +45,6 @@ type t = {
   mutable trace : (int * Bvec.t) list;  (* newest first *)
 }
 
-let word_index t (addr : Bvec.t) =
-  Array.sub addr t.core.Coredef.addr_shift (ilog2 t.core.Coredef.mem_words)
-
 let create ?mode ?netlist ~core (image : Coredef.image) =
   let net = match netlist with Some n -> n | None -> core.Coredef.build () in
   let eng = Engine.create ?mode net in
@@ -99,25 +96,26 @@ let netlist t = Engine.netlist t.eng
 let engine t = t.eng
 let image t = t.image
 
+let set_gates t ids (v : Bvec.t) =
+  Array.iteri (fun i id -> Engine.set_gate t.eng id v.(i)) ids
+
+let read_gates t ids = Array.map (Engine.value t.eng) ids
+
 (* Feed combinational memory read data for the currently settled
    cycle.  The int fast path applies while address and stored word are
    fully known (the overwhelmingly common concrete case); any X falls
    back to the ternary Bvec path with identical semantics. *)
-let feed_port t mem ~widx ~rdata ~addr_name ~rdata_name =
-  (match Engine.read_int_ids t.eng widx with
+let feed_port t mem ~widx ~rdata =
+  match Engine.read_int_ids t.eng widx with
   | Some w -> (
     match Memory.read_word_int mem w with
     | Some v -> Engine.set_gates_int t.eng rdata v
-    | None -> Engine.set_input t.eng rdata_name (Memory.read_word mem w))
-  | None ->
-    let addr = Engine.read t.eng addr_name in
-    Engine.set_input t.eng rdata_name (Memory.read mem (word_index t addr)))
+    | None -> set_gates t rdata (Memory.read_word mem w))
+  | None -> set_gates t rdata (Memory.read mem (read_gates t widx))
 
 let feed_memories t =
-  feed_port t t.rom ~widx:t.hk.pmem_widx ~rdata:t.hk.pmem_rdata
-    ~addr_name:"pmem_addr" ~rdata_name:"pmem_rdata";
-  feed_port t t.ram ~widx:t.hk.dmem_widx ~rdata:t.hk.dmem_rdata
-    ~addr_name:"dmem_addr" ~rdata_name:"dmem_rdata";
+  feed_port t t.rom ~widx:t.hk.pmem_widx ~rdata:t.hk.pmem_rdata;
+  feed_port t t.ram ~widx:t.hk.dmem_widx ~rdata:t.hk.dmem_rdata;
   Engine.eval_cone t.eng t.mem_cone
 
 let apply_inputs t =
@@ -185,11 +183,10 @@ let byte_mask t (ben : Bvec.t) =
   Array.init t.core.Coredef.word_bits (fun i -> ben.(i / 8))
 
 let sample_writes_slow t wen =
-  let addr = read_hook t "dmem_addr" in
-  let ben = read_hook t "dmem_ben" in
-  let data = read_hook t "dmem_wdata" in
-  let mask = byte_mask t ben in
-  Memory.write t.ram ~addr:(word_index t addr) ~data ~mask ~en:wen
+  let hk = t.hk in
+  let mask = byte_mask t (read_gates t hk.dmem_ben) in
+  Memory.write t.ram ~addr:(read_gates t hk.dmem_widx)
+    ~data:(read_gates t hk.dmem_wdata) ~mask ~en:wen
 
 let sample_writes t =
   let hk = t.hk in

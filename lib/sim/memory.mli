@@ -12,8 +12,16 @@
     - write at an index with X bits: every word the pattern could
       select merges in the (masked) data.
 
+    An index with more than 10 X bits selects every word.
+
     All of which over-approximates the set of reachable memory states,
-    keeping Algorithm 1 sound. *)
+    keeping Algorithm 1 sound.
+
+    Storage is dual-rail, the encoding {!Compile} uses: each word is
+    two [int]s over its bits, [lo] (the bit can be 0) and [hi] (the bit
+    can be 1), so X sets both.  An X-index read ORs the candidate
+    words' rails, merging snapshots is an OR, and subsumption is
+    [specific land lnot general = 0]; the word width is at most 62. *)
 
 module Bit := Bespoke_logic.Bit
 module Bvec := Bespoke_logic.Bvec
@@ -21,7 +29,8 @@ module Bvec := Bespoke_logic.Bvec
 type t
 
 val create : words:int -> width:int -> init:Bit.t -> t
-(** [words] must be a power of two; indices wrap modulo [words]. *)
+(** [words] must be a power of two; indices wrap modulo [words].
+    Raises [Invalid_argument] if [width > 62]. *)
 
 val words : t -> int
 val width : t -> int
@@ -68,4 +77,3 @@ val equal_snapshot : snapshot -> snapshot -> bool
 (** [consistent_snapshots a b]: no bit is definite in both snapshots
     with different values (X is compatible with anything). *)
 val consistent_snapshots : snapshot -> snapshot -> bool
-val snapshot_words : snapshot -> int

@@ -229,6 +229,269 @@ let test_mem_model =
         (fun a -> Bvec.to_int (Memory.read_word m a) = Some model.(a))
         (List.init 16 (fun i -> i)))
 
+let test_mem_width_guard () =
+  Alcotest.check_raises "width 63"
+    (Invalid_argument "Memory.create: width above 62") (fun () ->
+      ignore (Memory.create ~words:4 ~width:63 ~init:Bit.Zero));
+  let m = Memory.create ~words:4 ~width:62 ~init:Bit.Zero in
+  Memory.load_int m 1 max_int;
+  Alcotest.(check (option int)) "62-bit word" (Some max_int)
+    (Memory.read_word_int m 1)
+
+(* Byte-per-bit reference memory (codes 0/1/2 = Zero/One/X, one byte
+   per stored bit): the straightforward ternary model the packed
+   {!Memory} must agree with exactly. *)
+module Oracle = struct
+  type t = { store : Bytes.t; words : int; width : int }
+
+  let create ~words ~width =
+    { store = Bytes.make (words * width) '\000'; words; width }
+
+  let get t w i = Bit.of_int_exn (Char.code (Bytes.get t.store ((w * t.width) + i)))
+  let put t w i b = Bytes.set t.store ((w * t.width) + i) (Char.chr (Bit.to_int b))
+  let read_word t w = Array.init t.width (get t (w land (t.words - 1)))
+
+  let load_int t w n =
+    Array.iteri (fun i b -> put t (w land (t.words - 1)) i b)
+      (Bvec.of_int ~width:t.width n)
+
+  let write_masked_int t w ~data ~mask =
+    for i = 0 to t.width - 1 do
+      if (mask lsr i) land 1 = 1 then
+        put t (w land (t.words - 1)) i (Bit.of_bool ((data lsr i) land 1 = 1))
+    done
+
+  let set_x_range t ~lo ~hi =
+    for w = lo to hi do
+      for i = 0 to t.width - 1 do
+        put t (w land (t.words - 1)) i Bit.X
+      done
+    done
+
+  (* the known index bits as a base index, and the X ones as a list *)
+  let index_pattern t (addr : Bvec.t) =
+    let base = ref 0 and free = ref [] in
+    let i = ref 0 in
+    while 1 lsl !i < t.words do
+      (match if !i < Bvec.width addr then addr.(!i) else Bit.Zero with
+      | Bit.Zero -> ()
+      | Bit.One -> base := !base lor (1 lsl !i)
+      | Bit.X -> free := !i :: !free);
+      incr i
+    done;
+    (!base, !free)
+
+  let expand t (base, free) =
+    if List.length free > 10 then List.init t.words Fun.id
+    else
+      List.fold_left
+        (fun acc bit -> List.concat_map (fun w -> [ w; w lor (1 lsl bit) ]) acc)
+        [ base ] free
+
+  let read t addr =
+    match expand t (index_pattern t addr) with
+    | [] -> assert false
+    | w :: ws ->
+      List.fold_left (fun acc w -> Bvec.merge acc (read_word t w)) (read_word t w) ws
+
+  let write t ~addr ~(data : Bvec.t) ~(mask : Bvec.t) ~en =
+    if not (Bit.equal en Bit.Zero) then begin
+      let base, free = index_pattern t addr in
+      let ws = expand t (base, free) in
+      let certain = Bit.equal en Bit.One && free = [] in
+      List.iter
+        (fun w ->
+          for i = 0 to t.width - 1 do
+            let old = get t w i in
+            let updated =
+              match mask.(i) with
+              | Bit.Zero -> old
+              | Bit.One -> data.(i)
+              | Bit.X -> Bit.merge old data.(i)
+            in
+            put t w i (if certain then updated else Bit.merge old updated)
+          done)
+        ws
+    end
+
+  let snapshot t = Bytes.copy t.store
+  let restore t s = Bytes.blit s 0 t.store 0 (Bytes.length s)
+
+  let merge_snapshot a b =
+    Bytes.init (Bytes.length a) (fun i ->
+        Char.chr
+          (Bit.to_int
+             (Bit.merge
+                (Bit.of_int_exn (Char.code (Bytes.get a i)))
+                (Bit.of_int_exn (Char.code (Bytes.get b i))))))
+
+  let for_all2 f a b =
+    let ok = ref true in
+    Bytes.iteri
+      (fun i x -> if not (f (Char.code x) (Char.code (Bytes.get b i))) then ok := false)
+      a;
+    !ok
+
+  let subsumes ~general ~specific =
+    for_all2 (fun g s -> g = Bit.code_x || g = s) general specific
+
+  let consistent_snapshots a b =
+    for_all2 (fun x y -> x = y || x = Bit.code_x || y = Bit.code_x) a b
+end
+
+type mem_op =
+  | Load_int of int * int
+  | Write_masked_int of int * int * int
+  | Set_x_range of int * int
+  | Write of Bvec.t * Bvec.t * Bvec.t * Bit.t
+  | Read of Bvec.t
+  | Snapshot
+  | Restore of int
+  | Merge of int * int
+  | Subsumes of int * int
+  | Consistent of int * int
+
+let pp_mem_op = function
+  | Load_int (w, n) -> Printf.sprintf "load_int %d %#x" w n
+  | Write_masked_int (w, d, m) -> Printf.sprintf "write_masked_int %d %#x %#x" w d m
+  | Set_x_range (lo, hi) -> Printf.sprintf "set_x_range %d..%d" lo hi
+  | Write (a, d, m, e) ->
+    Printf.sprintf "write addr=%s data=%s mask=%s en=%c" (Bvec.to_string a)
+      (Bvec.to_string d) (Bvec.to_string m) (Bit.to_char e)
+  | Read a -> "read " ^ Bvec.to_string a
+  | Snapshot -> "snapshot"
+  | Restore i -> Printf.sprintf "restore #%d" i
+  | Merge (i, j) -> Printf.sprintf "merge #%d #%d" i j
+  | Subsumes (i, j) -> Printf.sprintf "subsumes #%d #%d" i j
+  | Consistent (i, j) -> Printf.sprintf "consistent #%d #%d" i j
+
+(* Geometries: small ones where random ops collide often, and 2048- and
+   4096-word ones where an all-X address exceeds 10 free index bits (on
+   4096 words that selects twice the words the X bits could reach). *)
+let gen_mem_case =
+  QCheck.Gen.(
+    let* idx_bits, width =
+      frequencyl
+        [ (4, (2, 8)); (2, (3, 8)); (1, (4, 16)); (1, (6, 32)); (1, (11, 32));
+          (1, (12, 8)) ]
+    in
+    let words = 1 lsl idx_bits in
+    let word = int_bound (words + 3) in
+    let value = map (fun n -> n land ((1 lsl width) - 1)) int in
+    let tern n =
+      let* px = oneofl [ 0; 1; 5; 9 ] in
+      list_size (return n)
+        (let* r = int_bound 9 in
+         if r < px then return Bit.X else map Bit.of_bool bool)
+      |> map Array.of_list
+    in
+    let addr =
+      frequency
+        [ (4, let* n = int_range (max 0 (idx_bits - 1)) (idx_bits + 2) in tern n);
+          (1, return (Bvec.all_x idx_bits)) ]
+    in
+    let slot = int_bound 3 in
+    let op =
+      frequency
+        [ (2, map2 (fun w n -> Load_int (w, n)) word value);
+          (1, map3 (fun w d m -> Write_masked_int (w, d, m)) word value value);
+          (1, map2 (fun lo len -> Set_x_range (lo, lo + len)) word (int_bound 3));
+          (4, let* a = addr and* d = tern width and* m = tern width
+              and* e = oneofl [ Bit.Zero; Bit.One; Bit.One; Bit.X ] in
+              return (Write (a, d, m, e)));
+          (3, map (fun a -> Read a) addr);
+          (3, return Snapshot);
+          (1, map (fun i -> Restore i) slot);
+          (1, map2 (fun i j -> Merge (i, j)) slot slot);
+          (2, map2 (fun i j -> Subsumes (i, j)) slot slot);
+          (2, map2 (fun i j -> Consistent (i, j)) slot slot) ]
+    in
+    let* ops = list_size (int_range 1 40) op in
+    return (words, width, ops))
+
+(* Run [ops] on the packed memory and the oracle side by side; [Error]
+   names the first op after which a word, a read or a boolean differs.
+   Snapshot-taking ops push onto a stack that [slot] indices address
+   from the top (modulo its depth; skipped while it is empty). *)
+let mem_differential (words, width, ops) =
+  let m = Memory.create ~words ~width ~init:Bit.Zero in
+  let o = Oracle.create ~words ~width in
+  let snaps = ref [||] in
+  let slot i =
+    let n = Array.length !snaps in
+    !snaps.(n - 1 - (i mod n))
+  in
+  let push s = snaps := Array.append !snaps [| s |] in
+  let with_slots f = if Array.length !snaps > 0 then f () else true in
+  let same_words () =
+    List.for_all
+      (fun w ->
+        Bvec.equal (Memory.read_word m w) (Oracle.read_word o w)
+        && Memory.read_word_int m w = Bvec.to_int (Oracle.read_word o w))
+      (List.init words Fun.id)
+  in
+  (* [step op] is false when a read or boolean differs; the stored
+     words are compared after every op that can change them *)
+  let step = function
+    | Load_int (w, n) -> Memory.load_int m w n; Oracle.load_int o w n; true
+    | Write_masked_int (w, data, mask) ->
+      Memory.write_masked_int m w ~data ~mask;
+      Oracle.write_masked_int o w ~data ~mask;
+      true
+    | Set_x_range (lo, hi) ->
+      Memory.set_x_range m ~lo ~hi; Oracle.set_x_range o ~lo ~hi; true
+    | Write (addr, data, mask, en) ->
+      Memory.write m ~addr ~data ~mask ~en;
+      Oracle.write o ~addr ~data ~mask ~en;
+      true
+    | Read addr -> Bvec.equal (Memory.read m addr) (Oracle.read o addr)
+    | Snapshot -> push (Memory.snapshot m, Oracle.snapshot o); true
+    | Restore i ->
+      with_slots (fun () ->
+          let s, os = slot i in
+          Memory.restore m s; Oracle.restore o os; true)
+    | Merge (i, j) ->
+      with_slots (fun () ->
+          let (a, oa), (b, ob) = (slot i, slot j) in
+          let s = Memory.merge_snapshot a b and os = Oracle.merge_snapshot oa ob in
+          push (s, os);
+          Memory.equal_snapshot s a = Bytes.equal os oa)
+    | Subsumes (i, j) ->
+      with_slots (fun () ->
+          let (a, oa), (b, ob) = (slot i, slot j) in
+          Memory.subsumes ~general:a ~specific:b
+          = Oracle.subsumes ~general:oa ~specific:ob)
+    | Consistent (i, j) ->
+      with_slots (fun () ->
+          let (a, oa), (b, ob) = (slot i, slot j) in
+          Memory.consistent_snapshots a b = Oracle.consistent_snapshots oa ob)
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | op :: rest ->
+      let mutates =
+        match op with
+        | Load_int _ | Write_masked_int _ | Set_x_range _ | Write _ | Restore _ -> true
+        | Read _ | Snapshot | Merge _ | Subsumes _ | Consistent _ -> false
+      in
+      if step op && ((not mutates) || same_words ()) then go rest
+      else Error (pp_mem_op op)
+  in
+  go ops
+
+let test_mem_differential =
+  QCheck.Test.make ~name:"packed memory matches the byte-per-bit oracle"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (words, width, ops) ->
+         Printf.sprintf "%d x %d: %s" words width
+           (String.concat "; " (List.map pp_mem_op ops)))
+       gen_mem_case)
+    (fun case ->
+      match mem_differential case with
+      | Ok () -> true
+      | Error op -> QCheck.Test.fail_reportf "differs after %s" op)
+
 (* ---- VCD writer ---- *)
 
 let contains ~sub s =
@@ -340,6 +603,8 @@ let () =
           Alcotest.test_case "set x range" `Quick test_mem_set_x_range;
           qt test_mem_model;
           qt test_mem_conservative_write;
+          Alcotest.test_case "width guard" `Quick test_mem_width_guard;
+          qt test_mem_differential;
         ] );
       ( "vcd",
         [
