@@ -956,9 +956,9 @@ let measure_sampler_overhead () =
 
 (* Marginal cost of the zero-hardware guard: plain bespoke runs vs runs
    with the cut-assumption shadow watcher attached (`run --guard`'s hot
-   path).  The watcher recomputes every monitored cut function at each
-   committed cycle, so its cost scales with the monitor count — the
-   artifact records both. *)
+   path).  Each watched run builds its packed check program once and
+   evaluates it as word operations at every committed cycle, so its
+   cost scales with the monitor count — the artifact records both. *)
 let guard_plan_of (b : B.t) =
   let report, net = Runner.analyze ~core b in
   let bespoke, _, prov =
@@ -1305,6 +1305,8 @@ let run_guard_table () =
    BENCH_sim.json artifact.  Wired into `dune runtest` via the
    @bench-smoke alias.                                                 *)
 
+let max_guard_watch_slowdown = 0.25
+
 (* Validate the checked-in BENCH_sim.json: every benchmark row must
    carry exactly the full/packed/compiled columns, and the recorded
    compiled engine must not be slower than the full sweep on any
@@ -1353,6 +1355,7 @@ let validate_bench_sim_artifact () =
   let camp_cold_speedup = field "campaign" "speedup_cold_jobs4_vs_oneshot" in
   let camp_warm_speedup = field "campaign" "speedup_warm_vs_cold" in
   let guard_monitors = Option.map int_of_float (field "guard_overhead" "monitors") in
+  let guard_slowdown = field "guard_overhead" "watch_slowdown" in
   if rows = [] then
     failwith
       (Printf.sprintf
@@ -1433,11 +1436,28 @@ let validate_bench_sim_artifact () =
          "bench-smoke: guard_overhead in %s records no monitors — the \
           shadow watcher measured nothing"
          path);
+  (* 1 - watched/plain cycles per second; the aim is 0.15 *)
+  let slowdown =
+    match guard_slowdown with
+    | Some x -> x
+    | None ->
+      failwith
+        (Printf.sprintf
+           "bench-smoke: no guard_overhead watch_slowdown in %s (regenerate \
+            with --bench-sim)"
+           path)
+  in
+  if slowdown > max_guard_watch_slowdown then
+    failwith
+      (Printf.sprintf
+         "bench-smoke: guard_overhead in %s records watch_slowdown %.3f > \
+          %.2f — shadow watcher regression"
+         path slowdown max_guard_watch_slowdown);
   printf
     "bench-smoke: BENCH_sim.json valid (%d benchmarks, compiled >= full on \
      all; campaign %.2fx vs one-shot cold, %.1fx warm vs cold; guard \
-     watcher measured over %d monitor(s))\n"
-    (List.length rows) cold warm guard_mons
+     watcher over %d monitor(s) costs %.1f%% of plain throughput)\n"
+    (List.length rows) cold warm guard_mons (100.0 *. slowdown)
 
 (* Allocation gate: RAM state is held as packed rails, so analysing
    rv32 intAVG (many loads and stores with X addresses) allocates about
@@ -1467,6 +1487,45 @@ let check_analysis_alloc () =
   if per_cycle > max_analysis_words_per_cycle then
     failwith "bench-smoke: analysis allocation gate exceeded"
 
+(* Allocation gate for the shadow watcher: a watched run of mult may
+   allocate at most this many words per cycle more than the plain run,
+   once the one-time build of the watcher and its packed check program
+   is taken off.  The packed checks allocate nothing per cycle; a scan
+   that gathers each monitor's fanin values into a fresh array
+   allocates thousands of words per cycle.  Counted in minor-heap
+   words, which OCaml 5 reports exactly (major-heap totals lag until
+   the next collection); per-cycle garbage is small blocks, so it all
+   lands there.  Host-independent. *)
+let max_guard_words_per_cycle = 64.
+
+let check_guard_alloc () =
+  let b = B.find "mult" in
+  let plan, bespoke = guard_plan_of b in
+  Obs.disable ();
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  let run ?attach () = Runner.run_gate ~core ?attach ~netlist:bespoke b ~seed:1 in
+  (* the first run also fills the compile and image memos *)
+  ignore (run ());
+  let o, plain = words (fun () -> run ()) in
+  let eng = Engine.create bespoke in
+  let (), build = words (fun () -> Guard.attach (Guard.watch_bespoke plan) eng) in
+  let _, watched =
+    words (fun () ->
+        let w = Guard.watch_bespoke plan in
+        run ~attach:(Guard.attach w) ())
+  in
+  let per_cycle = (watched -. plain -. build) /. float_of_int o.Runner.sim_cycles in
+  printf
+    "bench-smoke: guard watcher on %s allocates %.1f words/cycle beyond the \
+     plain run (build %.0f words once; gate %.0f)\n"
+    b.B.name per_cycle build max_guard_words_per_cycle;
+  if per_cycle > max_guard_words_per_cycle then
+    failwith "bench-smoke: guard watcher allocation gate exceeded"
+
 let run_bench_smoke () =
   let b = B.find "mult" in
   let net = stock () in
@@ -1493,6 +1552,7 @@ let run_bench_smoke () =
      %d cycles each)\n"
     b.B.name (List.length seeds) (List.hd full).Runner.sim_cycles;
   check_analysis_alloc ();
+  check_guard_alloc ();
   validate_bench_sim_artifact ()
 
 (* ------------------------------------------------------------------ *)

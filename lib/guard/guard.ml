@@ -13,17 +13,13 @@ let m_monitors = Obs.Metrics.counter "guard.monitors"
 let m_watchers = Obs.Metrics.counter "guard.watchers"
 let m_cycles = Obs.Metrics.counter "guard.cycles"
 let m_violations = Obs.Metrics.counter "guard.violations"
+let m_exact_scans = Obs.Metrics.counter "guard.exact_scans"
 
 (* {1 Planning} *)
 
-type source = Net of int | Tie of Bit.t
+type source = Engine.source = Net of int | Tie of Bit.t
 
-type monitor = {
-  m_gate : int;
-  m_const : Bit.t;
-  m_op : Gate.op;
-  m_fanin : source array;
-}
+type monitor = { m_gate : int; m_check : Engine.check }
 
 type plan = {
   p_original : Netlist.t;
@@ -84,7 +80,10 @@ let plan ~original ~bespoke ~prov ~possibly_toggled ~constants =
           incr implied
         else
           monitors :=
-            { m_gate = a_gate; m_const = a_const; m_op = g.Gate.op; m_fanin = fanin }
+            {
+              m_gate = a_gate;
+              m_check = { Engine.c_op = g.Gate.op; c_fanin = fanin; c_assumed = a_const };
+            }
             :: !monitors)
     assumptions;
   Obs.Metrics.add m_assumptions (List.length assumptions);
@@ -140,17 +139,17 @@ let instrument plan =
       let armed = add (Gate.Dff Bit.Zero) [| tie Bit.One |] in
       let mismatch =
         Array.map
-          (fun m ->
-            let fan = Array.map src m.m_fanin in
+          (fun { m_check = c; _ } ->
+            let fan = Array.map src c.Engine.c_fanin in
             let recomp =
-              match m.m_op with
+              match c.c_op with
               | Gate.Dff _ ->
                 (* a cut DFF would toggle iff its D input leaves the
                    assumed constant: monitor the next-state function *)
                 add Gate.Buf fan
               | op -> add op fan
             in
-            match m.m_const with
+            match c.c_assumed with
             | Bit.One -> add Gate.Not [| recomp |]
             | Bit.Zero | Bit.X -> recomp)
           monitors
@@ -251,11 +250,9 @@ type violation = {
   v_observed : Bit.t;
 }
 
-type target = Direct of int | Recompute of Gate.op * source array
-type check = { c_gate : int; c_assumed : Bit.t; c_target : target }
-
 type watcher = {
-  checks : check array;
+  gates : int array;  (* original gate id of each check *)
+  checks : Engine.check array;
   tripped : Bytes.t;
   mutable listed : violation list;  (* reversed *)
   mutable listed_n : int;
@@ -265,8 +262,9 @@ type watcher = {
 
 let max_listed = 10_000
 
-let make_watcher checks =
+let make_watcher gates checks =
   {
+    gates;
     checks;
     tripped = Bytes.make (Array.length checks) '\000';
     listed = [];
@@ -275,47 +273,31 @@ let make_watcher checks =
     cycles = 0;
   }
 
+(* watch_original reads each assumption net itself: a Buf check *)
 let watch_original plan =
+  let a = Array.of_list plan.p_assumptions in
   make_watcher
-    (Array.of_list
-       (List.map
-          (fun { Cut.a_gate; a_const } ->
-            { c_gate = a_gate; c_assumed = a_const; c_target = Direct a_gate })
-          plan.p_assumptions))
+    (Array.map (fun x -> x.Cut.a_gate) a)
+    (Array.map
+       (fun { Cut.a_gate; a_const } ->
+         { Engine.c_op = Gate.Buf; c_fanin = [| Net a_gate |]; c_assumed = a_const })
+       a)
 
 let watch_bespoke plan =
+  let ms = Array.of_list plan.p_monitors in
   make_watcher
-    (Array.of_list
-       (List.map
-          (fun m ->
-            {
-              c_gate = m.m_gate;
-              c_assumed = m.m_const;
-              c_target = Recompute (m.m_op, m.m_fanin);
-            })
-          plan.p_monitors))
+    (Array.map (fun m -> m.m_gate) ms)
+    (Array.map (fun m -> m.m_check) ms)
 
-(* One pass over the checks at a committed cycle.  [read] returns the
-   engine's value code for a gate id.  X never convicts: only a known
-   value differing from the assumption is a violation. *)
-let check_cycle w read cycle =
-  w.cycles <- w.cycles + 1;
-  Obs.Metrics.incr m_cycles;
-  let n = Array.length w.checks in
-  for i = 0 to n - 1 do
+(* The exact pass over the checks at a committed cycle, run only when
+   the packed program reports a violation: it finds which checks
+   convict, counts them and records first offences in check order. *)
+let scan w eng cycle =
+  Obs.Metrics.incr m_exact_scans;
+  for i = 0 to Array.length w.checks - 1 do
     let c = Array.unsafe_get w.checks i in
-    let code =
-      match c.c_target with
-      | Direct id -> read id
-      | Recompute (op, fanin) ->
-        let vals =
-          Array.map
-            (function Net id -> Bit.of_int_exn (read id) | Tie b -> b)
-            fanin
-        in
-        Bit.to_int (Gate.eval op vals)
-    in
-    if code <> Bit.code_x && code <> Bit.to_int c.c_assumed then begin
+    let code = Engine.check_code eng c in
+    if Engine.convicts c code then begin
       w.total <- w.total + 1;
       Obs.Metrics.incr m_violations;
       if Bytes.get w.tripped i = '\000' then begin
@@ -324,8 +306,8 @@ let check_cycle w read cycle =
           w.listed <-
             {
               v_cycle = cycle;
-              v_gate = c.c_gate;
-              v_assumed = c.c_assumed;
+              v_gate = w.gates.(i);
+              v_assumed = c.Engine.c_assumed;
               v_observed = Bit.of_int_exn code;
             }
             :: w.listed;
@@ -337,8 +319,13 @@ let check_cycle w read cycle =
 
 let attach w eng =
   Obs.Metrics.incr m_watchers;
+  let packed = Engine.checks eng w.checks in
   Engine.set_cycle_hook eng
-    (Some (fun cycle -> check_cycle w (fun id -> Engine.value_code eng id) cycle))
+    (Some
+       (fun cycle ->
+         w.cycles <- w.cycles + 1;
+         Obs.Metrics.incr m_cycles;
+         if Engine.any_violated packed then scan w eng cycle))
 
 let violations w = List.rev w.listed
 let total_violations w = w.total

@@ -34,17 +34,18 @@ module Benchmark := Bespoke_programs.Benchmark
 (** {1 Planning} *)
 
 (** Where a monitor input comes from in the bespoke design. *)
-type source =
+type source = Engine.source =
   | Net of int  (** a surviving bespoke gate's output *)
   | Tie of Bit.t  (** a constant (cut fanin, tie cell) *)
 
 (** One hardware-checkable assumption: recompute the cut gate's
-    function over [m_fanin] and compare against [m_const]. *)
+    function over its mapped fanins and compare against the constant
+    deployment assumes. *)
 type monitor = {
   m_gate : int;  (** original gate id of the cut gate *)
-  m_const : Bit.t;  (** the constant deployment assumes *)
-  m_op : Bespoke_netlist.Gate.op;  (** the cut gate's function *)
-  m_fanin : source array;  (** mapped fanins, original order *)
+  m_check : Engine.check;
+      (** the cut gate's op, its fanins mapped into the bespoke design
+          (original order), and the assumed constant *)
 }
 
 type plan = {
@@ -133,7 +134,11 @@ val watch_bespoke : plan -> watcher
 
 val attach : watcher -> Engine.t -> unit
 (** Hook the watcher into an engine's per-cycle commit (any mode).
-    One watcher per engine; violations are sticky per gate (a gate is
+    The checks are prepared once ({!Engine.checks}: word operations on
+    the compiled engine's rails); each cycle asks only whether any
+    check is violated, and a cycle that says yes gets the exact
+    per-check scan, counted by the [guard.exact_scans] metric.  One
+    watcher per engine; violations are sticky per gate (a gate is
     reported once, at its first violating cycle). *)
 
 val violations : watcher -> violation list

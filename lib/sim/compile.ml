@@ -1439,3 +1439,245 @@ let restore_dff_state t (s : Bvec.t) =
     invalid_arg "Compile.restore_dff_state: width mismatch";
   Array.iteri (fun i id -> write_bit t id s.(i)) t.p.dff_ids;
   eval t
+
+(* ---------- packed assumption checks ---------- *)
+
+type source = Net of int | Tie of Bit.t
+type check = { c_op : Gate.op; c_fanin : source array; c_assumed : Bit.t }
+
+(* A lowered check program: lanes grouped by opcode into words of up
+   to 63.  Word [w] has opcode [k_op.(w)], fanin columns
+   [k_col.(w) ..] (one per operand) and per-lane assumed-0/1/X masks.
+   Column [j] is its tie rails [col_lo.(j)]/[col_hi.(j)] ORed with
+   three-int segments of [segs]:
+   - runs [col_seg.(j) .. col_bc.(j) - 1] (chunk, source bit, length
+     and first lane packed as [len lsl 6 lor lane]): consecutive state
+     bits into consecutive lanes, one shift and one mask each;
+   - broadcasts [col_bc.(j) .. col_seg.(j + 1) - 1] (chunk, source
+     bit, lane mask): one state bit read by several neighbouring
+     lanes. *)
+type checks = {
+  k_t : t;
+  k_op : int array;
+  k_col : int array;
+  k_a0 : int array;
+  k_a1 : int array;
+  k_ax : int array;
+  col_lo : int array;
+  col_hi : int array;
+  col_seg : int array;
+  col_bc : int array;
+  segs : int array;
+}
+
+let arity_of_opcode opc = if opc < op_and then 1 else if opc = op_mux then 3 else 2
+
+(* A DFF is checked through its next-state function (Buf of D); a
+   constant is a Buf of its tie. *)
+let check_opcode c =
+  match c.c_op with
+  | Gate.Dff _ | Gate.Const _ -> op_buf
+  | Gate.Input -> invalid_arg "Compile.lower_checks: Input has no function"
+  | op -> opcode_of op
+
+let fanin_src c j = match c.c_op with Gate.Const b -> Tie b | _ -> c.c_fanin.(j)
+
+let lower_checks t (cs : check array) =
+  let p = t.p in
+  let n = Array.length cs in
+  let opcs = Bytes.init n (fun i -> Char.chr (check_opcode cs.(i))) in
+  let maxw = (n / max_w) + op_mux + 1 in
+  let ops = Array.make maxw 0 and cols = Array.make maxw 0 in
+  let a0 = Array.make maxw 0 and a1 = Array.make maxw 0 in
+  let ax = Array.make maxw 0 in
+  let clo = Array.make (3 * maxw) 0 and chi = Array.make (3 * maxw) 0 in
+  let cseg = Array.make ((3 * maxw) + 1) 0 and cbc = Array.make (3 * maxw) 0 in
+  let segs = ref (Array.make 384 0) and nseg = ref 0 in
+  let push_seg x y z =
+    if 3 * (!nseg + 1) > Array.length !segs then begin
+      let bigger = Array.make (2 * Array.length !segs) 0 in
+      Array.blit !segs 0 bigger 0 (3 * !nseg);
+      segs := bigger
+    end;
+    let o = 3 * !nseg in
+    !segs.(o) <- x;
+    !segs.(o + 1) <- y;
+    !segs.(o + 2) <- z;
+    incr nseg
+  in
+  (* one column's broadcasts wait here while its runs are pushed *)
+  let bc = Array.make (3 * max_w) 0 and nbc = ref 0 in
+  let nw = ref 0 and ncol = ref 0 in
+  let lanes = Array.make max_w 0 and nl = ref 0 in
+  let emit_word opc =
+    let w = !nw in
+    incr nw;
+    ops.(w) <- opc;
+    cols.(w) <- !ncol;
+    for k = 0 to !nl - 1 do
+      let lane = 1 lsl k in
+      match cs.(lanes.(k)).c_assumed with
+      | Bit.Zero -> a0.(w) <- a0.(w) lor lane
+      | Bit.One -> a1.(w) <- a1.(w) lor lane
+      | Bit.X -> ax.(w) <- ax.(w) lor lane
+    done;
+    for j = 0 to arity_of_opcode opc - 1 do
+      let col = !ncol in
+      incr ncol;
+      cseg.(col) <- !nseg;
+      nbc := 0;
+      (* the open segment: chunk, source bit, first lane, length, and
+         whether it broadcasts (same bit) rather than runs *)
+      let sc = ref 0 and sb = ref 0 and sd = ref 0 and sl = ref 0 in
+      let bcast = ref false in
+      let close () =
+        if !sl > 0 then
+          if !bcast then begin
+            let o = 3 * !nbc in
+            bc.(o) <- !sc;
+            bc.(o + 1) <- !sb;
+            bc.(o + 2) <- ((1 lsl !sl) - 1) lsl !sd;
+            incr nbc
+          end
+          else push_seg !sc !sb ((!sl lsl 6) lor !sd);
+        sl := 0
+      in
+      for k = 0 to !nl - 1 do
+        match fanin_src cs.(lanes.(k)) j with
+        | Tie b ->
+          close ();
+          let l, h =
+            match b with Bit.Zero -> (1, 0) | Bit.One -> (0, 1) | Bit.X -> (1, 1)
+          in
+          clo.(col) <- clo.(col) lor (l lsl k);
+          chi.(col) <- chi.(col) lor (h lsl k)
+        | Net g ->
+          let c = p.g_chunk.(g) and b = p.g_bit.(g) in
+          (* ties close the open segment, so a net lane always
+             follows the segment's last lane *)
+          let same = !sl > 0 && c = !sc in
+          if same && (!sl = 1 || !bcast) && b = !sb then begin
+            bcast := true;
+            incr sl
+          end
+          else if same && not !bcast && b = !sb + !sl then incr sl
+          else begin
+            close ();
+            sc := c;
+            sb := b;
+            sd := k;
+            sl := 1;
+            bcast := false
+          end
+      done;
+      close ();
+      cbc.(col) <- !nseg;
+      for i = 0 to !nbc - 1 do
+        push_seg bc.(3 * i) bc.((3 * i) + 1) bc.((3 * i) + 2)
+      done
+    done;
+    nl := 0
+  in
+  (* lanes keep the caller's order within an opcode: neighbouring
+     checks tend to read neighbouring state bits *)
+  for opc = 0 to op_mux do
+    for i = 0 to n - 1 do
+      if Char.code (Bytes.unsafe_get opcs i) = opc then begin
+        lanes.(!nl) <- i;
+        incr nl;
+        if !nl = max_w then emit_word opc
+      end
+    done;
+    if !nl > 0 then emit_word opc
+  done;
+  cseg.(!ncol) <- !nseg;
+  {
+    k_t = t;
+    k_op = Array.sub ops 0 !nw;
+    k_col = Array.sub cols 0 !nw;
+    k_a0 = Array.sub a0 0 !nw;
+    k_a1 = Array.sub a1 0 !nw;
+    k_ax = Array.sub ax 0 !nw;
+    col_lo = Array.sub clo 0 !ncol;
+    col_hi = Array.sub chi 0 !ncol;
+    col_seg = Array.sub cseg 0 (!ncol + 1);
+    col_bc = Array.sub cbc 0 !ncol;
+    segs = Array.sub !segs 0 (3 * !nseg);
+  }
+
+(* Column [j]'s dual rails, into the scratch pair. *)
+let load_column k j =
+  let t = k.k_t and segs = k.segs in
+  let l = ref (Array.unsafe_get k.col_lo j)
+  and h = ref (Array.unsafe_get k.col_hi j) in
+  let bc = Array.unsafe_get k.col_bc j in
+  for s = Array.unsafe_get k.col_seg j to bc - 1 do
+    let o = 3 * s in
+    let c = Array.unsafe_get segs o
+    and sb = Array.unsafe_get segs (o + 1)
+    and x = Array.unsafe_get segs (o + 2) in
+    let m = (1 lsl (x lsr 6)) - 1 and d = x land 63 in
+    l := !l lor (((Array.unsafe_get t.lo c lsr sb) land m) lsl d);
+    h := !h lor (((Array.unsafe_get t.hi c lsr sb) land m) lsl d)
+  done;
+  for s = bc to Array.unsafe_get k.col_seg (j + 1) - 1 do
+    let o = 3 * s in
+    let c = Array.unsafe_get segs o
+    and sb = Array.unsafe_get segs (o + 1)
+    and m = Array.unsafe_get segs (o + 2) in
+    l := !l lor ((0 - ((Array.unsafe_get t.lo c lsr sb) land 1)) land m);
+    h := !h lor ((0 - ((Array.unsafe_get t.hi c lsr sb) land 1)) land m)
+  done;
+  t.sc_lo <- !l;
+  t.sc_hi <- !h
+
+let set_scratch t l h =
+  t.sc_lo <- l;
+  t.sc_hi <- h
+
+(* Word [w]'s lanes that are known and differ from their assumption,
+   with [exec]'s Kleene rail formulas, so X never convicts.  ([exec]
+   keeps its own copy, storing straight into the state.) *)
+let violated_lanes k w =
+  let t = k.k_t in
+  let opc = Array.unsafe_get k.k_op w and col = Array.unsafe_get k.k_col w in
+  load_column k col;
+  let alo = t.sc_lo and ahi = t.sc_hi in
+  if opc = op_not then set_scratch t ahi alo
+  else if opc >= op_and then begin
+    load_column k (col + 1);
+    let blo = t.sc_lo and bhi = t.sc_hi in
+    if opc = op_and then set_scratch t (alo lor blo) (ahi land bhi)
+    else if opc = op_or then set_scratch t (alo land blo) (ahi lor bhi)
+    else if opc = op_nand then set_scratch t (ahi land bhi) (alo lor blo)
+    else if opc = op_nor then set_scratch t (ahi lor bhi) (alo land blo)
+    else if opc = op_xor then
+      set_scratch t
+        ((alo land blo) lor (ahi land bhi))
+        ((alo land bhi) lor (ahi land blo))
+    else if opc = op_xnor then
+      set_scratch t
+        ((alo land bhi) lor (ahi land blo))
+        ((alo land blo) lor (ahi land bhi))
+    else begin
+      (* mux fanin is [sel; a; b]: the first column selects *)
+      load_column k (col + 2);
+      let clo = t.sc_lo and chi = t.sc_hi in
+      let s0 = alo land lnot ahi and s1 = ahi land lnot alo and sx = alo land ahi in
+      set_scratch t
+        ((s0 land blo) lor (s1 land clo) lor (sx land (blo lor clo)))
+        ((s0 land bhi) lor (s1 land chi) lor (sx land (bhi lor chi)))
+    end
+  end;
+  let lo = t.sc_lo and hi = t.sc_hi in
+  Array.unsafe_get k.k_a0 w land hi land lnot lo
+  lor (Array.unsafe_get k.k_a1 w land lo land lnot hi)
+  lor (Array.unsafe_get k.k_ax w land (lo lxor hi))
+
+let any_violated k =
+  let nw = Array.length k.k_op in
+  let w = ref 0 in
+  while !w < nw && violated_lanes k !w = 0 do
+    incr w
+  done;
+  !w < nw

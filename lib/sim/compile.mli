@@ -103,3 +103,28 @@ val stats : t -> stats
 val cache_hits : unit -> int
 val cache_misses : unit -> int
 val clear_cache : unit -> unit
+
+(** {1 Packed assumption checks} *)
+
+type source = Net of int | Tie of Bit.t
+
+type check = {
+  c_op : Bespoke_netlist.Gate.op;  (** recomputed over [c_fanin]; Dff reads D *)
+  c_fanin : source array;
+  c_assumed : Bit.t;
+}
+(** A check is violated when its value is known and differs from
+    [c_assumed]: X never convicts. *)
+
+type checks
+
+val lower_checks : t -> check array -> checks
+(** Lower checks into word operations on this instance's dual rails:
+    lanes grouped by opcode into words of up to 63, each fanin column
+    loaded as a few shift-and-mask segments ORed with its tie
+    constants.  @raise Invalid_argument on an [Input] check or one
+    with fewer fanins than its op reads. *)
+
+val any_violated : checks -> bool
+(** Whether some check is violated by the current settled values:
+    exactly the OR of the per-check scalar verdicts. *)

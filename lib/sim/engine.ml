@@ -407,3 +407,29 @@ let restore_dff_state t (st : Bvec.t) =
 let compile_stats = function
   | Prog p -> Some (Compile.stats p.comp)
   | Sweep _ -> None
+
+type source = Compile.source = Net of int | Tie of Bit.t
+
+type check = Compile.check = {
+  c_op : Gate.op;
+  c_fanin : source array;
+  c_assumed : Bit.t;
+}
+
+type checks = Packed of Compile.checks | Scalar of t * check array
+
+let check_code t c =
+  Bit.to_int
+    (Gate.eval c.c_op
+       (Array.map (function Net id -> value t id | Tie b -> b) c.c_fanin))
+
+let convicts c code = code <> Bit.code_x && code <> Bit.to_int c.c_assumed
+
+let checks t cs =
+  match t with
+  | Prog p -> Packed (Compile.lower_checks p.comp cs)
+  | Sweep _ -> Scalar (t, cs)
+
+let any_violated = function
+  | Packed k -> Compile.any_violated k
+  | Scalar (t, cs) -> Array.exists (fun c -> convicts c (check_code t c)) cs

@@ -146,3 +146,39 @@ val restore_dff_state : t -> Bvec.t -> unit
 val compile_stats : t -> Compile.stats option
 (** Program statistics when running in [Compiled] mode, [None]
     otherwise. *)
+
+(** {1 Assumption checks}
+
+    A check recomputes one gate function over live gate values and tie
+    constants and compares it with an assumed constant; the guard
+    shadow watcher checks every cut assumption this way on each
+    committed cycle. *)
+
+type source = Compile.source = Net of int | Tie of Bit.t
+
+type check = Compile.check = {
+  c_op : Bespoke_netlist.Gate.op;  (** a [Dff] is checked as Buf of its D *)
+  c_fanin : source array;
+  c_assumed : Bit.t;
+}
+
+val check_code : t -> check -> int
+(** The check's value code (0/1/2=X) at the current settled values:
+    {!Bespoke_netlist.Gate.eval} over its fanins, one check at a
+    time. *)
+
+val convicts : check -> int -> bool
+(** [convicts c code]: [code] is known and differs from [c_assumed]. *)
+
+type checks
+
+val checks : t -> check array -> checks
+(** Prepare checks for repeated evaluation on this engine.  In
+    [Compiled] mode they are lowered once into word operations on the
+    engine's dual-rail state ({!Compile.lower_checks}); in [Full] mode
+    they stay per-check scalar evaluations, the oracle the packed
+    program is tested against. *)
+
+val any_violated : checks -> bool
+(** Whether any check {!convicts} at the current settled values.
+    Allocation-free in [Compiled] mode. *)

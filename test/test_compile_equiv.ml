@@ -17,6 +17,10 @@
      the compiler mines;
    - a tailored (bespoke) design must round-trip identically, covering
      const-X ties and cut stitches;
+   - packed assumption checks (Engine.checks / any_violated) must
+     give, on every cycle of a random netlist, exactly the OR of the
+     per-check scalar verdicts (Gate.eval, known and != assumed), on
+     both engines;
    - the design-hash memoization must hit on re-creation of the same
      netlist and miss after a single-gate fault mutation. *)
 
@@ -179,6 +183,113 @@ let test_random_netlists =
     run_diff
 
 (* ------------------------------------------------------------------ *)
+(* Packed assumption checks = OR of scalar verdicts                    *)
+
+let all_bits = [ Bit.Zero; Bit.One; Bit.X ]
+
+(* Runs of same-op checks whose columns mix ties, random nets,
+   consecutive gate ids and one repeated gate, so lowering sees
+   scattered lanes, multi-bit runs and broadcasts. *)
+let gen_checks r ng =
+  let n = 1 + (next r mod 150) in
+  let acc = ref [] in
+  while List.length !acc < n do
+    let op =
+      pick r
+        [ Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor;
+          Gate.Xor; Gate.Xnor; Gate.Mux; Gate.Dff (pick r all_bits);
+          Gate.Const (pick r all_bits) ]
+    in
+    let arity = match op with Gate.Const _ -> 0 | op -> Gate.arity op in
+    let cols =
+      Array.init arity (fun _ ->
+          let base = next r mod ng in
+          match next r mod 4 with
+          | 0 -> fun _ -> if next r mod 3 = 0 then Engine.Tie (pick r all_bits)
+                          else Engine.Net (next r mod ng)
+          | 1 -> fun k -> Engine.Net ((base + k) mod ng)
+          | 2 -> fun _ -> if next r mod 5 = 0 then Engine.Tie (pick r all_bits)
+                          else Engine.Net base
+          | _ -> fun k -> if next r mod 5 = 0 then Engine.Tie (pick r all_bits)
+                          else Engine.Net ((base + k) mod ng))
+    in
+    for k = 0 to next r mod 20 do
+      acc :=
+        { Engine.c_op = op; c_fanin = Array.map (fun col -> col k) cols;
+          c_assumed = pick r all_bits }
+        :: !acc
+    done
+  done;
+  Array.of_list (List.rev !acc)
+
+(* the scalar reference: Gate.eval over the engine's settled values *)
+let scalar_code eng (c : Engine.check) =
+  let v = function Engine.Net id -> Engine.value eng id | Engine.Tie b -> b in
+  Bit.to_int (Gate.eval c.Engine.c_op (Array.map v c.Engine.c_fanin))
+
+let scalar_verdict eng (c : Engine.check) =
+  let code = scalar_code eng c in
+  code <> Bit.code_x && code <> Bit.to_int c.Engine.c_assumed
+
+let run_checks seed =
+  let r = { s = (seed * 69621) lor 1 } in
+  let net, inputs = gen_net seed in
+  let ng = Netlist.gate_count net in
+  let fixed = gen_checks r ng in
+  let engines =
+    List.map
+      (fun mode ->
+        let e = Engine.create ~mode net in
+        Engine.reset e;
+        (mode, e, Engine.checks e fixed))
+      [ Engine.Full; Engine.Compiled ]
+  in
+  let cycles = 8 + (next r mod 16) in
+  for cyc = 0 to cycles - 1 do
+    let stim = Array.map (fun _ -> rand_bit r) inputs in
+    (* per cycle, a targeted set: every check but one assumes its
+       current value (and one whose value is X assumes anything), so
+       the OR is the verdict of the one random [target] lane and a
+       lane that convicts on X or misses a mismatch flips it *)
+    let targeted = gen_checks r ng in
+    let target = next r mod Array.length targeted in
+    List.iter
+      (fun (mode, e, packed) ->
+        let tag = if mode = Engine.Full then "full" else "compiled" in
+        Array.iteri (fun i id -> Engine.set_gate e id stim.(i)) inputs;
+        Engine.eval e;
+        Engine.commit_cycle e;
+        let expect = Array.exists (scalar_verdict e) fixed in
+        if Engine.any_violated packed <> expect then
+          QCheck.Test.fail_reportf "seed %d cycle %d (%s): packed verdict %b, \
+                                    scalar OR %b"
+            seed cyc tag (not expect) expect;
+        let tcs =
+          Array.mapi
+            (fun i c ->
+              let code = scalar_code e c in
+              if i = target || code = Bit.code_x then c
+              else { c with Engine.c_assumed = Bit.of_int_exn code })
+            targeted
+        in
+        let expect = scalar_verdict e tcs.(target) in
+        if Engine.any_violated (Engine.checks e tcs) <> expect then
+          QCheck.Test.fail_reportf
+            "seed %d cycle %d (%s): lane %d of %d: packed verdict %b, scalar %b"
+            seed cyc tag target (Array.length tcs) (not expect) expect;
+        Engine.step e)
+      engines
+  done;
+  true
+
+let test_packed_checks =
+  QCheck.Test.make
+    ~name:"packed checks = OR of scalar verdicts (full and compiled)"
+    ~count:100
+    QCheck.(int_bound 1_000_000)
+    run_checks
+
+(* ------------------------------------------------------------------ *)
 (* Tailored design: const-X ties and cut stitches                      *)
 
 let test_tailored () =
@@ -251,6 +362,7 @@ let () =
           B.all );
       ("fuzz", [ Alcotest.test_case "50 fuzz programs" `Quick test_fuzz_programs ]);
       ("random", [ qt test_random_netlists ]);
+      ("checks", [ qt test_packed_checks ]);
       ("tailored", [ Alcotest.test_case "bespoke mult" `Quick test_tailored ]);
       ("cache", [ Alcotest.test_case "memoization" `Quick test_cache ]);
     ]

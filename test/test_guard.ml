@@ -248,6 +248,89 @@ let test_hardware_catches_mutant () =
       m.Mutation.id seed (Guard.total_violations w);
     Alcotest.(check bool) "shadow recompute agrees" true (not (Guard.clean w))
 
+(* Violating rle replays give the same first offences, totals, cycle
+   count and bespoke-guard/v1 bytes on the compiled engine (packed
+   checks) and on the full reference sweep (scalar checks): the
+   original-design watcher (one Buf check per assumption) on the
+   mutant that trips it, and the bespoke-design watcher (recomputed
+   cut functions) on the mutant that trips the hardware guard. *)
+let test_violating_replay_engines_agree () =
+  let net, plan, _, shadow_hit, hw_hit = Lazy.force rle_hits in
+  let replay (label, watch, netlist, hit) =
+    match hit with
+    | None -> Alcotest.failf "%s: no mutant tripped the guard on seeds 1-3" label
+    | Some ((m : Mutation.mutant), seed, _) ->
+      let mb = Mutation.to_benchmark (B.find "rle") m in
+      let run mode =
+        let w = watch plan in
+        (try
+           ignore
+             (Runner.run_gate ~core ~mode ~attach:(Guard.attach w) ~netlist
+                ~max_cycles:300_000 mb ~seed)
+         with Failure _ -> ());
+        let path = Filename.temp_file "guard_replay" ".jsonl" in
+        Out_channel.with_open_bin path (fun oc ->
+            Guard.write_stream oc plan ~core:"msp430" ~design:"rle"
+              ~workload:mb.B.name ~mode:label w);
+        let bytes = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        (w, bytes)
+      in
+      let wc, sc = run Engine.Compiled in
+      let wf, sf = run Engine.Full in
+      Alcotest.(check bool) (label ^ ": violated") false (Guard.clean wc);
+      Alcotest.(check bool) (label ^ ": same first offences") true
+        (Guard.violations wc = Guard.violations wf);
+      Alcotest.(check int) (label ^ ": same total violations")
+        (Guard.total_violations wf) (Guard.total_violations wc);
+      Alcotest.(check int) (label ^ ": same cycles checked")
+        (Guard.cycles_checked wf) (Guard.cycles_checked wc);
+      Alcotest.(check string) (label ^ ": same guard stream") sf sc
+  in
+  List.iter replay
+    [
+      ("original", Guard.watch_original, net, shadow_hit);
+      ("shadow", Guard.watch_bespoke, plan.Guard.p_bespoke, hw_hit);
+    ]
+
+(* guard.exact_scans counts the cycles the exact per-check scan ran:
+   none on a clean run, and on a violating run at most one per checked
+   cycle and per violation. *)
+let test_exact_scans_counter () =
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let base, _, _, bespoke, _, _, plan = Lazy.force tailored in
+  Obs.Metrics.reset ();
+  Obs.enable ();
+  let clean = Guard.watch_bespoke plan in
+  ignore (Runner.run_gate ~core ~attach:(Guard.attach clean) ~netlist:bespoke base ~seed:1);
+  let clean_scans = counter "guard.exact_scans" in
+  let clean_cycles = counter "guard.cycles" in
+  Obs.Metrics.reset ();
+  let net, rle_plan, _, shadow_hit, _ = Lazy.force rle_hits in
+  let hit =
+    Option.map
+      (fun ((m : Mutation.mutant), seed, _) ->
+        let w = Guard.watch_original rle_plan in
+        let mb = Mutation.to_benchmark (B.find "rle") m in
+        ignore (Guard.replay ~core w ~netlist:net mb ~seed);
+        (w, counter "guard.exact_scans"))
+      shadow_hit
+  in
+  Obs.disable ();
+  Obs.Metrics.reset ();
+  Alcotest.(check bool) "clean run checked cycles" true (clean_cycles > 0);
+  Alcotest.(check int) "clean run counted by the watcher"
+    (Guard.cycles_checked clean) clean_cycles;
+  Alcotest.(check int) "clean run: no exact scan" 0 clean_scans;
+  match hit with
+  | None -> Alcotest.fail "no unsupported mutant tripped the guard on seeds 1-3"
+  | Some (w, scans) ->
+    Alcotest.(check bool) "violating run scanned" true (scans > 0);
+    Alcotest.(check bool) "at most one scan per cycle" true
+      (scans <= Guard.cycles_checked w);
+    Alcotest.(check bool) "every scan finds a violation" true
+      (scans <= Guard.total_violations w)
+
 (* VCD export of an instrumented design: the guard nets are
    exportable signals, named in the header and dumped. *)
 let test_vcd_of_instrumented () =
@@ -294,6 +377,10 @@ let () =
             test_unsupported_mutant_violates;
           Alcotest.test_case "hardware catches mutant" `Quick
             test_hardware_catches_mutant;
+          Alcotest.test_case "violating replay: compiled = full" `Quick
+            test_violating_replay_engines_agree;
+          Alcotest.test_case "exact scans only on violating cycles" `Quick
+            test_exact_scans_counter;
           Alcotest.test_case "vcd of instrumented design" `Quick
             test_vcd_of_instrumented;
         ] );
