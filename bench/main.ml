@@ -1526,6 +1526,39 @@ let check_guard_alloc () =
   if per_cycle > max_guard_words_per_cycle then
     failwith "bench-smoke: guard watcher allocation gate exceeded"
 
+(* Structure gate: resynthesis keeps the stock gate order, so a
+   tailored design's buses stay on consecutive ids and the compiler
+   still finds word runs and ripple-carry adders in it.  A tailored
+   mult must compile to at least one adder and to no more instructions
+   than the stock core.  Host-independent. *)
+let check_bespoke_structure () =
+  List.iter
+    (fun (e : Bespoke_cores.Cores.entry) ->
+      let core = e.Bespoke_cores.Cores.core in
+      let name = core.Bespoke_coreapi.Coredef.name in
+      let b = Option.get (Bespoke_cores.Cores.benchmark e "mult") in
+      let report, net = Runner.analyze ~core b in
+      let bespoke, _ =
+        Cut.tailor net ~possibly_toggled:report.Activity.possibly_toggled
+          ~constants:report.Activity.constant_values
+      in
+      let stock = Compile.stats (Compile.create net) in
+      let s = Compile.stats (Compile.create bespoke) in
+      printf
+        "bench-smoke: %s tailored %s compiles %d gates to %d instructions \
+         with %d adder(s) (stock %d gates, %d instructions)\n"
+        name b.B.name s.Compile.gates s.Compile.instructions s.Compile.adders
+        stock.Compile.gates stock.Compile.instructions;
+      if s.Compile.adders < 1 || s.Compile.instructions > stock.Compile.instructions
+      then
+        failwith
+          (Printf.sprintf
+             "bench-smoke: %s tailored %s lost its word structure (%d adders, \
+              %d instructions vs stock %d)"
+             name b.B.name s.Compile.adders s.Compile.instructions
+             stock.Compile.instructions))
+    Bespoke_cores.Cores.all
+
 let run_bench_smoke () =
   let b = B.find "mult" in
   let net = stock () in
@@ -1553,6 +1586,7 @@ let run_bench_smoke () =
     b.B.name (List.length seeds) (List.hd full).Runner.sim_cycles;
   check_analysis_alloc ();
   check_guard_alloc ();
+  check_bespoke_structure ();
   validate_bench_sim_artifact ()
 
 (* ------------------------------------------------------------------ *)

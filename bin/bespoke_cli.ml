@@ -580,7 +580,7 @@ let cmd_tailor =
          & info [ "explain" ] ~docv:"GATE"
              ~doc:"Explain what happened to a gate of the original design \
                    (numeric id, or a net/port name like $(b,pc) or \
-                   $(b,pc\\[3\\])): first-toggle provenance for exercisable \
+                   $(b,pc[3])): first-toggle provenance for exercisable \
                    gates, the typed cut reason and recorded fanin-cone \
                    constants otherwise.  Repeatable.")
   in

@@ -90,58 +90,36 @@ let validate n =
   List.iter (check_port "output") n.output_ports;
   List.iter (check_port "named") n.names
 
+(* Depth-first post-order over combinational fanins, roots visited in
+   ascending id.  On a forward netlist no visit nests, so the order is
+   the ascending ids (the contract in the interface); elsewhere the
+   recursion is as deep as the longest combinational path. *)
 let levelize n =
   let ng = Array.length n.gates in
-  let indegree = Array.make ng 0 in
-  let readers = Array.make ng [] in
-  Array.iteri
-    (fun id (g : Gate.t) ->
-      if not (Gate.is_source g) then
-        Array.iter
-          (fun f ->
-            if not (Gate.is_source n.gates.(f)) then begin
-              indegree.(id) <- indegree.(id) + 1;
-              readers.(f) <- id :: readers.(f)
-            end)
-          g.fanin)
-    n.gates;
+  (* per gate: 0 unvisited, 1 on the current DFS path, 2 emitted *)
+  let mark = Bytes.make ng '\000' in
   let order = Array.make ng 0 in
   let count = ref 0 in
-  let queue = Queue.create () in
-  Array.iteri
-    (fun id (g : Gate.t) ->
-      if (not (Gate.is_source g)) && indegree.(id) = 0 then Queue.add id queue)
-    n.gates;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order.(!count) <- id;
-    incr count;
-    List.iter
-      (fun r ->
-        indegree.(r) <- indegree.(r) - 1;
-        if indegree.(r) = 0 then Queue.add r queue)
-      readers.(id)
-  done;
-  let total_comb =
-    Array.fold_left
-      (fun acc g -> if Gate.is_source g then acc else acc + 1)
-      0 n.gates
+  let rec visit id =
+    let g = n.gates.(id) in
+    if not (Gate.is_source g) then
+      match Bytes.get mark id with
+      | '\002' -> ()
+      | '\001' ->
+        failwith
+          (Printf.sprintf
+             "Netlist.levelize: combinational cycle (gate %d, %s, module %s)"
+             id (Gate.op_name g.op) g.module_path)
+      | _ ->
+        Bytes.set mark id '\001';
+        Array.iter visit g.fanin;
+        Bytes.set mark id '\002';
+        order.(!count) <- id;
+        incr count
   in
-  if !count <> total_comb then begin
-    (* find a gate on a cycle for the diagnostic *)
-    let culprit = ref (-1) in
-    Array.iteri
-      (fun id (g : Gate.t) ->
-        if !culprit < 0 && (not (Gate.is_source g)) && indegree.(id) > 0 then
-          culprit := id)
-      n.gates;
-    failwith
-      (Printf.sprintf
-         "Netlist.levelize: combinational cycle (gate %d, %s, module %s)"
-         !culprit
-         (Gate.op_name n.gates.(!culprit).op)
-         n.gates.(!culprit).module_path)
-  end;
+  for id = 0 to ng - 1 do
+    visit id
+  done;
   Array.sub order 0 !count
 
 let levels n =

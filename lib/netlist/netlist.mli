@@ -36,6 +36,14 @@ val validate : t -> unit
 val levelize : t -> int array
 (** Topological order of all combinational (non-source) gates.  Source
     gates ([Input], [Const], [Dff]) are excluded.
+
+    The order is a depth-first post-order over fanins with roots taken
+    in ascending id, so it keeps the netlist's own order wherever that
+    is already topological: on a forward netlist (every combinational
+    gate reads only lower ids) it is exactly the ascending ids.
+    Resynthesis rebuilds designs in this order, so tailored netlists
+    keep the stock gate order that {!Bespoke_sim.Compile} finds word
+    runs and adders in.
     @raise Failure on a combinational cycle, listing a gate on it. *)
 
 val levels : t -> int array

@@ -15,6 +15,12 @@ let m_settles = Obs.Metrics.counter "sim.compile.settles"
 let m_cycles = Obs.Metrics.counter "sim.compile.cycles"
 let h_active = Obs.Metrics.histogram "sim.compile.execs_per_settle"
 
+(* Program size, summed over cold compiles: whether a run's designs
+   compiled to words or fell back to per-gate instructions. *)
+let m_instructions = Obs.Metrics.counter "sim.compile.instructions"
+let m_word_gates = Obs.Metrics.counter "sim.compile.word_gates"
+let m_adders = Obs.Metrics.counter "sim.compile.adders"
+
 (* Gate opcodes, same numbering as [Engine]. *)
 let op_buf = 0
 
@@ -201,10 +207,10 @@ let loc_pack c b = (c lsl 6) lor b
 let compile net =
   let ng = Netlist.gate_count net in
   let gates = net.Netlist.gates in
-  (* Clustering (and ordering instructions by base id) relies on every
-     combinational gate reading strictly lower ids; netlists built by
-     the RTL DSL and the fuzzers satisfy this.  Otherwise fall back to
-     per-gate instructions in levelized order. *)
+  (* Clustering relies on every combinational gate reading strictly
+     lower ids; netlists built by the RTL DSL, the fuzzers and
+     resynthesis satisfy this.  Otherwise every gate stays a
+     singleton. *)
   let forward_ok =
     let ok = ref true in
     Array.iteri
@@ -518,26 +524,15 @@ let compile net =
              })
     | Some (KSeq _) | None -> ()
   in
-  if forward_ok then begin
-    let i = ref 0 in
-    while !i < ng do
-      (match start.(!i) with
-      | Some (KAdd w) ->
-        emit_struct !i;
-        i := !i + (5 * w)
-      | Some (KRun w) ->
-        emit_struct !i;
-        i := !i + w
-      | Some (KSeq w) -> i := !i + w
-      | None ->
-        let g = gates.(!i) in
-        if not (Gate.is_source g) then emit_single !i g;
-        incr i)
-    done
-  end
-  else
-    (* Per-gate instructions in levelized (topological) order. *)
-    Array.iter (fun id -> emit_single id gates.(id)) (Netlist.levelize net);
+  (* Instructions in levelized order, a structure at its base id: on a
+     forward netlist that order is the ascending ids, and a structure
+     reads only ids below its base. *)
+  Array.iter
+    (fun id ->
+      match start.(id) with
+      | Some (KAdd _ | KRun _) -> emit_struct id
+      | _ -> if not (is_claimed id) then emit_single id gates.(id))
+    (Netlist.levelize net);
   let ninstr = !ninstr in
   let prog = Array.of_list (List.rev !instrs) in
   (* Serialize the IR into the flat dispatch format. *)
@@ -793,6 +788,11 @@ let compile_cached net =
     Atomic.incr misses;
     if Obs.enabled () then Obs.Metrics.incr m_cache_misses;
     let p = Obs.Span.with_ ~name:"sim.compile" (fun () -> compile net) in
+    if Obs.enabled () then begin
+      Obs.Metrics.add m_instructions p.ninstr;
+      Obs.Metrics.add m_word_gates p.n_word_gates;
+      Obs.Metrics.add m_adders p.n_adders
+    end;
     Mutex.lock cache_lock;
     if not (Hashtbl.mem cache key) then Hashtbl.add cache key p;
     Mutex.unlock cache_lock;

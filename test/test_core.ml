@@ -119,6 +119,50 @@ let test_cut_stats_consistent () =
   Alcotest.(check bool) "fewer real gates" true
     (Netlist.num_gates stitched < Netlist.num_gates net)
 
+(* Resynthesis keeps the stock gate order: walking the stitched design
+   in id order, each gate that founds a combinational bespoke gate
+   (the lowest id mapped to it) lands above the previous one; the
+   bespoke design is forward (combinational gates read only lower
+   ids); and the compiler recovers ripple-carry adders in it. *)
+let test_resynth_keeps_order () =
+  List.iter
+    (fun ((e : Bespoke_cores.Cores.entry), bench) ->
+      let core = e.Bespoke_cores.Cores.core in
+      let b = Option.get (Bespoke_cores.Cores.benchmark e bench) in
+      let what = core.Bespoke_coreapi.Coredef.name ^ " " ^ bench in
+      let report, net = Runner.analyze ~core b in
+      let possibly_toggled = report.Activity.possibly_toggled
+      and constants = report.Activity.constant_values in
+      let stitched = Cut.cut_and_stitch net ~possibly_toggled ~constants in
+      let opt, map = Resynth.optimize_traced stitched in
+      let founded = Array.make (Netlist.gate_count opt) false in
+      let last = ref (-1) in
+      Array.iter
+        (fun m ->
+          if m >= 0 && (not founded.(m)) && not (Gate.is_source opt.Netlist.gates.(m))
+          then begin
+            founded.(m) <- true;
+            if m <= !last then
+              Alcotest.failf "%s: bespoke gate %d founded after %d" what m !last;
+            last := m
+          end)
+        map;
+      let bespoke, _ = Cut.tailor net ~possibly_toggled ~constants in
+      Array.iteri
+        (fun id (g : Gate.t) ->
+          if not (Gate.is_source g) then
+            Array.iter
+              (fun f ->
+                if f >= id then
+                  Alcotest.failf "%s: gate %d reads higher id %d" what id f)
+              g.Gate.fanin)
+        bespoke.Netlist.gates;
+      let s = Bespoke_sim.Compile.stats (Bespoke_sim.Compile.create bespoke) in
+      Alcotest.(check bool) (what ^ ": adders recovered") true
+        (s.Bespoke_sim.Compile.adders >= 1))
+    Bespoke_cores.Cores.
+      [ (msp430, "mult"); (msp430, "binSearch"); (rv32, "mult") ]
+
 (* ---- Usage ---- *)
 
 let test_usage_rows_sum () =
@@ -270,6 +314,8 @@ let () =
           Alcotest.test_case "behaviour preserved" `Slow
             test_cut_preserves_behaviour;
           Alcotest.test_case "stats consistent" `Slow test_cut_stats_consistent;
+          Alcotest.test_case "resynthesis keeps gate order" `Slow
+            test_resynth_keeps_order;
         ] );
       ( "usage",
         [

@@ -32,6 +32,90 @@ let test_levelize () =
   Alcotest.(check bool) "n1 before n2" true (pos n1 < pos n2);
   Alcotest.(check bool) "n1 before out" true (pos n1 < pos out)
 
+(* A random netlist drawn from [seed].  Each combinational gate reads
+   only gates of lower rank, so the netlist is acyclic; DFFs read any
+   gate.  On a forward netlist the rank is the id; otherwise the ranks
+   are a random permutation, so fanins also point at higher ids. *)
+let random_netlist ~forward seed =
+  let rs = Random.State.make [| seed |] in
+  let ng = 2 + Random.State.int rs 60 in
+  let rank = Array.init ng Fun.id in
+  if not forward then
+    for i = ng - 1 downto 1 do
+      let j = Random.State.int rs (i + 1) in
+      let t = rank.(i) in
+      rank.(i) <- rank.(j);
+      rank.(j) <- t
+    done;
+  let by_rank = Array.make ng 0 in
+  Array.iteri (fun id r -> by_rank.(r) <- id) rank;
+  let b = B.create () in
+  for id = 0 to ng - 1 do
+    let r = rank.(id) in
+    let op =
+      if r = 0 then Gate.Input
+      else
+        match Random.State.int rs 8 with
+        | 0 -> Gate.Input
+        | 1 -> Gate.Const Bit.One
+        | 2 -> Gate.Dff Bit.Zero
+        | 3 -> Gate.Not
+        | 4 -> Gate.And
+        | 5 -> Gate.Xor
+        | 6 -> Gate.Mux
+        | _ -> Gate.Or
+    in
+    let pick () =
+      match op with
+      | Gate.Dff _ -> Random.State.int rs ng
+      | _ -> by_rank.(Random.State.int rs r)
+    in
+    let fanin = Array.init (Gate.arity op) (fun _ -> pick ()) in
+    ignore (B.add b { Gate.op; fanin; module_path = ""; drive = 0 })
+  done;
+  B.finish b
+
+(* [levelize] lists every combinational gate once, after its
+   combinational fanins, and on a forward netlist in ascending id. *)
+let prop_levelize (forward, seed) =
+  let n = random_netlist ~forward seed in
+  let ng = Netlist.gate_count n in
+  let order = Netlist.levelize n in
+  let pos = Array.make ng (-1) in
+  Array.iteri
+    (fun i id ->
+      if pos.(id) >= 0 then QCheck.Test.fail_reportf "gate %d listed twice" id;
+      pos.(id) <- i)
+    order;
+  Array.iteri
+    (fun id (g : Gate.t) ->
+      if Gate.is_source g then begin
+        if pos.(id) >= 0 then QCheck.Test.fail_reportf "source %d listed" id
+      end
+      else begin
+        if pos.(id) < 0 then QCheck.Test.fail_reportf "gate %d missing" id;
+        Array.iter
+          (fun f ->
+            if (not (Gate.is_source n.Netlist.gates.(f))) && pos.(f) > pos.(id)
+            then QCheck.Test.fail_reportf "gate %d before its fanin %d" id f)
+          g.Gate.fanin
+      end)
+    n.Netlist.gates;
+  let ascending =
+    List.filter
+      (fun id -> not (Gate.is_source n.Netlist.gates.(id)))
+      (List.init ng Fun.id)
+  in
+  if forward && Array.to_list order <> ascending then
+    QCheck.Test.fail_reportf "forward netlist reordered";
+  true
+
+let test_levelize_prop =
+  QCheck.Test.make ~name:"levelize: topological, ascending when forward"
+    ~count:500
+    QCheck.(pair bool (int_bound 1_000_000))
+    prop_levelize
+
 let test_levels () =
   let n, a, _, n1, n2, q, out = tiny () in
   let lvl = Netlist.levels n in
@@ -187,6 +271,7 @@ let () =
           Alcotest.test_case "compact" `Quick test_compact;
           Alcotest.test_case "module paths" `Quick test_module_of;
           Alcotest.test_case "validate errors" `Quick test_validate_errors;
+          QCheck_alcotest.to_alcotest test_levelize_prop;
         ] );
       ( "serial",
         [
