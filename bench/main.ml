@@ -25,7 +25,7 @@ module Sta = Bespoke_power.Sta
 module Voltage = Bespoke_power.Voltage
 module Mutation = Bespoke_mutation.Mutation
 module Coverage = Bespoke_coverage.Coverage
-module System = Bespoke_cpu.System
+module System = Bespoke_coreapi.System
 module Engine = Bespoke_sim.Engine
 module Compile = Bespoke_sim.Compile
 module Pool = Bespoke_core.Pool
@@ -761,7 +761,9 @@ let run_bechamel () =
     Bespoke_isa.Asm.assemble
       "start: mov #0x0280, sp\nloop: dec r4\n jnz loop\n halt\n"
   in
-  let sys = System.create ~netlist:(stock ()) img in
+  let sys =
+    System.create ~netlist:(stock ()) ~core (Bespoke_cpu.Msp430.coreimage img)
+  in
   System.reset sys;
   System.set_irq sys Bit.Zero;
   let t_cycle =
@@ -960,13 +962,10 @@ let measure_sampler_overhead () =
    evaluates it as word operations at every committed cycle, so its
    cost scales with the monitor count — the artifact records both. *)
 let guard_plan_of (b : B.t) =
-  let report, net = Runner.analyze ~core b in
-  let bespoke, _, prov =
-    Cut.tailor_explained net
-      ~possibly_toggled:report.Activity.possibly_toggled
-      ~constants:report.Activity.constant_values
+  let { Runner.report; original; bespoke; prov; _ } =
+    Runner.tailor_cached ~core b
   in
-  ( Guard.plan ~original:net ~bespoke ~prov
+  ( Guard.plan ~original ~bespoke ~prov
       ~possibly_toggled:report.Activity.possibly_toggled
       ~constants:report.Activity.constant_values,
     bespoke )
@@ -1537,12 +1536,8 @@ let check_bespoke_structure () =
       let core = e.Bespoke_cores.Cores.core in
       let name = core.Bespoke_coreapi.Coredef.name in
       let b = Option.get (Bespoke_cores.Cores.benchmark e "mult") in
-      let report, net = Runner.analyze ~core b in
-      let bespoke, _ =
-        Cut.tailor net ~possibly_toggled:report.Activity.possibly_toggled
-          ~constants:report.Activity.constant_values
-      in
-      let stock = Compile.stats (Compile.create net) in
+      let { Runner.original; bespoke; _ } = Runner.tailor_cached ~core b in
+      let stock = Compile.stats (Compile.create original) in
       let s = Compile.stats (Compile.create bespoke) in
       printf
         "bench-smoke: %s tailored %s compiles %d gates to %d instructions \

@@ -44,13 +44,6 @@ module Stats = Bespoke_obs.Stats
 module Guard = Bespoke_guard.Guard
 module Mutation = Bespoke_mutation.Mutation
 
-(* Not used directly here, but referencing them links their
-   compilation units so their metrics register and appear in
-   --metrics-out snapshots (with zero counts when the phase never
-   ran); a module alias alone is resolved statically and does not
-   force the link. *)
-let _ = Bespoke_core.Profiling.profile
-
 let ( let* ) r f = Result.bind r f
 
 (* ---- common arguments ---- *)
@@ -150,6 +143,30 @@ let suite (entry : Cores.entry) =
   then B.all
   else entry.Cores.benchmarks
 
+(* The program a subcommand works on: --core resolved, then the
+   positional PROG.S or --bench NAME loaded for that core. *)
+let program_of core_name file bench =
+  let* entry = resolve_core core_name in
+  let* b = load_program entry file bench in
+  Ok (entry, b)
+
+let program_arg = Term.(const program_of $ core_arg $ file_arg $ bench_arg)
+
+(* The same for the suite-wide subcommands: the core's whole suite
+   when no program is named.  [file] is [file_arg], or [const None]
+   where the subcommand takes no source file. *)
+let programs_arg file =
+  let programs core_name file bench =
+    match (file, bench) with
+    | None, None ->
+      let* entry = resolve_core core_name in
+      Ok (entry, suite entry)
+    | _ ->
+      let* entry, b = program_of core_name file bench in
+      Ok (entry, [ b ])
+  in
+  Term.(const programs $ core_arg $ file $ bench_arg)
+
 let handle = function
   | Ok () -> `Ok ()
   | Error m -> `Error (false, m)
@@ -225,8 +242,9 @@ let with_obs (trace, metrics_out, interval) f =
           close_out oc;
           Printf.eprintf "wrote metrics to %s\n" path
         | _ -> () (* the sampler owns the file when an interval is set *));
-        let summary = Obs.Trace.summary () in
-        if summary <> "" then prerr_string summary
+        match Stats.spans_of_events (Obs.Trace.events ()) with
+        | [] -> ()
+        | spans -> prerr_string (Stats.render_spans spans)
       end
     end
   in
@@ -277,8 +295,8 @@ let group_name = function
   | B.Unit_test -> "unit-test"
   | B.Synthetic -> "synthetic"
 
-let build_entry (b : B.t) (report : Activity.report) ~net ~bespoke
-    (stats : Cut.stats) prov =
+let build_entry (b : B.t)
+    { Runner.report; original = net; bespoke; stats; prov } =
   let sta0 = Sta.analyze net and sta1 = Sta.analyze bespoke in
   {
     Artifact.name = b.B.name;
@@ -376,17 +394,16 @@ let explain_gate oc net (report : Activity.report) (prov : Provenance.t) id =
 (* ---- asm ---- *)
 
 let cmd_asm =
-  let run file bench core_name =
+  let run prog =
     handle
       (catching (fun () ->
-           let* entry = resolve_core core_name in
-           let* b = load_program entry file bench in
+           let* entry, b = prog in
            let img = entry.Cores.core.Coredef.assemble b.B.source in
            print_string (img.Coredef.listing ());
            Ok ()))
   in
   Cmd.v (Cmd.info "asm" ~doc:"Assemble a program and print its listing")
-    Term.(ret (const run $ file_arg $ bench_arg $ core_arg))
+    Term.(ret (const run $ program_arg))
 
 (* ---- run ---- *)
 
@@ -411,29 +428,24 @@ let cmd_run =
              ~doc:"With $(b,--guard): write the bespoke-guard/v1 JSONL \
                    violation stream to $(docv).")
   in
-  let run file bench core_name gpio seed netlist_file jobs guard guard_out
-      obs =
+  let run prog gpio seed netlist_file jobs guard guard_out obs =
     handle
       (with_obs obs @@ fun () ->
        catching (fun () ->
            apply_jobs jobs;
-           let* entry = resolve_core core_name in
+           let* entry, b = prog in
            let core = entry.Cores.core in
-           let* b = load_program entry file bench in
            if guard then begin
              if netlist_file <> None then
                Error
                  "--guard tailors the benchmark itself and cannot rebuild the \
                   cut provenance of a saved netlist; drop --netlist"
              else begin
-               let report, net = Runner.analyze ~core b in
-               let bespoke, _, prov =
-                 Cut.tailor_explained net
-                   ~possibly_toggled:report.Activity.possibly_toggled
-                   ~constants:report.Activity.constant_values
+               let { Runner.report; original; bespoke; prov; _ } =
+                 Runner.tailor_cached ~core b
                in
                let plan =
-                 Guard.plan ~original:net ~bespoke ~prov
+                 Guard.plan ~original ~bespoke ~prov
                    ~possibly_toggled:report.Activity.possibly_toggled
                    ~constants:report.Activity.constant_values
                in
@@ -499,9 +511,8 @@ let cmd_run =
     (Cmd.info "run" ~doc:"Run a program on the ISS and the gate-level core")
     Term.(
       ret
-        (const run $ file_arg $ bench_arg $ core_arg $ gpio_arg $ seed_arg
-        $ netlist_arg $ jobs_arg $ guard_flag
-        $ guard_out_arg $ obs_args))
+        (const run $ program_arg $ gpio_arg $ seed_arg $ netlist_arg
+        $ jobs_arg $ guard_flag $ guard_out_arg $ obs_args))
 
 (* ---- analyze ---- *)
 
@@ -512,15 +523,13 @@ let cmd_analyze =
              ~doc:"Write the explored symbolic execution tree as a Graphviz \
                    digraph to $(docv) (nodes colored by how each path ended).")
   in
-  let run file bench core_name json tree_dot jobs obs =
+  let run prog json tree_dot jobs obs =
     handle
       (with_obs obs @@ fun () ->
        catching (fun () ->
            apply_jobs jobs;
-           let* entry = resolve_core core_name in
-           let core = entry.Cores.core in
-           let* b = load_program entry file bench in
-           let report, net = Runner.analyze ~core b in
+           let* entry, b = prog in
+           let report, net = Runner.analyze ~core:entry.Cores.core b in
            let oc = if json then stderr else stdout in
            Printf.fprintf oc
              "explored %d paths (%d merges, %d prunes, %d escapes), %d cycles\n"
@@ -559,8 +568,8 @@ let cmd_analyze =
        ~doc:"Input-independent gate activity analysis of a program")
     Term.(
       ret
-        (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ tree_dot_arg
-        $ jobs_arg $ obs_args))
+        (const run $ program_arg $ json_arg $ tree_dot_arg $ jobs_arg
+        $ obs_args))
 
 (* ---- tailor ---- *)
 
@@ -594,22 +603,16 @@ let cmd_tailor =
                    own area/power overhead; with $(b,--save) the saved \
                    netlist is the instrumented one.")
   in
-  let run file bench core_name verify save json explain instrument jobs obs
-      cache_stats =
+  let run prog verify save json explain instrument jobs obs cache_stats =
     handle
       (with_obs obs @@ fun () ->
        with_cache_stats cache_stats @@ fun () ->
        catching (fun () ->
            apply_jobs jobs;
-           let* entry = resolve_core core_name in
+           let* entry, b = prog in
            let core = entry.Cores.core in
-           let* b = load_program entry file bench in
-           let report, net = Runner.analyze ~core b in
-           let bespoke, stats, prov =
-             Cut.tailor_explained net
-               ~possibly_toggled:report.Activity.possibly_toggled
-               ~constants:report.Activity.constant_values
-           in
+           let t = Runner.tailor_cached ~core b in
+           let { Runner.report; original = net; bespoke; stats; prov } = t in
            let guarded =
              if not instrument then None
              else begin
@@ -693,17 +696,15 @@ let cmd_tailor =
                path path);
            if json then
              print_string
-               (Artifact.to_json
-                  [ build_entry b report ~net ~bespoke stats prov ]);
+               (Artifact.to_json [ build_entry b t ]);
            Ok ()))
   in
   Cmd.v
     (Cmd.info "tailor" ~doc:"Produce and report the bespoke design for a program")
     Term.(
       ret
-        (const run $ file_arg $ bench_arg $ core_arg $ verify_arg $ save_arg
-        $ json_arg $ explain_arg $ instrument_arg $ jobs_arg $ obs_args
-        $ cache_stats_arg))
+        (const run $ program_arg $ verify_arg $ save_arg $ json_arg
+        $ explain_arg $ instrument_arg $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- report (savings artifact across benchmarks) ---- *)
 
@@ -712,30 +713,16 @@ let cmd_report =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
   in
-  let run bench core_name json out obs =
+  let run programs json out obs =
     handle
       (with_obs obs @@ fun () ->
        catching (fun () ->
-           let* entry = resolve_core core_name in
-           let core = entry.Cores.core in
-           let* benches =
-             match bench with
-             | None -> Ok (suite entry)
-             | Some name ->
-               let* b = load_program entry None (Some name) in
-               Ok [ b ]
-           in
+           let* entry, benches = programs in
            let entries =
              List.map
                (fun (b : B.t) ->
                  Printf.eprintf "tailoring %-18s ...\n%!" b.B.name;
-                 let report, net = Runner.analyze ~core b in
-                 let bespoke, stats, prov =
-                   Cut.tailor_explained net
-                     ~possibly_toggled:report.Activity.possibly_toggled
-                     ~constants:report.Activity.constant_values
-                 in
-                 build_entry b report ~net ~bespoke stats prov)
+                 build_entry b (Runner.tailor_cached ~core:entry.Cores.core b))
                benches
            in
            let text =
@@ -757,7 +744,10 @@ let cmd_report =
        ~doc:"Tailor one or all benchmarks and emit the savings report \
              (human-readable text, or a schema-versioned JSON artifact with \
              per-module attribution and cut-reason histograms)")
-    Term.(ret (const run $ bench_arg $ core_arg $ json_arg $ out_arg $ obs_args))
+    Term.(
+      ret
+        (const run $ programs_arg (Term.const None) $ json_arg $ out_arg
+        $ obs_args))
 
 (* ---- verify (paper Section 5.1 / Table 3 campaign) ---- *)
 
@@ -773,28 +763,20 @@ let cmd_verify =
          & info [ "explore-budget" ] ~docv:"N"
              ~doc:"Candidate budget for the coverage-directed input search.")
   in
-  let run file bench core_name json faults seed budget jobs obs cache_stats =
+  let run programs json faults seed budget jobs obs cache_stats =
     handle
       (with_obs obs @@ fun () ->
        with_cache_stats cache_stats @@ fun () ->
        catching (fun () ->
            apply_jobs jobs;
-           let* entry = resolve_core core_name in
-           let core = entry.Cores.core in
-           let* benches =
-             match bench, file with
-             | None, None -> Ok (suite entry)
-             | _ ->
-               let* b = load_program entry file bench in
-               Ok [ b ]
-           in
+           let* entry, benches = programs in
            List.iter
              (fun (b : B.t) ->
                Printf.eprintf "verifying %-18s ...\n%!" b.B.name)
              benches;
            let campaigns =
              Verify.run_campaign ~faults ~seed ?explore_budget:budget
-               ~core benches
+               ~core:entry.Cores.core benches
            in
            let oc = if json then stderr else stdout in
            let ff = Format.formatter_of_out_channel oc in
@@ -833,8 +815,8 @@ let cmd_verify =
              design is non-equivalent or any detectable fault survives.")
     Term.(
       ret
-        (const run $ file_arg $ bench_arg $ core_arg $ json_arg $ faults_arg
-        $ seed_arg $ budget_arg $ jobs_arg $ obs_args $ cache_stats_arg))
+        (const run $ programs_arg file_arg $ json_arg $ faults_arg $ seed_arg
+        $ budget_arg $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- campaign (batch jobs on the pool, JSONL stream) ---- *)
 
@@ -1036,14 +1018,13 @@ let cmd_guard =
                    the design was not tailored for may never halt; the \
                    violations seen before the deadline are the point.")
   in
-  let run file bench core_name mutant list_only mode out seed max_cycles jobs
-      obs cache_stats =
+  let run prog mutant list_only mode out seed max_cycles jobs obs cache_stats =
     handle
       (with_obs obs @@ fun () ->
        with_cache_stats cache_stats @@ fun () ->
        catching (fun () ->
            apply_jobs jobs;
-           let* entry = resolve_core core_name in
+           let* entry, b = prog in
            let core = entry.Cores.core in
            let msp430 =
              core.Coredef.name = Cores.default.Cores.core.Coredef.name
@@ -1057,7 +1038,6 @@ let cmd_guard =
                     core.Coredef.name Cores.default.Cores.core.Coredef.name)
              else Ok ()
            in
-           let* b = load_program entry file bench in
            if list_only then begin
              List.iter
                (fun (m : Mutation.mutant) ->
@@ -1083,11 +1063,8 @@ let cmd_guard =
                         "no mutant %d of %s (%d mutant(s); see guard --list)"
                         id b.B.name (List.length ms)))
              in
-             let report, net = Runner.analyze ~core b in
-             let bespoke, _, prov =
-               Cut.tailor_explained net
-                 ~possibly_toggled:report.Activity.possibly_toggled
-                 ~constants:report.Activity.constant_values
+             let { Runner.report; original = net; bespoke; prov; _ } =
+               Runner.tailor_cached ~core b
              in
              let plan =
                Guard.plan ~original:net ~bespoke ~prov
@@ -1172,9 +1149,8 @@ let cmd_guard =
              assumption is violated.")
     Term.(
       ret
-        (const run $ file_arg $ bench_arg $ core_arg $ mutant_arg $ list_arg
-        $ mode_arg $ out_arg $ seed_arg $ max_cycles_arg $ jobs_arg $ obs_args
-        $ cache_stats_arg))
+        (const run $ program_arg $ mutant_arg $ list_arg $ mode_arg $ out_arg
+        $ seed_arg $ max_cycles_arg $ jobs_arg $ obs_args $ cache_stats_arg))
 
 (* ---- update-check (paper Section 3.5) ---- *)
 
@@ -1184,14 +1160,12 @@ let cmd_update_check =
          & info [ "design-set" ] ~docv:"FILE.gates"
              ~doc:"Usable-gate set saved by 'tailor --save'.")
   in
-  let run file bench core_name set_file =
+  let run prog set_file =
     handle
       (catching (fun () ->
-           let* entry = resolve_core core_name in
-           let core = entry.Cores.core in
-           let* b = load_program entry file bench in
+           let* entry, b = prog in
            let design_set = Bespoke_netlist.Serial.load_gate_set set_file in
-           let report, _ = Runner.analyze ~core b in
+           let report, _ = Runner.analyze ~core:entry.Cores.core b in
            let needed = report.Activity.possibly_toggled in
            if Array.length needed <> Array.length design_set then
              Error "gate set does not match this core (size mismatch)"
@@ -1217,7 +1191,7 @@ let cmd_update_check =
   Cmd.v
     (Cmd.info "update-check"
        ~doc:"Check whether a new binary runs on an existing bespoke design")
-    Term.(ret (const run $ file_arg $ bench_arg $ core_arg $ set_arg))
+    Term.(ret (const run $ program_arg $ set_arg))
 
 (* ---- export ---- *)
 
@@ -1240,22 +1214,13 @@ let cmd_export =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
   in
-  let run file bench core_name fmt bespoke out =
+  let run prog fmt bespoke out =
     handle
       (catching (fun () ->
-           let* entry = resolve_core core_name in
+           let* entry, b = prog in
            let core = entry.Cores.core in
-           let* b = load_program entry file bench in
            let net =
-             if bespoke then begin
-               let report, net = Runner.analyze ~core b in
-               let design, _ =
-                 Cut.tailor net
-                   ~possibly_toggled:report.Activity.possibly_toggled
-                   ~constants:report.Activity.constant_values
-               in
-               design
-             end
+             if bespoke then (Runner.tailor_cached ~core b).Runner.bespoke
              else Runner.shared_netlist core
            in
            let text =
@@ -1289,8 +1254,7 @@ let cmd_export =
        ~doc:"Export a design as structural Verilog or a Graphviz graph")
     Term.(
       ret
-        (const run $ file_arg $ bench_arg $ core_arg $ fmt_arg $ bespoke_arg
-       $ out_arg))
+        (const run $ program_arg $ fmt_arg $ bespoke_arg $ out_arg))
 
 (* ---- trace (VCD) ---- *)
 
@@ -1299,12 +1263,11 @@ let cmd_trace =
     Arg.(required & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"VCD output file.")
   in
-  let run file bench core_name seed out =
+  let run prog seed out =
     handle
       (catching (fun () ->
-           let* entry = resolve_core core_name in
+           let* entry, b = prog in
            let core = entry.Cores.core in
-           let* b = load_program entry file bench in
            let sys =
              System.create ~netlist:(Runner.shared_netlist core) ~core
                (Runner.image ~core b)
@@ -1335,7 +1298,7 @@ let cmd_trace =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run a program and dump a VCD waveform")
-    Term.(ret (const run $ file_arg $ bench_arg $ core_arg $ seed_arg $ out_arg))
+    Term.(ret (const run $ program_arg $ seed_arg $ out_arg))
 
 (* ---- stats (aggregate telemetry artifacts; regression compare) ---- *)
 

@@ -11,13 +11,14 @@ module B = Bespoke_programs.Benchmark
 module Netlist = Bespoke_netlist.Netlist
 module Serial = Bespoke_netlist.Serial
 module Export = Bespoke_netlist.Export
-module System = Bespoke_cpu.System
+module System = Bespoke_coreapi.System
 module Vcd = Bespoke_sim.Vcd
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
 module Activity = Bespoke_analysis.Activity
+module Msp430 = Bespoke_cpu.Msp430
 
-let core = Bespoke_cpu.Msp430.core
+let core = Msp430.core
 
 let dir = "_handoff"
 let path name = Filename.concat dir name
@@ -52,7 +53,9 @@ let () =
   Format.printf "reloaded netlist verified against the golden ISS@.";
 
   (* 5. a waveform of the firmware booting on the bespoke core *)
-  let sys = System.create ~netlist:reloaded (B.image bench) in
+  let sys =
+    System.create ~netlist:reloaded ~core (Msp430.coreimage (B.image bench))
+  in
   System.reset sys;
   let inputs, gpio = bench.B.gen_inputs 7 in
   List.iter

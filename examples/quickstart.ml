@@ -5,12 +5,15 @@
 
 module Asm = Bespoke_isa.Asm
 module Cpu = Bespoke_cpu.Cpu
-module System = Bespoke_cpu.System
-module Lockstep = Bespoke_cpu.Lockstep
+module System = Bespoke_coreapi.System
+module Lockstep = Bespoke_coreapi.Lockstep
 module Activity = Bespoke_analysis.Activity
 module Cut = Bespoke_core.Cut
 module Netlist = Bespoke_netlist.Netlist
 module Report = Bespoke_power.Report
+module Msp430 = Bespoke_cpu.Msp430
+
+let core = Msp430.core
 
 let program =
   {|
@@ -31,7 +34,7 @@ let () =
   (* 1. assemble the application *)
   let image = Asm.assemble program in
   (* 2. build the general-purpose microcontroller netlist *)
-  let sys = System.create image in
+  let sys = System.create ~core (Msp430.coreimage image) in
   let net = System.netlist sys in
   Format.printf "general-purpose core: %a@." Netlist.pp_summary net;
   (* 3. input-independent gate activity analysis (the GPIO port is
@@ -52,7 +55,9 @@ let () =
      few against the golden instruction-set simulator *)
   List.iter
     (fun gpio_in ->
-      let r = Lockstep.run ~netlist:bespoke ~gpio_in image in
+      let r =
+        Lockstep.run ~netlist:bespoke ~gpio_in ~core (Msp430.coreimage image)
+      in
       Format.printf "gpio_in=%5d -> output %d (verified, %d cycles)@."
         gpio_in r.Lockstep.gpio_final r.Lockstep.cycles)
     [ 0; 100; 9999; 65535 ]

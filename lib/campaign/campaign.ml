@@ -4,9 +4,10 @@
    Jobs are sharded across the persistent Pool (work-stealing domain
    pool); every job runs through the content-addressed Flowcache, so a
    campaign that touches the same (binary, netlist, config) triple
-   twice — analyze + tailor + report of one benchmark, or a warm rerun
-   of a whole campaign — pays for the expensive analysis once.  A job
-   that raises yields an error record; the campaign always completes.
+   twice — analyze + tailor + report + guard of one benchmark, or a
+   warm rerun of a whole campaign — pays for the analysis and the cut
+   once ({!Runner.tailor_cached}).  A job that raises yields an error
+   record; the campaign always completes.
 
    Results stream as schema-versioned bespoke-campaign/v1 JSONL: one
    header line, one record per job (in completion order — the [job]
@@ -16,7 +17,6 @@ module B = Bespoke_programs.Benchmark
 module Coredef = Bespoke_coreapi.Coredef
 module Cores = Bespoke_cores.Cores
 module Activity = Bespoke_analysis.Activity
-module Netlist = Bespoke_netlist.Netlist
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
 module Pool = Bespoke_core.Pool
@@ -113,34 +113,6 @@ let analyze_payload (report : Activity.report) =
     ("total_cycles", J.int report.Activity.total_cycles);
   ]
 
-(* Tailored designs are cached too, so a Report job after (or racing)
-   a Tailor job of the same benchmark reuses the cut instead of
-   re-cutting.  The analysis config is the default one, so the key
-   only needs what varies it: image, netlist, X-ranges, IRQ use. *)
-let tailor_cache : (Activity.report * Netlist.t * Cut.stats) Flowcache.t =
-  Flowcache.create ~name:"campaign.tailor" ()
-
-let tailored ~core b =
-  let key =
-    Flowcache.digest
-      [
-        "campaign.tailor";
-        Coredef.fingerprint core;
-        Runner.image_hash (Runner.image ~core b);
-        Runner.shared_netlist_hash core;
-        String.concat ","
-          (List.map (fun (a, z) -> Printf.sprintf "%x-%x" a z) b.B.input_ranges);
-        string_of_bool b.B.uses_irq;
-      ]
-  in
-  Flowcache.find_or_compute tailor_cache ~key (fun () ->
-      let (report, net), _ = Runner.analyze_cached ~core b in
-      let bespoke, stats =
-        Cut.tailor net ~possibly_toggled:report.Activity.possibly_toggled
-          ~constants:report.Activity.constant_values
-      in
-      (report, bespoke, stats))
-
 let stats_payload (stats : Cut.stats) =
   [
     ("gates_original", J.int stats.Cut.original_gates);
@@ -154,11 +126,9 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
   | Analyze ->
     let (report, _), _ = Runner.analyze_cached ~core b in
     analyze_payload report
-  | Tailor ->
-    let _, _, stats = tailored ~core b in
-    stats_payload stats
+  | Tailor -> stats_payload (Runner.tailor_cached ~core b).Runner.stats
   | Report ->
-    let _, bespoke, stats = tailored ~core b in
+    let { Runner.bespoke; stats; _ } = Runner.tailor_cached ~core b in
     let o = Runner.run_gate ~netlist:bespoke ~core b ~seed:j.seed in
     let p =
       Report.power ~freq_hz ~toggles:o.Runner.toggles
@@ -191,14 +161,11 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
        watched by the shadow cut-assumption monitors, running either
        [b] itself (mutant < 0) or one of its single-instruction
        mutants — the in-field-update risk as a campaign job *)
-    let (report, net), _ = Runner.analyze_cached ~core b in
-    let bespoke, _, prov =
-      Cut.tailor_explained net
-        ~possibly_toggled:report.Activity.possibly_toggled
-        ~constants:report.Activity.constant_values
+    let { Runner.report; original; bespoke; prov; _ } =
+      Runner.tailor_cached ~core b
     in
     let plan =
-      Guard.plan ~original:net ~bespoke ~prov
+      Guard.plan ~original ~bespoke ~prov
         ~possibly_toggled:report.Activity.possibly_toggled
         ~constants:report.Activity.constant_values
     in

@@ -11,6 +11,7 @@ module Lockstep = Bespoke_coreapi.Lockstep
 module Activity = Bespoke_analysis.Activity
 module Benchmark = Bespoke_programs.Benchmark
 module Obs = Bespoke_obs.Obs
+module Provenance = Bespoke_report.Provenance
 
 let m_gate_runs = Obs.Metrics.counter "runner.gate_runs"
 
@@ -353,6 +354,16 @@ let analyze ?config ?mode ?netlist ~core (b : Benchmark.t) =
 let analysis_cache : (Activity.report * Netlist.t) Flowcache.t =
   Flowcache.create ~name:"analysis" ()
 
+let analysis_key ~core ~net rc (b : Benchmark.t) =
+  Flowcache.digest
+    [
+      "analysis";
+      Coredef.fingerprint core;
+      image_hash (image ~core b);
+      netlist_hash ~core net;
+      config_fingerprint rc;
+    ]
+
 let analyze_cached ?config ?netlist ~core (b : Benchmark.t) =
   let rc = resolve_analysis_config ?config b in
   if rc.Activity.probe <> None || rc.Activity.verbose then
@@ -361,16 +372,44 @@ let analyze_cached ?config ?netlist ~core (b : Benchmark.t) =
     (analyze ~config:rc ?netlist ~core b, false)
   else begin
     let net = match netlist with Some n -> n | None -> shared_netlist core in
-    let key =
-      Flowcache.digest
-        [
-          "analysis";
-          Coredef.fingerprint core;
-          image_hash (image ~core b);
-          netlist_hash ~core net;
-          config_fingerprint rc;
-        ]
-    in
-    Flowcache.find_or_compute_report analysis_cache ~key (fun () ->
-        analyze ~config:rc ~netlist:net ~core b)
+    Flowcache.find_or_compute_report analysis_cache
+      ~key:(analysis_key ~core ~net rc b)
+      (fun () -> analyze ~config:rc ~netlist:net ~core b)
   end
+
+type tailored = {
+  report : Activity.report;
+  original : Netlist.t;
+  bespoke : Netlist.t;
+  stats : Cut.stats;
+  prov : Provenance.t;
+}
+
+(* The one tailoring of a benchmark every stage downstream of the cut
+   consumes (report, verify, guard, export), keyed like the default
+   analysis it starts from.  Those stages run back to back — a
+   campaign lists a benchmark's jobs together, a command tailors one
+   benchmark — so the cache keeps only the last two tailorings, one
+   per domain of a two-domain campaign.  A tailoring with its
+   provenance is ~0.5 MiB live but ~2 MiB of peak heap: kept for every
+   benchmark, it grew the flow benchmark's peak RSS by a quarter. *)
+let tailor_cache : tailored Flowcache.t =
+  Flowcache.create ~capacity:2 ~name:"tailor" ()
+
+let tailor_cached ~core (b : Benchmark.t) =
+  let key =
+    Flowcache.digest
+      [
+        "tailor";
+        analysis_key ~core ~net:(shared_netlist core)
+          (resolve_analysis_config b) b;
+      ]
+  in
+  Flowcache.find_or_compute tailor_cache ~key (fun () ->
+      let (report, original), _ = analyze_cached ~core b in
+      let bespoke, stats, prov =
+        Cut.tailor_explained original
+          ~possibly_toggled:report.Activity.possibly_toggled
+          ~constants:report.Activity.constant_values
+      in
+      { report; original; bespoke; stats; prov })

@@ -111,6 +111,25 @@ val analyze_cached :
     Bypasses the cache (and reports a miss) when the config carries a
     [probe] or [verbose]. *)
 
+(** A benchmark's tailored design, with everything that explains it. *)
+type tailored = {
+  report : Activity.report;  (** the default analysis of the stock core *)
+  original : Netlist.t;  (** the stock netlist that was analyzed and cut *)
+  bespoke : Netlist.t;  (** cut, stitched, re-synthesized and downsized *)
+  stats : Cut.stats;
+  prov : Bespoke_report.Provenance.t;
+      (** why each original gate was cut or kept *)
+}
+
+val tailor_cached : core:Coredef.t -> Benchmark.t -> tailored
+(** The flow's one tailoring: {!analyze_cached} with the default
+    config, then {!Cut.tailor_explained} — memoized in the ["tailor"]
+    flow cache under the analysis key plus a ["tailor"] tag, so the
+    consumers of a benchmark's bespoke design (report, verify, guard,
+    export, campaign jobs) share a single cut.  The cache keeps the
+    last two tailorings: consumers of one benchmark run back to back,
+    and a tailoring is too large to keep for every benchmark. *)
+
 val image : core:Coredef.t -> Benchmark.t -> Coredef.image
 (** Assemble the benchmark's source with the core's assembler,
     memoized per (core, source digest) — so mutated sources never

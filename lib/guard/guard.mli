@@ -72,9 +72,9 @@ val plan :
   possibly_toggled:bool array ->
   constants:Bit.t array ->
   plan
-(** Classify every tailoring assumption.  [bespoke] and [prov] must
-    come from {!Bespoke_core.Cut.tailor_explained} on [original] with
-    the same activity report. *)
+(** Classify every tailoring assumption.  All five arguments must
+    describe one tailoring: the fields of a
+    {!Bespoke_core.Runner.tailored} record and its activity report. *)
 
 (** {1 Hardware instrumentation} *)
 

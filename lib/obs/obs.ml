@@ -380,51 +380,6 @@ module Trace = struct
     let oc = open_out path in
     output_string oc (to_jsonl ());
     close_out oc
-
-  let summary () =
-    (* cumulative wall time per span name, matching B/E per domain *)
-    let totals : (string, float * int) Hashtbl.t = Hashtbl.create 32 in
-    let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (e : event) ->
-        let stack =
-          match Hashtbl.find_opt stacks e.tid with
-          | Some s -> s
-          | None ->
-            let s = ref [] in
-            Hashtbl.replace stacks e.tid s;
-            s
-        in
-        match e.ph with
-        | 'B' -> stack := (e.name, e.ts_us) :: !stack
-        | 'E' -> (
-          match !stack with
-          | (name, t_begin) :: rest when name = e.name ->
-            stack := rest;
-            let total, count =
-              Option.value ~default:(0.0, 0) (Hashtbl.find_opt totals name)
-            in
-            Hashtbl.replace totals name
-              (total +. (e.ts_us -. t_begin), count + 1)
-          | _ -> ())
-        | _ -> ())
-      (events ());
-    let rows =
-      List.sort
-        (fun (_, (a, _)) (_, (b, _)) -> Float.compare b a)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals [])
-    in
-    let b = Buffer.create 512 in
-    if rows <> [] then begin
-      Buffer.add_string b
-        (Printf.sprintf "%-32s %8s %14s\n" "phase" "count" "total(ms)");
-      List.iter
-        (fun (name, (total_us, count)) ->
-          Buffer.add_string b
-            (Printf.sprintf "%-32s %8d %14.3f\n" name count (total_us /. 1e3)))
-        rows
-    end;
-    Buffer.contents b
 end
 
 (* ------------------------------------------------------------------ *)

@@ -117,10 +117,6 @@ module Trace : sig
   val write_jsonl : string -> unit
   (** Write {!to_jsonl} to a file. *)
 
-  val summary : unit -> string
-  (** Human-readable per-phase table: for every span name, the number
-      of completed spans and their cumulative wall time. *)
-
   val clear : unit -> unit
 end
 

@@ -49,78 +49,89 @@ type span_stat = {
 
 type frame = { f_name : string; f_start : float; mutable f_child : float }
 
+let spans_of_events (evs : Obs.Trace.event list) =
+  let table : (string, int ref * float ref * float ref) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let stacks : (int, frame list ref) Hashtbl.t = Hashtbl.create 8 in
+  let stack tid =
+    match Hashtbl.find_opt stacks tid with
+    | Some s -> s
+    | None ->
+      let s = ref [] in
+      Hashtbl.add stacks tid s;
+      s
+  in
+  let record name dur self =
+    let c, t, s =
+      match Hashtbl.find_opt table name with
+      | Some e -> e
+      | None ->
+        let e = (ref 0, ref 0.0, ref 0.0) in
+        Hashtbl.add table name e;
+        e
+    in
+    incr c;
+    t := !t +. dur;
+    s := !s +. self
+  in
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      let s = stack e.tid in
+      match e.ph with
+      | 'B' -> s := { f_name = e.name; f_start = e.ts_us; f_child = 0.0 } :: !s
+      | 'E' -> (
+        match !s with
+        | [] -> ()  (* unmatched E: tolerate truncated traces *)
+        | fr :: rest ->
+          s := rest;
+          let dur = Float.max 0.0 (e.ts_us -. fr.f_start) in
+          record fr.f_name dur (Float.max 0.0 (dur -. fr.f_child));
+          (match rest with
+          | parent :: _ -> parent.f_child <- parent.f_child +. dur
+          | [] -> ()))
+      | _ -> ()  (* instants and metadata are not span boundaries *))
+    evs;
+  let stats =
+    Hashtbl.fold
+      (fun name (c, t, s) acc ->
+        { span_name = name; count = !c; total_us = !t; self_us = !s } :: acc)
+      table []
+  in
+  List.sort
+    (fun a b -> compare (b.self_us, b.span_name) (a.self_us, a.span_name))
+    stats
+
 let load_trace path : (span_stat list, string) result =
   match read_lines path with
   | exception Sys_error m -> Error m
   | lines ->
-    let table : (string, int ref * float ref * float ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let stacks : (int, frame list ref) Hashtbl.t = Hashtbl.create 8 in
-    let stack tid =
-      match Hashtbl.find_opt stacks tid with
-      | Some s -> s
-      | None ->
-        let s = ref [] in
-        Hashtbl.add stacks tid s;
-        s
-    in
-    let record name dur self =
-      let c, t, s =
-        match Hashtbl.find_opt table name with
-        | Some e -> e
-        | None ->
-          let e = (ref 0, ref 0.0, ref 0.0) in
-          Hashtbl.add table name e;
-          e
-      in
-      incr c;
-      t := !t +. dur;
-      s := !s +. self
-    in
-    let bad = ref None in
     let last = List.length lines - 1 in
-    List.iteri
-      (fun i line ->
-        if !bad = None then
-          match J.parse line with
-          | Error m when i = last -> skip_truncated path m
-          | Error m -> bad := Some (Printf.sprintf "line %d: %s" (i + 1) m)
-          | Ok j -> (
-            let tid =
-              match mem_num "tid" j with Some f -> int_of_float f | None -> 0
-            in
+    let rec go i acc = function
+      | [] -> Ok (spans_of_events (List.rev acc))
+      | line :: rest -> (
+        match J.parse line with
+        | Error m when i = last ->
+          skip_truncated path m;
+          go (i + 1) acc rest
+        | Error m -> Error (Printf.sprintf "line %d: %s" (i + 1) m)
+        | Ok j ->
+          let tid =
+            match mem_num "tid" j with Some f -> int_of_float f | None -> 0
+          in
+          let ev ph name ts_us =
+            { Obs.Trace.name; ph; ts_us; tid; args = [] }
+          in
+          let acc =
             match (mem_str "ph" j, mem_str "name" j, mem_num "ts" j) with
-            | Some "B", Some name, Some ts ->
-              let s = stack tid in
-              s := { f_name = name; f_start = ts; f_child = 0.0 } :: !s
-            | Some "E", _, Some ts -> (
-              let s = stack tid in
-              match !s with
-              | [] -> ()  (* unmatched E: tolerate truncated traces *)
-              | fr :: rest ->
-                s := rest;
-                let dur = Float.max 0.0 (ts -. fr.f_start) in
-                record fr.f_name dur (Float.max 0.0 (dur -. fr.f_child));
-                (match rest with
-                | parent :: _ -> parent.f_child <- parent.f_child +. dur
-                | [] -> ()))
-            | _ -> ()  (* i/M/malformed: not a span boundary *)))
-      lines;
-    (match !bad with
-    | Some m -> Error m
-    | None ->
-      let stats =
-        Hashtbl.fold
-          (fun name (c, t, s) acc ->
-            { span_name = name; count = !c; total_us = !t; self_us = !s }
-            :: acc)
-          table []
-      in
-      Ok
-        (List.sort
-           (fun a b -> compare (b.self_us, b.span_name) (a.self_us, a.span_name))
-           stats))
+            | Some "B", Some name, Some ts -> ev 'B' name ts :: acc
+            | Some "E", name, Some ts ->
+              ev 'E' (Option.value name ~default:"") ts :: acc
+            | _ -> acc  (* i/M/malformed: not a span boundary *)
+          in
+          go (i + 1) acc rest)
+    in
+    go 0 [] lines
 
 let render_spans ?(top = 15) (stats : span_stat list) =
   let b = Buffer.create 512 in

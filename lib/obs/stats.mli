@@ -20,10 +20,14 @@ type span_stat = {
   self_us : float;
 }
 
+val spans_of_events : Obs.Trace.event list -> span_stat list
+(** Reconstruct span durations from B/E events (per-tid bracketing;
+    other phases and unmatched [E]s are tolerated).  Sorted by self
+    time, descending.  The CLI's exit summary runs it over the live
+    {!Obs.Trace.events}. *)
+
 val load_trace : string -> (span_stat list, string) result
-(** Reconstruct span durations from the B/E events of a trace JSONL
-    file (per-tid bracketing; [i]/[M] events and unmatched [E]s are
-    tolerated).  Sorted by self time, descending. *)
+(** {!spans_of_events} over the events of a trace JSONL file. *)
 
 val render_spans : ?top:int -> span_stat list -> string
 (** Table of the [top] (default 15) spans by self time. *)

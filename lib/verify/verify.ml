@@ -183,13 +183,9 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   Obs.Metrics.incr m_campaigns;
   let t0 = now () in
   (* tailor — through the flow cache, so a campaign that re-verifies a
-     benchmark (or follows an analyze/tailor job for it) reuses the
-     analysis *)
-  let (report, net), _cached = Runner.analyze_cached ~core b in
-  let bespoke, stats, prov =
-    Cut.tailor_explained net
-      ~possibly_toggled:report.Activity.possibly_toggled
-      ~constants:report.Activity.constant_values
+     benchmark (or follows a tailor/guard job for it) reuses the cut *)
+  let { Runner.report; original = net; bespoke; stats; prov } =
+    Runner.tailor_cached ~core b
   in
   (* layer 1a: coverage-directed input-based co-simulation *)
   let cov = Coverage.explore ?budget:explore_budget ~core b in

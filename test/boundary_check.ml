@@ -14,7 +14,12 @@
    And engine choice stays in lib/core and lib/sim: bin/ and the
    layers above lib/core (campaign, verify, guard) may not name an
    engine mode, the packed engine or the packed runner — each entry
-   point runs the engine its library picks. *)
+   point runs the engine its library picks.
+
+   And tailoring has one home: bin/, bench/main.ml and the consumers
+   of a tailored design (campaign, verify, guard) may not call the cut
+   themselves — they take the record of [Runner.tailor_cached], so
+   the stages that consume one benchmark's design share one cut. *)
 
 let layers = [ "core"; "analysis"; "verify"; "guard" ]
 let forbidden_src = [ "Bespoke_cpu."; "Bespoke_isa." ]
@@ -23,6 +28,11 @@ let engine_free = [ "bin"; "lib/campaign"; "lib/verify"; "lib/guard" ]
 
 let engine_needles =
   [ "Engine.Full"; "Engine.Compiled"; "Engine64"; "run_gate_packed" ]
+
+let tailor_free =
+  [ "bin"; "lib/campaign"; "lib/verify"; "lib/guard"; "bench/main.ml" ]
+
+let tailor_needles = [ "Cut.tailor_explained" ]
 
 let root =
   if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
@@ -85,6 +95,11 @@ let () =
         (ml_files (Filename.concat root dir)))
     engine_free;
   List.iter
+    (fun path ->
+      List.iter (scan_file ~patterns:tailor_needles)
+        (ml_files (Filename.concat root path)))
+    tailor_free;
+  List.iter
     (fun layer ->
       let dir = Filename.concat lib_root layer in
       if not (Sys.file_exists dir) then (
@@ -109,15 +124,18 @@ let () =
     Printf.printf
       "boundary-check: %d file(s) checked: lib/{%s} are core-agnostic (no \
        Bespoke_cpu/Bespoke_isa references), lib/obs/obs.ml holds the only \
-       JSON string escaper, and %s pick no engine\n"
+       JSON string escaper, %s pick no engine, and %s leave the cut to \
+       Runner.tailor_cached\n"
       !files
       (String.concat "," layers)
       (String.concat ", " engine_free)
+      (String.concat ", " tailor_free)
   | vs ->
     List.iter (fun v -> Printf.eprintf "boundary-check: %s\n" v)
       (List.rev vs);
     Printf.eprintf
       "boundary-check: the flow layers must target Coredef, not a \
-       concrete core, JSON strings must go through Obs.Json.str, and \
-       engine choice belongs to lib/core and lib/sim\n";
+       concrete core, JSON strings must go through Obs.Json.str, \
+       engine choice belongs to lib/core and lib/sim, and tailoring to \
+       Runner.tailor_cached\n";
     exit 1

@@ -4,14 +4,20 @@ module Asm = Bespoke_isa.Asm
 module Netlist = Bespoke_netlist.Netlist
 module Engine = Bespoke_sim.Engine
 module Memory = Bespoke_sim.Memory
-module System = Bespoke_cpu.System
+module System = Bespoke_coreapi.System
 module Activity = Bespoke_analysis.Activity
+module Lockstep = Bespoke_coreapi.Lockstep
+module Msp430 = Bespoke_cpu.Msp430
+
+let core = Msp430.core
 
 let the_netlist = lazy (Bespoke_cpu.Cpu.build ())
 
 let analyze ?(ram_x = []) src =
   let img = Asm.assemble src in
-  let sys = System.create ~netlist:(Lazy.force the_netlist) img in
+  let sys =
+    System.create ~netlist:(Lazy.force the_netlist) ~core (Msp430.coreimage img)
+  in
   let config =
     { Activity.default_config with Activity.ram_x_ranges = ram_x }
   in
@@ -105,7 +111,10 @@ loop:   add r4, r5
 let soundness_report =
   lazy
     (let img = Asm.assemble soundness_program in
-     let sys = System.create ~netlist:(Lazy.force the_netlist) img in
+     let sys =
+       System.create ~netlist:(Lazy.force the_netlist)
+         ~core (Msp430.coreimage img)
+     in
      let config =
        {
          Activity.default_config with
@@ -122,7 +131,10 @@ let test_soundness_vs_concrete =
       let img = Asm.assemble soundness_program in
       let r = Lazy.force soundness_report in
       (* concrete run with this input *)
-      let sys2 = System.create ~netlist:(Lazy.force the_netlist) img in
+      let sys2 =
+        System.create ~netlist:(Lazy.force the_netlist)
+          ~core (Msp430.coreimage img)
+      in
       System.reset sys2;
       Memory.load_int (System.ram sys2) ((0x0300 lsr 1) land 0x7ff) input;
       System.set_gpio_in_int sys2 0;
@@ -181,12 +193,14 @@ start:  mov #0x0280, sp
         halt
 |} in
   let img = Asm.assemble src in
-  let sys = System.create ~netlist:(Lazy.force the_netlist) img in
+  let sys =
+    System.create ~netlist:(Lazy.force the_netlist) ~core (Msp430.coreimage img)
+  in
   let r = Activity.analyze sys in
   let net = Lazy.force the_netlist in
   (* sabotage: also cut 40 gates that provably toggle in a concrete
      run of this very program *)
-  let concrete = System.create ~netlist:net img in
+  let concrete = System.create ~netlist:net ~core (Msp430.coreimage img) in
   System.reset concrete;
   System.set_gpio_in_int concrete 0x1234;
   System.set_irq concrete Bit.Zero;
@@ -212,21 +226,25 @@ start:  mov #0x0280, sp
   in
   let caught =
     try
-      let sys1 = System.create ~netlist:net img in
-      let sh = System.create ~netlist:bad img in
+      let sys1 = System.create ~netlist:net ~core (Msp430.coreimage img) in
+      let sh = System.create ~netlist:bad ~core (Msp430.coreimage img) in
       ignore (Activity.analyze ~shadow:sh sys1);
       (* the shadow may pass if the sabotage fell on redundant gates;
          input-based checks are the backstop *)
       List.for_all
         (fun gpio ->
-          let r1 = Bespoke_cpu.Lockstep.run ~netlist:net ~gpio_in:gpio img in
-          let r2 = Bespoke_cpu.Lockstep.run ~netlist:bad ~gpio_in:gpio img in
-          r1.Bespoke_cpu.Lockstep.gpio_final = r2.Bespoke_cpu.Lockstep.gpio_final)
+          let r1 =
+            Lockstep.run ~netlist:net ~gpio_in:gpio ~core (Msp430.coreimage img)
+          in
+          let r2 =
+            Lockstep.run ~netlist:bad ~gpio_in:gpio ~core (Msp430.coreimage img)
+          in
+          r1.Lockstep.gpio_final = r2.Lockstep.gpio_final)
         [ 1; 0x7fff; 0xffff ]
     with
     | Activity.Shadow_mismatch _ -> false
     | Activity.Analysis_error _ -> false
-    | Bespoke_cpu.Lockstep.Divergence _ -> false
+    | Lockstep.Divergence _ -> false
     | Failure _ -> false
   in
   Alcotest.(check bool) "sabotaged cut detected" false caught

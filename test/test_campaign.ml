@@ -1,10 +1,13 @@
 (* The campaign engine: crash isolation (a raising job becomes an
    error record, every other job completes), JSONL schema, job-list
-   parsing, warm-rerun caching, and input-order results. *)
+   parsing, warm-rerun caching, one shared cut per benchmark, and
+   input-order results. *)
 
 module Campaign = Bespoke_campaign.Campaign
 module B = Bespoke_programs.Benchmark
-module Json = Bespoke_obs.Obs.Json
+module Flowcache = Bespoke_core.Flowcache
+module Obs = Bespoke_obs.Obs
+module Json = Obs.Json
 
 (* A benchmark whose execution raises mid-campaign: the source
    assembles, but input generation explodes when a job runs it. *)
@@ -112,6 +115,45 @@ let test_warm_rerun_cached () =
     (fun o -> Alcotest.(check bool) "cached flag" true o.Campaign.cached)
     outcomes
 
+(* Every job kind that consumes a tailored design takes it from
+   [Runner.tailor_cached]: a cold campaign of tailor, report, guard and
+   verify jobs for one benchmark cuts it exactly once. *)
+let test_one_cut_per_benchmark () =
+  let tailor_misses () =
+    List.fold_left
+      (fun acc s ->
+        if s.Flowcache.s_name = "tailor" then acc + s.Flowcache.s_misses
+        else acc)
+      0 (Flowcache.stats_all ())
+  in
+  Flowcache.clear_all ();
+  let misses0 = tailor_misses () in
+  Obs.reset ();
+  Obs.enable ();
+  let _, summary =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Campaign.run ~jobs:2
+          (List.map
+             (fun kind ->
+               Campaign.job ~kind ~faults:1 (Campaign.Named "tHold"))
+             Campaign.[ Tailor; Report; Guard; Verify ]))
+  in
+  Alcotest.(check int) "all jobs ok" 4 summary.Campaign.ok;
+  let cuts =
+    List.length
+      (List.filter
+         (fun (e : Obs.Trace.event) ->
+           e.Obs.Trace.name = "cut.tailor" && e.ph = 'B')
+         (Obs.Trace.events ()))
+  in
+  Alcotest.(check int) "one cut.tailor span" 1 cuts;
+  Alcotest.(check int) "one tailoring-cache miss" 1
+    (tailor_misses () - misses0);
+  Alcotest.(check bool) "no campaign-private tailoring cache" false
+    (List.exists
+       (fun s -> s.Flowcache.s_name = "campaign.tailor")
+       (Flowcache.stats_all ()))
+
 let test_parse_line () =
   (match Campaign.parse_line "analyze mult" with
   | Ok (Some j) ->
@@ -151,6 +193,8 @@ let () =
           Alcotest.test_case "streaming JSONL" `Quick test_streaming_and_jsonl;
           Alcotest.test_case "warm rerun is fully cached" `Quick
             test_warm_rerun_cached;
+          Alcotest.test_case "one cut per benchmark" `Quick
+            test_one_cut_per_benchmark;
           Alcotest.test_case "job-list parsing" `Quick test_parse_line;
         ] );
     ]

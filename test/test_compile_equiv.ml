@@ -30,13 +30,14 @@ module Gate = Bespoke_netlist.Gate
 module Engine = Bespoke_sim.Engine
 module Compile = Bespoke_sim.Compile
 module Asm = Bespoke_isa.Asm
-module Lockstep = Bespoke_cpu.Lockstep
+module Lockstep = Bespoke_coreapi.Lockstep
 module Activity = Bespoke_analysis.Activity
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
 module Fault = Bespoke_verify.Fault
 module B = Bespoke_programs.Benchmark
-let core = Bespoke_cpu.Msp430.core
+module Msp430 = Bespoke_cpu.Msp430
+let core = Msp430.core
 
 (* ------------------------------------------------------------------ *)
 (* Benchmarks: full vs compiled outcomes                               *)
@@ -76,7 +77,8 @@ let test_fuzz_programs () =
     let src = Fuzzgen.program ~seed in
     let img = Asm.assemble src in
     let gpio = (seed * 40503) land 0xffff in
-    let run mode = Lockstep.run ~mode ~netlist:net ~gpio_in:gpio img in
+    let run mode = Lockstep.run ~mode ~netlist:net ~gpio_in:gpio
+      ~core (Msp430.coreimage img) in
     let fu = run Engine.Full and co = run Engine.Compiled in
     if fu <> co then
       Alcotest.failf

@@ -5,7 +5,7 @@ module Gate = Bespoke_netlist.Gate
 module Rtl = Bespoke_rtl.Rtl
 module Engine = Bespoke_sim.Engine
 module Asm = Bespoke_isa.Asm
-module System = Bespoke_cpu.System
+module System = Bespoke_coreapi.System
 module Activity = Bespoke_analysis.Activity
 module B = Bespoke_programs.Benchmark
 module Runner = Bespoke_core.Runner
@@ -15,7 +15,9 @@ module Usage = Bespoke_core.Usage
 module Multi = Bespoke_core.Multi
 module Module_prune = Bespoke_core.Module_prune
 module Profiling = Bespoke_core.Profiling
-let core = Bespoke_cpu.Msp430.core
+module Lockstep = Bespoke_coreapi.Lockstep
+module Msp430 = Bespoke_cpu.Msp430
+let core = Msp430.core
 
 (* ---- Resynth ---- *)
 
@@ -84,7 +86,7 @@ start:  mov #0x0280, sp
 let test_cut_preserves_behaviour () =
   let img = Asm.assemble small_prog in
   let net = Runner.shared_netlist core in
-  let sys = System.create ~netlist:net img in
+  let sys = System.create ~netlist:net ~core (Msp430.coreimage img) in
   let r = Activity.analyze sys in
   let bespoke, stats =
     Cut.tailor net ~possibly_toggled:r.Activity.possibly_toggled
@@ -95,19 +97,23 @@ let test_cut_preserves_behaviour () =
     (stats.Cut.bespoke_gates < stats.Cut.original_gates);
   List.iter
     (fun gpio ->
-      let a = Bespoke_cpu.Lockstep.run ~netlist:net ~gpio_in:gpio img in
-      let b = Bespoke_cpu.Lockstep.run ~netlist:bespoke ~gpio_in:gpio img in
+      let a =
+        Lockstep.run ~netlist:net ~gpio_in:gpio ~core (Msp430.coreimage img)
+      in
+      let b =
+        Lockstep.run ~netlist:bespoke ~gpio_in:gpio ~core (Msp430.coreimage img)
+      in
       Alcotest.(check int)
         (Printf.sprintf "gpio %d" gpio)
-        a.Bespoke_cpu.Lockstep.gpio_final b.Bespoke_cpu.Lockstep.gpio_final;
-      Alcotest.(check int) "same cycles" a.Bespoke_cpu.Lockstep.cycles
-        b.Bespoke_cpu.Lockstep.cycles)
+        a.Lockstep.gpio_final b.Lockstep.gpio_final;
+      Alcotest.(check int) "same cycles" a.Lockstep.cycles
+        b.Lockstep.cycles)
     [ 0; 0x5aa5; 0xffff ]
 
 let test_cut_stats_consistent () =
   let img = Asm.assemble small_prog in
   let net = Runner.shared_netlist core in
-  let sys = System.create ~netlist:net img in
+  let sys = System.create ~netlist:net ~core (Msp430.coreimage img) in
   let r = Activity.analyze sys in
   let stitched =
     Cut.cut_and_stitch net ~possibly_toggled:r.Activity.possibly_toggled

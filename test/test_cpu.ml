@@ -5,15 +5,18 @@ module Asm = Bespoke_isa.Asm
 module Isa = Bespoke_isa.Isa
 module Memmap = Bespoke_isa.Memmap
 module Cpu = Bespoke_cpu.Cpu
-module System = Bespoke_cpu.System
-module Lockstep = Bespoke_cpu.Lockstep
+module System = Bespoke_coreapi.System
+module Lockstep = Bespoke_coreapi.Lockstep
+module Msp430 = Bespoke_cpu.Msp430
+
+let core = Msp430.core
 
 (* Building the netlist is expensive; share one across tests. *)
 let the_netlist = lazy (Cpu.build ())
 
 let lockstep ?gpio_in ?irq_pulse_at src =
   Lockstep.run ~netlist:(Lazy.force the_netlist) ?gpio_in ?irq_pulse_at
-    (Asm.assemble src)
+    ~core (Msp430.coreimage (Asm.assemble src))
 
 let test_netlist_sanity () =
   let net = Lazy.force the_netlist in
@@ -330,7 +333,9 @@ start:  mov #0x0280, sp
         halt
 |}
   in
-  let sys = System.create ~netlist:(Lazy.force the_netlist) img in
+  let sys =
+    System.create ~netlist:(Lazy.force the_netlist) ~core (Msp430.coreimage img)
+  in
   System.reset sys;
   System.set_gpio_in_x sys;
   System.set_irq sys Bit.Zero;
@@ -356,7 +361,9 @@ nz:     mov #2, &0x0200
         halt
 |}
   in
-  let sys = System.create ~netlist:(Lazy.force the_netlist) img in
+  let sys =
+    System.create ~netlist:(Lazy.force the_netlist) ~core (Msp430.coreimage img)
+  in
   System.reset sys;
   System.set_gpio_in_x sys;
   System.set_irq sys Bit.Zero;
@@ -394,7 +401,9 @@ loop:   inc r4
         halt
 |}
   in
-  let sys = System.create ~netlist:(Lazy.force the_netlist) img in
+  let sys =
+    System.create ~netlist:(Lazy.force the_netlist) ~core (Msp430.coreimage img)
+  in
   System.reset sys;
   System.set_irq sys Bit.Zero;
   System.set_gpio_in_int sys 0;

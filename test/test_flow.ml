@@ -5,14 +5,15 @@
 
 module B = Bespoke_programs.Benchmark
 module Netlist = Bespoke_netlist.Netlist
-module System = Bespoke_cpu.System
+module System = Bespoke_coreapi.System
 module Activity = Bespoke_analysis.Activity
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
 module Sta = Bespoke_power.Sta
 module Voltage = Bespoke_power.Voltage
 module Report = Bespoke_power.Report
-let core = Bespoke_cpu.Msp430.core
+module Msp430 = Bespoke_cpu.Msp430
+let core = Msp430.core
 
 let flow_test (b : B.t) () =
   let report, net = Runner.analyze ~core b in
@@ -50,8 +51,10 @@ let flow_test (b : B.t) () =
     (fun seed -> ignore (Runner.check_equivalence ~core ~netlist:bespoke b ~seed))
     [ 1; 2; 3 ];
   (* verification 2: symbolic shadow through the same execution tree *)
-  let sys = System.create (B.image b) in
-  let sh = System.create ~netlist:bespoke (B.image b) in
+  let sys = System.create ~core (Msp430.coreimage (B.image b)) in
+  let sh =
+    System.create ~netlist:bespoke ~core (Msp430.coreimage (B.image b))
+  in
   let config =
     {
       Activity.default_config with

@@ -14,12 +14,13 @@
      BESPOKE_FUZZ_SEED=<seed> dune exec test/test_fuzz.exe *)
 
 module Asm = Bespoke_isa.Asm
-module Lockstep = Bespoke_cpu.Lockstep
-module System = Bespoke_cpu.System
+module Lockstep = Bespoke_coreapi.Lockstep
+module System = Bespoke_coreapi.System
 module Activity = Bespoke_analysis.Activity
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
-let core = Bespoke_cpu.Msp430.core
+module Msp430 = Bespoke_cpu.Msp430
+let core = Msp430.core
 
 let shared = lazy (Runner.shared_netlist core)
 
@@ -41,7 +42,10 @@ let test_lockstep_fuzz =
         QCheck.Test.fail_reportf "generator produced bad asm (seed %d): line %d %s"
           seed line message
       | img -> (
-        match Lockstep.run ~netlist:(Lazy.force shared) ~gpio_in:gpio img with
+        match
+          Lockstep.run ~netlist:(Lazy.force shared) ~gpio_in:gpio
+            ~core (Msp430.coreimage img)
+        with
         | _ -> true
         | exception Lockstep.Divergence m ->
           report_divergence ~seed ~src
@@ -55,7 +59,7 @@ let test_flow_fuzz =
       let src = Fuzzgen.program ~seed in
       let img = Asm.assemble src in
       let net = Lazy.force shared in
-      let sys = System.create ~netlist:net img in
+      let sys = System.create ~netlist:net ~core (Msp430.coreimage img) in
       match Activity.analyze sys with
       | exception Activity.Analysis_error m ->
         report_divergence ~seed ~src "analysis failed" m
@@ -68,8 +72,14 @@ let test_flow_fuzz =
           report_divergence ~seed ~src "tailoring" "nothing cut";
         List.for_all
           (fun gpio ->
-            let a = Lockstep.run ~netlist:net ~gpio_in:gpio img in
-            let b = Lockstep.run ~netlist:bespoke ~gpio_in:gpio img in
+            let a =
+              Lockstep.run ~netlist:net ~gpio_in:gpio
+                ~core (Msp430.coreimage img)
+            in
+            let b =
+              Lockstep.run ~netlist:bespoke ~gpio_in:gpio
+                ~core (Msp430.coreimage img)
+            in
             a.Lockstep.gpio_final = b.Lockstep.gpio_final
             && a.Lockstep.cycles = b.Lockstep.cycles
             && a.Lockstep.outputs = b.Lockstep.outputs)
@@ -88,7 +98,8 @@ let replay_cases =
           let src = Fuzzgen.program ~seed in
           Printf.printf "--- generated assembly (seed %d) ---\n%s%!" seed src;
           let img = Asm.assemble src in
-          ignore (Lockstep.run ~netlist:(Lazy.force shared) img));
+          ignore (Lockstep.run ~netlist:(Lazy.force shared)
+            ~core (Msp430.coreimage img)));
     ]
 
 let () =

@@ -8,13 +8,14 @@
 
 module B = Bespoke_programs.Benchmark
 module Asm = Bespoke_isa.Asm
-module Lockstep = Bespoke_cpu.Lockstep
-module System = Bespoke_cpu.System
+module Lockstep = Bespoke_coreapi.Lockstep
+module System = Bespoke_coreapi.System
 module Activity = Bespoke_analysis.Activity
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
 module Verify = Bespoke_verify.Verify
-let core = Bespoke_cpu.Msp430.core
+module Msp430 = Bespoke_cpu.Msp430
+let core = Msp430.core
 
 let shared = lazy (Runner.shared_netlist core)
 
@@ -32,7 +33,10 @@ let test_lockstep_fuzz_deep =
     (fun (seed, gpio) ->
       let src = Fuzzgen.program ~seed in
       let img = Asm.assemble src in
-      match Lockstep.run ~netlist:(Lazy.force shared) ~gpio_in:gpio img with
+      match
+        Lockstep.run ~netlist:(Lazy.force shared) ~gpio_in:gpio
+          ~core (Msp430.coreimage img)
+      with
       | _ -> true
       | exception Lockstep.Divergence m ->
         report_divergence ~seed ~src
@@ -45,7 +49,7 @@ let test_flow_fuzz_deep =
       let src = Fuzzgen.program ~seed in
       let img = Asm.assemble src in
       let net = Lazy.force shared in
-      let sys = System.create ~netlist:net img in
+      let sys = System.create ~netlist:net ~core (Msp430.coreimage img) in
       let report =
         try Activity.analyze sys
         with Activity.Analysis_error m ->
@@ -57,8 +61,13 @@ let test_flow_fuzz_deep =
       in
       List.for_all
         (fun gpio ->
-          let a = Lockstep.run ~netlist:net ~gpio_in:gpio img in
-          let b = Lockstep.run ~netlist:bespoke ~gpio_in:gpio img in
+          let a =
+            Lockstep.run ~netlist:net ~gpio_in:gpio ~core (Msp430.coreimage img)
+          in
+          let b =
+            Lockstep.run ~netlist:bespoke ~gpio_in:gpio
+              ~core (Msp430.coreimage img)
+          in
           a.Lockstep.gpio_final = b.Lockstep.gpio_final
           && a.Lockstep.cycles = b.Lockstep.cycles
           && a.Lockstep.outputs = b.Lockstep.outputs)

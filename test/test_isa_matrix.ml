@@ -6,9 +6,10 @@
    the benchmarks happen to take. *)
 
 module Asm = Bespoke_isa.Asm
-module Lockstep = Bespoke_cpu.Lockstep
+module Lockstep = Bespoke_coreapi.Lockstep
 module Runner = Bespoke_core.Runner
-let core = Bespoke_cpu.Msp430.core
+module Msp430 = Bespoke_cpu.Msp430
+let core = Msp430.core
 
 let two_ops =
   [ "mov"; "add"; "addc"; "subc"; "sub"; "cmp"; "dadd"; "bit"; "bic"; "bis";
@@ -64,7 +65,8 @@ start:  mov #0x0400, sp
 
 let lockstep_src src =
   let img = Asm.assemble src in
-  ignore (Lockstep.run ~netlist:(Runner.shared_netlist core) img)
+  ignore (Lockstep.run ~netlist:(Runner.shared_netlist core)
+    ~core (Msp430.coreimage img))
 
 let test_two_op_matrix () =
   List.iter

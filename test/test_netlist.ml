@@ -2,6 +2,7 @@ module Bit = Bespoke_logic.Bit
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module B = Netlist.Builder
+module Lockstep = Bespoke_coreapi.Lockstep
 
 (* A tiny hand-built netlist:
    in a, b; n1 = a & b; n2 = ~n1; dff q <- n2; out = q ^ n1 *)
@@ -222,8 +223,11 @@ let test_serial_roundtrip_cpu () =
   Alcotest.(check (list string)) "modules" (Netlist.modules n) (Netlist.modules n');
   (* behaviourally identical on a quick run *)
   let img = Bespoke_isa.Asm.assemble "start: mov #42, &0x0012\n halt\n" in
-  let r = Bespoke_cpu.Lockstep.run ~netlist:n' img in
-  Alcotest.(check int) "runs" 42 r.Bespoke_cpu.Lockstep.gpio_final
+  let r =
+    Lockstep.run ~netlist:n' ~core:Bespoke_cpu.Msp430.core
+      (Bespoke_cpu.Msp430.coreimage img)
+  in
+  Alcotest.(check int) "runs" 42 r.Lockstep.gpio_final
 
 let test_gate_set_roundtrip () =
   List.iter

@@ -9,7 +9,7 @@ module Bit = Bespoke_logic.Bit
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
 module Activity = Bespoke_analysis.Activity
-module Lockstep = Bespoke_cpu.Lockstep
+module Lockstep = Bespoke_coreapi.Lockstep
 module Obs = Bespoke_obs.Obs
 module Fault = Bespoke_verify.Fault
 module Shrink = Bespoke_verify.Shrink
