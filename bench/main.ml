@@ -962,13 +962,8 @@ let measure_sampler_overhead () =
    evaluates it as word operations at every committed cycle, so its
    cost scales with the monitor count — the artifact records both. *)
 let guard_plan_of (b : B.t) =
-  let { Runner.report; original; bespoke; prov; _ } =
-    Runner.tailor_cached ~core b
-  in
-  ( Guard.plan ~original ~bespoke ~prov
-      ~possibly_toggled:report.Activity.possibly_toggled
-      ~constants:report.Activity.constant_values,
-    bespoke )
+  let t = Runner.tailor_cached ~core b in
+  (Guard.plan_of_tailored t, t.Runner.bespoke)
 
 let measure_guard_overhead () =
   let b = B.find "mult" in
@@ -1300,163 +1295,10 @@ let run_guard_table () =
 
 (* ------------------------------------------------------------------ *)
 (* bench-smoke: one tiny benchmark through all three engines, asserting
-   bit-identical outcomes, plus a validation pass over the recorded
-   BENCH_sim.json artifact.  Wired into `dune runtest` via the
-   @bench-smoke alias.                                                 *)
-
-let max_guard_watch_slowdown = 0.25
-
-(* Validate the checked-in BENCH_sim.json: every benchmark row must
-   carry exactly the full/packed/compiled columns, and the recorded
-   compiled engine must not be slower than the full sweep on any
-   benchmark — a regression gate on the artifact the docs quote. *)
-let validate_bench_sim_artifact () =
-  let path =
-    if Sys.file_exists "BENCH_sim.json" then "BENCH_sim.json"
-    else "../BENCH_sim.json"
-  in
-  let j =
-    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok j -> j
-    | Error m -> failwith (Printf.sprintf "bench-smoke: %s does not parse: %s" path m)
-  in
-  let field block k = Option.bind (J.member block j) (J.mem_num k) in
-  (* (core/bench, full, compiled) from the cps/<core>/<bench>/<engine>
-     flattening of stats --compare *)
-  let cps =
-    match Bespoke_obs.Stats.load_bench path with
-    | Ok e -> e.Bespoke_obs.Stats.b_metrics
-    | Error _ -> []
-  in
-  let rows =
-    List.filter_map
-      (fun (m, full) ->
-        match Filename.chop_suffix_opt ~suffix:"/full" m with
-        | Some base when String.starts_with ~prefix:"cps/" base ->
-          Option.map
-            (fun compiled -> (String.sub base 4 (String.length base - 4), full, compiled))
-            (List.assoc_opt (base ^ "/compiled") cps)
-        | _ -> None)
-      cps
-  in
-  let obs_engines =
-    List.filter_map (J.mem_str "engine")
-      (Option.value ~default:[] (J.mem_arr "obs_overhead" j))
-  in
-  let cps_keys =
-    List.map
-      (fun row ->
-        ( Option.value ~default:"?" (J.mem_str "name" row),
-          List.map fst
-            (Option.value ~default:[] (J.mem_obj "cycles_per_sec" row)) ))
-      (Option.value ~default:[] (J.mem_arr "benchmarks" j))
-  in
-  let camp_cold_speedup = field "campaign" "speedup_cold_jobs4_vs_oneshot" in
-  let camp_warm_speedup = field "campaign" "speedup_warm_vs_cold" in
-  let guard_monitors = Option.map int_of_float (field "guard_overhead" "monitors") in
-  let guard_slowdown = field "guard_overhead" "watch_slowdown" in
-  if rows = [] then
-    failwith
-      (Printf.sprintf
-         "bench-smoke: no cycles_per_sec rows with a compiled column in %s \
-          (regenerate with --bench-sim)"
-         path);
-  if obs_engines <> [ "compiled" ] then
-    failwith
-      (Printf.sprintf
-         "bench-smoke: obs_overhead in %s must hold one compiled-engine row \
-          (regenerate with --bench-sim)"
-         path);
-  List.iter
-    (fun (n, keys) ->
-      if keys <> [ "full"; "packed"; "compiled" ] then
-        failwith
-          (Printf.sprintf
-             "bench-smoke: %s cycles_per_sec keys in %s are [%s], expected \
-              full/packed/compiled (regenerate with --bench-sim)"
-             n path (String.concat "; " keys)))
-    cps_keys;
-  List.iter
-    (fun (n, full, compiled) ->
-      if compiled < full then
-        failwith
-          (Printf.sprintf
-             "bench-smoke: %s records compiled %.0f < full %.0f cycles/sec \
-              in %s — compiled engine regression"
-             n compiled full path))
-    rows;
-  (* the campaign acceptance bars: batch throughput >= 2.5x one-shot,
-     warm cache >= 5x cold *)
-  let cold =
-    match camp_cold_speedup with
-    | Some x -> x
-    | None ->
-      failwith
-        (Printf.sprintf
-           "bench-smoke: no campaign speedup_cold_jobs4_vs_oneshot in %s \
-            (regenerate with --bench-sim)"
-           path)
-  in
-  let warm =
-    match camp_warm_speedup with
-    | Some x -> x
-    | None ->
-      failwith
-        (Printf.sprintf
-           "bench-smoke: no campaign speedup_warm_vs_cold in %s (regenerate \
-            with --bench-sim)"
-           path)
-  in
-  if cold < 2.5 then
-    failwith
-      (Printf.sprintf
-         "bench-smoke: campaign cold speedup %.2fx < 2.5x one-shot in %s — \
-          campaign throughput regression"
-         cold path);
-  if warm < 5.0 then
-    failwith
-      (Printf.sprintf
-         "bench-smoke: campaign warm-cache speedup %.2fx < 5x cold in %s — \
-          flow cache regression"
-         warm path);
-  let guard_mons =
-    match guard_monitors with
-    | Some m -> m
-    | None ->
-      failwith
-        (Printf.sprintf
-           "bench-smoke: no guard_overhead block in %s (regenerate with \
-            --bench-sim)"
-           path)
-  in
-  if guard_mons < 1 then
-    failwith
-      (Printf.sprintf
-         "bench-smoke: guard_overhead in %s records no monitors — the \
-          shadow watcher measured nothing"
-         path);
-  (* 1 - watched/plain cycles per second; the aim is 0.15 *)
-  let slowdown =
-    match guard_slowdown with
-    | Some x -> x
-    | None ->
-      failwith
-        (Printf.sprintf
-           "bench-smoke: no guard_overhead watch_slowdown in %s (regenerate \
-            with --bench-sim)"
-           path)
-  in
-  if slowdown > max_guard_watch_slowdown then
-    failwith
-      (Printf.sprintf
-         "bench-smoke: guard_overhead in %s records watch_slowdown %.3f > \
-          %.2f — shadow watcher regression"
-         path slowdown max_guard_watch_slowdown);
-  printf
-    "bench-smoke: BENCH_sim.json valid (%d benchmarks, compiled >= full on \
-     all; campaign %.2fx vs one-shot cold, %.1fx warm vs cold; guard \
-     watcher over %d monitor(s) costs %.1f%% of plain throughput)\n"
-    (List.length rows) cold warm guard_mons (100.0 *. slowdown)
+   bit-identical outcomes, plus host-independent allocation and
+   structure gates.  Wired into `dune runtest` via the @bench-smoke
+   alias, which also runs `schema_check bench-sim` over the recorded
+   BENCH_sim.json artifact.                                            *)
 
 (* Allocation gate: RAM state is held as packed rails, so analysing
    rv32 intAVG (many loads and stores with X addresses) allocates about
@@ -1581,8 +1423,7 @@ let run_bench_smoke () =
     b.B.name (List.length seeds) (List.hd full).Runner.sim_cycles;
   check_analysis_alloc ();
   check_guard_alloc ();
-  check_bespoke_structure ();
-  validate_bench_sim_artifact ()
+  check_bespoke_structure ()
 
 (* ------------------------------------------------------------------ *)
 

@@ -20,7 +20,6 @@ module Asm = Bespoke_isa.Asm
 module Coredef = Bespoke_coreapi.Coredef
 module Cores = Bespoke_cores.Cores
 module Netlist = Bespoke_netlist.Netlist
-module System = Bespoke_coreapi.System
 module Lockstep = Bespoke_coreapi.Lockstep
 module Activity = Bespoke_analysis.Activity
 module B = Bespoke_programs.Benchmark
@@ -441,14 +440,9 @@ let cmd_run =
                  "--guard tailors the benchmark itself and cannot rebuild the \
                   cut provenance of a saved netlist; drop --netlist"
              else begin
-               let { Runner.report; original; bespoke; prov; _ } =
-                 Runner.tailor_cached ~core b
-               in
-               let plan =
-                 Guard.plan ~original ~bespoke ~prov
-                   ~possibly_toggled:report.Activity.possibly_toggled
-                   ~constants:report.Activity.constant_values
-               in
+               let t = Runner.tailor_cached ~core b in
+               let bespoke = t.Runner.bespoke in
+               let plan = Guard.plan_of_tailored t in
                let w = Guard.watch_bespoke plan in
                let o =
                  Runner.check_equivalence ~attach:(Guard.attach w)
@@ -616,13 +610,8 @@ let cmd_tailor =
            let guarded =
              if not instrument then None
              else begin
-               let plan =
-                 Guard.plan ~original:net ~bespoke ~prov
-                   ~possibly_toggled:report.Activity.possibly_toggled
-                   ~constants:report.Activity.constant_values
-               in
-               let inst = Guard.instrument plan in
-               Some (plan, inst)
+               let plan = Guard.plan_of_tailored t in
+               Some (plan, Guard.instrument plan)
              end
            in
            let oc = if json then stderr else stdout in
@@ -1063,14 +1052,9 @@ let cmd_guard =
                         "no mutant %d of %s (%d mutant(s); see guard --list)"
                         id b.B.name (List.length ms)))
              in
-             let { Runner.report; original = net; bespoke; prov; _ } =
-               Runner.tailor_cached ~core b
-             in
-             let plan =
-               Guard.plan ~original:net ~bespoke ~prov
-                 ~possibly_toggled:report.Activity.possibly_toggled
-                 ~constants:report.Activity.constant_values
-             in
+             let t = Runner.tailor_cached ~core b in
+             let { Runner.original = net; bespoke; _ } = t in
+             let plan = Guard.plan_of_tailored t in
              let mode_s =
                match mode with
                | `Hw -> "hw"
@@ -1263,37 +1247,47 @@ let cmd_trace =
     Arg.(required & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"VCD output file.")
   in
+  (* The run is Runner.run_gate's own (inputs, IRQ schedule, halt
+     check); the VCD samples the settled state after the input load
+     and after every committed cycle. *)
+  let max_cycles = 100_000 in
   let run prog seed out =
     handle
       (catching (fun () ->
            let* entry, b = prog in
            let core = entry.Cores.core in
-           let sys =
-             System.create ~netlist:(Runner.shared_netlist core) ~core
-               (Runner.image ~core b)
-           in
-           System.reset sys;
-           let ram_writes, gpio = b.B.gen_inputs seed in
-           List.iter (fun (a, v) -> System.load_ram_word sys a v) ram_writes;
-           System.set_gpio_in_int sys gpio;
-           System.set_irq sys Bespoke_logic.Bit.Zero;
            let buf = Buffer.create (1 lsl 16) in
-           let vcd =
-             Bespoke_sim.Vcd.create buf (System.engine sys)
-               ~signals:core.Coredef.trace_signals
-           in
+           let vcd = ref None in
            let cycles = ref 0 in
-           while (not (System.halted sys)) && !cycles < 100_000 do
-             Bespoke_sim.Vcd.sample vcd ~time:!cycles;
-             System.step_cycle sys;
-             incr cycles
-           done;
-           Bespoke_sim.Vcd.sample vcd ~time:!cycles;
-           Bespoke_sim.Vcd.finish vcd ~time:(!cycles + 1);
+           let attach eng =
+             let v =
+               Bespoke_sim.Vcd.create buf eng ~signals:core.Coredef.trace_signals
+             in
+             vcd := Some v;
+             Bespoke_sim.Vcd.sample v ~time:0;
+             Bespoke_sim.Engine.set_cycle_hook eng
+               (Some
+                  (fun n ->
+                    cycles := n;
+                    Bespoke_sim.Vcd.sample v ~time:n))
+           in
+           let halted =
+             match Runner.run_gate ~attach ~max_cycles ~core b ~seed with
+             | _ -> true
+             | exception Failure _ when !cycles >= max_cycles -> false
+           in
+           Option.iter
+             (fun v -> Bespoke_sim.Vcd.finish v ~time:(!cycles + 1))
+             !vcd;
            let oc = open_out out in
            Buffer.output_buffer oc buf;
            close_out oc;
            Printf.printf "wrote %s (%d cycles)\n" out !cycles;
+           if not halted then
+             Printf.eprintf
+               "warning: %s did not halt within %d cycles; the VCD stops \
+                there\n%!"
+               b.B.name max_cycles;
            Ok ()))
   in
   Cmd.v

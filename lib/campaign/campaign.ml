@@ -1,13 +1,14 @@
 (* The campaign engine: run a batch of (program, config) flow jobs as
    fast as the hardware allows.
 
-   Jobs are sharded across the persistent Pool (work-stealing domain
-   pool); every job runs through the content-addressed Flowcache, so a
-   campaign that touches the same (binary, netlist, config) triple
-   twice — analyze + tailor + report + guard of one benchmark, or a
-   warm rerun of a whole campaign — pays for the analysis and the cut
-   once ({!Runner.tailor_cached}).  A job that raises yields an error
-   record; the campaign always completes.
+   Jobs are sharded across the persistent Pool (one run queue shared by
+   every domain); every job runs through the content-addressed
+   Flowcache, so a campaign that touches the same (binary, netlist,
+   config) triple twice — analyze + tailor + report + guard of one
+   benchmark, or a warm rerun of a whole campaign — pays for the
+   analysis and the cut once ({!Runner.tailor_cached}).  A job that
+   raises yields an error record; the campaign always completes unless
+   it is interrupted (Ctrl-C).
 
    Results stream as schema-versioned bespoke-campaign/v1 JSONL: one
    header line, one record per job (in completion order — the [job]
@@ -161,14 +162,9 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
        watched by the shadow cut-assumption monitors, running either
        [b] itself (mutant < 0) or one of its single-instruction
        mutants — the in-field-update risk as a campaign job *)
-    let { Runner.report; original; bespoke; prov; _ } =
-      Runner.tailor_cached ~core b
-    in
-    let plan =
-      Guard.plan ~original ~bespoke ~prov
-        ~possibly_toggled:report.Activity.possibly_toggled
-        ~constants:report.Activity.constant_values
-    in
+    let t = Runner.tailor_cached ~core b in
+    let plan = Guard.plan_of_tailored t in
+    let bespoke = t.Runner.bespoke in
     let workload =
       if j.mutant < 0 then b
       else if core.Coredef.name <> Cores.default.Cores.core.Coredef.name then
@@ -394,44 +390,30 @@ let run ?jobs ?on_outcome ?on_event (js : job list) =
     end
   in
   (* A Ctrl-C (Sys.Break) is the user killing the campaign, not a job
-     failure: the struck job sets the abort flag and re-raises, jobs
-     not yet started bail out immediately, and the whole run surfaces
-     one Sys.Break (so the CLI flushes partial telemetry on the way
-     out) instead of a Task_errors full of per-job records. *)
-  let aborted = Atomic.make false in
+     failure: it escapes the job fence, and Pool.map drops the jobs not
+     yet started and re-raises it, so the CLI flushes partial telemetry
+     on the way out. *)
   let outcomes =
-    try
-      Pool.map ~jobs:jobs_n
-        (fun (i, j) ->
-          if Atomic.get aborted then raise Sys.Break;
-          Obs.Metrics.incr m_jobs;
-          started i j;
-          let t = now () in
-          let status, cached =
-            match exec_job j with
-            | payload, hit -> (Ok payload, hit)
-            | exception Sys.Break ->
-              Atomic.set aborted true;
-              raise Sys.Break
-            | exception e ->
-              Obs.Metrics.incr m_failures;
-              let m =
-                match e with Failure m -> m | e -> Printexc.to_string e
-              in
-              (Error m, false)
-          in
-          let o =
-            { o_job = j; o_index = i; status; time_s = now () -. t; cached }
-          in
-          emit o;
-          o)
-        (List.mapi (fun i j -> (i, j)) js)
-    with
-    | Pool.Task_errors errs
-      when List.exists
-             (fun (_, e) -> match e with Sys.Break -> true | _ -> false)
-             errs ->
-      raise Sys.Break
+    Pool.map ~jobs:jobs_n
+      (fun (i, j) ->
+        Obs.Metrics.incr m_jobs;
+        started i j;
+        let t = now () in
+        let status, cached =
+          match exec_job j with
+          | payload, hit -> (Ok payload, hit)
+          | exception Sys.Break -> raise Sys.Break
+          | exception e ->
+            Obs.Metrics.incr m_failures;
+            let m = match e with Failure m -> m | e -> Printexc.to_string e in
+            (Error m, false)
+        in
+        let o =
+          { o_job = j; o_index = i; status; time_s = now () -. t; cached }
+        in
+        emit o;
+        o)
+      (List.mapi (fun i j -> (i, j)) js)
   in
   let ok = List.length (List.filter (fun o -> Result.is_ok o.status) outcomes) in
   let hits = List.length (List.filter (fun o -> o.cached) outcomes) in

@@ -64,7 +64,8 @@ let sweep ?jobs (sets : int array array) =
     sets;
   let total = (1 lsl n) - 1 in
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  (* more chunks than domains so stealing evens out the load *)
+  (* more chunks than domains, so domains that finish early take more
+     from the shared queue and the load evens out *)
   let nchunks = min total (max 1 (jobs * 8)) in
   let bounds =
     List.init nchunks (fun c ->

@@ -1,22 +1,25 @@
-(* Persistent work-stealing domain pool for fanning independent tasks
-   (benchmark analyses, profiling seeds, mutant reports, campaign jobs)
-   across cores.
+(* Persistent domain pool for fanning independent coarse tasks
+   (campaign jobs, verify benchmarks, the bench's analyses and
+   Multi.sweep chunks) across cores.
 
    Worker domains are spawned once, on first parallel [map], and reused
-   for every later call — the old per-call fork-join paid a
+   for every later call — a per-call fork-join would pay a
    [Domain.spawn]/[join] round-trip on every map, which dominates for
-   the short task lists campaigns produce.  Each domain owns a deque:
-   the owner pushes and pops at the back (LIFO, cache-warm), idle
-   domains steal from the front (FIFO, oldest work first).  A map
-   submitted from inside a worker task pushes onto that worker's own
-   deque, so nested submission composes without deadlock: the submitter
-   keeps executing (its own or stolen) tasks until its batch drains.
+   the short task lists campaigns produce.  Every domain serves one
+   shared FIFO of thunks.  The submitter of a map pushes its tasks and
+   then runs queued tasks itself (its own or another map's) until its
+   batch drains, so a map submitted from inside a task still cannot
+   deadlock.
 
    Parallelism is opt-in via the BESPOKE_JOBS environment variable (or
    [set_default_jobs], which overrides it) so tests and default runs
    stay single-domain and deterministic; with jobs > 1 the task results
    are still assembled in input order, so output is deterministic
    either way — only wall-clock changes.
+
+   Ctrl-C is the one error that is not a task's: a task that raises
+   [Sys.Break] stops its map — queued tasks of that map are dropped,
+   running ones finish — and [map] re-raises [Sys.Break].
 
    Callers are responsible for forcing any shared lazy values (e.g.
    [Runner.shared_netlist]) before mapping: stdlib [Lazy] is not
@@ -26,18 +29,8 @@ module Obs = Bespoke_obs.Obs
 
 let m_tasks = Obs.Metrics.counter "pool.tasks"
 let m_maps = Obs.Metrics.counter "pool.maps"
-let m_steals = Obs.Metrics.counter "pool.steals"
-let m_steals_failed = Obs.Metrics.counter "pool.steals_failed"
 let m_domains = Obs.Metrics.counter "pool.domains_spawned"
 let g_queue = Obs.Metrics.gauge "pool.queue_depth"
-
-(* Tasks pushed onto some deque and not yet started; the sampler probe
-   publishes it as the pool.queue_depth gauge. *)
-let queued_tasks = Atomic.make 0
-
-let () =
-  Obs.Sampler.add_probe (fun () ->
-      Obs.Metrics.set g_queue (float_of_int (Atomic.get queued_tasks)))
 
 (* Per-slot "tasks run" counter, looked up lazily so the registry only
    grows names for slots that actually execute work.  Only consulted
@@ -95,7 +88,7 @@ let set_default_jobs n = Atomic.set override_jobs (max 1 n)
    counts (BESPOKE_JOBS, --jobs) are therefore clamped to the
    hardware; measured here: a 45-job campaign at --jobs 4 on one core
    ran 1.3x slower than at 1 before the clamp.  [map ~jobs] stays
-   literal — explicit callers (tests stressing the stealing paths)
+   literal — explicit callers (tests stressing the parallel paths)
    get exactly what they ask for. *)
 let clamp_jobs n = max 1 (min n (Domain.recommended_domain_count ()))
 
@@ -104,120 +97,26 @@ let default_jobs () =
   clamp_jobs (if o > 0 then o else env_jobs ())
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain deques: a mutex-protected ring buffer of thunks.  The
-   owner works the back, thieves take the front.  Contention is low —
-   the lock is held only for a push/pop of one array slot. *)
-
-module Deque = struct
-  type t = {
-    lock : Mutex.t;
-    mutable buf : (unit -> unit) option array;
-    mutable head : int; (* index of the first (oldest) element *)
-    mutable len : int;
-  }
-
-  let create () =
-    { lock = Mutex.create (); buf = Array.make 64 None; head = 0; len = 0 }
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let buf' = Array.make (2 * cap) None in
-    for i = 0 to d.len - 1 do
-      buf'.(i) <- d.buf.((d.head + i) mod cap)
-    done;
-    d.buf <- buf';
-    d.head <- 0
-
-  let push_back d f =
-    Mutex.lock d.lock;
-    let cap = Array.length d.buf in
-    if d.len = cap then grow d;
-    let cap = Array.length d.buf in
-    d.buf.((d.head + d.len) mod cap) <- Some f;
-    d.len <- d.len + 1;
-    Mutex.unlock d.lock
-
-  let pop_back d =
-    Mutex.lock d.lock;
-    let r =
-      if d.len = 0 then None
-      else begin
-        let cap = Array.length d.buf in
-        let i = (d.head + d.len - 1) mod cap in
-        let t = d.buf.(i) in
-        d.buf.(i) <- None;
-        d.len <- d.len - 1;
-        t
-      end
-    in
-    Mutex.unlock d.lock;
-    r
-
-  let steal_front d =
-    Mutex.lock d.lock;
-    let r =
-      if d.len = 0 then None
-      else begin
-        let t = d.buf.(d.head) in
-        d.buf.(d.head) <- None;
-        d.head <- (d.head + 1) mod Array.length d.buf;
-        d.len <- d.len - 1;
-        t
-      end
-    in
-    Mutex.unlock d.lock;
-    r
-end
-
-(* ------------------------------------------------------------------ *)
-(* Pool state.  Slot 0 is the injector deque shared by every
-   non-worker domain (normally just the main domain); slots 1..n are
-   owned by worker domains.  Workers sleep on [work_cond]; [wake_gen]
-   is a generation counter so a wakeup that races with a deque scan is
-   never lost (capture the generation BEFORE scanning, sleep only while
-   it is unchanged). *)
+(* Pool state, all under [lock].  Slot 0 is every non-worker domain
+   (normally just the main domain); slots 1..n are the workers.  One
+   condition, [changed], is broadcast whenever a waiter's predicate may
+   have turned: tasks were queued, a batch drained, or the pool shuts
+   down.  Idle workers wait while the queue is empty; a submitter waits
+   while the queue is empty and its batch is not done. *)
 
 let max_workers = 62
-let deques = Array.init (max_workers + 1) (fun _ -> Deque.create ())
-let n_workers = Atomic.make 0
-let pool_lock = Mutex.create ()
-let work_cond = Condition.create ()
-let wake_gen = ref 0
+let lock = Mutex.create ()
+let changed = Condition.create ()
+let queue : (unit -> unit) Queue.t = Queue.create ()
 let shutdown = ref false
+let n_workers = Atomic.make 0
 let worker_domains : unit Domain.t list ref = ref []
 let my_slot : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-let signal_work () =
-  Mutex.lock pool_lock;
-  incr wake_gen;
-  Condition.broadcast work_cond;
-  Mutex.unlock pool_lock
-
-(* Own deque first (back, LIFO), then sweep every other deque front to
-   back — including slot 0, so workers drain injected work. *)
-let find_task slot =
-  match Deque.pop_back deques.(slot) with
-  | Some _ as t -> t
-  | None ->
-    let nw = Atomic.get n_workers in
-    let rec scan k =
-      if k > nw then begin
-        (* a full sweep found nothing: the domain is about to go idle *)
-        Obs.Metrics.incr m_steals_failed;
-        None
-      end
-      else if k = slot then scan (k + 1)
-      else
-        match Deque.steal_front deques.(k) with
-        | Some _ as t ->
-          Obs.Metrics.incr m_steals;
-          if Obs.enabled () then
-            Obs.Span.instant "pool.steal"
-              ~args:[ ("victim", string_of_int k) ];
-          t
-        | None -> scan (k + 1)
-    in
-    scan 0
+let () =
+  Obs.Sampler.add_probe (fun () ->
+      let depth = Mutex.protect lock (fun () -> Queue.length queue) in
+      Obs.Metrics.set g_queue (float_of_int depth))
 
 (* Run one task under the telemetry wrappers: a per-slot busy span and
    tasks-run counter when collection is on, the bare thunk otherwise. *)
@@ -230,30 +129,33 @@ let exec_task slot task =
   end
   else task ()
 
+(* [None] once the pool shuts down, else the next task if one is
+   queued. *)
+let take () =
+  Mutex.protect lock (fun () ->
+      if !shutdown then None else Some (Queue.take_opt queue))
+
 let worker_loop slot =
   Domain.DLS.set my_slot slot;
   Obs.Trace.set_thread_name (Printf.sprintf "worker-%d" slot);
+  let park () =
+    Obs.Span.with_ ~name:"pool.idle"
+      ~args:[ ("slot", string_of_int slot) ]
+    @@ fun () ->
+    Mutex.protect lock (fun () ->
+        while Queue.is_empty queue && not !shutdown do
+          Condition.wait changed lock
+        done)
+  in
   let rec loop () =
-    Mutex.lock pool_lock;
-    let g = !wake_gen in
-    let stop = !shutdown in
-    Mutex.unlock pool_lock;
-    if not stop then begin
-      (match find_task slot with
-      | Some task -> (
-        try exec_task slot task
-        with _ -> () (* tasks report their own errors *))
-      | None ->
-        Obs.Span.with_ ~name:"pool.idle"
-          ~args:[ ("slot", string_of_int slot) ]
-        @@ fun () ->
-        Mutex.lock pool_lock;
-        while (not !shutdown) && !wake_gen = g do
-          Condition.wait work_cond pool_lock
-        done;
-        Mutex.unlock pool_lock);
+    match take () with
+    | None -> ()
+    | Some next ->
+      (* Tasks report their own errors; what else reaches here is a
+         Ctrl-C that struck between tasks, and it belongs to no map. *)
+      (try match next with Some task -> exec_task slot task | None -> park ()
+       with _ -> ());
       loop ()
-    end
   in
   loop ()
 
@@ -261,28 +163,25 @@ let domain_count () = Atomic.get n_workers
 
 let ensure_workers want =
   let want = min want max_workers in
-  if Atomic.get n_workers < want then begin
-    Mutex.lock pool_lock;
-    while Atomic.get n_workers < want do
-      let slot = Atomic.get n_workers + 1 in
-      let d = Domain.spawn (fun () -> worker_loop slot) in
-      worker_domains := d :: !worker_domains;
-      Obs.Metrics.incr m_domains;
-      Atomic.set n_workers slot
-    done;
-    Mutex.unlock pool_lock
-  end
+  if Atomic.get n_workers < want then
+    Mutex.protect lock (fun () ->
+        while Atomic.get n_workers < want do
+          let slot = Atomic.get n_workers + 1 in
+          let d = Domain.spawn (fun () -> worker_loop slot) in
+          worker_domains := d :: !worker_domains;
+          Obs.Metrics.incr m_domains;
+          Atomic.set n_workers slot
+        done)
 
-(* Join the workers on exit so the runtime shuts down cleanly.  No map
-   is in flight when the main domain reaches exit, so every worker is
-   parked on [work_cond] and leaves as soon as it sees [shutdown]. *)
+(* Join the workers on exit so the runtime shuts down cleanly.  A
+   worker finishes the task it is running, then leaves as soon as it
+   sees [shutdown]. *)
 let () =
   at_exit (fun () ->
       if Atomic.get n_workers > 0 then begin
-        Mutex.lock pool_lock;
-        shutdown := true;
-        Condition.broadcast work_cond;
-        Mutex.unlock pool_lock;
+        Mutex.protect lock (fun () ->
+            shutdown := true;
+            Condition.broadcast changed);
         List.iter Domain.join !worker_domains
       end)
 
@@ -298,62 +197,61 @@ let map ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
   Obs.Metrics.incr m_maps;
   Obs.Metrics.add m_tasks n;
   let results : 'b option array = Array.make n None in
-  let err_lock = Mutex.create () in
   let errors : (int * exn) list ref = ref [] in
+  let interrupted = Atomic.make false in
+  (* Once the map is interrupted, tasks that have not started yet are
+     dropped. *)
   let run_task i =
-    match f items.(i) with
-    | v -> results.(i) <- Some v
-    | exception e ->
-      Mutex.lock err_lock;
-      errors := (i, e) :: !errors;
-      Mutex.unlock err_lock
+    if not (Atomic.get interrupted) then
+      match f items.(i) with
+      | v -> results.(i) <- Some v
+      | exception Sys.Break -> Atomic.set interrupted true
+      | exception e ->
+        Mutex.protect lock (fun () -> errors := (i, e) :: !errors)
   in
-  if jobs <= 1 || n <= 1 then begin
-    let slot = Domain.DLS.get my_slot in
+  let slot = Domain.DLS.get my_slot in
+  if jobs <= 1 || n <= 1 then
     for i = 0 to n - 1 do
-      exec_task slot (fun () -> run_task i)
+      if not (Atomic.get interrupted) then exec_task slot (fun () -> run_task i)
     done
-  end
   else begin
     ensure_workers (jobs - 1);
-    let remaining = Atomic.make n in
-    let slot = Domain.DLS.get my_slot in
+    let remaining = ref n in
     let task i () =
-      Atomic.decr queued_tasks;
       run_task i;
-      if Atomic.fetch_and_add remaining (-1) = 1 then signal_work ()
+      Mutex.protect lock (fun () ->
+          decr remaining;
+          if !remaining = 0 then Condition.broadcast changed)
     in
-    ignore (Atomic.fetch_and_add queued_tasks n);
-    (* Push in reverse so the owner (popping the back) executes tasks
-       in input order while thieves (stealing the front) start from the
-       tail — disjoint ends, minimal contention. *)
-    for i = n - 1 downto 0 do
-      Deque.push_back deques.(slot) (task i)
-    done;
-    signal_work ();
-    (* Drive: the submitter is a full participant — it executes its own
-       (or stolen, possibly foreign/nested) tasks until this batch
-       drains, then returns.  Sleeping only when the generation counter
-       is unchanged since before the scan closes the lost-wakeup
-       race. *)
+    Mutex.protect lock (fun () ->
+        for i = 0 to n - 1 do
+          Queue.push (task i) queue
+        done;
+        Condition.broadcast changed);
+    (* Drive: the submitter runs queued tasks — its own, or another
+       map's — until this batch drains, and sleeps only while the queue
+       is empty and tasks of the batch are still running elsewhere.  A
+       Ctrl-C that strikes here interrupts this map like one raised by
+       its tasks: the rest of the batch is dropped, not abandoned. *)
     let rec drive () =
-      if Atomic.get remaining > 0 then begin
-        Mutex.lock pool_lock;
-        let g = !wake_gen in
-        Mutex.unlock pool_lock;
-        (match find_task slot with
-        | Some t -> ( try exec_task slot t with _ -> ())
-        | None ->
-          Mutex.lock pool_lock;
-          while Atomic.get remaining > 0 && !wake_gen = g do
-            Condition.wait work_cond pool_lock
-          done;
-          Mutex.unlock pool_lock);
+      match
+        Mutex.protect lock (fun () ->
+            while !remaining > 0 && Queue.is_empty queue do
+              Condition.wait changed lock
+            done;
+            if !remaining = 0 then None else Some (Queue.take queue))
+      with
+      | None -> ()
+      | Some t ->
+        exec_task slot t;
         drive ()
-      end
+      | exception Sys.Break ->
+        Atomic.set interrupted true;
+        drive ()
     in
     drive ()
   end;
+  if Atomic.get interrupted then raise Sys.Break;
   (match !errors with
   | [] -> ()
   | errs ->

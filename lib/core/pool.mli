@@ -1,12 +1,11 @@
-(** Persistent work-stealing domain pool for fanning independent tasks
-    across cores.
+(** Persistent domain pool for fanning independent tasks across
+    cores.
 
     Worker domains are spawned on first use and reused for every later
-    [map] (no per-call [Domain.spawn]/[join]).  Each domain owns a
-    deque — the owner works the back, idle domains steal from the
-    front — and a [map] submitted from inside a worker task pushes onto
-    that worker's own deque, so nested submission composes without
-    deadlock.
+    [map] (no per-call [Domain.spawn]/[join]).  Every domain serves one
+    shared FIFO of tasks; the submitter of a [map] runs queued tasks
+    itself until its batch drains, so a [map] submitted from inside a
+    task composes without deadlock.
 
     Parallelism is gated behind the [BESPOKE_JOBS] environment variable
     (default 1 = fully sequential, no domains spawned), overridable
@@ -20,7 +19,8 @@ exception Task_errors of (int * exn) list
 (** Raised by {!map}/{!iter} when one or more tasks raised: every
     failed task as [(input index, exception)], sorted by index.  All
     tasks run to completion (or failure) before this is raised —
-    a failing task never cancels its siblings. *)
+    a failing task never cancels its siblings.  [Sys.Break] is the
+    exception: see {!map}. *)
 
 val clamp_jobs : int -> int
 (** [max 1 (min n (Domain.recommended_domain_count ()))]: CPU-bound
@@ -41,13 +41,18 @@ val domain_count : unit -> int
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] like [List.map f xs]; with [jobs > 1] (default
-    {!default_jobs}) tasks are pushed onto the submitter's deque and
-    executed by the submitter plus up to [jobs - 1] pool workers.
+    {!default_jobs}) tasks are queued in input order and executed by
+    the submitter plus up to [jobs - 1] pool workers.
     An explicit [~jobs] is taken literally, {e not} clamped — tests
     exercising the parallel paths need real worker domains even on a
     small machine; go through {!default_jobs} to be hardware-aware.
     Raises {!Task_errors} with {e every} failed task if any task
-    raised; otherwise returns results in input order. *)
+    raised; otherwise returns results in input order.
+
+    A Ctrl-C stops the map: if a task raises [Sys.Break], or one
+    reaches the submitter while it waits, the map's tasks that have not
+    started are dropped, the running ones finish, and [map] raises
+    [Sys.Break] instead of {!Task_errors}. *)
 
 val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
 (** [iter f xs] is [map] with unit results.  Raises {!Task_errors}

@@ -135,12 +135,12 @@ let run_gate ?mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
   let img = image ~core b in
   let net = match netlist with Some n -> n | None -> shared_netlist core in
   let sys = System.create ?mode ~netlist:net ~core img in
-  (match attach with None -> () | Some f -> f (System.engine sys));
   System.reset sys;
   let ram_writes, gpio = b.Benchmark.gen_inputs seed in
   List.iter (fun (a, v) -> System.load_ram_word sys a v) ram_writes;
   System.set_gpio_in_int sys gpio;
   System.set_irq sys Bit.Zero;
+  (match attach with None -> () | Some f -> f (System.engine sys));
   let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
   (* Schedule IRQ pulses by retired-instruction count, exactly like
      the ISS: the count advances at every boundary that follows a

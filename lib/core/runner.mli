@@ -48,8 +48,9 @@ val run_gate :
     design).  IRQ pulses are applied at the benchmark's instruction
     indices.  The run uses the compiled engine; [mode] exists for the
     differential tests and the engine benchmark, which pass [Full] as
-    the reference.  [attach] is called on the freshly created engine
-    before the run — probe hook-up point for guard shadow watchers
+    the reference.  [attach] is called on the engine once the inputs
+    are loaded, before the first cycle — probe hook-up point for guard
+    shadow watchers and the VCD tracer
     ({!Bespoke_sim.Engine.set_cycle_hook}) without this module
     depending on them. *)
 

@@ -98,6 +98,12 @@ let plan ~original ~bespoke ~prov ~possibly_toggled ~constants =
     p_unmonitorable = !unmonitorable;
   }
 
+let plan_of_tailored (t : Runner.tailored) =
+  let report = t.Runner.report in
+  plan ~original:t.Runner.original ~bespoke:t.Runner.bespoke ~prov:t.Runner.prov
+    ~possibly_toggled:report.Bespoke_analysis.Activity.possibly_toggled
+    ~constants:report.Bespoke_analysis.Activity.constant_values
+
 (* {1 Hardware instrumentation} *)
 
 type instrumented = {

@@ -74,7 +74,11 @@ val plan :
   plan
 (** Classify every tailoring assumption.  All five arguments must
     describe one tailoring: the fields of a
-    {!Bespoke_core.Runner.tailored} record and its activity report. *)
+    {!Bespoke_core.Runner.tailored} record and its activity report —
+    {!plan_of_tailored} takes them from one. *)
+
+val plan_of_tailored : Bespoke_core.Runner.tailored -> plan
+(** {!plan} of one tailoring, e.g. {!Bespoke_core.Runner.tailor_cached}'s. *)
 
 (** {1 Hardware instrumentation} *)
 

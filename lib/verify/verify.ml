@@ -184,9 +184,8 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   let t0 = now () in
   (* tailor — through the flow cache, so a campaign that re-verifies a
      benchmark (or follows a tailor/guard job for it) reuses the cut *)
-  let { Runner.report; original = net; bespoke; stats; prov } =
-    Runner.tailor_cached ~core b
-  in
+  let t = Runner.tailor_cached ~core b in
+  let { Runner.original = net; bespoke; stats; _ } = t in
   (* layer 1a: coverage-directed input-based co-simulation *)
   let cov = Coverage.explore ?budget:explore_budget ~core b in
   let toggle_union = Array.make (Netlist.gate_count bespoke) 0 in
@@ -240,11 +239,7 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
      silent, so a violation here is a checker-level red flag on the
      tailoring, independent of the equivalence layers *)
   let guard =
-    let gplan =
-      Guard.plan ~original:net ~bespoke ~prov
-        ~possibly_toggled:report.Activity.possibly_toggled
-        ~constants:report.Activity.constant_values
-    in
+    let gplan = Guard.plan_of_tailored t in
     let gw = Guard.watch_bespoke gplan in
     let _ = Guard.replay gw ~core ~netlist:bespoke b ~seed in
     {

@@ -14,6 +14,7 @@
    metrics       metrics snapshot JSON, or a         metric-name prefixes that
                  bespoke-metrics/v1 JSONL series     must appear
    stats-output  rendered `bespoke_cli stats` text   substrings that must appear
+   bench-sim     BENCH_sim.json (bench --bench-sim)  -
 
    Each kind checks the artifact's schema tag and shape plus the
    arithmetic its fields promise (docs/SCHEMAS.md).  Exits non-zero
@@ -473,6 +474,65 @@ let stats_output path needles =
     needles;
   Printf.sprintf "%d marker(s) present" (List.length needles)
 
+(* ---- BENCH_sim.json ---- *)
+
+(* The recorded engine-throughput artifact the docs quote, gated on its
+   acceptance bars: every benchmark row carries exactly the
+   full/packed/compiled columns and the compiled engine is never slower
+   than the full sweep; the telemetry overhead is one compiled-engine
+   row; a cold campaign beats one-shot runs 2.5x and a warm one beats
+   cold 5x; the guard watcher checks at least one monitor and costs at
+   most 25 % of plain throughput.  Regenerate the artifact with
+   bench/main.exe --bench-sim. *)
+let max_guard_watch_slowdown = 0.25
+
+let bench_sim path = function
+  | [] ->
+    let j = parse_file path in
+    let rows = arr "benchmarks" j in
+    if rows = [] then fail "no benchmark rows";
+    List.iter
+      (fun row ->
+        let name = str "core" row ^ "/" ^ str "name" row in
+        let cps = mem "cycles_per_sec" row in
+        let keys = List.map fst (fields "cycles_per_sec" row) in
+        if keys <> [ "full"; "packed"; "compiled" ] then
+          fail "%s: cycles_per_sec keys are [%s], want full/packed/compiled"
+            name (String.concat "; " keys);
+        let full = num "full" cps and compiled = num "compiled" cps in
+        if compiled < full then
+          fail "%s: compiled %.0f < full %.0f cycles/sec (compiled engine \
+                regression)"
+            name compiled full)
+      rows;
+    if List.filter_map (J.mem_str "engine") (arr "obs_overhead" j)
+       <> [ "compiled" ]
+    then fail "obs_overhead must hold one compiled-engine row";
+    let campaign = mem "campaign" j in
+    let cold = num "speedup_cold_jobs4_vs_oneshot" campaign
+    and warm = num "speedup_warm_vs_cold" campaign in
+    if cold < 2.5 then
+      fail "campaign cold speedup %.2fx < 2.5x one-shot (campaign \
+            throughput regression)" cold;
+    if warm < 5.0 then
+      fail "campaign warm-cache speedup %.2fx < 5x cold (flow cache \
+            regression)" warm;
+    let guard = mem "guard_overhead" j in
+    let monitors = int "monitors" guard
+    and slowdown = num "watch_slowdown" guard in
+    if monitors < 1 then
+      fail "guard_overhead records no monitors: the shadow watcher measured \
+            nothing";
+    if slowdown > max_guard_watch_slowdown then
+      fail "guard_overhead watch_slowdown %.3f > %.2f (shadow watcher \
+            regression)" slowdown max_guard_watch_slowdown;
+    Printf.sprintf
+      "%d benchmarks, compiled >= full on all; campaign %.2fx vs one-shot \
+       cold, %.1fx warm vs cold; guard watcher over %d monitor(s) costs \
+       %.1f%% of plain throughput"
+      (List.length rows) cold warm monitors (100.0 *. slowdown)
+  | _ -> fail "bench-sim takes no arguments"
+
 let checks =
   [
     ("report", report);
@@ -482,6 +542,7 @@ let checks =
     ("trace", trace);
     ("metrics", metrics);
     ("stats-output", stats_output);
+    ("bench-sim", bench_sim);
   ]
 
 let () =

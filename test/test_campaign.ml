@@ -1,5 +1,6 @@
 (* The campaign engine: crash isolation (a raising job becomes an
-   error record, every other job completes), JSONL schema, job-list
+   error record, every other job completes), Ctrl-C interruption (a
+   Sys.Break stops the campaign instead), JSONL schema, job-list
    parsing, warm-rerun caching, one shared cut per benchmark, and
    input-order results. *)
 
@@ -57,6 +58,42 @@ let test_crash_isolation () =
           (String.length m > 0)
       | Ok _ -> assert false))
     [ 1; 3 ]
+
+(* A Ctrl-C (Sys.Break) struck inside a job is not that job's error:
+   the campaign stops and re-raises it, and at jobs=1 no job after the
+   struck one runs, so none of them emits an outcome. *)
+let test_break_stops_campaign () =
+  let interrupting =
+    {
+      crashing with
+      B.name = "interrupting";
+      gen_inputs = (fun _ -> raise Sys.Break);
+    }
+  in
+  let js =
+    [
+      Campaign.job ~kind:Campaign.Run ~seed:2 (Campaign.Named "mult");
+      Campaign.job ~kind:Campaign.Run ~seed:2 (Campaign.Inline interrupting);
+      Campaign.job ~kind:Campaign.Analyze (Campaign.Named "mult");
+      Campaign.job ~kind:Campaign.Run ~seed:3 (Campaign.Named "mult");
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      let emitted = ref [] in
+      (match
+         Campaign.run ~jobs
+           ~on_outcome:(fun o -> emitted := o.Campaign.o_index :: !emitted)
+           js
+       with
+      | _ -> Alcotest.failf "jobs=%d: expected Sys.Break" jobs
+      | exception Sys.Break -> ());
+      Alcotest.(check bool) "the struck job emits no outcome" false
+        (List.mem 1 !emitted);
+      if jobs = 1 then
+        Alcotest.(check (list int)) "only the job before it emitted" [ 0 ]
+          !emitted)
+    [ 1; 2 ]
 
 let test_streaming_and_jsonl () =
   let lines = ref [] in
@@ -190,6 +227,8 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
+          Alcotest.test_case "Sys.Break stops the campaign" `Quick
+            test_break_stops_campaign;
           Alcotest.test_case "streaming JSONL" `Quick test_streaming_and_jsonl;
           Alcotest.test_case "warm rerun is fully cached" `Quick
             test_warm_rerun_cached;

@@ -1,7 +1,7 @@
-(* The persistent work-stealing pool and the content-addressed flow
+(* The persistent shared-queue pool and the content-addressed flow
    cache: result-order determinism under parallelism, nested
-   submission, full exception collection, and cache hit/miss
-   correctness across config changes. *)
+   submission, full exception collection, Ctrl-C interruption, and
+   cache hit/miss correctness across config changes. *)
 
 module Pool = Bespoke_core.Pool
 module Flowcache = Bespoke_core.Flowcache
@@ -22,8 +22,8 @@ let test_map_matches_list_map () =
     [ 1; 2; 4; 8 ]
 
 let test_map_deterministic_order () =
-  (* tasks finish out of order (tail tasks are stolen first, and the
-     sleeps skew completion), results still come back in input order *)
+  (* tasks finish out of order (the sleeps skew completion across
+     domains), results still come back in input order *)
   let xs = List.init 40 (fun i -> i) in
   for _ = 1 to 5 do
     let got =
@@ -88,6 +88,62 @@ let test_task_errors_printer () =
     let s = Printexc.to_string e in
     Alcotest.(check bool) "printer used" true
       (String.length s >= 16 && String.sub s 0 16 = "Pool.Task_errors")
+
+(* The contract at any job count: [Pool.map] equals [List.map], or
+   raises [Task_errors] naming exactly the failing indices, sorted —
+   the same answer as the sequential path. *)
+let prop_map_contract =
+  QCheck.Test.make ~name:"map = List.map or the sequential Task_errors"
+    ~count:100
+    QCheck.(
+      triple (int_range 1 4)
+        (small_list small_int)
+        (small_list (int_bound 30)))
+    (fun (jobs, xs, failing) ->
+      let f (i, x) = if List.mem i failing then failwith "boom" else x + 1 in
+      let run jobs =
+        match Pool.map ~jobs f (List.mapi (fun i x -> (i, x)) xs) with
+        | ys -> Ok ys
+        | exception Pool.Task_errors errs -> Error (List.map fst errs)
+      in
+      let expect =
+        match List.filter (fun i -> i < List.length xs) failing with
+        | [] -> Ok (List.map (fun x -> x + 1) xs)
+        | bad -> Error (List.sort_uniq compare bad)
+      in
+      run jobs = expect && run 1 = expect)
+
+(* A task raising Sys.Break (a Ctrl-C) stops its map: [map] re-raises
+   Sys.Break rather than collecting it into Task_errors, and at jobs=1
+   no task queued behind the struck one starts. *)
+let test_break_stops_map () =
+  List.iter
+    (fun jobs ->
+      let started = Atomic.make 0 in
+      let run () =
+        Pool.map ~jobs
+          (fun x ->
+            Atomic.incr started;
+            if x = 3 then raise Sys.Break;
+            if x = 5 then failwith "an ordinary failure";
+            x)
+          (List.init 20 (fun i -> i))
+      in
+      (match run () with
+      | _ -> Alcotest.fail "expected Sys.Break"
+      | exception Sys.Break -> ()
+      | exception e ->
+        Alcotest.failf "jobs=%d: expected Sys.Break, got %s" jobs
+          (Printexc.to_string e));
+      if jobs = 1 then
+        Alcotest.(check int) "no task after the struck one starts" 4
+          (Atomic.get started);
+      (* the pool stays usable after an interrupted map *)
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d: next map" jobs)
+        [ 2; 4; 6 ]
+        (Pool.map ~jobs (fun x -> 2 * x) [ 1; 2; 3 ]))
+    [ 1; 2 ]
 
 let test_jobs_override () =
   let hw = Domain.recommended_domain_count () in
@@ -177,6 +233,9 @@ let () =
             test_all_errors_collected;
           Alcotest.test_case "Task_errors printer" `Quick
             test_task_errors_printer;
+          QCheck_alcotest.to_alcotest prop_map_contract;
+          Alcotest.test_case "Sys.Break stops a map" `Quick
+            test_break_stops_map;
           Alcotest.test_case "set_default_jobs override" `Quick
             test_jobs_override;
           Alcotest.test_case "domains persist across maps" `Quick
