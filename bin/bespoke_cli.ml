@@ -653,7 +653,7 @@ let cmd_tailor =
                      (Runner.check_equivalence ~netlist:bespoke ~core b ~seed))
                  [ 1; 2; 3 ];
                let sym =
-                 Verify.symbolic_check ~core ~original:net ~shadow_net:bespoke b
+                 Verify.symbolic_check ~core ~report ~shadow_net:bespoke b
                in
                if sym.Verify.sym_ok then begin
                  Printf.fprintf oc

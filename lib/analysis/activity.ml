@@ -55,6 +55,14 @@ type tree_node = {
   mutable node_cycles : int;
 }
 
+type schedule = {
+  config : config;
+  ops : int array;
+  regs : int array;
+  ram : int array;
+  keys : int;
+}
+
 type report = {
   possibly_toggled : bool array;
   constant_values : Bit.t array;
@@ -66,6 +74,7 @@ type report = {
   escaped_paths : int;
   first_toggle : first_toggle option array;
   tree : tree_node array;
+  schedule : schedule;
 }
 
 exception Analysis_error of string
@@ -74,13 +83,59 @@ exception Shadow_mismatch of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Analysis_error s)) fmt
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Shadow_mismatch s)) fmt
 
+(* A schedule op is a tag in the low [tag_bits] bits of an [ops] word
+   with its payload above. *)
+type op =
+  | Seg  (* cycles stepped *)
+  | Boundary  (* mask of the registers whose rails follow in [regs] *)
+  | Halted  (* as [Boundary], then one [ram] record; ends the path *)
+  | Escape  (* ends the path *)
+  | Fork  (* candidate count, then one [pc lsl 1 lor covered] word each;
+             ends the path *)
+  | Prune  (* ends the path *)
+  | Insert  (* interned table key *)
+  | Merge  (* interned table key *)
+  | Irq  (* forced sources: 1 irq_flag, 2 GIE, 4 irq_enable *)
+
+let tag_bits = 4
+let ops_by_tag = [| Seg; Boundary; Halted; Escape; Fork; Prune; Insert; Merge; Irq |]
+
+let tag_of_op = function
+  | Seg -> 0
+  | Boundary -> 1
+  | Halted -> 2
+  | Escape -> 3
+  | Fork -> 4
+  | Prune -> 5
+  | Insert -> 6
+  | Merge -> 7
+  | Irq -> 8
+
+let op_of_word x = ops_by_tag.(x land ((1 lsl tag_bits) - 1))
+
+(* A growable int array, for recording the schedule. *)
+type ibuf = { mutable buf : int array; mutable len : int }
+
+let ibuf () = { buf = Array.make 256 0; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.buf then begin
+    let a = Array.make (2 * b.len) 0 in
+    Array.blit b.buf 0 a 0 b.len;
+    b.buf <- a
+  end;
+  b.buf.(b.len) <- x;
+  b.len <- b.len + 1
+
+let contents b = Array.sub b.buf 0 b.len
+
 (* Positions of specific architectural bits inside the DFF-state
    vector, for forcing forked values.  In a bespoke (pruned) netlist
    some hook bits are constants rather than DFFs; those get position
    -1 and forcing skips them (a reachable forced value always agrees
    with the constant the cut recorded). *)
-let dff_positions sys net hook =
-  let ids = Netlist.find_name net hook in
+let dff_positions sys hook =
+  let ids = Netlist.find_name (System.netlist sys) hook in
   let dff_ids = Engine.dff_ids (System.engine sys) in
   let pos_of id =
     let rec go i =
@@ -92,15 +147,64 @@ let dff_positions sys net hook =
   in
   Array.map pos_of ids
 
+let force_bits snap positions (value : Bvec.t) =
+  let dffs = Bvec.copy (System.snapshot_dffs snap) in
+  Array.iteri (fun i pos -> if pos >= 0 then dffs.(pos) <- value.(i)) positions;
+  System.with_dffs snap dffs
+
+(* The children of an irq fork in push order: both values of every
+   forced source bit, the first source varying slowest. *)
+let irq_children snap positions =
+  List.fold_left
+    (fun acc pos ->
+      List.concat_map
+        (fun s ->
+          [
+            force_bits s [| pos |] [| Bit.Zero |];
+            force_bits s [| pos |] [| Bit.One |];
+          ])
+        acc)
+    [ snap ] positions
+
+let init_system config s =
+  System.reset s;
+  if config.gpio_x then System.set_gpio_in_x s else System.set_gpio_in_int s 0;
+  System.set_irq s (if config.irq_x then Bit.X else Bit.Zero);
+  List.iter
+    (fun (lo, hi) -> System.set_ram_x s ~lo_addr:lo ~hi_addr:hi)
+    config.ram_x_ranges
+
+(* The compared architectural registers, each with a dual-rail reader
+   ({!Engine.rails_reader}) resolved once per system.  A register
+   without a hook reads as constant 0. *)
+type arch_reg = { index : int; width : int; read : int array -> unit }
+
+let arch_regs sys =
+  let core = System.core sys in
+  let reg index =
+    match core.Coredef.reg_hook index with
+    | Some name ->
+      let ids = Netlist.find_name (System.netlist sys) name in
+      { index; width = Array.length ids;
+        read = Engine.rails_reader (System.engine sys) ids }
+    | None ->
+      let width = core.Coredef.word_bits in
+      let read dst =
+        dst.(0) <- (1 lsl width) - 1;
+        dst.(1) <- 0
+      in
+      { index; width; read }
+  in
+  Array.of_list (List.map reg core.Coredef.arch_regs)
+
 type entry = {
   snap : System.snapshot;
-  snap_sh : System.snapshot option;
   candidates : int list;  (* recorded jump targets if PC is unknown *)
   skip_table : bool;  (* fork children continue the merged state *)
   node : tree_node;  (* execution-tree node this entry continues *)
 }
 
-let analyze_impl ?(config = default_config) ?shadow sys =
+let analyze_impl ?(config = default_config) sys =
   let net = System.netlist sys in
   let eng = System.engine sys in
   let core = System.core sys in
@@ -113,41 +217,16 @@ let analyze_impl ?(config = default_config) ?shadow sys =
   let classify ~pc =
     try core.Coredef.classify ~rom_word ~pc with Failure m -> fail "%s" m
   in
-  let pc_pos = dff_positions sys net "pc" in
+  let pc_pos = dff_positions sys "pc" in
   let pc_width = Array.length pc_pos in
-  let ifg0_pos = lazy (dff_positions sys net "irq_flag").(0) in
+  let ifg0_pos = lazy (dff_positions sys "irq_flag").(0) in
   let gie_pos =
     lazy
       (match core.Coredef.gie_bit with
-      | Some (hook, bit) -> (dff_positions sys net hook).(bit)
+      | Some (hook, bit) -> (dff_positions sys hook).(bit)
       | None -> -1)
   in
-  let pc_pos_sh =
-    lazy
-      (match shadow with
-      | Some sh -> dff_positions sh (System.netlist sh) "pc"
-      | None -> [||])
-  in
-  let ifg0_pos_sh =
-    lazy
-      (match shadow with
-      | Some sh -> (dff_positions sh (System.netlist sh) "irq_flag").(0)
-      | None -> -1)
-  in
-  let gie_pos_sh =
-    lazy
-      (match shadow, core.Coredef.gie_bit with
-      | Some sh, Some (hook, bit) ->
-        (dff_positions sh (System.netlist sh) hook).(bit)
-      | _ -> -1)
-  in
-  let ie0_pos = lazy (dff_positions sys net "irq_enable").(0) in
-  let ie0_pos_sh =
-    lazy
-      (match shadow with
-      | Some sh -> (dff_positions sh (System.netlist sh) "irq_enable").(0)
-      | None -> -1)
-  in
+  let ie0_pos = lazy (dff_positions sys "irq_enable").(0) in
   (* Valid fork targets for X-bit PC enumeration: actual instruction
      start addresses of the binary (mid-instruction words are not
      reachable boundaries of any concrete execution). *)
@@ -201,19 +280,38 @@ let analyze_impl ?(config = default_config) ?shadow sys =
                }));
   Fun.protect ~finally:(fun () -> Engine.set_first_possibly_hook eng None)
   @@ fun () ->
-  (* -- initialization -- *)
-  let init_system s =
-    System.reset s;
-    if config.gpio_x then System.set_gpio_in_x s
-    else System.set_gpio_in_int s 0;
-    System.set_irq s (if config.irq_x then Bit.X else Bit.Zero);
-    List.iter
-      (fun (lo, hi) -> System.set_ram_x s ~lo_addr:lo ~hi_addr:hi)
-      config.ram_x_ranges
-  in
-  init_system sys;
-  Option.iter init_system shadow;
+  init_system config sys;
   let constant_values = Engine.snapshot_values eng in
+  (* -- the replay schedule: the exploration's decisions and the
+     architectural state [replay] compares against -- *)
+  let ops = ibuf () and regs = ibuf () and ram = ibuf () in
+  let emit op payload = push ops ((payload lsl tag_bits) lor tag_of_op op) in
+  let ar = arch_regs sys in
+  let nregs = Array.length ar in
+  (* a comparison point records the registers that changed since the
+     previous one on the tape *)
+  let last = Array.make (2 * nregs) (-1) and cur = [| 0; 0 |] in
+  let record_regs op =
+    let mask = ref 0 in
+    for i = 0 to nregs - 1 do
+      ar.(i).read cur;
+      if cur.(0) <> last.(2 * i) || cur.(1) <> last.((2 * i) + 1) then begin
+        mask := !mask lor (1 lsl i);
+        last.(2 * i) <- cur.(0);
+        last.((2 * i) + 1) <- cur.(1);
+        push regs cur.(0);
+        push regs cur.(1)
+      end
+    done;
+    emit op !mask
+  in
+  let ram0 = Memory.snapshot (System.ram sys) in
+  let record_halted () =
+    record_regs Halted;
+    let d = Memory.diff ~base:ram0 (System.ram sys) in
+    push ram (Array.length d / 3);
+    Array.iter (push ram) d
+  in
   (* Conservative-state table keyed by (pc, GIE, stack context).
      Keeping interrupt-enabled/-disabled contexts and different stack
      contexts (SP bits 15:4) apart stops the merge from smearing one
@@ -221,11 +319,9 @@ let analyze_impl ?(config = default_config) ?shadow sys =
      context switches), which would otherwise drive SP to full X and
      make every X-address store conservatively touch the whole
      peripheral file.  Finer keys mean strictly less merging, so this
-     only refines (never weakens) the paper's conservative scheme. *)
-  let table :
-      ( int * int * int * (int * int),
-        System.snapshot * System.snapshot option )
-      Hashtbl.t =
+     only refines (never weakens) the paper's conservative scheme.
+     Each key is interned to a dense int, its name in the schedule. *)
+  let table : (int * int * int * (int * int), int * System.snapshot) Hashtbl.t =
     Hashtbl.create 256
   in
   let sp_bucket () =
@@ -265,71 +361,14 @@ let analyze_impl ?(config = default_config) ?shadow sys =
     else Printf.ifprintf stderr fmt
   in
 
-  (* Re-synthesized logic is functionally equivalent but not ternary-
-     precision-identical (X can propagate differently through an
-     equivalent gate structure), so the check is consistency: no bit
-     may be definite in both designs with different values. *)
-  let consistent a b =
-    Array.for_all2
-      (fun x y -> Bit.equal x y || not (Bit.is_known x && Bit.is_known y))
-      a b
-  in
-  let compare_shadow context =
-    match shadow with
-    | None -> ()
-    | Some sh ->
-      List.iter
-        (fun r ->
-          let a = System.reg sys r and b = System.reg sh r in
-          if not (consistent a b) then
-            mismatch "%s: %s differs: original %s, bespoke %s" context
-              (core.Coredef.reg_name r) (Bvec.to_string a) (Bvec.to_string b))
-        core.Coredef.arch_regs;
-      if System.halted sys <> System.halted sh then
-        mismatch "%s: halt state differs" context
-  in
-  let compare_shadow_ram context =
-    match shadow with
-    | None -> ()
-    | Some sh ->
-      let ra = System.snapshot_ram (System.snapshot sys) in
-      let rb = System.snapshot_ram (System.snapshot sh) in
-      if not (Memory.consistent_snapshots ra rb) then
-        mismatch "%s: data memory differs at path end" context
-  in
-
-  let snapshot_both () =
-    (System.snapshot sys, Option.map System.snapshot shadow)
-  in
-  let restore_both (s, s_sh) =
-    System.restore sys s;
-    (match shadow, s_sh with
-    | Some sh, Some ss -> System.restore sh ss
-    | None, _ -> ()
-    | Some _, None -> fail "internal: missing shadow snapshot")
-  in
-
-  let force_bits snap positions (value : Bvec.t) =
-    let dffs = Bvec.copy (System.snapshot_dffs snap) in
-    Array.iteri (fun i pos -> if pos >= 0 then dffs.(pos) <- value.(i)) positions;
-    System.with_dffs snap dffs
-  in
-  let force_both (s, s_sh) ~pos ~pos_sh value =
-    ( force_bits s pos value,
-      match s_sh with
-      | None -> None
-      | Some ss -> Some (force_bits ss pos_sh value) )
-  in
-
   (* Simulate from the current (settled, boundary) state to the next
      instruction boundary.  Returns the recorded conditional-jump
      candidates if the branch decision was unknown. *)
   let simulate_segment () =
     let candidates = ref [] in
-    let rec go budget =
-      if budget = 0 then fail "instruction did not complete in 20 cycles";
+    let rec go cycles =
+      if cycles = 20 then fail "instruction did not complete in 20 cycles";
       System.step_cycle sys;
-      Option.iter System.step_cycle shadow;
       Option.iter (fun f -> f sys) config.probe;
       incr total_cycles;
       (!cur_node).node_cycles <- (!cur_node).node_cycles + 1;
@@ -350,15 +389,16 @@ let analyze_impl ?(config = default_config) ?shadow sys =
           | _ -> ())
         | Bit.Zero | Bit.One -> ())
       | Bit.Zero -> ());
-      if System.halted sys then `Halted
+      if System.halted sys then (`Halted, cycles + 1)
       else
         match (System.read_hook sys "insn_boundary").(0) with
-        | Bit.One -> `Boundary
+        | Bit.One -> (`Boundary, cycles + 1)
         | Bit.X ->
           fail "FSM state became unknown (pc %s)" (Bvec.to_string (System.pc sys))
-        | Bit.Zero -> go (budget - 1)
+        | Bit.Zero -> go (cycles + 1)
     in
-    let r = go 20 in
+    let r, cycles = go 0 in
+    emit Seg cycles;
     (r, !candidates)
   in
 
@@ -367,7 +407,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
   let run_path (e : entry) =
     incr paths;
     if !paths > config.max_paths then fail "exceeded max_paths";
-    restore_both (e.snap, e.snap_sh);
+    System.restore sys e.snap;
     let nd = e.node in
     cur_node := nd;
     cur_pc := -1;
@@ -375,19 +415,21 @@ let analyze_impl ?(config = default_config) ?shadow sys =
       nd.end_kind <- kind;
       nd.end_pc <- !cur_pc
     in
+    let halt () =
+      incr halted_paths;
+      record_halted ();
+      finish "halted"
+    in
     let skip_table = ref e.skip_table in
     let candidates = ref e.candidates in
     let finished = ref false in
     while not !finished do
       if System.halted sys then begin
-        incr halted_paths;
-        compare_shadow "halted path";
-        compare_shadow_ram "halted path";
-        finish "halted";
+        halt ();
         finished := true
       end
       else begin
-        compare_shadow "boundary";
+        record_regs Boundary;
         match Bvec.to_int (System.pc sys) with
         | None when !candidates = [] && config.computed_branch_fallback = `Escape
           ->
@@ -395,6 +437,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
              [computed_branch_fallback] documentation *)
           incr escaped_paths;
           log "computed-branch escape (pc %s)" (Bvec.to_string (System.pc sys));
+          emit Escape 0;
           finish "escaped";
           finished := true
         | None ->
@@ -433,23 +476,22 @@ let analyze_impl ?(config = default_config) ?shadow sys =
                 fail "too many PC candidates (%d)" (List.length valid);
               valid
           in
-          let snap = snapshot_both () in
+          let snap = System.snapshot sys in
+          emit Fork (List.length cands);
           List.iter
             (fun t ->
-              let s, s_sh =
-                force_both snap ~pos:pc_pos ~pos_sh:(Lazy.force pc_pos_sh)
-                  (Bvec.of_int ~width:pc_width t)
-              in
+              let s = force_bits snap pc_pos (Bvec.of_int ~width:pc_width t) in
               let edge = Printf.sprintf "pc=0x%04x" t in
               (* prune eagerly if the table already covers this child *)
               let covered =
                 Hashtbl.fold
-                  (fun (p, _, _, _) (c, _) acc ->
+                  (fun (p, _, _, _) (_, c) acc ->
                     acc
                     || p = t
                        && System.snapshot_subsumes ~general:c ~specific:s)
                   table false
               in
+              push ops ((t lsl 1) lor Bool.to_int covered);
               if covered then begin
                 incr prunes;
                 let child = new_node ~parent:nd.node_id ~edge ~start_pc:t in
@@ -459,8 +501,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
               else begin
                 incr forks;
                 Stack.push
-                  { snap = s; snap_sh = s_sh; candidates = [];
-                    skip_table = false;
+                  { snap = s; candidates = []; skip_table = false;
                     node = new_node ~parent:nd.node_id ~edge ~start_pc:t }
                   stack
               end)
@@ -478,6 +519,7 @@ let analyze_impl ?(config = default_config) ?shadow sys =
              activity; the count is reported for auditability. *)
           incr escaped_paths;
           log "path escaped at %04x" pcv;
+          emit Escape 0;
           cur_pc := pcv;
           finish "escaped";
           finished := true
@@ -490,26 +532,25 @@ let analyze_impl ?(config = default_config) ?shadow sys =
           in
           if is_ctl && not !skip_table then begin
             let key = table_key pcv in
-            let s = snapshot_both () in
+            let s = System.snapshot sys in
             match Hashtbl.find_opt table key with
-            | Some (c, _)
-              when System.snapshot_subsumes ~general:c ~specific:(fst s) ->
+            | Some (_, c) when System.snapshot_subsumes ~general:c ~specific:s ->
               incr prunes;
               log "prune at %04x" pcv;
+              emit Prune 0;
               finish "pruned";
               finished := true
-            | Some (c, c_sh) ->
-              let m = System.snapshot_merge c (fst s) in
-              let m_sh =
-                match c_sh, snd s with
-                | Some a, Some b -> Some (System.snapshot_merge a b)
-                | _ -> None
-              in
-              Hashtbl.replace table key (m, m_sh);
+            | Some (id, c) ->
+              let m = System.snapshot_merge c s in
+              Hashtbl.replace table key (id, m);
               incr merges;
-              restore_both (m, m_sh);
+              emit Merge id;
+              System.restore sys m;
               log "merge at %04x" pcv
-            | None -> Hashtbl.replace table key s
+            | None ->
+              let id = Hashtbl.length table in
+              Hashtbl.replace table key (id, s);
+              emit Insert id
           end;
           skip_table := false;
           if not !finished then begin
@@ -520,64 +561,47 @@ let analyze_impl ?(config = default_config) ?shadow sys =
             let pending = (System.read_hook sys "irq_pending").(0) in
             (match pending with
             | Bit.X ->
-              let s = snapshot_both () in
               let gie_source =
                 match core.Coredef.gie_bit with
                 | Some (hook, bit) ->
-                  [ ((System.read_hook sys hook).(bit),
-                     Lazy.force gie_pos, Lazy.force gie_pos_sh) ]
+                  [ ((System.read_hook sys hook).(bit), gie_pos, 2) ]
                 | None -> []
               in
               let sources =
-                ((System.read_hook sys "irq_flag").(0),
-                 Lazy.force ifg0_pos, Lazy.force ifg0_pos_sh)
+                ((System.read_hook sys "irq_flag").(0), ifg0_pos, 1)
                 :: gie_source
-                @ [ ((System.read_hook sys "irq_enable").(0),
-                     Lazy.force ie0_pos, Lazy.force ie0_pos_sh) ]
+                @ [ ((System.read_hook sys "irq_enable").(0), ie0_pos, 4) ]
               in
               let unknown =
                 List.filter (fun (v, _, _) -> not (Bit.is_known v)) sources
               in
               if unknown = [] then
                 fail "irq_pending X but its sources are known at %04x" pcv;
+              emit Irq (List.fold_left (fun m (_, _, bit) -> m lor bit) 0 unknown);
               let children =
-                List.fold_left
-                  (fun acc (_, pos, pos_sh) ->
-                    List.concat_map
-                      (fun snap ->
-                        [
-                          force_both snap ~pos:[| pos |] ~pos_sh:[| pos_sh |]
-                            [| Bit.Zero |];
-                          force_both snap ~pos:[| pos |] ~pos_sh:[| pos_sh |]
-                            [| Bit.One |];
-                        ])
-                      acc)
-                  [ s ] unknown
+                irq_children (System.snapshot sys)
+                  (List.map (fun (_, pos, _) -> Lazy.force pos) unknown)
               in
               (match children with
               | first :: rest ->
                 List.iter
-                  (fun (c, c_sh) ->
+                  (fun c ->
                     incr forks;
                     Stack.push
-                      { snap = c; snap_sh = c_sh; candidates = [];
-                        skip_table = true;
+                      { snap = c; candidates = []; skip_table = true;
                         node =
                           new_node ~parent:nd.node_id ~edge:"irq-case"
                             ~start_pc:pcv }
                       stack)
                   rest;
-                restore_both first
+                System.restore sys first
               | [] -> assert false);
               log "fork on pending irq at %04x (%d children)" pcv
                 (List.length children)
             | Bit.Zero | Bit.One -> ());
             match simulate_segment () with
             | `Halted, _ ->
-              incr halted_paths;
-              compare_shadow "halted path";
-              compare_shadow_ram "halted path";
-              finish "halted";
+              halt ();
               finished := true
             | `Boundary, cands -> candidates := cands
           end
@@ -591,9 +615,8 @@ let analyze_impl ?(config = default_config) ?shadow sys =
   | `Halted, _ ->
     incr halted_paths;
     root.end_kind <- "halted");
-  let s0, s0_sh = snapshot_both () in
   Stack.push
-    { snap = s0; snap_sh = s0_sh; candidates = []; skip_table = false;
+    { snap = System.snapshot sys; candidates = []; skip_table = false;
       node = root }
     stack;
   while not (Stack.is_empty stack) do
@@ -617,11 +640,157 @@ let analyze_impl ?(config = default_config) ?shadow sys =
     escaped_paths = !escaped_paths;
     first_toggle;
     tree = Array.of_list (List.rev !nodes);
+    schedule =
+      {
+        config;
+        ops = contents ops;
+        regs = contents regs;
+        ram = contents ram;
+        keys = Hashtbl.length table;
+      };
   }
 
-let analyze ?config ?shadow sys =
-  Obs.Span.with_ ~name:"analysis.analyze" (fun () ->
-      analyze_impl ?config ?shadow sys)
+let analyze ?config sys =
+  Obs.Span.with_ ~name:"analysis.analyze" (fun () -> analyze_impl ?config sys)
+
+(* No bit known 0 in one dual-rail word and known 1 in the other.
+   Re-synthesized logic is functionally equivalent but not ternary-
+   precision-identical (X can propagate differently through an
+   equivalent gate structure), so the replay checks consistency, not
+   equality. *)
+let rails_consistent alo ahi blo bhi =
+  (alo land lnot ahi land bhi land lnot blo)
+  lor (ahi land lnot alo land blo land lnot bhi)
+  = 0
+
+let bvec_of_rails ~width lo hi =
+  Array.init width (fun i ->
+      match ((lo lsr i) land 1, (hi lsr i) land 1) with
+      | 1, 1 -> Bit.X
+      | 0, 1 -> Bit.One
+      | _ -> Bit.Zero)
+
+let replay_impl r sys =
+  let sc = r.schedule in
+  let core = System.core sys in
+  init_system sc.config sys;
+  let ram0 = Memory.snapshot (System.ram sys) in
+  let ar = arch_regs sys in
+  let nregs = Array.length ar in
+  (* the original's registers at the current comparison point *)
+  let orig = Array.make (2 * nregs) 0 and cur = [| 0; 0 |] in
+  let op_i = ref 0 and reg_i = ref 0 and ram_i = ref 0 in
+  let next () =
+    let x = sc.ops.(!op_i) in
+    incr op_i;
+    x
+  in
+  let compare context mask ~halted =
+    for i = 0 to nregs - 1 do
+      if mask land (1 lsl i) <> 0 then begin
+        orig.(2 * i) <- sc.regs.(!reg_i);
+        orig.((2 * i) + 1) <- sc.regs.(!reg_i + 1);
+        reg_i := !reg_i + 2
+      end
+    done;
+    Array.iteri
+      (fun i r ->
+        r.read cur;
+        let lo = orig.(2 * i) and hi = orig.((2 * i) + 1) in
+        if not (rails_consistent lo hi cur.(0) cur.(1)) then
+          mismatch "%s: %s differs: original %s, bespoke %s" context
+            (core.Coredef.reg_name r.index)
+            (Bvec.to_string (bvec_of_rails ~width:r.width lo hi))
+            (Bvec.to_string (bvec_of_rails ~width:r.width cur.(0) cur.(1))))
+      ar;
+    if System.halted sys <> halted then mismatch "%s: halt state differs" context
+  in
+  let compare_ram context =
+    let n = sc.ram.(!ram_i) in
+    let original = Memory.patch ram0 sc.ram ~pos:(!ram_i + 1) ~len:n in
+    ram_i := !ram_i + 1 + (3 * n);
+    if
+      not
+        (Memory.consistent_snapshots original (Memory.snapshot (System.ram sys)))
+    then mismatch "%s: data memory differs at path end" context
+  in
+  let pc_pos = lazy (dff_positions sys "pc") in
+  let irq_pos =
+    lazy
+      [
+        (1, (dff_positions sys "irq_flag").(0));
+        ( 2,
+          match core.Coredef.gie_bit with
+          | Some (hook, bit) -> (dff_positions sys hook).(bit)
+          | None -> -1 );
+        (4, (dff_positions sys "irq_enable").(0));
+      ]
+  in
+  (* the replayed design's merge table; every key is inserted before it
+     is merged, so the filler is never read *)
+  let table = Array.make sc.keys (System.snapshot sys) in
+  let stack = Stack.create () in
+  let step cycles =
+    for _ = 1 to cycles do
+      System.step_cycle sys
+    done
+  in
+  (* one path: replay ops up to the one that ends it *)
+  let rec run_path () =
+    let x = next () in
+    let arg = x lsr tag_bits in
+    match op_of_word x with
+    | Seg ->
+      step arg;
+      run_path ()
+    | Boundary ->
+      compare "boundary" arg ~halted:false;
+      run_path ()
+    | Halted ->
+      compare "halted path" arg ~halted:true;
+      compare_ram "halted path"
+    | Escape | Prune -> ()
+    | Fork ->
+      let snap = System.snapshot sys and pc_pos = Lazy.force pc_pos in
+      for _ = 1 to arg do
+        let c = next () in
+        if c land 1 = 0 then
+          Stack.push
+            (force_bits snap pc_pos
+               (Bvec.of_int ~width:(Array.length pc_pos) (c lsr 1)))
+            stack
+      done
+    | Insert ->
+      table.(arg) <- System.snapshot sys;
+      run_path ()
+    | Merge ->
+      let m = System.snapshot_merge table.(arg) (System.snapshot sys) in
+      table.(arg) <- m;
+      System.restore sys m;
+      run_path ()
+    | Irq ->
+      let positions =
+        List.filter_map
+          (fun (bit, pos) -> if arg land bit <> 0 then Some pos else None)
+          (Lazy.force irq_pos)
+      in
+      (match irq_children (System.snapshot sys) positions with
+      | first :: rest ->
+        List.iter (fun c -> Stack.push c stack) rest;
+        System.restore sys first
+      | [] -> assert false);
+      run_path ()
+  in
+  (* the reset segment, then every path in the analysis' pop order *)
+  step (next () lsr tag_bits);
+  Stack.push (System.snapshot sys) stack;
+  while not (Stack.is_empty stack) do
+    System.restore sys (Stack.pop stack);
+    run_path ()
+  done
+
+let replay r sys =
+  Obs.Span.with_ ~name:"analysis.replay" (fun () -> replay_impl r sys)
 
 let tree_dot ?(max_nodes = 4000) r =
   let b = Buffer.create 4096 in

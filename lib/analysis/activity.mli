@@ -19,7 +19,15 @@
 
     The result is the set of gates that can possibly toggle in {e any}
     execution with {e any} inputs, and the constant values of all the
-    others. *)
+    others.
+
+    The exploration also records a {e schedule}: every decision it took
+    (segment lengths, forks, table inserts/merges/prunes) and the
+    architectural state at every instruction boundary and halted path
+    end.  {!replay} drives a second design — the bespoke design, or a
+    faulted copy of it — through that schedule and compares its state
+    with the recorded one: the paper's symbolic verification (Section
+    5.1), without simulating the original design a second time. *)
 
 module Bit := Bespoke_logic.Bit
 module System := Bespoke_coreapi.System
@@ -84,6 +92,30 @@ type tree_node = {
 }
 (** One node of the explored symbolic execution tree. *)
 
+type schedule = {
+  config : config;  (** the config the analysis ran with *)
+  ops : int array;
+      (** the decisions in exploration order, one op per word (tag in
+          the low 4 bits, payload above): a segment of n cycles; a
+          boundary or halted-path comparison (payload: mask over
+          [arch_regs] of the registers whose rails follow in [regs]); a
+          PC fork (payload: candidate count, then one word per
+          candidate, [pc lsl 1] plus 1 when the table already covered
+          it); an irq fork (payload: the forced sources); a table
+          insert or merge (payload: the key interned to a dense int);
+          an escape or prune *)
+  regs : int array;
+      (** the original's registers at the comparison points, as two
+          dual-rail ints each (can be 0, can be 1), for the registers
+          that changed since the previous comparison point *)
+  ram : int array;
+      (** per halted path end, the count n of data-RAM words that
+          differ from the RAM at reset, then n [(word, lo, hi)]
+          triples *)
+  keys : int;  (** interned table keys *)
+}
+(** What {!replay} needs to re-play an exploration on another design. *)
+
 type report = {
   possibly_toggled : bool array;
   constant_values : Bit.t array;
@@ -101,25 +133,32 @@ type report = {
   first_toggle : first_toggle option array;
       (** per gate; [Some _] exactly for possibly-toggled gates *)
   tree : tree_node array;  (** indexed by [node_id] *)
+  schedule : schedule;
 }
 
 exception Analysis_error of string
 
 exception Shadow_mismatch of string
-(** Raised by a shadow run (below) on the first architectural-state
-    divergence. *)
+(** Raised by {!replay} on the first architectural-state divergence. *)
 
-val analyze : ?config:config -> ?shadow:System.t -> System.t -> report
-(** Resets the system first.  @raise Analysis_error when the
+val analyze : ?config:config -> System.t -> report
+(** Resets the system first.  The report's [schedule] records the
+    exploration for {!replay}.  @raise Analysis_error when the
     exploration exceeds its bounds or control state becomes
-    unrecoverably unknown.
+    unrecoverably unknown. *)
 
-    [shadow] is the paper's symbolic verification procedure (Section
-    5.1): a second system — typically the bespoke design — is stepped
-    in lockstep through the {e same} execution tree (same forks, same
-    merges), and the architectural state (PC, SP, SR, R4..R15) is
-    compared at every instruction boundary, the data RAM at every
-    halted path end.  @raise Shadow_mismatch on divergence. *)
+val replay : report -> System.t -> unit
+(** The paper's symbolic verification procedure (Section 5.1): reset
+    the system — typically the bespoke design of the analyzed program —
+    and drive it through the report's execution tree (same segments,
+    forks and merges; its own stack and merge table under the
+    schedule's keys), comparing its architectural state (the core's
+    [arch_regs], consistent up to X, and the halt bit) with the
+    recorded original at every instruction boundary and halted path
+    end, and its data RAM at every halted path end.  Only this system
+    is simulated.  @raise
+    Shadow_mismatch on the first divergence, e.g. ["boundary: r5
+    differs: original …, bespoke …"]. *)
 
 val tree_dot : ?max_nodes:int -> report -> string
 (** The explored execution tree as a Graphviz digraph (nodes colored

@@ -270,7 +270,6 @@ let restore t s =
   Engine.sync_prev t.eng
 
 let snapshot_dffs s = s.dffs
-let snapshot_ram s = s.ram_snap
 
 let snapshot_subsumes ~general ~specific =
   Bvec.subsumes ~general:general.dffs ~specific:specific.dffs

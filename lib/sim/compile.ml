@@ -1292,6 +1292,36 @@ let read_ids_int t (ids : int array) =
     end
   end
 
+let rails_reader t (ids : int array) =
+  (* maximal runs of consecutive bits of one chunk, as flat
+     (chunk, bit, length, destination bit) quads *)
+  let runs = ref [] and i = ref 0 in
+  let n = Array.length ids in
+  while !i < n do
+    let c = t.p.g_chunk.(ids.(!i)) and b = t.p.g_bit.(ids.(!i)) in
+    let len = ref 1 in
+    while
+      !i + !len < n
+      && t.p.g_chunk.(ids.(!i + !len)) = c
+      && t.p.g_bit.(ids.(!i + !len)) = b + !len
+    do
+      incr len
+    done;
+    runs := [ c; b; !len; !i ] :: !runs;
+    i := !i + !len
+  done;
+  let r = Array.of_list (List.concat (List.rev !runs)) in
+  fun (dst : int array) ->
+    let lo = ref 0 and hi = ref 0 in
+    for k = 0 to (Array.length r / 4) - 1 do
+      let c = r.(4 * k) and b = r.((4 * k) + 1) and d = r.((4 * k) + 3) in
+      let mask = (1 lsl r.((4 * k) + 2)) - 1 in
+      lo := !lo lor (((t.lo.(c) lsr b) land mask) lsl d);
+      hi := !hi lor (((t.hi.(c) lsr b) land mask) lsl d)
+    done;
+    dst.(0) <- !lo;
+    dst.(1) <- !hi
+
 let find_port t name = Netlist.find_input t.net name
 
 let set_input t name (v : Bvec.t) =

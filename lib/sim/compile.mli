@@ -57,6 +57,13 @@ val read_ids_int : t -> int array -> int option
 (** Int readback of a gate-id vector, LSB first, or [None] if any bit
     is X; one word extract when the ids are chunk-aligned. *)
 
+val rails_reader : t -> int array -> int array -> unit
+(** [rails_reader t ids] resolves a gate-id vector (LSB first, at most
+    62 ids) into runs of consecutive chunk bits once; the returned
+    [read dst] stores its dual-rail value in [dst.(0)] (bit [i] can be
+    0) and [dst.(1)] (bit [i] can be 1) with one word extract per run
+    and no allocation. *)
+
 val read : t -> string -> Bvec.t
 val read_int : t -> string -> int option
 val set_input : t -> string -> Bvec.t -> unit

@@ -279,6 +279,21 @@ let read_int_ids t (ids : int array) =
       ids;
     if !known then Some !v else None
 
+let rails_reader t (ids : int array) =
+  match t with
+  | Prog p -> Compile.rails_reader p.comp ids
+  | Sweep s ->
+    fun dst ->
+      let lo = ref 0 and hi = ref 0 in
+      Array.iteri
+        (fun i id ->
+          let cd = get s id in
+          if cd <> 1 then lo := !lo lor (1 lsl i);
+          if cd <> 0 then hi := !hi lor (1 lsl i))
+        ids;
+      dst.(0) <- !lo;
+      dst.(1) <- !hi
+
 let read t name =
   match t with
   | Prog p -> Compile.read p.comp name

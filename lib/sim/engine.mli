@@ -54,6 +54,13 @@ val read_int_ids : t -> int array -> int option
     every cycle should resolve its ids once and use this instead of
     {!read_int}. *)
 
+val rails_reader : t -> int array -> int array -> unit
+(** [rails_reader t ids] resolves the gate bits (LSB first, at most 62)
+    once and returns [read]: [read dst] stores their current dual-rail
+    value in [dst.(0)] (bit [i] can be 0) and [dst.(1)] (bit [i] can
+    be 1), X setting both.  Allocation-free; for signals probed at
+    every instruction boundary. *)
+
 val set_gate : t -> int -> Bit.t -> unit
 (** Only valid on [Input] gates. *)
 

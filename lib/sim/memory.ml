@@ -164,6 +164,26 @@ let subsumes ~general ~specific =
 
 let equal_snapshot (a : snapshot) b = a = b
 
+let diff ~base t =
+  if Array.length base <> Array.length t.rails then
+    invalid_arg "Memory.diff: size mismatch";
+  let out = ref [] in
+  for w = t.words - 1 downto 0 do
+    let lo = t.rails.(2 * w) and hi = t.rails.((2 * w) + 1) in
+    if lo <> base.(2 * w) || hi <> base.((2 * w) + 1) then
+      out := w :: lo :: hi :: !out
+  done;
+  Array.of_list !out
+
+let patch base (d : int array) ~pos ~len =
+  let s = Array.copy base in
+  for i = 0 to len - 1 do
+    let w = d.(pos + (3 * i)) in
+    s.(2 * w) <- d.(pos + (3 * i) + 1);
+    s.((2 * w) + 1) <- d.(pos + (3 * i) + 2)
+  done;
+  s
+
 (* Two ternary bits are consistent unless their value sets are
    disjoint, i.e. one is known 0 and the other known 1. *)
 let consistent_snapshots a b =

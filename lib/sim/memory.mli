@@ -74,6 +74,15 @@ val merge_snapshot : snapshot -> snapshot -> snapshot
 val subsumes : general:snapshot -> specific:snapshot -> bool
 val equal_snapshot : snapshot -> snapshot -> bool
 
+val diff : base:snapshot -> t -> int array
+(** The words whose rails differ from [base], as flat [(index, lo, hi)]
+    triples in ascending index order: a compact record of a memory
+    state that stays close to a known one. *)
+
+val patch : snapshot -> int array -> pos:int -> len:int -> snapshot
+(** A copy of the snapshot with the [len] {!diff} triples starting at
+    [pos] applied. *)
+
 (** [consistent_snapshots a b]: no bit is definite in both snapshots
     with different values (X is compatible with anything). *)
 val consistent_snapshots : snapshot -> snapshot -> bool

@@ -129,18 +129,16 @@ let cosim ~core ~netlist b ~seed =
     Error
       { Lockstep.at_insn = -1; at_pc = -1; what = "hang"; detail = m }
 
-(* The symbolic layer: re-play the original design's execution tree on
-   [shadow_net], comparing architectural state at every boundary. *)
-let symbolic_check ~core ~original ~shadow_net b =
+(* The symbolic layer: replay the original design's recorded execution
+   tree on [shadow_net], comparing architectural state at every
+   boundary. *)
+let symbolic_check ~core ~report ~shadow_net b =
   Obs.Span.with_ ~name:"verify.symbolic" ~args:[ ("benchmark", b.B.name) ]
   @@ fun () ->
   let t0 = now () in
-  let img = Runner.image ~core b in
-  let sys = System.create ~netlist:original ~core img in
-  let sh = System.create ~netlist:shadow_net ~core img in
-  let config = Runner.resolve_analysis_config b in
-  match Activity.analyze ~config ~shadow:sh sys with
-  | report ->
+  let sh = System.create ~netlist:shadow_net ~core (Runner.image ~core b) in
+  match Activity.replay report sh with
+  | () ->
     {
       sym_ok = true;
       sym_paths = report.Activity.paths;
@@ -154,15 +152,6 @@ let symbolic_check ~core ~original ~shadow_net b =
       sym_time_s = now () -. t0;
       sym_detail = Some m;
     }
-  | exception Activity.Analysis_error m ->
-    (* the shadow drove the exploration off its bounds: also a
-       detected difference between the two designs *)
-    {
-      sym_ok = false;
-      sym_paths = 0;
-      sym_time_s = now () -. t0;
-      sym_detail = Some ("analysis diverged: " ^ m);
-    }
 
 (* The ISS's architectural registers at the first instruction boundary
    lockstep compares (after the first instruction) on input [seed] —
@@ -172,6 +161,9 @@ let first_boundary_regs ~core b ~seed =
   set_irq ();
   iss.Coredef.step ();
   iss.Coredef.reg
+
+let shrink ~check seeds =
+  Obs.Span.with_ ~name:"verify.shrink" (fun () -> Shrink.of_seeds ~check seeds)
 
 let real_gate (g : Gate.t) =
   match g.Gate.op with Gate.Input | Gate.Const _ -> false | _ -> true
@@ -185,11 +177,15 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   (* tailor — through the flow cache, so a campaign that re-verifies a
      benchmark (or follows a tailor/guard job for it) reuses the cut *)
   let t = Runner.tailor_cached ~core b in
-  let { Runner.original = net; bespoke; stats; _ } = t in
+  let { Runner.report; bespoke; stats; _ } = t in
   (* layer 1a: coverage-directed input-based co-simulation *)
-  let cov = Coverage.explore ?budget:explore_budget ~core b in
+  let cov =
+    Obs.Span.with_ ~name:"verify.explore" (fun () ->
+        Coverage.explore ?budget:explore_budget ~core b)
+  in
   let toggle_union = Array.make (Netlist.gate_count bespoke) 0 in
   let inputs =
+    Obs.Span.with_ ~name:"verify.inputs" @@ fun () ->
     List.map
       (fun s ->
         Obs.Metrics.incr m_inputs;
@@ -224,7 +220,7 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   let repro =
     if inputs_ok then None
     else
-      Shrink.of_seeds
+      shrink
         ~check:(fun s ->
           match cosim ~core ~netlist:bespoke b ~seed:s with
           | Ok _ -> None
@@ -232,13 +228,14 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
         cov.Coverage.kept_seeds
   in
   (* layer 1b: symbolic state-trace comparison *)
-  let symbolic = symbolic_check ~core ~original:net ~shadow_net:bespoke b in
+  let symbolic = symbolic_check ~core ~report ~shadow_net:bespoke b in
   (* deployment-guard shadow check: replay the benchmark itself on the
      bespoke design with the cut-assumption watcher attached — on the
      application the design was tailored to, the guard must stay
      silent, so a violation here is a checker-level red flag on the
      tailoring, independent of the equivalence layers *)
   let guard =
+    Obs.Span.with_ ~name:"verify.guard" @@ fun () ->
     let gplan = Guard.plan_of_tailored t in
     let gw = Guard.watch_bespoke gplan in
     let _ = Guard.replay gw ~core ~netlist:bespoke b ~seed in
@@ -276,10 +273,12 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
         @@ fun () ->
         Obs.Metrics.incr m_faults;
         let t = now () in
-        let faulty = Fault.inject bespoke f in
+        let faulty =
+          Obs.Span.with_ ~name:"verify.inject" (fun () -> Fault.inject bespoke f)
+        in
         let kill =
           match
-            Shrink.of_seeds
+            shrink
               ~check:(fun s ->
                 match cosim ~core ~netlist:faulty b ~seed:s with
                 | Ok _ -> None
@@ -288,9 +287,7 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
           with
           | Some repro -> Killed_input repro
           | None -> (
-            let sym =
-              symbolic_check ~core ~original:net ~shadow_net:faulty b
-            in
+            let sym = symbolic_check ~core ~report ~shadow_net:faulty b in
             match sym.sym_detail with
             | Some m when not sym.sym_ok -> Killed_symbolic m
             | _ -> Survived)

@@ -45,7 +45,7 @@ type kill =
   | Killed_input of Shrink.repro
       (** caught by input-based co-simulation; the repro is shrunk *)
   | Killed_symbolic of string
-      (** survived every input, caught by the symbolic shadow *)
+      (** survived every input, caught by the symbolic replay *)
   | Survived  (** not distinguished by layer 1: equivalent or masked *)
 
 type fault_result = {
@@ -107,13 +107,15 @@ val detectable_score_pct : score -> float
     gate) faults — the campaign's acceptance bar is 100. *)
 
 val symbolic_check :
-  core:Coredef.t -> original:Netlist.t -> shadow_net:Netlist.t -> B.t ->
-  symbolic
-(** The symbolic layer alone: replay [original]'s input-independent
-    execution tree (config per {!Bespoke_core.Runner.resolve_analysis_config})
-    on [shadow_net], comparing architectural state at every
-    instruction boundary.  A mismatch, or a shadow that drives the
-    exploration off its bounds, gives [sym_ok = false]. *)
+  core:Coredef.t -> report:Bespoke_analysis.Activity.report ->
+  shadow_net:Netlist.t -> B.t -> symbolic
+(** The symbolic layer alone: {!Bespoke_analysis.Activity.replay} of
+    [report] — the original design's analysis of the benchmark, whose
+    schedule recorded its input-independent execution tree — on
+    [shadow_net], comparing architectural state at every instruction
+    boundary and the data RAM at every halted path end.  Only
+    [shadow_net] is simulated.  A mismatch gives [sym_ok = false] with
+    its text in [sym_detail]. *)
 
 val check_benchmark :
   ?faults:int -> ?seed:int -> ?explore_budget:int ->

@@ -19,7 +19,13 @@
    And tailoring has one home: bin/, bench/main.ml and the consumers
    of a tailored design (campaign, verify, guard) may not call the cut
    themselves — they take the record of [Runner.tailor_cached], so
-   the stages that consume one benchmark's design share one cut. *)
+   the stages that consume one benchmark's design share one cut.
+
+   And exploration has one caller: outside lib/analysis, only
+   lib/core/runner.ml may call [Activity.analyze] in lib/, bin/ or
+   bench/main.ml — everything else takes the (cached) report, and
+   verification replays its recorded schedule instead of exploring
+   again. *)
 
 let layers = [ "core"; "analysis"; "verify"; "guard" ]
 let forbidden_src = [ "Bespoke_cpu."; "Bespoke_isa." ]
@@ -33,6 +39,7 @@ let tailor_free =
   [ "bin"; "lib/campaign"; "lib/verify"; "lib/guard"; "bench/main.ml" ]
 
 let tailor_needles = [ "Cut.tailor_explained" ]
+let analyze_needles = [ "Activity.analyze" ]
 
 let root =
   if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
@@ -99,6 +106,20 @@ let () =
       List.iter (scan_file ~patterns:tailor_needles)
         (ml_files (Filename.concat root path)))
     tailor_free;
+  (let analysis_home = Filename.concat lib_root "analysis"
+   and runner = Filename.concat lib_root (Filename.concat "core" "runner.ml") in
+   let in_analysis path =
+     String.length path > String.length analysis_home
+     && String.sub path 0 (String.length analysis_home + 1)
+        = analysis_home ^ Filename.dir_sep
+   in
+   List.iter
+     (fun path ->
+       if path <> runner && not (in_analysis path) then
+         scan_file ~patterns:analyze_needles path)
+     (ml_files lib_root
+     @ ml_files (Filename.concat root "bin")
+     @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]));
   List.iter
     (fun layer ->
       let dir = Filename.concat lib_root layer in
@@ -124,8 +145,9 @@ let () =
     Printf.printf
       "boundary-check: %d file(s) checked: lib/{%s} are core-agnostic (no \
        Bespoke_cpu/Bespoke_isa references), lib/obs/obs.ml holds the only \
-       JSON string escaper, %s pick no engine, and %s leave the cut to \
-       Runner.tailor_cached\n"
+       JSON string escaper, %s pick no engine, %s leave the cut to \
+       Runner.tailor_cached, and only lib/core/runner.ml calls \
+       Activity.analyze outside lib/analysis\n"
       !files
       (String.concat "," layers)
       (String.concat ", " engine_free)
@@ -136,6 +158,6 @@ let () =
     Printf.eprintf
       "boundary-check: the flow layers must target Coredef, not a \
        concrete core, JSON strings must go through Obs.Json.str, \
-       engine choice belongs to lib/core and lib/sim, and tailoring to \
-       Runner.tailor_cached\n";
+       engine choice belongs to lib/core and lib/sim, tailoring to \
+       Runner.tailor_cached, and exploration to Runner\n";
     exit 1

@@ -16,10 +16,12 @@
      `BESPOKE_FUZZ_SEED=<seed> dune exec test/core_matrix.exe`
      replays it;
    - analysis: on generated programs (beyond the curated suite) the
-     symbolic analysis gives the same report under the full-sweep
-     oracle and the compiled engine, and it is sound: every gate that
-     toggles in a concrete run on random GPIO words is marked
-     possibly-toggled, so none of them would be cut;
+     symbolic analysis gives the same report and records the same
+     replay schedule under the full-sweep oracle and the compiled
+     engine, and it is sound: every gate that toggles in a concrete
+     run on random GPIO words is marked possibly-toggled, so none of
+     them would be cut, and the tailored design passes the symbolic
+     replay of the recorded exploration;
    - serialization: the stock and tailored netlists survive a
      to_string/of_string round trip as a byte-identical fixpoint;
    - guard: the cut-assumption shadow watcher stays silent when the
@@ -142,9 +144,10 @@ struct
       QCheck.(pair (int_bound 1_000_000) (int_bound 0xffff))
       (fun (seed, gpio) -> fuzz_one ~seed ~gpio)
 
-  (* analysis: Full vs Compiled report, then soundness against
-     concrete runs.  GPIO is X in the analysis and a random word in
-     each concrete run; the programs use no RAM inputs and no IRQs. *)
+  (* analysis: Full vs Compiled report and schedule, the tailored
+     design's replay, then soundness against concrete runs.  GPIO is X
+     in the analysis and a random word in each concrete run; the
+     programs use no RAM inputs and no IRQs. *)
   let analysis_seeds = List.init 8 (fun i -> i + 1)
 
   let check_analysis ~seed =
@@ -178,6 +181,24 @@ struct
     same "paths" full.Activity.paths compiled.Activity.paths;
     same "merges" full.Activity.merges compiled.Activity.merges;
     same "prunes" full.Activity.prunes compiled.Activity.prunes;
+    let sf = full.Activity.schedule and sc = compiled.Activity.schedule in
+    same "schedule ops" sf.Activity.ops sc.Activity.ops;
+    same "schedule registers" sf.Activity.regs sc.Activity.regs;
+    same "schedule RAM records" sf.Activity.ram sc.Activity.ram;
+    same "schedule keys" sf.Activity.keys sc.Activity.keys;
+    (* the tailored design replays the recorded exploration *)
+    (let bespoke, _ =
+       Cut.tailor net ~possibly_toggled:compiled.Activity.possibly_toggled
+         ~constants:compiled.Activity.constant_values
+     in
+     let sh =
+       Bespoke_coreapi.System.create ~netlist:bespoke ~core
+         (Runner.image ~core b)
+     in
+     match Activity.replay compiled sh with
+     | () -> ()
+     | exception Activity.Shadow_mismatch m ->
+       fail "bespoke design fails the symbolic replay: %s" m);
     List.iter
       (fun run ->
         let o = Runner.run_gate ~core ~netlist:net b ~seed:run in

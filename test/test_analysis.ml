@@ -226,9 +226,8 @@ start:  mov #0x0280, sp
   in
   let caught =
     try
-      let sys1 = System.create ~netlist:net ~core (Msp430.coreimage img) in
       let sh = System.create ~netlist:bad ~core (Msp430.coreimage img) in
-      ignore (Activity.analyze ~shadow:sh sys1);
+      Activity.replay r sh;
       (* the shadow may pass if the sabotage fell on redundant gates;
          input-based checks are the backstop *)
       List.for_all
@@ -248,6 +247,84 @@ start:  mov #0x0280, sp
     | Failure _ -> false
   in
   Alcotest.(check bool) "sabotaged cut detected" false caught
+
+(* --- the recorded schedule: replay catches a corrupted record ------- *)
+
+let schedule_src =
+  {|
+start:  mov #0x0280, sp
+        mov &0x0300, r4
+        add #1, r4
+        mov r4, &0x0380
+        mov #0x1234, &0x0382
+        halt
+|}
+
+(* The program's analysis (input word X) and its bespoke design. *)
+let schedule_case =
+  lazy
+    (let r, _ = analyze ~ram_x:[ (0x0300, 0x0301) ] schedule_src in
+     let bespoke, _ =
+       Bespoke_core.Cut.tailor (Lazy.force the_netlist)
+         ~possibly_toggled:r.Activity.possibly_toggled
+         ~constants:r.Activity.constant_values
+     in
+     (r, bespoke))
+
+let replay_message r bespoke =
+  let sh =
+    System.create ~netlist:bespoke ~core
+      (Msp430.coreimage (Asm.assemble schedule_src))
+  in
+  match Activity.replay r sh with
+  | () -> None
+  | exception Activity.Shadow_mismatch m -> Some m
+
+let has_prefix ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let test_replay_clean () =
+  let r, bespoke = Lazy.force schedule_case in
+  Alcotest.(check (option string)) "bespoke design replays" None
+    (replay_message r bespoke)
+
+(* The first comparison point records every register, r0 (the PC, known
+   at a boundary) first: flip one of its bits. *)
+let test_replay_catches_register () =
+  let r, bespoke = Lazy.force schedule_case in
+  let sc = r.Activity.schedule in
+  let regs = Array.copy sc.Activity.regs in
+  Alcotest.(check int) "pc known" 0 (regs.(0) land regs.(1));
+  regs.(0) <- regs.(0) lxor 2;
+  regs.(1) <- regs.(1) lxor 2;
+  let r' = { r with Activity.schedule = { sc with Activity.regs } } in
+  match replay_message r' bespoke with
+  | None -> Alcotest.fail "corrupted register record replayed clean"
+  | Some m ->
+    Alcotest.(check bool)
+      ("boundary register mismatch: " ^ m)
+      true
+      (has_prefix ~prefix:"boundary: r0 differs: original " m)
+
+(* The halted path's RAM record holds the written words; flip a bit of
+   the fully known one. *)
+let test_replay_catches_ram () =
+  let r, bespoke = Lazy.force schedule_case in
+  let sc = r.Activity.schedule in
+  let ram = Array.copy sc.Activity.ram in
+  let n = ram.(0) in
+  let known =
+    List.find
+      (fun i -> ram.(i + 1) land ram.(i + 2) = 0)
+      (List.init n (fun k -> 1 + (3 * k)))
+  in
+  ram.(known + 1) <- ram.(known + 1) lxor 1;
+  ram.(known + 2) <- ram.(known + 2) lxor 1;
+  let r' = { r with Activity.schedule = { sc with Activity.ram } } in
+  Alcotest.(check (option string)) "RAM mismatch"
+    (Some "halted path: data memory differs at path end")
+    (replay_message r' bespoke)
 
 let test_report_counters_consistent () =
   let r, _ =
@@ -299,5 +376,14 @@ let () =
             test_gpio_x_marks_input_cone;
           Alcotest.test_case "sabotaged cut is detected" `Slow
             test_shadow_detects_wrong_cut;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "bespoke design replays clean" `Quick
+            test_replay_clean;
+          Alcotest.test_case "corrupted register caught" `Quick
+            test_replay_catches_register;
+          Alcotest.test_case "corrupted halted-path RAM caught" `Quick
+            test_replay_catches_ram;
         ] );
     ]

@@ -50,19 +50,12 @@ let flow_test (b : B.t) () =
   List.iter
     (fun seed -> ignore (Runner.check_equivalence ~core ~netlist:bespoke b ~seed))
     [ 1; 2; 3 ];
-  (* verification 2: symbolic shadow through the same execution tree *)
-  let sys = System.create ~core (Msp430.coreimage (B.image b)) in
+  (* verification 2: the bespoke design replayed through the original's
+     recorded execution tree *)
   let sh =
     System.create ~netlist:bespoke ~core (Msp430.coreimage (B.image b))
   in
-  let config =
-    {
-      Activity.default_config with
-      Activity.ram_x_ranges = b.B.input_ranges;
-      irq_x = b.B.uses_irq;
-    }
-  in
-  ignore (Activity.analyze ~config ~shadow:sh sys)
+  Activity.replay report sh
 
 let subset = [ "div"; "tHold"; "convEn"; "irq" ]
 

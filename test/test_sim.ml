@@ -350,6 +350,7 @@ type mem_op =
   | Merge of int * int
   | Subsumes of int * int
   | Consistent of int * int
+  | Diff_patch of int
 
 let pp_mem_op = function
   | Load_int (w, n) -> Printf.sprintf "load_int %d %#x" w n
@@ -364,6 +365,7 @@ let pp_mem_op = function
   | Merge (i, j) -> Printf.sprintf "merge #%d #%d" i j
   | Subsumes (i, j) -> Printf.sprintf "subsumes #%d #%d" i j
   | Consistent (i, j) -> Printf.sprintf "consistent #%d #%d" i j
+  | Diff_patch i -> Printf.sprintf "diff/patch #%d" i
 
 (* Geometries: small ones where random ops collide often, and 2048- and
    4096-word ones where an all-X address exceeds 10 free index bits (on
@@ -404,7 +406,8 @@ let gen_mem_case =
           (1, map (fun i -> Restore i) slot);
           (1, map2 (fun i j -> Merge (i, j)) slot slot);
           (2, map2 (fun i j -> Subsumes (i, j)) slot slot);
-          (2, map2 (fun i j -> Consistent (i, j)) slot slot) ]
+          (2, map2 (fun i j -> Consistent (i, j)) slot slot);
+          (1, map (fun i -> Diff_patch i) slot) ]
     in
     let* ops = list_size (int_range 1 40) op in
     return (words, width, ops))
@@ -465,6 +468,23 @@ let mem_differential (words, width, ops) =
       with_slots (fun () ->
           let (a, oa), (b, ob) = (slot i, slot j) in
           Memory.consistent_snapshots a b = Oracle.consistent_snapshots oa ob)
+    | Diff_patch i ->
+      (* the diff against a snapshot patches it into the live memory,
+         with one triple per word that differs *)
+      with_slots (fun () ->
+          let s, _ = slot i in
+          let d = Memory.diff ~base:s m in
+          let base = Memory.create ~words ~width ~init:Bit.Zero in
+          Memory.restore base s;
+          let differing =
+            List.filter
+              (fun w -> not (Bvec.equal (Memory.read_word base w) (Memory.read_word m w)))
+              (List.init words Fun.id)
+          in
+          List.length differing * 3 = Array.length d
+          && Memory.equal_snapshot
+               (Memory.patch s d ~pos:0 ~len:(List.length differing))
+               (Memory.snapshot m))
   in
   let rec go = function
     | [] -> Ok ()
@@ -472,7 +492,8 @@ let mem_differential (words, width, ops) =
       let mutates =
         match op with
         | Load_int _ | Write_masked_int _ | Set_x_range _ | Write _ | Restore _ -> true
-        | Read _ | Snapshot | Merge _ | Subsumes _ | Consistent _ -> false
+        | Read _ | Snapshot | Merge _ | Subsumes _ | Consistent _ | Diff_patch _ ->
+          false
       in
       if step op && ((not mutates) || same_words ()) then go rest
       else Error (pp_mem_op op)

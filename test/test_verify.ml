@@ -165,6 +165,71 @@ let test_detectable_always_killed () =
       done)
     [ "mult"; "irq" ]
 
+(* --- telemetry: the verify layers, and no re-analysis ------------------ *)
+
+(* The span events of [check_benchmark ~faults:2 ~seed:1] on mult with
+   the tailoring already cached.  Fault 1 of that draw (a stuck xor in
+   the multiplier) survives every input, so the symbolic layer runs
+   twice: once on the bespoke design, once as that fault's fallback. *)
+let traced_mult =
+  lazy
+    (let b = B.find "mult" in
+     ignore (Runner.tailor_cached ~core b);
+     Obs.enable ();
+     Obs.reset ();
+     Fun.protect
+       ~finally:(fun () ->
+         Obs.reset ();
+         Obs.disable ())
+       (fun () ->
+         ignore (Verify.check_benchmark ~core ~faults:2 ~seed:1 b);
+         Obs.Trace.events ()))
+
+let begins name =
+  List.length
+    (List.filter
+       (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = name && e.Obs.Trace.ph = 'B')
+       (Lazy.force traced_mult))
+
+(* Every layer span opens inside verify.campaign, and the replay inside
+   the symbolic layer. *)
+let test_layer_spans_nest () =
+  let stack = ref [] and seen = ref [] in
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      match e.Obs.Trace.ph with
+      | 'B' ->
+        seen := (e.Obs.Trace.name, !stack) :: !seen;
+        stack := e.Obs.Trace.name :: !stack
+      | 'E' -> stack := List.tl !stack
+      | _ -> ())
+    (Lazy.force traced_mult);
+  let enclosing name =
+    match List.assoc_opt name !seen with
+    | Some s -> s
+    | None -> Alcotest.failf "no %s span" name
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " inside verify.campaign")
+        true
+        (List.mem "verify.campaign" (enclosing name)))
+    [
+      "verify.explore"; "verify.inputs"; "verify.symbolic"; "verify.guard";
+      "verify.fault"; "verify.shrink"; "verify.inject"; "analysis.replay";
+    ];
+  Alcotest.(check (option string)) "replay inside verify.symbolic"
+    (Some "verify.symbolic")
+    (List.nth_opt (enclosing "analysis.replay") 0)
+
+(* The symbolic layer replays the cached analysis: no exploration runs
+   again, for the benchmark or for the fault that reaches it. *)
+let test_no_reanalysis () =
+  Alcotest.(check int) "analysis.analyze spans" 0 (begins "analysis.analyze");
+  Alcotest.(check int) "verify.symbolic spans" 2 (begins "verify.symbolic");
+  Alcotest.(check int) "analysis.replay spans" 2 (begins "analysis.replay")
+
 let test_json_artifact () =
   let c = Lazy.force campaign in
   let json = Verify.to_json [ c ] in
@@ -204,5 +269,12 @@ let () =
           Alcotest.test_case "detectable faults killed, seeds 1-10" `Quick
             test_detectable_always_killed;
           Alcotest.test_case "json artifact" `Quick test_json_artifact;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "layer spans nest under verify.campaign" `Quick
+            test_layer_spans_nest;
+          Alcotest.test_case "no re-analysis on a warm cache" `Quick
+            test_no_reanalysis;
         ] );
     ]
