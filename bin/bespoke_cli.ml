@@ -20,7 +20,6 @@ module Asm = Bespoke_isa.Asm
 module Coredef = Bespoke_coreapi.Coredef
 module Cores = Bespoke_cores.Cores
 module Netlist = Bespoke_netlist.Netlist
-module Lockstep = Bespoke_coreapi.Lockstep
 module Activity = Bespoke_analysis.Activity
 module B = Bespoke_programs.Benchmark
 module Runner = Bespoke_core.Runner
@@ -74,7 +73,10 @@ let resolve_core name : (Cores.entry, string) result =
          (String.concat ", " Cores.names))
 
 let gpio_arg =
-  Arg.(value & opt int 0 & info [ "gpio" ] ~docv:"N" ~doc:"GPIO input value for concrete runs.")
+  Arg.(value & opt (some int) None
+       & info [ "gpio" ] ~docv:"N"
+           ~doc:"GPIO input value of a raw program (default 0).  A built-in \
+                 benchmark generates its own inputs from $(b,--seed).")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Input-generation seed for benchmarks.")
@@ -97,10 +99,18 @@ let json_arg =
                  $(b,bespoke-report/v1)); all human-readable output moves to \
                  stderr so stdout stays parseable.")
 
-let load_program (entry : Cores.entry) file bench : (B.t, string) result =
+(* [gpio] is a raw program's GPIO input: its whole stimulus, since a
+   raw program has no generated RAM inputs and no IRQ schedule. *)
+let load_program (entry : Cores.entry) ~gpio file bench : (B.t, string) result =
   match bench, file with
   | Some name, _ -> (
     match Cores.benchmark entry name with
+    | Some _ when gpio <> None ->
+      Error
+        (Printf.sprintf
+           "--gpio sets a raw program's input; benchmark %s generates its \
+            own inputs from --seed"
+           name)
     | Some b -> Ok b
     | None ->
       Error
@@ -120,7 +130,7 @@ let load_program (entry : Cores.entry) file bench : (B.t, string) result =
           group = B.Sensor;
           source = src;
           input_ranges = [];
-          gen_inputs = (fun _ -> ([], 0));
+          gen_inputs = (fun _ -> ([], Option.value gpio ~default:0));
           uses_irq = false;
           irq_pulses = (fun _ -> []);
           result_addrs =
@@ -143,13 +153,15 @@ let suite (entry : Cores.entry) =
   else entry.Cores.benchmarks
 
 (* The program a subcommand works on: --core resolved, then the
-   positional PROG.S or --bench NAME loaded for that core. *)
-let program_of core_name file bench =
+   positional PROG.S or --bench NAME loaded for that core (with
+   [run]'s --gpio value, when given). *)
+let program_of gpio core_name file bench =
   let* entry = resolve_core core_name in
-  let* b = load_program entry file bench in
+  let* b = load_program entry ~gpio file bench in
   Ok (entry, b)
 
-let program_arg = Term.(const program_of $ core_arg $ file_arg $ bench_arg)
+let program_arg =
+  Term.(const (program_of None) $ core_arg $ file_arg $ bench_arg)
 
 (* The same for the suite-wide subcommands: the core's whole suite
    when no program is named.  [file] is [file_arg], or [const None]
@@ -161,7 +173,7 @@ let programs_arg file =
       let* entry = resolve_core core_name in
       Ok (entry, suite entry)
     | _ ->
-      let* entry, b = program_of core_name file bench in
+      let* entry, b = program_of None core_name file bench in
       Ok (entry, [ b ])
   in
   Term.(const programs $ core_arg $ file $ bench_arg)
@@ -427,7 +439,7 @@ let cmd_run =
              ~doc:"With $(b,--guard): write the bespoke-guard/v1 JSONL \
                    violation stream to $(docv).")
   in
-  let run prog gpio seed netlist_file jobs guard guard_out obs =
+  let run prog seed netlist_file jobs guard guard_out obs =
     handle
       (with_obs obs @@ fun () ->
        catching (fun () ->
@@ -476,28 +488,14 @@ let cmd_run =
            end
            else begin
            let netlist = Option.map Bespoke_netlist.Serial.load netlist_file in
-           let o =
-             if b.B.gen_inputs seed = ([], 0) && gpio <> 0 then begin
-               (* raw program: run via lockstep with the given gpio *)
-               let img = core.Coredef.assemble b.B.source in
-               let r = Lockstep.run ?netlist ~gpio_in:gpio ~core img in
-               Printf.printf "ran %d instructions, %d cycles, gpio_out=0x%0*x\n"
-                 r.Lockstep.instructions r.Lockstep.cycles
-                 (Coredef.hex_digits core) r.Lockstep.gpio_final;
-               None
-             end
-             else Some (Runner.check_equivalence ?netlist ~core b ~seed)
-           in
-           (match o with
-           | Some o ->
-             Printf.printf
-               "ran %d instructions, %d cycles (gate level verified against the ISS)\n"
-               o.Runner.instructions o.Runner.cycles;
-             List.iter
-               (fun (a, v) -> Printf.printf "result[0x%04x] = 0x%04x\n" a v)
-               o.Runner.results;
-             Printf.printf "gpio_out = 0x%04x\n" o.Runner.gpio_out
-           | None -> ());
+           let o = Runner.check_equivalence ?netlist ~core b ~seed in
+           Printf.printf
+             "ran %d instructions, %d cycles (gate level verified against the ISS)\n"
+             o.Runner.instructions o.Runner.cycles;
+           List.iter
+             (fun (a, v) -> Printf.printf "result[0x%04x] = 0x%04x\n" a v)
+             o.Runner.results;
+           Printf.printf "gpio_out = 0x%04x\n" o.Runner.gpio_out;
            Ok ()
            end))
   in
@@ -505,7 +503,9 @@ let cmd_run =
     (Cmd.info "run" ~doc:"Run a program on the ISS and the gate-level core")
     Term.(
       ret
-        (const run $ program_arg $ gpio_arg $ seed_arg $ netlist_arg
+        (const run
+        $ Term.(const program_of $ gpio_arg $ core_arg $ file_arg $ bench_arg)
+        $ seed_arg $ netlist_arg
         $ jobs_arg $ guard_flag $ guard_out_arg $ obs_args))
 
 (* ---- analyze ---- *)

@@ -11,7 +11,8 @@ module B = Bespoke_programs.Benchmark
 module Netlist = Bespoke_netlist.Netlist
 module Serial = Bespoke_netlist.Serial
 module Export = Bespoke_netlist.Export
-module System = Bespoke_coreapi.System
+module Coredef = Bespoke_coreapi.Coredef
+module Engine = Bespoke_sim.Engine
 module Vcd = Bespoke_sim.Vcd
 module Runner = Bespoke_core.Runner
 module Cut = Bespoke_core.Cut
@@ -52,29 +53,20 @@ let () =
   ignore (Runner.check_equivalence ~netlist:reloaded ~core bench ~seed:7);
   Format.printf "reloaded netlist verified against the golden ISS@.";
 
-  (* 5. a waveform of the firmware booting on the bespoke core *)
-  let sys =
-    System.create ~netlist:reloaded ~core (Msp430.coreimage (B.image bench))
-  in
-  System.reset sys;
-  let inputs, gpio = bench.B.gen_inputs 7 in
-  List.iter
-    (fun (a, v) ->
-      Bespoke_sim.Memory.load_int (System.ram sys) ((a lsr 1) land 0x7ff) v)
-    inputs;
-  System.set_gpio_in_int sys gpio;
-  System.set_irq sys Bespoke_logic.Bit.Zero;
+  (* 5. a waveform of the firmware booting on the bespoke core: the
+     run is Runner.run_gate's own (inputs, IRQ schedule, halt check);
+     the VCD samples the loaded state and every committed cycle *)
   let buf = Buffer.create (1 lsl 16) in
-  let vcd =
-    Vcd.create buf (System.engine sys)
-      ~signals:[ "pc"; "state"; "sp"; "gpio_out"; "halted" ]
+  let vcd = ref None in
+  let attach eng =
+    let v = Vcd.create buf eng ~signals:core.Coredef.trace_signals in
+    vcd := Some v;
+    Vcd.sample v ~time:0;
+    Engine.set_cycle_hook eng (Some (fun n -> Vcd.sample v ~time:n))
   in
-  let t = ref 0 in
-  while (not (System.halted sys)) && !t < 10_000 do
-    Vcd.sample vcd ~time:!t;
-    System.step_cycle sys;
-    incr t
-  done;
-  Vcd.finish vcd ~time:!t;
+  let o = Runner.run_gate ~attach ~netlist:reloaded ~core bench ~seed:7 in
+  let cycles = o.Runner.g_cycles in
+  Option.iter (fun v -> Vcd.finish v ~time:(cycles + 1)) !vcd;
   write "tea8.vcd" (Buffer.contents buf);
-  Format.printf "firmware ran to completion in %d cycles on the handoff design@." !t
+  Format.printf "firmware ran to completion in %d cycles on the handoff design@."
+    cycles

@@ -205,9 +205,10 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
    the analysis X-ranges, and for concrete runs the generated RAM
    writes, GPIO value and IRQ schedule at the job's seed.  Without
    this, two benchmarks sharing a binary but differing in inputs would
-   alias in the cache.  Generation runs inside the per-job fence, so a
-   benchmark whose [gen_inputs] raises becomes an error record before
-   it ever touches the cache. *)
+   alias in the cache.  The concrete part is {!Runner.stimulus}, the
+   one the runs themselves drive.  Generation runs inside the per-job
+   fence, so a benchmark whose input generator raises becomes an
+   error record before it ever touches the cache. *)
 let inputs_fingerprint (j : job) (b : B.t) =
   let ranges =
     String.concat ","
@@ -216,16 +217,15 @@ let inputs_fingerprint (j : job) (b : B.t) =
   match j.kind with
   | Analyze | Tailor -> Printf.sprintf "ranges=%s;irq=%b" ranges b.B.uses_irq
   | Report | Run | Verify | Guard ->
-    let writes, gpio = b.B.gen_inputs j.seed in
-    let irqs = if b.B.uses_irq then b.B.irq_pulses j.seed else [] in
+    let st = Runner.stimulus b ~seed:j.seed in
     let buf = Buffer.create 64 in
     List.iter
       (fun (a, v) -> Buffer.add_string buf (Printf.sprintf "%x:%x;" a v))
-      writes;
+      st.Runner.ram_writes;
     Printf.sprintf "ranges=%s;inputs=%s;gpio=%x;irqs=%s" ranges
       (Digest.to_hex (Digest.string (Buffer.contents buf)))
-      gpio
-      (String.concat "," (List.map string_of_int irqs))
+      st.Runner.gpio
+      (String.concat "," (List.map string_of_int st.Runner.pulses))
 
 let exec_job (j : job) : (string * string) list * bool =
   let entry = resolve_core j.core in

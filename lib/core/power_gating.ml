@@ -1,9 +1,6 @@
-module Bit = Bespoke_logic.Bit
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module Engine = Bespoke_sim.Engine
-module Memory = Bespoke_sim.Memory
-module System = Bespoke_coreapi.System
 module Cells = Bespoke_cells.Cells
 module Report = Bespoke_power.Report
 module Benchmark = Bespoke_programs.Benchmark
@@ -18,54 +15,42 @@ let evaluate ?netlist ?(seed = 1) ~core (b : Benchmark.t) =
     match netlist with Some n -> n | None -> Runner.shared_netlist core
   in
   let ng = Netlist.gate_count net in
-  let module_of = Array.init ng (fun id -> Netlist.module_of net id) in
   let modules = Netlist.modules net in
   let midx = Hashtbl.create 16 in
   List.iteri (fun i m -> Hashtbl.replace midx m i) modules;
   let nmod = List.length modules in
-  let idle = Array.make nmod 0 in
-  let sys = System.create ~netlist:net ~core (Runner.image ~core b) in
-  System.reset sys;
-  let ram_writes, gpio = b.Benchmark.gen_inputs seed in
-  List.iter (fun (a, v) -> System.load_ram_word sys a v) ram_writes;
-  System.set_gpio_in_int sys gpio;
-  System.set_irq sys Bit.Zero;
-  let eng = System.engine sys in
-  let prev = ref (Engine.snapshot_values eng) in
-  let cycles = ref 0 in
-  let active = Array.make nmod false in
-  (* IRQ pulse schedule, aligned like Runner.run_gate *)
-  let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
-  let completed = ref 0 in
-  let first = ref true in
-  let after_irq_entry = ref false in
-  while (not (System.halted sys)) && !cycles < 2_000_000 do
-    (match (System.read_hook sys "insn_boundary").(0) with
-    | Bit.One ->
-      if !first then first := false
-      else if !after_irq_entry then after_irq_entry := false
-      else incr completed;
-      (match System.fetching sys with
-      | Bit.Zero -> after_irq_entry := true
-      | Bit.One | Bit.X -> ());
-      System.set_irq sys (Bit.of_bool (List.mem !completed pulses))
-    | Bit.Zero | Bit.X -> ());
-    System.step_cycle sys;
-    incr cycles;
-    let cur = Engine.snapshot_values eng in
-    Array.fill active 0 nmod false;
-    for id = 0 to ng - 1 do
-      if not (Bit.equal cur.(id) !prev.(id)) then
+  (* the module a gate's change makes active; -1 for pins and ties *)
+  let active_module =
+    Array.init ng (fun id ->
         match net.Netlist.gates.(id).Gate.op with
-        | Gate.Input | Gate.Const _ -> ()
-        | _ -> active.(Hashtbl.find midx module_of.(id)) <- true
-    done;
-    Array.iteri (fun i a -> if not a then idle.(i) <- idle.(i) + 1) active;
-    prev := cur
-  done;
-  if not (System.halted sys) then failwith "Power_gating: did not halt";
-  let toggles = Engine.toggle_counts eng in
-  let total_cycles = max 1 !cycles in
+        | Gate.Input | Gate.Const _ -> -1
+        | _ -> Hashtbl.find midx (Netlist.module_of net id))
+  in
+  let idle = Array.make nmod 0 in
+  let active = Array.make nmod false in
+  (* after every committed cycle, a module is idle unless one of its
+     gates changed value since the previous cycle *)
+  let attach eng =
+    let prev = Array.init ng (Engine.value_code eng) in
+    Engine.set_cycle_hook eng
+      (Some
+         (fun _ ->
+           Array.fill active 0 nmod false;
+           for id = 0 to ng - 1 do
+             let c = Engine.value_code eng id in
+             if c <> prev.(id) then begin
+               prev.(id) <- c;
+               let m = active_module.(id) in
+               if m >= 0 then active.(m) <- true
+             end
+           done;
+           Array.iteri (fun i a -> if not a then idle.(i) <- idle.(i) + 1) active))
+  in
+  let run =
+    Runner.run_gate ~attach ~max_cycles:2_000_000 ~netlist:net ~core b ~seed
+  in
+  let toggles = run.Runner.toggles in
+  let total_cycles = max 1 run.Runner.g_cycles in
   (* per-module leakage + clock power (the components the oracle can
      gate off in idle cycles) *)
   let leak_clk = Array.make nmod 0.0 in
@@ -75,7 +60,7 @@ let evaluate ?netlist ?(seed = 1) ~core (b : Benchmark.t) =
     | Gate.Input | Gate.Const _ -> ()
     | _ ->
       let cell = Cells.of_gate g.Gate.op ~drive:g.Gate.drive in
-      let i = Hashtbl.find midx module_of.(id) in
+      let i = active_module.(id) in
       let clk =
         match g.Gate.op with
         | Gate.Dff _ ->

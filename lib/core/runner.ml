@@ -98,14 +98,44 @@ let config_fingerprint (c : Activity.config) =
     | `Pc_gie -> "pc_gie"
     | `Full -> "full")
 
+(* ------------------------------------------------------------------ *)
+(* The stimulus of one benchmark input.  Every concrete run of a
+   (benchmark, seed) pair — ISS, gate level, packed lanes, lockstep
+   co-simulation — and the campaign's input fingerprint take it from
+   here, so they all drive the same RAM words, GPIO value and IRQ
+   schedule. *)
+
+type stimulus = { ram_writes : (int * int) list; gpio : int; pulses : int list }
+
+let stimulus (b : Benchmark.t) ~seed =
+  let ram_writes, gpio = b.Benchmark.gen_inputs seed in
+  let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
+  { ram_writes; gpio; pulses }
+
+let irq_line st ~retired = List.mem retired st.pulses
+
+(* The gate level's retired-instruction clock.  A gate-level run sees
+   instruction boundaries, not retirements: the count advances at
+   every boundary that follows a completed instruction — not at the
+   first fetch, and not at the boundary after an IRQ-entry sequence
+   (which retires nothing).  Call the returned function at each
+   boundary, with [preempted] when that fetch gives way to an IRQ
+   entry; it returns the IRQ line for the cycle that starts there,
+   which is what the ISS sees before the same step. *)
+let irq_clock st =
+  let retired = ref 0 and first = ref true and after_entry = ref false in
+  fun ~preempted ->
+    if !first then first := false else if not !after_entry then incr retired;
+    after_entry := preempted;
+    Bit.of_bool (irq_line st ~retired:!retired)
+
 let loaded_iss ~core (b : Benchmark.t) ~seed =
+  let st = stimulus b ~seed in
   let t = (image ~core b).Coredef.mk_iss () in
   t.Coredef.reset ();
-  let ram_writes, gpio = b.Benchmark.gen_inputs seed in
-  List.iter (fun (a, v) -> t.Coredef.write_ram_word a v) ram_writes;
-  t.Coredef.set_gpio_in gpio;
-  let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
-  (t, fun () -> t.Coredef.set_irq_line (List.mem (t.Coredef.retired ()) pulses))
+  List.iter (fun (a, v) -> t.Coredef.write_ram_word a v) st.ram_writes;
+  t.Coredef.set_gpio_in st.gpio;
+  (t, fun () -> t.Coredef.set_irq_line (irq_line st ~retired:(t.Coredef.retired ())))
 
 let run_iss ~core (b : Benchmark.t) ~seed =
   let t, set_irq = loaded_iss ~core b ~seed in
@@ -136,31 +166,16 @@ let run_gate ?mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
   let net = match netlist with Some n -> n | None -> shared_netlist core in
   let sys = System.create ?mode ~netlist:net ~core img in
   System.reset sys;
-  let ram_writes, gpio = b.Benchmark.gen_inputs seed in
-  List.iter (fun (a, v) -> System.load_ram_word sys a v) ram_writes;
-  System.set_gpio_in_int sys gpio;
+  let st = stimulus b ~seed in
+  List.iter (fun (a, v) -> System.load_ram_word sys a v) st.ram_writes;
+  System.set_gpio_in_int sys st.gpio;
   System.set_irq sys Bit.Zero;
   (match attach with None -> () | Some f -> f (System.engine sys));
-  let pulses = if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [] in
-  (* Schedule IRQ pulses by retired-instruction count, exactly like
-     the ISS: the count advances at every boundary that follows a
-     completed instruction — not at the first fetch, and not at the
-     boundary after an IRQ-entry sequence (which retires nothing). *)
-  let completed = ref 0 in
-  let first = ref true in
-  let after_irq_entry = ref false in
-  let deadline = max_cycles in
-  while (not (System.halted sys)) && System.cycles sys < deadline do
-    (match Bit.of_int_exn (System.insn_boundary_code sys) with
-    | Bit.One ->
-      if !first then first := false
-      else if !after_irq_entry then after_irq_entry := false
-      else incr completed;
-      (match System.fetching sys with
-      | Bit.Zero -> after_irq_entry := true  (* pre-empted: IRQ entry next *)
-      | Bit.One | Bit.X -> ());
-      System.set_irq sys (Bit.of_bool (List.mem !completed pulses))
-    | Bit.Zero | Bit.X -> ());
+  let irq_at = irq_clock st in
+  while (not (System.halted sys)) && System.cycles sys < max_cycles do
+    if System.insn_boundary_code sys = 1 then
+      System.set_irq sys
+        (irq_at ~preempted:(Bit.equal (System.fetching sys) Bit.Zero));
     System.step_cycle sys
   done;
   if not (System.halted sys) then
@@ -177,8 +192,8 @@ let run_gate ?mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
   }
 
 (* Packed counterpart of [run_gate]: one lane per seed, all lanes
-   advancing through the same global cycle loop.  The per-lane IRQ
-   bookkeeping, halt detection and deadline mirror [run_gate] exactly,
+   advancing through the same global cycle loop.  Each lane runs its
+   own IRQ clock; halt detection and deadline mirror [run_gate] exactly,
    and lanes leave the active set when (and only when) the scalar loop
    would have exited, so every lane's toggle counts are bit-identical
    to its scalar run. *)
@@ -195,22 +210,14 @@ let run_packed_chunk ~netlist ~max_cycles ~core (b : Benchmark.t)
   let img = image ~core b in
   let sys = System64.create ~lanes ~netlist ~core img in
   System64.reset sys;
+  let stims = Array.map (fun seed -> stimulus b ~seed) seeds in
   Array.iteri
-    (fun lane seed ->
-      let ram_writes, gpio = b.Benchmark.gen_inputs seed in
-      List.iter (fun (a, v) -> System64.load_ram_word sys lane a v) ram_writes;
-      System64.set_gpio_in_lane_int sys lane gpio)
-    seeds;
+    (fun lane st ->
+      List.iter (fun (a, v) -> System64.load_ram_word sys lane a v) st.ram_writes;
+      System64.set_gpio_in_lane_int sys lane st.gpio)
+    stims;
   System64.set_irq_lanes sys (Array.make lanes Bit.Zero);
-  let pulses =
-    Array.map
-      (fun seed ->
-        if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else [])
-      seeds
-  in
-  let completed = Array.make lanes 0 in
-  let first = Array.make lanes true in
-  let after_irq_entry = Array.make lanes false in
+  let clocks = Array.map irq_clock stims in
   let irq_next = Array.make lanes Bit.Zero in
   let halt_cycle = Array.make lanes (-1) in
   let gpio_at_halt = Array.make lanes None in
@@ -230,19 +237,13 @@ let run_packed_chunk ~netlist ~max_cycles ~core (b : Benchmark.t)
   capture_halts ();
   while !active <> 0 && System64.cycles sys < max_cycles do
     for lane = 0 to lanes - 1 do
-      if !active land (1 lsl lane) <> 0 then begin
-        (match (System64.read_hook_lane sys "insn_boundary" lane).(0) with
-        | Bit.One ->
-          if first.(lane) then first.(lane) <- false
-          else if after_irq_entry.(lane) then after_irq_entry.(lane) <- false
-          else completed.(lane) <- completed.(lane) + 1;
-          (match (System64.read_hook_lane sys "fetching" lane).(0) with
-          | Bit.Zero -> after_irq_entry.(lane) <- true
-          | Bit.One | Bit.X -> ());
-          irq_next.(lane) <-
-            Bit.of_bool (List.mem completed.(lane) pulses.(lane))
-        | Bit.Zero | Bit.X -> ())
-      end
+      if
+        !active land (1 lsl lane) <> 0
+        && Bit.equal (System64.insn_boundary_lane sys lane) Bit.One
+      then
+        irq_next.(lane) <-
+          clocks.(lane)
+            ~preempted:(Bit.equal (System64.fetching_lane sys lane) Bit.Zero)
     done;
     System64.set_irq_lanes sys irq_next;
     System64.step_cycle sys ~active:!active;
@@ -290,14 +291,10 @@ let co_simulate ?netlist ?x_dont_care ~core
   Obs.Span.with_ ~name:"runner.co_simulate"
     ~args:[ ("benchmark", b.Benchmark.name); ("seed", string_of_int seed) ]
   @@ fun () ->
-  let img = image ~core b in
-  let ram_writes, gpio = b.Benchmark.gen_inputs seed in
-  let irq_pulse_at =
-    if b.Benchmark.uses_irq then b.Benchmark.irq_pulses seed else []
-  in
+  let st = stimulus b ~seed in
   let netlist = match netlist with Some n -> n | None -> shared_netlist core in
-  Lockstep.run_result ~netlist ~gpio_in:gpio
-    ~ram_writes ~irq_pulse_at ?x_dont_care ~core img
+  Lockstep.run_result ~netlist ~gpio_in:st.gpio ~ram_writes:st.ram_writes
+    ~irq_pulse_at:st.pulses ?x_dont_care ~core (image ~core b)
 
 let check_equivalence ?attach ?netlist ~core (b : Benchmark.t) ~seed =
   let iss = run_iss ~core b ~seed in

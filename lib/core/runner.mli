@@ -1,7 +1,8 @@
 (** Drives a benchmark through a core's ISS and/or the gate-level
     system: loads generated inputs into RAM, applies the GPIO value
     and IRQ pulse schedule, runs to the halt port, and harvests
-    results and switching activity.
+    results and switching activity.  This module is the one place a
+    (benchmark, seed) pair becomes a stimulus ({!stimulus}).
 
     Every entry point takes the target core as an explicit
     {!Bespoke_coreapi.Coredef} descriptor; nothing in this module is
@@ -20,11 +21,30 @@ type iss_outcome = {
   gpio_out : int;
 }
 
+(** The stimulus of one benchmark input: what a (benchmark, seed) pair
+    drives into a run. *)
+type stimulus = {
+  ram_writes : (int * int) list;  (** generated input words (addr, value) *)
+  gpio : int;  (** GPIO input value *)
+  pulses : int list;
+      (** retired-instruction counts at which the IRQ line is high;
+          empty unless the benchmark uses interrupts *)
+}
+
+val stimulus : Benchmark.t -> seed:int -> stimulus
+(** Input [seed] of the benchmark.  Every concrete run of a benchmark
+    input in this module ({!loaded_iss}, {!run_gate},
+    {!run_gate_packed}, {!co_simulate}) drives exactly this stimulus,
+    with IRQ pulses keyed on retired instructions at every level: the
+    ISS's own count, a boundary-driven count at the gate level (the
+    first fetch and the boundary after an interrupt entry retire
+    nothing), and the ISS's count in lockstep. *)
+
 val loaded_iss :
   core:Coredef.t -> Benchmark.t -> seed:int -> Coredef.iss * (unit -> unit)
-(** A reset ISS with input [seed]'s RAM words and GPIO applied, and the
-    IRQ setter to call before each [step]: it drives the line from the
-    seed's pulse list, keyed on the retired-instruction count.  Every
+(** A reset ISS with input [seed]'s {!stimulus} applied, and the IRQ
+    setter to call before each [step]: it drives the line from the
+    pulse list, keyed on the ISS's retired-instruction count.  Every
     ISS run of a benchmark input starts here. *)
 
 val run_iss : core:Coredef.t -> Benchmark.t -> seed:int -> iss_outcome
@@ -45,12 +65,14 @@ val run_gate :
   Benchmark.t -> seed:int ->
   gate_outcome
 (** Runs on a fresh system unless [netlist] is given (e.g. a bespoke
-    design).  IRQ pulses are applied at the benchmark's instruction
-    indices.  The run uses the compiled engine; [mode] exists for the
-    differential tests and the engine benchmark, which pass [Full] as
-    the reference.  [attach] is called on the engine once the inputs
-    are loaded, before the first cycle — probe hook-up point for guard
-    shadow watchers and the VCD tracer
+    design), driving input [seed]'s {!stimulus}: IRQ pulses are keyed
+    on retired instructions, counted at instruction boundaries, so the
+    line rises before the same instruction as on the ISS.  The run
+    uses the compiled engine; [mode] exists for the differential tests
+    and the engine benchmark, which pass [Full] as the reference.
+    [attach] is called on the engine once the inputs are loaded,
+    before the first cycle — probe hook-up point for guard shadow
+    watchers, the VCD tracer and power gating
     ({!Bespoke_sim.Engine.set_cycle_hook}) without this module
     depending on them. *)
 
@@ -60,20 +82,23 @@ val run_gate_packed :
   (int * gate_outcome) list
 (** Run one gate-level execution per seed, packed into the lanes of a
     single bit-parallel {!Bespoke_sim.Engine64} simulation (chunks of
-    up to 63 seeds).  Outcomes are bit-identical to [run_gate] on the
-    same seed and are returned in seed order. *)
+    up to 63 seeds).  Each lane counts its own retired instructions
+    for its IRQ pulses, as [run_gate] does.  Outcomes are bit-identical
+    to [run_gate] on the same seed and are returned in seed order. *)
 
 val co_simulate :
   ?netlist:Netlist.t -> ?x_dont_care:bool ->
   core:Coredef.t -> Benchmark.t -> seed:int ->
   (Lockstep.result, Lockstep.divergence_info) Stdlib.result
-(** Input-based co-simulation (paper Section 5.1): run the benchmark's
-    generated inputs for [seed] through the gate-level design (stock,
-    or [netlist] for a bespoke/faulty variant) in full lockstep with
-    the core's ISS — every architectural register at every instruction
-    boundary, exact cycle counts, final RAM and GPIO.  Never raises on
-    divergence; the structured first mismatch is returned so the
-    verification campaign can shrink and report it.  [x_dont_care]
+(** Input-based co-simulation (paper Section 5.1): run input [seed]'s
+    {!stimulus} through the gate-level design (stock, or [netlist] for
+    a bespoke/faulty variant) in full lockstep with the core's ISS —
+    every architectural register at every instruction boundary, exact
+    cycle counts, final RAM and GPIO.  IRQ pulses are keyed on the
+    ISS's retired-instruction count, so the run takes the interrupt
+    schedule of {!run_iss} and {!run_gate}: the same instructions and
+    cycles.  Never raises on divergence; the structured first mismatch
+    is returned so the verification campaign can shrink and report it.  [x_dont_care]
     (for tailored designs, see {!Bespoke_coreapi.Lockstep.run})
     requires only the concrete gate-level bits to match. *)
 

@@ -6,7 +6,15 @@ module Engine = Bespoke_sim.Engine
    core's ISS golden model instruction by instruction, comparing every
    architectural register at every instruction boundary, the full data
    RAM and GPIO at the end, and cycle counts against the core's timing
-   contract. *)
+   contract.
+
+   [irq_pulse_at] lists retired-instruction counts: before each step
+   both models see the line high iff the ISS's [retired] count is in
+   the list.  That is the count {!Bespoke_core.Runner} keys pulses on
+   at every level (ISS, gate level, packed lanes), so a co-simulation
+   runs the same interrupt schedule as every other run of the input.
+   A step that enters an interrupt retires nothing and does not
+   advance the count. *)
 
 type result = {
   instructions : int;
@@ -136,7 +144,7 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
     while not !finished do
       if !insn_idx > max_insns then
         fail ~at_insn:!insn_idx ~what:"limit" "instruction limit exceeded";
-      let line = List.mem !insn_idx irq_pulse_at in
+      let line = List.mem (iss.Coredef.retired ()) irq_pulse_at in
       iss.Coredef.set_irq_line line;
       System.set_irq sys (Bit.of_bool line);
       (* Advance the CPU to its next instruction boundary (or halt). *)

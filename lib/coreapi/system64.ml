@@ -33,6 +33,8 @@ type t = {
   dmem_ben : int array;
   dmem_wen : int;
   halted_id : int;
+  fetching_id : int;
+  insn_boundary_id : int;
 }
 
 let word_index t (addr : Bvec.t) =
@@ -67,6 +69,8 @@ let create ?(lanes = Engine64.max_lanes) ?netlist ~core
     dmem_ben = Netlist.find_name net "dmem_ben";
     dmem_wen = (Netlist.find_name net "dmem_wen").(0);
     halted_id = (Netlist.find_name net "halted").(0);
+    fetching_id = (Netlist.find_name net "fetching").(0);
+    insn_boundary_id = (Netlist.find_name net "insn_boundary").(0);
   }
 
 let core t = t.core
@@ -138,11 +142,13 @@ let set_irq_lanes t (vs : Bit.t array) =
   Engine64.eval t.eng;
   feed_memories t
 
-let read_hook_lane t name lane = Engine64.read_lane t.eng name lane
-let read_hook_lane_int t name lane = Engine64.read_lane_int t.eng name lane
-
 let halted_lane t lane =
   Bit.equal (Engine64.value_lane t.eng t.halted_id lane) Bit.One
+
+let fetching_lane t lane = Engine64.value_lane t.eng t.fetching_id lane
+
+let insn_boundary_lane t lane =
+  Engine64.value_lane t.eng t.insn_boundary_id lane
 
 let halted_mask t =
   let m = ref 0 in
@@ -156,7 +162,7 @@ let ram t lane = t.rams.(lane)
 let read_ram_word t lane addr =
   Memory.read_word t.rams.(lane) (Coredef.ram_index t.core addr)
 
-let gpio_out_lane t lane = read_hook_lane t "gpio_out" lane
+let gpio_out_lane t lane = Engine64.read_lane t.eng "gpio_out" lane
 
 (* Sample this cycle's RAM writes, lane by lane, for active lanes
    only: a lane whose scalar counterpart has stopped must stop

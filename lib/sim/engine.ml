@@ -138,7 +138,6 @@ let create ?(mode = Compiled) net =
   | Compiled -> Prog { comp = Compile.create net; c_on_cycle = None }
 
 let netlist = function Sweep s -> s.net | Prog p -> Compile.netlist p.comp
-let mode = function Sweep _ -> Full | Prog _ -> Compiled
 let get s id = Char.code (Bytes.unsafe_get s.values id)
 let put s id c = Bytes.unsafe_set s.values id (Char.unsafe_chr c)
 
@@ -363,10 +362,6 @@ let set_first_possibly_hook t f =
 let set_cycle_hook t f =
   match t with Prog p -> p.c_on_cycle <- f | Sweep s -> s.on_cycle <- f
 
-let cycles_committed = function
-  | Prog p -> Compile.cycles_committed p.comp
-  | Sweep s -> s.committed
-
 let toggle_counts = function
   | Prog p -> Compile.toggle_counts p.comp
   | Sweep s -> Array.copy s.toggles
@@ -418,10 +413,6 @@ let restore_dff_state t (st : Bvec.t) =
       invalid_arg "Engine.restore_dff_state: width mismatch";
     Array.iteri (fun i id -> put s id (code_of_bit st.(i))) s.dffs;
     eval_full s
-
-let compile_stats = function
-  | Prog p -> Some (Compile.stats p.comp)
-  | Sweep _ -> None
 
 type source = Compile.source = Net of int | Tie of Bit.t
 

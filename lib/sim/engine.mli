@@ -34,7 +34,6 @@ type mode =
 val create : ?mode:mode -> Netlist.t -> t
 (** [mode] defaults to [Compiled]. *)
 
-val mode : t -> mode
 val netlist : t -> Netlist.t
 
 val reset : t -> unit
@@ -106,7 +105,6 @@ val commit_cycle : t -> unit
     marked possibly-toggled when it changed {e or} is X (paper: an X
     propagating through a gate counts as a possible toggle). *)
 
-val cycles_committed : t -> int
 val toggle_counts : t -> int array
 (** Concrete toggle counter per gate (X-involved changes also count). *)
 
@@ -149,10 +147,6 @@ val dff_state : t -> Bvec.t
 val restore_dff_state : t -> Bvec.t -> unit
 (** Overwrite DFF outputs and re-settle combinational logic.  Does not
     touch activity. *)
-
-val compile_stats : t -> Compile.stats option
-(** Program statistics when running in [Compiled] mode, [None]
-    otherwise. *)
 
 (** {1 Assumption checks}
 

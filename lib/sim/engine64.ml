@@ -284,17 +284,6 @@ let set_input_lanes t name (vs : Bvec.t array) =
       set_gate_packed t id ~lo ~hi)
     ids
 
-let set_input_uniform t name (v : Bvec.t) =
-  let ids = find_input t name in
-  if Bvec.width v <> Array.length ids then
-    invalid_arg (Printf.sprintf "Engine64.set_input_uniform %s: width mismatch" name);
-  Array.iteri
-    (fun i id ->
-      let l, h = rails_of_bit v.(i) in
-      set_gate_packed t id ~lo:(if l = 1 then t.lane_mask else 0)
-        ~hi:(if h = 1 then t.lane_mask else 0))
-    ids
-
 let read_lane t name lane =
   let ids = Netlist.find_name t.net name in
   Array.map (fun id -> value_lane t id lane) ids

@@ -50,9 +50,6 @@ val set_input_lanes : t -> string -> Bvec.t array -> unit
 (** Per-lane values for a whole input port; lanes beyond the array are
     set to X. *)
 
-val set_input_uniform : t -> string -> Bvec.t -> unit
-(** Same value in every lane. *)
-
 val read_lane : t -> string -> int -> Bvec.t
 val read_lane_int : t -> string -> int -> int option
 

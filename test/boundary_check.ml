@@ -25,7 +25,15 @@
    lib/core/runner.ml may call [Activity.analyze] in lib/, bin/ or
    bench/main.ml — everything else takes the (cached) report, and
    verification replays its recorded schedule instead of exploring
-   again. *)
+   again.
+
+   And benchmark inputs have one home: outside lib/core/runner.ml
+   (and the benchmark definitions in lib/programs and lib/rv32), no
+   file in lib/, bin/ or bench/main.ml reads a benchmark's
+   [.gen_inputs] or [.irq_pulses] — every run takes its RAM words,
+   GPIO value and IRQ schedule from [Runner.stimulus], so no path can
+   drive a different interrupt schedule.  Building a record (the
+   CLI's raw-program loader) names the fields without reading them. *)
 
 let layers = [ "core"; "analysis"; "verify"; "guard" ]
 let forbidden_src = [ "Bespoke_cpu."; "Bespoke_isa." ]
@@ -40,6 +48,9 @@ let tailor_free =
 
 let tailor_needles = [ "Cut.tailor_explained" ]
 let analyze_needles = [ "Activity.analyze" ]
+
+(* split so this file never matches its own needles *)
+let stimulus_needles = [ "." ^ "gen_inputs"; "." ^ "irq_pulses" ]
 
 let root =
   if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
@@ -106,20 +117,26 @@ let () =
       List.iter (scan_file ~patterns:tailor_needles)
         (ml_files (Filename.concat root path)))
     tailor_free;
-  (let analysis_home = Filename.concat lib_root "analysis"
-   and runner = Filename.concat lib_root (Filename.concat "core" "runner.ml") in
-   let in_analysis path =
-     String.length path > String.length analysis_home
-     && String.sub path 0 (String.length analysis_home + 1)
-        = analysis_home ^ Filename.dir_sep
+  (let runner = Filename.concat lib_root (Filename.concat "core" "runner.ml") in
+   let under dir path =
+     let home = Filename.concat lib_root dir ^ Filename.dir_sep in
+     String.length path > String.length home
+     && String.sub path 0 (String.length home) = home
+   in
+   let flow_files =
+     ml_files lib_root
+     @ ml_files (Filename.concat root "bin")
+     @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]
    in
    List.iter
      (fun path ->
-       if path <> runner && not (in_analysis path) then
-         scan_file ~patterns:analyze_needles path)
-     (ml_files lib_root
-     @ ml_files (Filename.concat root "bin")
-     @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]));
+       if path <> runner then begin
+         if not (under "analysis" path) then
+           scan_file ~patterns:analyze_needles path;
+         if not (under "programs" path || under "rv32" path) then
+           scan_file ~patterns:stimulus_needles path
+       end)
+     flow_files);
   List.iter
     (fun layer ->
       let dir = Filename.concat lib_root layer in
@@ -147,7 +164,8 @@ let () =
        Bespoke_cpu/Bespoke_isa references), lib/obs/obs.ml holds the only \
        JSON string escaper, %s pick no engine, %s leave the cut to \
        Runner.tailor_cached, and only lib/core/runner.ml calls \
-       Activity.analyze outside lib/analysis\n"
+       Activity.analyze outside lib/analysis or reads benchmark inputs \
+       outside lib/programs and lib/rv32\n"
       !files
       (String.concat "," layers)
       (String.concat ", " engine_free)
@@ -159,5 +177,6 @@ let () =
       "boundary-check: the flow layers must target Coredef, not a \
        concrete core, JSON strings must go through Obs.Json.str, \
        engine choice belongs to lib/core and lib/sim, tailoring to \
-       Runner.tailor_cached, and exploration to Runner\n";
+       Runner.tailor_cached, and exploration and benchmark inputs to \
+       Runner\n";
     exit 1

@@ -302,6 +302,33 @@ let test_power_gating_irq_benchmark () =
   Alcotest.(check bool) "completed" true
     (pg.Bespoke_core.Power_gating.power_saving_fraction >= 0.0)
 
+(* ---- One stimulus path ---- *)
+
+(* Co-simulation must run the interrupt schedule the ISS and gate-level
+   runs use: pulses keyed on retired instructions, not on lockstep
+   steps (an interrupt entry is a step that retires nothing). *)
+let test_cosim_irq_schedule () =
+  List.iter
+    (fun (b : B.t) ->
+      List.iter
+        (fun seed ->
+          let name = Printf.sprintf "%s seed %d" b.B.name seed in
+          let iss = Runner.run_iss ~core b ~seed in
+          let gate = Runner.run_gate ~core b ~seed in
+          match Runner.co_simulate ~core b ~seed with
+          | Error d ->
+            Alcotest.failf "%s diverged: %s" name d.Lockstep.detail
+          | Ok r ->
+            Alcotest.(check int) (name ^ " instructions") iss.Runner.instructions
+              r.Lockstep.instructions;
+            Alcotest.(check int) (name ^ " cycles vs ISS")
+              (iss.Runner.cycles + core.Bespoke_coreapi.Coredef.reset_extra_cycles)
+              r.Lockstep.cycles;
+            Alcotest.(check int) (name ^ " cycles vs gate") gate.Runner.g_cycles
+              r.Lockstep.cycles)
+        [ 1; 2; 3; 4 ])
+    [ B.find "irq"; Bespoke_programs.Rtos.kernel ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bespoke_core"
@@ -345,5 +372,10 @@ let () =
             test_power_gating_bounds;
           Alcotest.test_case "power gating with irq" `Slow
             test_power_gating_irq_benchmark;
+        ] );
+      ( "stimulus",
+        [
+          Alcotest.test_case "co-simulation runs the irq schedule" `Quick
+            test_cosim_irq_schedule;
         ] );
     ]
