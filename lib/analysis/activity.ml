@@ -174,29 +174,6 @@ let init_system config s =
     (fun (lo, hi) -> System.set_ram_x s ~lo_addr:lo ~hi_addr:hi)
     config.ram_x_ranges
 
-(* The compared architectural registers, each with a dual-rail reader
-   ({!Engine.rails_reader}) resolved once per system.  A register
-   without a hook reads as constant 0. *)
-type arch_reg = { index : int; width : int; read : int array -> unit }
-
-let arch_regs sys =
-  let core = System.core sys in
-  let reg index =
-    match core.Coredef.reg_hook index with
-    | Some name ->
-      let ids = Netlist.find_name (System.netlist sys) name in
-      { index; width = Array.length ids;
-        read = Engine.rails_reader (System.engine sys) ids }
-    | None ->
-      let width = core.Coredef.word_bits in
-      let read dst =
-        dst.(0) <- (1 lsl width) - 1;
-        dst.(1) <- 0
-      in
-      { index; width; read }
-  in
-  Array.of_list (List.map reg core.Coredef.arch_regs)
-
 type entry = {
   snap : System.snapshot;
   candidates : int list;  (* recorded jump targets if PC is unknown *)
@@ -286,7 +263,7 @@ let analyze_impl ?(config = default_config) sys =
      architectural state [replay] compares against -- *)
   let ops = ibuf () and regs = ibuf () and ram = ibuf () in
   let emit op payload = push ops ((payload lsl tag_bits) lor tag_of_op op) in
-  let ar = arch_regs sys in
+  let ar = System.arch_regs sys in
   let nregs = Array.length ar in
   (* a comparison point records the registers that changed since the
      previous one on the tape *)
@@ -294,7 +271,7 @@ let analyze_impl ?(config = default_config) sys =
   let record_regs op =
     let mask = ref 0 in
     for i = 0 to nregs - 1 do
-      ar.(i).read cur;
+      ar.(i).System.read cur;
       if cur.(0) <> last.(2 * i) || cur.(1) <> last.((2 * i) + 1) then begin
         mask := !mask lor (1 lsl i);
         last.(2 * i) <- cur.(0);
@@ -675,7 +652,7 @@ let replay_impl r sys =
   let core = System.core sys in
   init_system sc.config sys;
   let ram0 = Memory.snapshot (System.ram sys) in
-  let ar = arch_regs sys in
+  let ar = System.arch_regs sys in
   let nregs = Array.length ar in
   (* the original's registers at the current comparison point *)
   let orig = Array.make (2 * nregs) 0 and cur = [| 0; 0 |] in
@@ -695,7 +672,7 @@ let replay_impl r sys =
     done;
     Array.iteri
       (fun i r ->
-        r.read cur;
+        r.System.read cur;
         let lo = orig.(2 * i) and hi = orig.((2 * i) + 1) in
         if not (rails_consistent lo hi cur.(0) cur.(1)) then
           mismatch "%s: %s differs: original %s, bespoke %s" context

@@ -322,16 +322,14 @@ let run ?jobs ?on_outcome ?on_event (js : job list) =
         ("tasks", string_of_int (List.length js));
       ]
   @@ fun () ->
-  (* shared memos, forced once per distinct core before the domains
-     fan out (the memo tables are not domain-safe).  An unresolvable
+  (* the shared stock netlist, forced once per distinct core before the
+     domains fan out (its memo table is not domain-safe).  An unresolvable
      core name is skipped here — it becomes that job's error record
      inside the execution fence. *)
   List.iter
     (fun name ->
       match Cores.find name with
-      | Some e ->
-        ignore (Runner.shared_netlist e.Cores.core);
-        ignore (Runner.shared_netlist_hash e.Cores.core)
+      | Some e -> ignore (Runner.shared_netlist e.Cores.core)
       | None -> ())
     (List.sort_uniq compare (List.map (fun j -> j.core) js));
   let t0 = now () in

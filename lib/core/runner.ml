@@ -33,31 +33,24 @@ type gate_outcome = {
 exception Mismatch of string
 
 (* ------------------------------------------------------------------ *)
-(* Per-core memoization.  One stock netlist (and its Serial hash) per
-   core descriptor, keyed by core name; one assembled image per
-   (core, source digest), so re-assembly of mutant sources never
-   collides with the pristine benchmark.  As with the old lazy cell:
+(* Per-core memoization.  One stock netlist per core descriptor, keyed
+   by core name; one assembled image per (core, source digest), so
+   re-assembly of mutant sources never collides with the pristine
+   benchmark.  As with the old lazy cell:
    force these in the parent before fanning out with [Pool] — the
    tables are not domain-safe. *)
 
-let netlist_table : (string, Netlist.t * string) Hashtbl.t = Hashtbl.create 4
+let netlist_table : (string, Netlist.t) Hashtbl.t = Hashtbl.create 4
 
-let shared_netlist_entry (core : Coredef.t) =
+let shared_netlist (core : Coredef.t) =
   match Hashtbl.find_opt netlist_table core.Coredef.name with
-  | Some e -> e
+  | Some net -> net
   | None ->
     let net = core.Coredef.build () in
-    let e = (net, Serial.hash net) in
-    Hashtbl.replace netlist_table core.Coredef.name e;
-    e
+    Hashtbl.replace netlist_table core.Coredef.name net;
+    net
 
-let shared_netlist core = fst (shared_netlist_entry core)
-let shared_netlist_hash core = snd (shared_netlist_entry core)
-
-let netlist_hash ~core net =
-  match Hashtbl.find_opt netlist_table core.Coredef.name with
-  | Some (n, h) when n == net -> h
-  | _ -> Serial.hash net
+let shared_netlist_hash core = Serial.hash (shared_netlist core)
 
 let image_table : (string, Coredef.image) Hashtbl.t = Hashtbl.create 64
 
@@ -357,7 +350,7 @@ let analysis_key ~core ~net rc (b : Benchmark.t) =
       "analysis";
       Coredef.fingerprint core;
       image_hash (image ~core b);
-      netlist_hash ~core net;
+      Serial.hash net;
       config_fingerprint rc;
     ]
 

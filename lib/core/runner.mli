@@ -163,18 +163,14 @@ val image : core:Coredef.t -> Benchmark.t -> Coredef.image
 
 val shared_netlist : Coredef.t -> Netlist.t
 (** One memoized copy of the core's stock netlist, shared by callers
-    that do not mutate netlists.  Force this {e and}
-    {!shared_netlist_hash} in the parent before fanning out with
+    that do not mutate netlists.  Force this (or
+    {!shared_netlist_hash}) in the parent before fanning out with
     [Pool] — the memo table is not domain-safe. *)
 
 val shared_netlist_hash : Coredef.t -> string
-(** Memoized {!Bespoke_netlist.Serial.hash} of {!shared_netlist}
-    (forces the netlist build). *)
+(** {!Bespoke_netlist.Serial.hash} of {!shared_netlist} (forces the
+    netlist build; the hash itself is memoized per netlist value). *)
 
 val image_hash : Coredef.image -> string
 (** Content hash of a binary image (ROM words + entry point) — a flow
     cache key component. *)
-
-val netlist_hash : core:Coredef.t -> Netlist.t -> string
-(** [Serial.hash], short-circuited to the memoized hash when given the
-    core's (already forced) shared netlist. *)

@@ -109,6 +109,12 @@ let rom_index c a = (a lsr c.addr_shift) land (c.mem_words - 1)
 let ram_index c a = (a lsr c.addr_shift) land (c.mem_words - 1)
 let hex_digits c = (c.word_bits + 3) / 4
 
+(* Gate ids of a memory address port's word-index bits: the bits above
+   the byte offset that select one of [mem_words] words. *)
+let word_index_ids c net name =
+  let rec log2 i = if 1 lsl i >= c.mem_words then i else log2 (i + 1) in
+  Array.sub (Netlist.find_name net name) c.addr_shift (log2 0)
+
 (* Content hash of an assembled image (ROM contents + entry). *)
 let image_hash (img : image) =
   let b = Buffer.create 4096 in

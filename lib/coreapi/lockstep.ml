@@ -1,6 +1,8 @@
 module Bit = Bespoke_logic.Bit
 module Bvec = Bespoke_logic.Bvec
 module Engine = Bespoke_sim.Engine
+module Memory = Bespoke_sim.Memory
+module Obs = Bespoke_obs.Obs
 
 (* Core-generic lockstep comparison: run the gate-level system and the
    core's ISS golden model instruction by instruction, comparing every
@@ -14,7 +16,18 @@ module Engine = Bespoke_sim.Engine
    at every level (ISS, gate level, packed lanes), so a co-simulation
    runs the same interrupt schedule as every other run of the input.
    A step that enters an interrupt retires nothing and does not
-   advance the count. *)
+   advance the count.  A divergence's [at_insn] (and the [insn N:] of
+   its text) is that same retired count, so interrupt entries do not
+   advance it either.
+
+   The per-instruction comparison reads each register through rails
+   resolved once per run and compares them with the ISS as ints; only
+   a register that is X or differs, or a cycle mismatch, goes to the
+   comparator that builds the report. *)
+
+(* Sampled time of one boundary comparison (every 64th instruction,
+   Obs on only). *)
+let h_compare = Obs.Metrics.histogram "sim.lockstep.compare_ns"
 
 type result = {
   instructions : int;
@@ -56,6 +69,8 @@ let concrete_bits_match expected (got : Bvec.t) =
     got;
   !ok
 
+(* The reporting comparator: raises the first mismatch in register
+   order, then the cycle count. *)
 let compare_boundary ~x_dont_care ~insn_idx sys (iss : Coredef.iss) =
   let core = System.core sys in
   let hx = Coredef.hex_digits core in
@@ -85,6 +100,36 @@ let compare_boundary ~x_dont_care ~insn_idx sys (iss : Coredef.iss) =
       "insn %d (pc %0*x): cycle mismatch: ISS %d (+%d reset), CPU %d" insn_idx
       hx at_pc iss_cycles core.Coredef.reset_extra_cycles cpu_cycles
 
+(* The rails of a register (bit can be 0 / can be 1) agree with the
+   ISS value [v]: exactly when X-free, on the known bits under
+   [x_dont_care]. *)
+let rails_match ~x_dont_care lo hi v =
+  if lo land hi = 0 then hi = v
+  else
+    x_dont_care
+    && (hi land lnot lo) land lnot v = 0
+    && (lo land lnot hi) land v = 0
+
+(* [regs] and [rails] are this run's resolved readers and scratch. *)
+let check_boundary ~x_dont_care ~insn_idx ~regs ~rails sys
+    (iss : Coredef.iss) =
+  let core = System.core sys in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length regs do
+    let r = regs.(!i) in
+    r.System.read rails;
+    ok :=
+      rails_match ~x_dont_care rails.(0) rails.(1)
+        (iss.Coredef.reg r.System.index);
+    incr i
+  done;
+  if
+    not
+      (!ok
+      && System.cycles sys
+         = iss.Coredef.cycles () + core.Coredef.reset_extra_cycles)
+  then compare_boundary ~x_dont_care ~insn_idx sys iss
+
 let compare_final ~x_dont_care ~insn_idx sys (iss : Coredef.iss) =
   let core = System.core sys in
   let hx = Coredef.hex_digits core in
@@ -92,18 +137,23 @@ let compare_final ~x_dont_care ~insn_idx sys (iss : Coredef.iss) =
   (* data RAM *)
   for w = 0 to core.Coredef.ram_words - 1 do
     let addr = core.Coredef.ram_base + (w lsl core.Coredef.addr_shift) in
-    let cpu_v = System.read_ram_word sys addr in
     let iss_v = iss.Coredef.read_ram_word addr in
-    let what = Printf.sprintf "ram[%04x]" addr in
-    match Bvec.to_int cpu_v with
+    match
+      Memory.read_word_int (System.ram sys) (System.ram_index sys addr)
+    with
     | Some v when v = iss_v -> ()
-    | Some v ->
-      fail ~at_insn:insn_idx ~at_pc ~what "ram[%04x]: ISS %0*x, CPU %0*x" addr
-        hx iss_v hx v
-    | None when x_dont_care && concrete_bits_match iss_v cpu_v -> ()
-    | None ->
-      fail ~at_insn:insn_idx ~at_pc ~what "ram[%04x]: unknown in CPU (%s)" addr
-        (Bvec.to_string cpu_v)
+    | _ -> (
+      let cpu_v = System.read_ram_word sys addr in
+      let what = Printf.sprintf "ram[%04x]" addr in
+      match Bvec.to_int cpu_v with
+      | Some v when v = iss_v -> ()
+      | Some v ->
+        fail ~at_insn:insn_idx ~at_pc ~what "ram[%04x]: ISS %0*x, CPU %0*x"
+          addr hx iss_v hx v
+      | None when x_dont_care && concrete_bits_match iss_v cpu_v -> ()
+      | None ->
+        fail ~at_insn:insn_idx ~at_pc ~what "ram[%04x]: unknown in CPU (%s)"
+          addr (Bvec.to_string cpu_v))
   done;
   let gpio = System.gpio_out sys in
   match Bvec.to_int gpio with
@@ -139,19 +189,21 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
      with
     | `Fetch -> ()
     | `Halted | `Unknown -> fail ~what:"reset" "did not reach the first fetch");
-    let insn_idx = ref 0 in
+    let regs = System.arch_regs sys and rails = [| 0; 0 |] in
+    let steps = ref 0 in
     let finished = ref false in
     while not !finished do
-      if !insn_idx > max_insns then
-        fail ~at_insn:!insn_idx ~what:"limit" "instruction limit exceeded";
-      let line = List.mem (iss.Coredef.retired ()) irq_pulse_at in
+      let retired = iss.Coredef.retired () in
+      if !steps > max_insns then
+        fail ~at_insn:retired ~what:"limit" "instruction limit exceeded";
+      let line = List.mem retired irq_pulse_at in
       iss.Coredef.set_irq_line line;
       System.set_irq sys (Bit.of_bool line);
       (* Advance the CPU to its next instruction boundary (or halt). *)
       (match System.run_to_boundary ~max_cycles:100 sys with
       | `Fetch | `Halted -> ()
       | `Unknown ->
-        fail ~at_insn:!insn_idx
+        fail ~at_insn:retired
           ~at_pc:(iss.Coredef.pc ())
           ~what:"control" "CPU control state became unknown");
       (* Advance the ISS to match: one instruction, or one interrupt
@@ -159,20 +211,26 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
       if System.halted sys then begin
         iss.Coredef.step ();  (* the halting instruction *)
         if not (iss.Coredef.halted ()) then
-          fail ~at_insn:!insn_idx
+          fail ~at_insn:retired
             ~at_pc:(iss.Coredef.pc ())
             ~what:"halt" "CPU halted but ISS did not";
-        compare_final ~x_dont_care ~insn_idx:!insn_idx sys iss;
+        compare_final ~x_dont_care ~insn_idx:retired sys iss;
         finished := true
       end
       else begin
         iss.Coredef.step ();
-        incr insn_idx;
+        incr steps;
+        let insn_idx = iss.Coredef.retired () in
         if iss.Coredef.halted () then
-          fail ~at_insn:!insn_idx
+          fail ~at_insn:insn_idx
             ~at_pc:(iss.Coredef.pc ())
             ~what:"halt" "ISS halted but CPU did not"
-        else compare_boundary ~x_dont_care ~insn_idx:!insn_idx sys iss
+        else if Obs.enabled () && !steps land 63 = 0 then begin
+          let t0 = Obs.now_ns () in
+          check_boundary ~x_dont_care ~insn_idx ~regs ~rails sys iss;
+          ignore (Obs.Metrics.lap h_compare t0)
+        end
+        else check_boundary ~x_dont_care ~insn_idx ~regs ~rails sys iss
       end
     done;
     Ok

@@ -3,6 +3,7 @@ module Bvec = Bespoke_logic.Bvec
 module Netlist = Bespoke_netlist.Netlist
 module Engine = Bespoke_sim.Engine
 module Memory = Bespoke_sim.Memory
+module Obs = Bespoke_obs.Obs
 
 (* Core-generic gate-level system harness: one core netlist (per the
    {!Coredef} hook contract) plus word-addressed instruction and data
@@ -10,9 +11,13 @@ module Memory = Bespoke_sim.Memory
    for the symbolic explorer.  All geometry (word width, address
    shift, memory sizes) comes from the core descriptor. *)
 
-let ilog2 n =
-  let rec go i = if 1 lsl i >= n then i else go (i + 1) in
-  go 0
+(* Sampled phase timers of [step_cycle] (every 64th cycle, Obs on
+   only); [sim.commit_ns] includes the engine's cycle hook, which
+   {!Engine} times on its own as [sim.hook_ns]. *)
+let h_write = Obs.Metrics.histogram "sim.write_ns"
+let h_step = Obs.Metrics.histogram "sim.step_ns"
+let h_feed = Obs.Metrics.histogram "sim.feed_ns"
+let h_commit = Obs.Metrics.histogram "sim.commit_ns"
 
 (* Gate ids of the signals the per-cycle loop probes, resolved once at
    [create] so the hot path never goes through string lookups or
@@ -59,13 +64,10 @@ let create ?mode ?netlist ~core (image : Coredef.image) =
   in
   let mem_cone = Engine.make_cone eng mem_inputs in
   let bit0 name = (Netlist.find_name net name).(0) in
-  let sub_idx name words =
-    Array.sub (Netlist.find_name net name) core.Coredef.addr_shift (ilog2 words)
-  in
   let hk =
     {
-      pmem_widx = sub_idx "pmem_addr" core.Coredef.mem_words;
-      dmem_widx = sub_idx "dmem_addr" core.Coredef.mem_words;
+      pmem_widx = Coredef.word_index_ids core net "pmem_addr";
+      dmem_widx = Coredef.word_index_ids core net "dmem_addr";
       pmem_rdata = Netlist.find_input net "pmem_rdata";
       dmem_rdata = Netlist.find_input net "dmem_rdata";
       dmem_wdata = Netlist.find_name net "dmem_wdata";
@@ -143,11 +145,16 @@ let set_gpio_in_int t n =
 
 let set_gpio_in_x t = set_gpio_in t (Bvec.all_x t.core.Coredef.word_bits)
 
+(* The engine's irq input holds [t.irq] after every call here, so an
+   unchanged line needs no re-settle: run loops drive it at every
+   instruction boundary. *)
 let set_irq t v =
-  t.irq <- v;
-  apply_inputs t;
-  Engine.eval t.eng;
-  feed_memories t
+  if not (Bit.equal v t.irq) then begin
+    t.irq <- v;
+    apply_inputs t;
+    Engine.eval t.eng;
+    feed_memories t
+  end
 
 let read_hook t name = Engine.read t.eng name
 let read_hook_int t name = Engine.read_int t.eng name
@@ -157,6 +164,29 @@ let reg t i =
   match t.core.Coredef.reg_hook i with
   | Some name -> read_hook t name
   | None -> Bvec.of_int ~width:t.core.Coredef.word_bits 0
+
+(* The compared architectural registers, each with a dual-rail reader
+   ({!Engine.rails_reader}) resolved once per system: [read dst] puts
+   the register's rails in [dst.(0)] (bit can be 0) and [dst.(1)] (bit
+   can be 1).  A register without a hook reads as constant 0, like
+   {!reg}. *)
+type arch_reg = { index : int; width : int; read : int array -> unit }
+
+let arch_regs t =
+  let reg index =
+    match t.core.Coredef.reg_hook index with
+    | Some name ->
+      let ids = Netlist.find_name (netlist t) name in
+      { index; width = Array.length ids; read = Engine.rails_reader t.eng ids }
+    | None ->
+      let width = t.core.Coredef.word_bits in
+      let read dst =
+        dst.(0) <- (1 lsl width) - 1;
+        dst.(1) <- 0
+      in
+      { index; width; read }
+  in
+  Array.of_list (List.map reg t.core.Coredef.arch_regs)
 
 let halted t = Engine.value_code t.eng t.hk.halted = 1
 let fetching t = Engine.value t.eng t.hk.fetching
@@ -215,14 +245,27 @@ let sample_writes t =
   | 1 -> t.trace <- (t.cycle, gpio_out t) :: t.trace
   | _ -> ()
 
+(* Inputs persist across the clock edge; the memory data is recomputed
+   for the new cycle, which is then committed at once, so a path that
+   ends here (halt, prune, fork) has its final transition recorded. *)
 let step_cycle t =
-  sample_writes t;
-  Engine.step t.eng;
-  (* inputs persist; recompute memory data for the new cycle *)
-  feed_memories t;
-  (* commit the newly settled cycle immediately, so a path that ends
-     here (halt, prune, fork) has its final transition recorded *)
-  Engine.commit_cycle t.eng;
+  if Obs.enabled () && t.cycle land 63 = 63 then begin
+    let t0 = Obs.now_ns () in
+    sample_writes t;
+    let t1 = Obs.Metrics.lap h_write t0 in
+    Engine.step t.eng;
+    let t2 = Obs.Metrics.lap h_step t1 in
+    feed_memories t;
+    let t3 = Obs.Metrics.lap h_feed t2 in
+    Engine.commit_cycle t.eng;
+    ignore (Obs.Metrics.lap h_commit t3)
+  end
+  else begin
+    sample_writes t;
+    Engine.step t.eng;
+    feed_memories t;
+    Engine.commit_cycle t.eng
+  end;
   t.cycle <- t.cycle + 1
 
 let run_to_boundary ?(max_cycles = 1_000_000) t =

@@ -14,6 +14,11 @@ type t = {
   names : (string * int array) list;
       (** named internal nets (analysis hooks), LSB first *)
 }
+(** A netlist value is never mutated once built: no code writes into
+    its gate, fanin or port arrays in place; a changed design is a new
+    value (from {!Builder}, {!map_gates} or {!compact}).  Caches keyed
+    on the physical value rely on this, e.g. the memoized
+    {!Serial.hash}. *)
 
 val gate_count : t -> int
 val num_gates : t -> int

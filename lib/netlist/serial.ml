@@ -226,14 +226,12 @@ let load_gate_set path =
   gate_set_of_string text
 
 (* Design identity for memoization caches (e.g. the compiled-simulation
-   cache): a digest of the canonical text serialization, so any change
-   to a gate, port or name produces a different key while re-serialized
-   copies of the same design share one. *)
-(* Digest over a compact binary encoding of the same information as
-   [to_string].  [create]-per-run callers (the compiled engine's
-   design cache) hit this on every instance, so it avoids the Printf
-   formatting cost of the text serialization. *)
-let hash (n : Netlist.t) =
+   cache): a digest of the canonical serialization, so any change to a
+   gate, port or name produces a different key while re-serialized
+   copies of the same design share one.  It digests a compact binary
+   encoding of the same information as [to_string], without the
+   Printf formatting cost of the text. *)
+let digest (n : Netlist.t) =
   let buf = Buffer.create (1 lsl 16) in
   let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
   let add_str s =
@@ -258,3 +256,26 @@ let hash (n : Netlist.t) =
   List.iter port n.Netlist.output_ports;
   List.iter port n.Netlist.names;
   Digest.to_hex (Digest.bytes (Buffer.to_bytes buf))
+
+(* Netlist values are never mutated after construction, so one digest
+   per physical value serves every later [hash] of it: each
+   [Compile.create] (every gate-level run) hashes its design, which
+   would otherwise encode and digest the whole design per run.
+   Ephemerons let a dropped netlist's entry go with it. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Netlist.t
+
+  let equal = ( == )
+  let hash n = Hashtbl.hash (Netlist.gate_count n)
+end)
+
+let memo = Memo.create 16
+let memo_mu = Mutex.create ()
+
+let hash n =
+  match Mutex.protect memo_mu (fun () -> Memo.find_opt memo n) with
+  | Some h -> h
+  | None ->
+    let h = digest n in
+    Mutex.protect memo_mu (fun () -> Memo.replace memo n h);
+    h

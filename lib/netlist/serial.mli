@@ -40,4 +40,6 @@ val hash : Netlist.t -> string
 (** Hex digest of the canonical serialization — a stable design
     identity used to key memoization caches (the compiled-simulation
     engine's design cache in particular).  Equal for structurally
-    identical netlists, different after any gate/port/name change. *)
+    identical netlists, different after any gate/port/name change.
+    Computed once per physical netlist value and memoized (domain-safe;
+    see the immutability contract in {!Netlist.t}). *)

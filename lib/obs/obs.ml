@@ -10,6 +10,7 @@ let disable () = Atomic.set on false
 
 let t0 = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. t0) *. 1e6
+let now_ns () = int_of_float (now_us () *. 1e3)
 
 (* the domain this module was initialised in — named "main" in trace
    exports unless renamed *)
@@ -484,6 +485,11 @@ module Metrics = struct
       atomic_update h.h_min (fun m -> min m v);
       atomic_update h.h_max (fun m -> max m v)
     end
+
+  let lap h since =
+    let now = now_ns () in
+    observe h (now - since);
+    now
 
   let histogram_count h = Atomic.get h.h_count
 

@@ -24,6 +24,12 @@ val enabled : unit -> bool
 (** Is collection currently on?  This is the single flag every hook
     checks. *)
 
+val now_ns : unit -> int
+(** Wall-clock nanoseconds since program start, at the host clock's
+    (microsecond) resolution: the time base of sampled phase timers.
+    The difference of two readings is unbiased over many samples even
+    for phases shorter than a tick. *)
+
 val enable : unit -> unit
 val disable : unit -> unit
 
@@ -64,6 +70,10 @@ module Metrics : sig
 
   val observe : histogram -> int -> unit
   (** Record a non-negative sample into power-of-two buckets. *)
+
+  val lap : histogram -> int -> int
+  (** [lap h since] observes [now_ns () - since] and returns the new
+      {!now_ns} reading, so consecutive phases chain their timers. *)
 
   val histogram_count : histogram -> int
 

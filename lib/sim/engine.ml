@@ -11,6 +11,17 @@ module Obs = Bespoke_obs.Obs
 let m_gate_evals = Obs.Metrics.counter "sim.gate_evals"
 let m_settles = Obs.Metrics.counter "sim.settle_iterations"
 
+(* The cycle hook's time, sampled on every 64th committed cycle. *)
+let h_hook = Obs.Metrics.histogram "sim.hook_ns"
+
+let run_hook f n =
+  if Obs.enabled () && n land 63 = 0 then begin
+    let t0 = Obs.now_ns () in
+    f n;
+    ignore (Obs.Metrics.lap h_hook t0)
+  end
+  else f n
+
 (* Compiled opcodes for the inner evaluation loop. *)
 let op_buf = 0
 
@@ -336,7 +347,7 @@ let commit_cycle = function
     Compile.commit_cycle p.comp;
     match p.c_on_cycle with
     | None -> ()
-    | Some f -> f (Compile.cycles_committed p.comp))
+    | Some f -> run_hook f (Compile.cycles_committed p.comp))
   | Sweep s -> (
     for id = 0 to Bytes.length s.values - 1 do
       let cur = Char.code (Bytes.unsafe_get s.values id) in
@@ -352,7 +363,7 @@ let commit_cycle = function
     done;
     Bytes.blit s.values 0 s.prev 0 (Bytes.length s.values);
     s.committed <- s.committed + 1;
-    match s.on_cycle with None -> () | Some f -> f s.committed)
+    match s.on_cycle with None -> () | Some f -> run_hook f s.committed)
 
 let set_first_possibly_hook t f =
   match t with

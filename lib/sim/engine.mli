@@ -124,8 +124,10 @@ val set_first_possibly_hook : t -> (int -> unit) option -> unit
 val set_cycle_hook : t -> (int -> unit) option -> unit
 (** Probe hook: [f n] is called at the end of every {!commit_cycle}
     with the new committed-cycle count [n], in every mode (including
-    [Compiled]).  Zero cost when unset.  The guard shadow watcher uses
-    it to check cut-boundary assumptions against live values. *)
+    [Compiled]).  Zero cost when unset.  With Obs on, every 64th call
+    is timed into the [sim.hook_ns] histogram.  The guard shadow
+    watcher uses it to check cut-boundary assumptions against live
+    values. *)
 
 val sync_prev : t -> unit
 (** Make the current settled values the activity baseline without

@@ -1,5 +1,4 @@
 module Bit = Bespoke_logic.Bit
-module Bvec = Bespoke_logic.Bvec
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module Obs = Bespoke_obs.Obs
@@ -22,30 +21,26 @@ let h_dirty = Obs.Metrics.histogram "sim.packed_dirty_set_size"
 
 let max_lanes = 63  (* OCaml native ints carry 63 usable bits *)
 
-let op_buf = 0
-
-and op_not = 1
-
-and op_and = 2
-
-and op_or = 3
-
-and op_nand = 4
-
-and op_nor = 5
-
-and op_xor = 6
-
-and op_xnor = 7
-
-and op_mux = 8
+(* Combinational gate functions; sources (inputs, constants, DFFs) are
+   never evaluated. *)
+type opcode =
+  | Obuf
+  | Onot
+  | Oand
+  | Oor
+  | Onand
+  | Onor
+  | Oxor
+  | Oxnor
+  | Omux
+  | Osrc
 
 type t = {
   net : Netlist.t;
   lanes : int;
   lane_mask : int;
   order : int array;
-  opcode : int array;
+  opcode : opcode array;
   fi0 : int array;
   fi1 : int array;
   fi2 : int array;
@@ -56,9 +51,12 @@ type t = {
   dffs : int array;
   dff_next_lo : int array;
   dff_next_hi : int array;
-  toggles : int array array;  (* per lane, per gate *)
+  toggles : int array;  (* per gate, per lane: [id * lanes + lane] *)
   possibly : int array;  (* lane bitmask per gate *)
-  mutable committed : int;
+  (* [compute]'s result rails: scratch fields instead of a returned
+     pair, which would allocate once per evaluated gate *)
+  mutable r_lo : int;
+  mutable r_hi : int;
   (* event-driven machinery: levels, CSR fanout, dirty queue, touched list *)
   level : int array;
   fan_start : int array;
@@ -78,7 +76,7 @@ let create ?(lanes = max_lanes) net =
   let lane_mask = if lanes = max_lanes then -1 else (1 lsl lanes) - 1 in
   let ng = Netlist.gate_count net in
   let order = Netlist.levelize net in
-  let opcode = Array.make ng (-1) in
+  let opcode = Array.make ng Osrc in
   let fi0 = Array.make ng 0 in
   let fi1 = Array.make ng 0 in
   let fi2 = Array.make ng 0 in
@@ -105,15 +103,15 @@ let create ?(lanes = max_lanes) net =
       in
       match g.op with
       | Gate.Const _ | Gate.Input | Gate.Dff _ -> ()
-      | Gate.Buf -> set op_buf
-      | Gate.Not -> set op_not
-      | Gate.And -> set op_and
-      | Gate.Or -> set op_or
-      | Gate.Nand -> set op_nand
-      | Gate.Nor -> set op_nor
-      | Gate.Xor -> set op_xor
-      | Gate.Xnor -> set op_xnor
-      | Gate.Mux -> set op_mux)
+      | Gate.Buf -> set Obuf
+      | Gate.Not -> set Onot
+      | Gate.And -> set Oand
+      | Gate.Or -> set Oor
+      | Gate.Nand -> set Onand
+      | Gate.Nor -> set Onor
+      | Gate.Xor -> set Oxor
+      | Gate.Xnor -> set Oxnor
+      | Gate.Mux -> set Omux)
     net.Netlist.gates;
   let dffs = Array.of_list (List.rev !dffs) in
   let level = Array.make ng 0 in
@@ -167,9 +165,10 @@ let create ?(lanes = max_lanes) net =
       dffs;
       dff_next_lo = Array.make (Array.length dffs) 0;
       dff_next_hi = Array.make (Array.length dffs) 0;
-      toggles = Array.init lanes (fun _ -> Array.make ng 0);
+      toggles = Array.make (ng * lanes) 0;
       possibly = Array.make ng 0;
-      committed = 0;
+      r_lo = 0;
+      r_hi = 0;
       level;
       fan_start;
       fan;
@@ -191,9 +190,6 @@ let create ?(lanes = max_lanes) net =
     order;
   t
 
-let netlist t = t.net
-let lanes t = t.lanes
-
 (* rail pair for a single Bit *)
 let rails_of_bit = function
   | Bit.Zero -> (1, 0)
@@ -209,6 +205,9 @@ let bit_of_rails lo hi =
 
 let value_lane t id lane =
   bit_of_rails ((t.lo.(id) lsr lane) land 1) ((t.hi.(id) lsr lane) land 1)
+
+let rail_lo t id = t.lo.(id)
+let rail_hi t id = t.hi.(id)
 
 let mark_touched t id =
   if Bytes.unsafe_get t.in_touched id = '\000' then begin
@@ -253,82 +252,56 @@ let set_gate_lane t id lane b =
     ~lo:((t.lo.(id) land m) lor (l lsl lane))
     ~hi:((t.hi.(id) land m) lor (h lsl lane))
 
-let pack_bits t (bits : Bit.t array) =
-  (* [bits.(lane)] -> packed rails; lanes beyond [Array.length bits]
-     are X, keeping unwritten lanes in a valid encoding *)
-  let lo = ref 0 and hi = ref 0 in
-  for lane = 0 to t.lanes - 1 do
-    let l, h =
-      if lane < Array.length bits then rails_of_bit bits.(lane) else (1, 1)
-    in
-    lo := !lo lor (l lsl lane);
-    hi := !hi lor (h lsl lane)
-  done;
-  (!lo, !hi)
-
-let find_input t name = Netlist.find_input t.net name
-
-let set_input_lanes t name (vs : Bvec.t array) =
-  let ids = find_input t name in
-  Array.iter
-    (fun v ->
-      if Bvec.width v <> Array.length ids then
-        invalid_arg
-          (Printf.sprintf "Engine64.set_input_lanes %s: width mismatch" name))
-    vs;
-  let scratch = Array.make (Array.length vs) Bit.X in
-  Array.iteri
-    (fun i id ->
-      Array.iteri (fun lane v -> scratch.(lane) <- v.(i)) vs;
-      let lo, hi = pack_bits t scratch in
-      set_gate_packed t id ~lo ~hi)
-    ids
-
-let read_lane t name lane =
-  let ids = Netlist.find_name t.net name in
-  Array.map (fun id -> value_lane t id lane) ids
-
-let read_lane_int t name lane = Bvec.to_int (read_lane t name lane)
-
 let compute t id =
-  let c = t.opcode.(id) in
-  let i0 = t.fi0.(id) in
-  let a_lo = t.lo.(i0) and a_hi = t.hi.(i0) in
-  if c = op_buf then (a_lo, a_hi)
-  else if c = op_not then (a_hi, a_lo)
-  else
-    let i1 = t.fi1.(id) in
-    let b_lo = t.lo.(i1) and b_hi = t.hi.(i1) in
-    if c = op_and then (a_lo lor b_lo, a_hi land b_hi)
-    else if c = op_or then (a_lo land b_lo, a_hi lor b_hi)
-    else if c = op_nand then (a_hi land b_hi, a_lo lor b_lo)
-    else if c = op_nor then (a_hi lor b_hi, a_lo land b_lo)
-    else if c = op_xor then
-      ((a_lo land b_lo) lor (a_hi land b_hi),
-       (a_lo land b_hi) lor (a_hi land b_lo))
-    else if c = op_xnor then
-      ((a_lo land b_hi) lor (a_hi land b_lo),
-       (a_lo land b_lo) lor (a_hi land b_hi))
-    else begin
-      (* mux: fi0 = sel, fi1 = a (sel=0), fi2 = b (sel=1);
-         an X select merges the two data inputs *)
-      let s_lo = a_lo and s_hi = a_hi in
-      let i2 = t.fi2.(id) in
-      let c_lo = t.lo.(i2) and c_hi = t.hi.(i2) in
-      let s0 = s_lo land lnot s_hi in
-      let s1 = s_hi land lnot s_lo in
-      let sx = s_lo land s_hi in
-      ( (s0 land b_lo) lor (s1 land c_lo) lor (sx land (b_lo lor c_lo)),
-        (s0 land b_hi) lor (s1 land c_hi) lor (sx land (b_hi lor c_hi)) )
-    end
+  let lo = t.lo and hi = t.hi in
+  let i0 = Array.unsafe_get t.fi0 id in
+  let a_lo = Array.unsafe_get lo i0 and a_hi = Array.unsafe_get hi i0 in
+  let i1 = Array.unsafe_get t.fi1 id in
+  let b_lo = Array.unsafe_get lo i1 and b_hi = Array.unsafe_get hi i1 in
+  match Array.unsafe_get t.opcode id with
+  | Obuf ->
+    t.r_lo <- a_lo;
+    t.r_hi <- a_hi
+  | Onot ->
+    t.r_lo <- a_hi;
+    t.r_hi <- a_lo
+  | Oand ->
+    t.r_lo <- a_lo lor b_lo;
+    t.r_hi <- a_hi land b_hi
+  | Oor ->
+    t.r_lo <- a_lo land b_lo;
+    t.r_hi <- a_hi lor b_hi
+  | Onand ->
+    t.r_lo <- a_hi land b_hi;
+    t.r_hi <- a_lo lor b_lo
+  | Onor ->
+    t.r_lo <- a_hi lor b_hi;
+    t.r_hi <- a_lo land b_lo
+  | Oxor ->
+    t.r_lo <- (a_lo land b_lo) lor (a_hi land b_hi);
+    t.r_hi <- (a_lo land b_hi) lor (a_hi land b_lo)
+  | Oxnor ->
+    t.r_lo <- (a_lo land b_hi) lor (a_hi land b_lo);
+    t.r_hi <- (a_lo land b_lo) lor (a_hi land b_hi)
+  | Osrc -> invalid_arg "Engine64: a source gate is never evaluated"
+  | Omux ->
+    (* mux: fi0 = sel, fi1 = a (sel=0), fi2 = b (sel=1);
+       an X select merges the two data inputs *)
+    let i2 = Array.unsafe_get t.fi2 id in
+    let c_lo = Array.unsafe_get lo i2 and c_hi = Array.unsafe_get hi i2 in
+    let s0 = a_lo land lnot a_hi in
+    let s1 = a_hi land lnot a_lo in
+    let sx = a_lo land a_hi in
+    t.r_lo <- (s0 land b_lo) lor (s1 land c_lo) lor (sx land (b_lo lor c_lo));
+    t.r_hi <- (s0 land b_hi) lor (s1 land c_hi) lor (sx land (b_hi lor c_hi))
 
 let eval_full t =
   let order = t.order in
   for k = 0 to Array.length order - 1 do
     let id = Array.unsafe_get order k in
-    let lo, hi = compute t id in
-    t.lo.(id) <- lo;
-    t.hi.(id) <- hi
+    compute t id;
+    t.lo.(id) <- t.r_lo;
+    t.hi.(id) <- t.r_hi
   done
 
 let flush_dirty t =
@@ -342,7 +315,8 @@ let flush_dirty t =
     for k = 0 to n - 1 do
       let id = Array.unsafe_get stack k in
       Bytes.unsafe_set t.on_queue id '\000';
-      let lo, hi = compute t id in
+      compute t id;
+      let lo = t.r_lo and hi = t.r_hi in
       if t.lo.(id) <> lo || t.hi.(id) <> hi then begin
         t.lo.(id) <- lo;
         t.hi.(id) <- hi;
@@ -390,7 +364,6 @@ let reset t =
   eval_full t;
   Array.blit t.lo 0 t.prev_lo 0 (Array.length t.lo);
   Array.blit t.hi 0 t.prev_hi 0 (Array.length t.hi);
-  t.committed <- 0;
   t.full_commit <- true
 
 let step t =
@@ -411,10 +384,11 @@ let commit_one t id active =
     ((cur_lo lxor t.prev_lo.(id)) lor (cur_hi lxor t.prev_hi.(id))) land active
   in
   if changed <> 0 then begin
-    let lanes = t.lanes in
-    for lane = 0 to lanes - 1 do
-      if changed land (1 lsl lane) <> 0 then
-        t.toggles.(lane).(id) <- t.toggles.(lane).(id) + 1
+    let c = ref changed and k = ref (id * t.lanes) in
+    while !c <> 0 do
+      if !c land 1 = 1 then t.toggles.(!k) <- t.toggles.(!k) + 1;
+      c := !c lsr 1;
+      incr k
     done
   end;
   t.possibly.(id) <-
@@ -439,15 +413,10 @@ let commit_cycle ?active t =
     for k = 0 to t.touched_len - 1 do
       commit_one t (Array.unsafe_get t.touched k) active
     done;
-  clear_touched t;
-  t.committed <- t.committed + 1
+  clear_touched t
 
-let cycles_committed t = t.committed
-let toggle_counts_lane t lane = Array.copy t.toggles.(lane)
+let toggle_counts_lane t lane =
+  Array.init (Array.length t.lo) (fun id -> t.toggles.((id * t.lanes) + lane))
 
 let possibly_toggled_lane t lane =
   Array.map (fun m -> m land (1 lsl lane) <> 0) t.possibly
-
-let sync_prev t =
-  Array.blit t.lo 0 t.prev_lo 0 (Array.length t.lo);
-  Array.blit t.hi 0 t.prev_hi 0 (Array.length t.hi)

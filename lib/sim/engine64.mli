@@ -15,7 +15,6 @@
     walk the touched list only. *)
 
 module Bit := Bespoke_logic.Bit
-module Bvec := Bespoke_logic.Bvec
 module Netlist := Bespoke_netlist.Netlist
 
 type t
@@ -25,9 +24,6 @@ val max_lanes : int
 
 val create : ?lanes:int -> Netlist.t -> t
 (** [lanes] defaults to {!max_lanes}; must be within [1..max_lanes]. *)
-
-val lanes : t -> int
-val netlist : t -> Netlist.t
 
 val reset : t -> unit
 (** DFFs to reset values and inputs to X in every lane, full settle,
@@ -39,19 +35,19 @@ val reset : t -> unit
 val value_lane : t -> int -> int -> Bit.t
 (** [value_lane t gate lane]. *)
 
+val rail_lo : t -> int -> int
+val rail_hi : t -> int -> int
+(** A gate's raw rails across all lanes: bit [lane] of [rail_lo] is
+    set when that lane's value can be 0, of [rail_hi] when it can be
+    1.  Allocation-free, for harnesses that read whole ports lane by
+    lane. *)
+
 val set_gate_packed : t -> int -> lo:int -> hi:int -> unit
 (** Raw dual-rail write of an [Input] gate (lane bits beyond the lane
     count are masked off). *)
 
 val set_gate_lane : t -> int -> int -> Bit.t -> unit
 (** [set_gate_lane t gate lane b]: update one lane of an input. *)
-
-val set_input_lanes : t -> string -> Bvec.t array -> unit
-(** Per-lane values for a whole input port; lanes beyond the array are
-    set to X. *)
-
-val read_lane : t -> string -> int -> Bvec.t
-val read_lane_int : t -> string -> int -> int option
 
 (** {1 Evaluation} *)
 
@@ -70,10 +66,6 @@ val commit_cycle : ?active:int -> t -> unit
     accumulating activity exactly like a scalar run that has stopped.
     Lanes must leave the active set monotonically. *)
 
-val cycles_committed : t -> int
 val toggle_counts_lane : t -> int -> int array
 val possibly_toggled_lane : t -> int -> bool array
 
-val sync_prev : t -> unit
-(** Make current values the activity baseline without charging
-    toggles (cf. {!Engine.sync_prev}). *)

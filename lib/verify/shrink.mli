@@ -11,7 +11,8 @@
     - the {e instruction trace} needs no search: lockstep compares
       every architectural register at every instruction boundary, so
       the reported [at_insn] is already the minimal diverging
-      instruction index — a replay may stop there. *)
+      instruction index, counted in retired instructions (an interrupt
+      entry retires none) — a replay may stop there. *)
 
 module Lockstep := Bespoke_coreapi.Lockstep
 
@@ -19,7 +20,8 @@ type repro = {
   seeds : int list;  (** minimal seed list, [<=] the original *)
   info : Lockstep.divergence_info;
       (** first divergence under the minimal seed list;
-          [info.at_insn] is the minimal diverging instruction index *)
+          [info.at_insn] is the minimal diverging instruction index,
+          in retired instructions *)
 }
 
 val minimize : ('a list -> bool) -> 'a list -> 'a list

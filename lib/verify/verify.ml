@@ -319,11 +319,9 @@ let check_benchmark ?(faults = 8) ?(seed = 1) ?explore_budget ~core b =
   campaign
 
 let run_campaign ?faults ?seed ?explore_budget ?jobs ~core benches =
-  (* the core's stock netlist and its hash are shared by every task:
-     force both before the domains fan out (the memo tables are not
-     domain-safe) *)
+  (* the core's stock netlist is shared by every task: force it before
+     the domains fan out (its memo table is not domain-safe) *)
   ignore (Runner.shared_netlist core);
-  ignore (Runner.shared_netlist_hash core);
   Pool.map ?jobs
     (fun b -> check_benchmark ?faults ?seed ?explore_budget ~core b)
     benches

@@ -16,7 +16,12 @@
    - reset and restore_dff_state must discard partially-propagated
      state: interleaving un-evaluated input writes with reset /
      restore must leave Compiled (pending instructions) and Packed
-     (dirty queue) indistinguishable from Full. *)
+     (dirty queue) indistinguishable from Full;
+   - the packed harness's ternary fallbacks: a lane with an X RAM
+     range and a lane with an X GPIO word run next to a plain lane
+     (word path), each equal to a scalar System set up the same way;
+   - the memoized design hash keys structurally equal netlists alike
+     and different ones apart. *)
 
 module Bit = Bespoke_logic.Bit
 module Netlist = Bespoke_netlist.Netlist
@@ -25,6 +30,12 @@ module Engine = Bespoke_sim.Engine
 module Engine64 = Bespoke_sim.Engine64
 module Runner = Bespoke_core.Runner
 module B = Bespoke_programs.Benchmark
+module Bvec = Bespoke_logic.Bvec
+module Memory = Bespoke_sim.Memory
+module Serial = Bespoke_netlist.Serial
+module Coredef = Bespoke_coreapi.Coredef
+module System = Bespoke_coreapi.System
+module System64 = Bespoke_coreapi.System64
 let core = Bespoke_cpu.Msp430.core
 
 (* ------------------------------------------------------------------ *)
@@ -324,6 +335,105 @@ let test_packed_reset_after_partial () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Packed ports: word path and ternary fallback in one run             *)
+
+(* Lane 0 is a plain input (every port feed and write goes as words);
+   lane 1 has its input RAM range X (X words at known addresses);
+   lane 2 has an X GPIO word (X data, then X addresses).  Each lane must
+   match a scalar reference System given the same set-up, at every
+   cycle and in its final activity. *)
+let test_packed_fallbacks () =
+  let b = B.find "binSearch" in
+  let img = Runner.image ~core b in
+  let net = Runner.shared_netlist core in
+  let st = Runner.stimulus b ~seed:3 in
+  let lo, hi = List.hd b.B.input_ranges in
+  let x_range mem =
+    Memory.set_x_range mem ~lo:(Coredef.ram_index core lo)
+      ~hi:(Coredef.ram_index core hi)
+  in
+  let lanes = 3 in
+  let packed = System64.create ~lanes ~netlist:net ~core img in
+  System64.reset packed;
+  let scalars =
+    Array.init lanes (fun lane ->
+        let s = System.create ~mode:Engine.Full ~netlist:net ~core img in
+        System.reset s;
+        List.iter
+          (fun (a, v) -> System.load_ram_word s a v)
+          st.Runner.ram_writes;
+        if lane = 2 then System.set_gpio_in_x s
+        else System.set_gpio_in_int s st.Runner.gpio;
+        if lane = 1 then x_range (System.ram s);
+        s)
+  in
+  for lane = 0 to lanes - 1 do
+    List.iter
+      (fun (a, v) -> System64.load_ram_word packed lane a v)
+      st.Runner.ram_writes;
+    if lane = 2 then
+      System64.set_gpio_in_lane packed lane (Bvec.all_x core.Coredef.word_bits)
+    else System64.set_gpio_in_lane_int packed lane st.Runner.gpio
+  done;
+  x_range (System64.ram packed 1);
+  let eng64 = System64.engine packed in
+  let ng = Netlist.gate_count net in
+  let x_seen = Array.make lanes false in
+  for c = 1 to 300 do
+    System64.step_cycle packed ~active:((1 lsl lanes) - 1);
+    Array.iter System.step_cycle scalars;
+    Array.iteri
+      (fun lane s ->
+        for id = 0 to ng - 1 do
+          let v = Engine.value (System.engine s) id in
+          if Bit.equal v Bit.X then x_seen.(lane) <- true;
+          if not (Bit.equal (Engine64.value_lane eng64 id lane) v) then
+            Alcotest.failf
+              "cycle %d lane %d gate %d: packed differs from scalar" c lane id
+        done)
+      scalars
+  done;
+  Alcotest.(check (list bool)) "X reaches the fallback lanes only"
+    [ false; true; true ] (Array.to_list x_seen);
+  Array.iteri
+    (fun lane s ->
+      let eng = System.engine s in
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d toggles" lane)
+        true
+        (Engine64.toggle_counts_lane eng64 lane = Engine.toggle_counts eng);
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d possibly toggled" lane)
+        true
+        (Engine64.possibly_toggled_lane eng64 lane
+        = Engine.possibly_toggled eng);
+      for w = 0 to core.Coredef.ram_words - 1 do
+        let a = core.Coredef.ram_base + (w lsl core.Coredef.addr_shift) in
+        if System64.read_ram_word packed lane a <> System.read_ram_word s a then
+          Alcotest.failf "lane %d ram[%04x] differs" lane a
+      done)
+    scalars
+
+(* ------------------------------------------------------------------ *)
+(* Design hash: memoized per value, keyed by structure                 *)
+
+let test_hash_memo () =
+  let net = Runner.shared_netlist core in
+  let h = Serial.hash net in
+  Alcotest.(check string) "memoized value" h (Serial.hash net);
+  let copy = Serial.of_string (Serial.to_string net) in
+  Alcotest.(check bool) "a distinct value" false (copy == net);
+  Alcotest.(check string) "equal structure, equal key" h (Serial.hash copy);
+  let flipped =
+    Netlist.map_gates net (fun _ (g : Gate.t) ->
+        match g.Gate.op with
+        | Gate.Xor -> { g with Gate.op = Gate.Xnor }
+        | _ -> g)
+  in
+  Alcotest.(check bool) "different design, different key" true
+    (Serial.hash flipped <> h)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -346,5 +456,12 @@ let () =
             `Quick test_restore_after_partial;
           Alcotest.test_case "packed reset after partial propagation" `Quick
             test_packed_reset_after_partial;
+        ] );
+      ( "harness",
+        [
+          Alcotest.test_case "packed word path and ternary fallbacks = scalar"
+            `Quick test_packed_fallbacks;
+          Alcotest.test_case "design hash memoized, keyed by structure" `Quick
+            test_hash_memo;
         ] );
     ]

@@ -14,6 +14,7 @@ module Obs = Bespoke_obs.Obs
 module Fault = Bespoke_verify.Fault
 module Shrink = Bespoke_verify.Shrink
 module Verify = Bespoke_verify.Verify
+module Coredef = Bespoke_coreapi.Coredef
 let core = Bespoke_cpu.Msp430.core
 
 (* --- shrinking ------------------------------------------------------ *)
@@ -245,6 +246,61 @@ let test_json_artifact () =
       Alcotest.(check string) "verdict" "equivalent" (str "verdict" b)
     | _ -> Alcotest.fail "expected one benchmark entry")
 
+(* A divergence's [at_insn] counts retired instructions, like the IRQ
+   schedule: on msp430 irq, fault seed 1's input-killed faults are
+   co-simulated again with an ISS that counts its steps, and each
+   reported index must be the ISS's retired count after the step the
+   mismatch showed at.  One fault diverges after interrupt entries,
+   where the step count runs ahead of the retired count. *)
+let test_at_insn_counts_retired () =
+  let b = B.find "irq" in
+  let c = Verify.check_benchmark ~faults:2 ~seed:1 ~core b in
+  let bespoke = (Runner.tailor_cached ~core b).Runner.bespoke in
+  let img = Runner.image ~core b in
+  let after_entry = ref 0 in
+  List.iter
+    (fun (fr : Verify.fault_result) ->
+      match fr.Verify.kill with
+      | Verify.Killed_input r ->
+        let steps = ref 0 and retired = ref 0 in
+        let counting =
+          {
+            img with
+            Coredef.mk_iss =
+              (fun () ->
+                let iss = img.Coredef.mk_iss () in
+                {
+                  iss with
+                  Coredef.step =
+                    (fun () ->
+                      iss.Coredef.step ();
+                      incr steps;
+                      retired := iss.Coredef.retired ());
+                });
+          }
+        in
+        let st = Runner.stimulus b ~seed:(List.hd r.Shrink.seeds) in
+        (match
+           Lockstep.run_result
+             ~netlist:(Fault.inject bespoke fr.Verify.fault)
+             ~gpio_in:st.Runner.gpio ~ram_writes:st.Runner.ram_writes
+             ~irq_pulse_at:st.Runner.pulses ~x_dont_care:true ~core counting
+         with
+        | Ok _ -> Alcotest.fail "the repro no longer diverges"
+        | Error info ->
+          Alcotest.(check string) "same divergence as the campaign's"
+            r.Shrink.info.Lockstep.detail info.Lockstep.detail;
+          Alcotest.(check int) "at_insn is the retired count" !retired
+            info.Lockstep.at_insn;
+          let prefix = Printf.sprintf "insn %d:" !retired in
+          Alcotest.(check string) "detail names the retired count" prefix
+            (String.sub info.Lockstep.detail 0 (String.length prefix)));
+        if !steps > !retired then incr after_entry
+      | _ -> ())
+    c.Verify.faults;
+  Alcotest.(check bool) "a divergence after an interrupt entry" true
+    (!after_entry > 0)
+
 let () =
   Alcotest.run "bespoke_verify"
     [
@@ -276,5 +332,10 @@ let () =
             test_layer_spans_nest;
           Alcotest.test_case "no re-analysis on a warm cache" `Quick
             test_no_reanalysis;
+        ] );
+      ( "lockstep",
+        [
+          Alcotest.test_case "at_insn counts retired instructions" `Quick
+            test_at_insn_counts_retired;
         ] );
     ]
