@@ -1297,7 +1297,7 @@ let run_guard_table () =
 (* bench-smoke: one tiny benchmark through all three engines, asserting
    bit-identical outcomes, plus host-independent allocation and
    structure gates.  Wired into `dune runtest` via the @bench-smoke
-   alias, which also runs `schema_check bench-sim` over the recorded
+   alias, which also runs `bespoke_cli stats` over the recorded
    BENCH_sim.json artifact.                                            *)
 
 (* Allocation gate: RAM state is held as packed rails, so analysing

@@ -214,8 +214,11 @@ let obs_args =
    requested outputs and print the per-phase summary to stderr.
    [finish] is idempotent and registered at_exit as well as in the
    protect, so a crashed, interrupted (Sys.Break) or directly-exiting
-   run still leaves its partial trace/metrics behind. *)
+   run still leaves its partial trace/metrics behind.  An output that
+   cannot be written fails an otherwise successful run. *)
 let with_obs (trace, metrics_out, interval) f =
+  let unwritable = ref None in
+  let writing w = try w () with Sys_error m -> if !unwritable = None then unwritable := Some m in
   match interval with
   | Some ms when ms <= 0 ->
     (* the sampler itself clamps to 1 ms, but an explicit request for a
@@ -226,7 +229,7 @@ let with_obs (trace, metrics_out, interval) f =
   (match interval with
   | Some ms ->
     let path = Option.value metrics_out ~default:"bespoke_metrics.jsonl" in
-    Obs.Sampler.start ~path ~interval_ms:ms ()
+    writing (fun () -> Obs.Sampler.start ~path ~interval_ms:ms ())
   | None -> ());
   let finished = ref false in
   let finish () =
@@ -242,16 +245,16 @@ let with_obs (trace, metrics_out, interval) f =
         end;
         Option.iter
           (fun path ->
-            Obs.Trace.write_jsonl path;
-            Printf.eprintf "wrote trace to %s\n" path)
+            writing (fun () ->
+                Obs.Trace.write_jsonl path;
+                Printf.eprintf "wrote trace to %s\n" path))
           trace;
         (match (metrics_out, interval) with
         | Some path, None ->
-          let oc = open_out path in
-          output_string oc (Obs.Metrics.snapshot_json ());
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "wrote metrics to %s\n" path
+          writing (fun () ->
+              Out_channel.with_open_text path (fun oc ->
+                  output_string oc (Obs.Metrics.snapshot_json () ^ "\n"));
+              Printf.eprintf "wrote metrics to %s\n" path)
         | _ -> () (* the sampler owns the file when an interval is set *));
         match Stats.spans_of_events (Obs.Trace.events ()) with
         | [] -> ()
@@ -260,7 +263,12 @@ let with_obs (trace, metrics_out, interval) f =
     end
   in
   at_exit finish;
-  Fun.protect ~finally:finish f
+  match !unwritable with
+  | Some m -> Error m
+  | None -> (
+    match (Fun.protect ~finally:finish f, !unwritable) with
+    | Ok (), Some m -> Error m
+    | r, _ -> r)
 
 (* --cache-stats: dump the flow-cache registry to stderr at exit (even
    on failure — the counts explain what the run did or did not pay
@@ -296,7 +304,7 @@ let catching f =
                    | Failure m -> m
                    | e -> Printexc.to_string e))
                errs)))
-  | Failure m -> Error m
+  | Failure m | Sys_error m -> Error m
 
 (* ---- savings-report entry (shared by tailor --json and report) ---- *)
 
@@ -474,10 +482,9 @@ let cmd_run =
                (match guard_out with
                | None -> ()
                | Some path ->
-                 let oc = open_out path in
-                 Guard.write_stream oc plan ~core:core.Coredef.name
-                   ~design:b.B.name ~workload:b.B.name ~mode:"shadow" w;
-                 close_out oc;
+                 Out_channel.with_open_text path (fun oc ->
+                     Guard.write_stream oc plan ~core:core.Coredef.name
+                       ~design:b.B.name ~workload:b.B.name ~mode:"shadow" w);
                  Printf.eprintf "wrote guard stream to %s\n" path);
                if Guard.clean w then Ok ()
                else
@@ -536,9 +543,8 @@ let cmd_analyze =
            (match tree_dot with
            | None -> ()
            | Some path ->
-             let och = open_out path in
-             output_string och (Activity.tree_dot report);
-             close_out och;
+             Out_channel.with_open_text path (fun och ->
+                 output_string och (Activity.tree_dot report));
              Printf.fprintf oc "wrote execution tree to %s (%d nodes)\n" path
                (Array.length report.Activity.tree));
            if json then
@@ -721,9 +727,7 @@ let cmd_report =
            (match out with
            | None -> print_string text
            | Some path ->
-             let och = open_out path in
-             output_string och text;
-             close_out och;
+             Out_channel.with_open_text path (fun och -> output_string och text);
              Printf.eprintf "wrote %s (%d benchmarks)\n" path
                (List.length entries));
            Ok ()))
@@ -1003,7 +1007,7 @@ let cmd_guard =
   let max_cycles_arg =
     Arg.(value & opt int 300_000
          & info [ "max-cycles" ] ~docv:"N"
-             ~doc:"Replay deadline in cycles (default 300000) — a workload \
+             ~doc:"Replay deadline in cycles (default 300000, at least 1) — a workload \
                    the design was not tailored for may never halt; the \
                    violations seen before the deadline are the point.")
   in
@@ -1013,45 +1017,27 @@ let cmd_guard =
        with_cache_stats cache_stats @@ fun () ->
        catching (fun () ->
            apply_jobs jobs;
-           let* entry, b = prog in
-           let core = entry.Cores.core in
-           let msp430 =
-             core.Coredef.name = Cores.default.Cores.core.Coredef.name
-           in
            let* () =
-             if (mutant <> None || list_only) && not msp430 then
+             if max_cycles < 1 then
                Error
-                 (Printf.sprintf
-                    "guard mutants are not available on core %s (the mutation \
-                     catalog rewrites %s assembly)"
-                    core.Coredef.name Cores.default.Cores.core.Coredef.name)
+                 (Printf.sprintf "--max-cycles must be at least 1 (got %d)"
+                    max_cycles)
              else Ok ()
            in
+           let* entry, b = prog in
+           let core = entry.Cores.core in
            if list_only then begin
+             let* ms = Campaign.mutants ~core b in
              List.iter
                (fun (m : Mutation.mutant) ->
                  Printf.printf "%4d  %-20s line %-3d %s -> %s\n" m.Mutation.id
                    (Mutation.type_name m.Mutation.mtype)
                    m.Mutation.line m.Mutation.original m.Mutation.replacement)
-               (Mutation.mutants b);
+               ms;
              Ok ()
            end
            else begin
-             let* workload =
-               match mutant with
-               | None -> Ok b
-               | Some id -> (
-                 let ms = Mutation.mutants b in
-                 match
-                   List.find_opt (fun m -> m.Mutation.id = id) ms
-                 with
-                 | Some m -> Ok (Mutation.to_benchmark b m)
-                 | None ->
-                   Error
-                     (Printf.sprintf
-                        "no mutant %d of %s (%d mutant(s); see guard --list)"
-                        id b.B.name (List.length ms)))
-             in
+             let* workload = Campaign.guard_workload ~core b mutant in
              let t = Runner.tailor_cached ~core b in
              let { Runner.original = net; bespoke; _ } = t in
              let plan = Guard.plan_of_tailored t in
@@ -1102,11 +1088,10 @@ let cmd_guard =
              (match out with
              | None -> ()
              | Some path ->
-               let oc = open_out path in
-               Guard.write_stream oc plan ~core:core.Coredef.name
-                 ~design:b.B.name ~workload:workload.B.name ~mode:mode_s
-                 watcher;
-               close_out oc;
+               Out_channel.with_open_text path (fun oc ->
+                   Guard.write_stream oc plan ~core:core.Coredef.name
+                     ~design:b.B.name ~workload:workload.B.name ~mode:mode_s
+                     watcher);
                Printf.eprintf "wrote guard stream to %s\n" path);
              let hw_hit = rp.Guard.rp_hw_violation = Some Bit.One in
              if Guard.clean watcher && not hw_hit then begin
@@ -1227,9 +1212,7 @@ let cmd_export =
            (match out with
            | None -> print_string text
            | Some path ->
-             let oc = open_out path in
-             output_string oc text;
-             close_out oc;
+             Out_channel.with_open_text path (fun oc -> output_string oc text);
              Printf.printf "wrote %s (%d bytes)\n" path (String.length text));
            Ok ()))
   in
@@ -1279,9 +1262,7 @@ let cmd_trace =
            Option.iter
              (fun v -> Bespoke_sim.Vcd.finish v ~time:(!cycles + 1))
              !vcd;
-           let oc = open_out out in
-           Buffer.output_buffer oc buf;
-           close_out oc;
+           Out_channel.with_open_text out (fun oc -> Buffer.output_buffer oc buf);
            Printf.printf "wrote %s (%d cycles)\n" out !cycles;
            if not halted then
              Printf.eprintf
@@ -1297,33 +1278,9 @@ let cmd_trace =
 (* ---- stats (aggregate telemetry artifacts; regression compare) ---- *)
 
 let cmd_stats =
-  let trace_arg =
-    Arg.(value & opt (some file) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Aggregate a Chrome-trace JSONL file into a per-span \
-                   self-time table.")
-  in
-  let metrics_arg =
-    Arg.(value & opt (some file) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Summarize a $(b,bespoke-metrics/v1) JSONL time series \
-                   (final counters/gauges, histogram p50/p90/p99).")
-  in
-  let campaign_arg =
-    Arg.(value & opt (some file) None
-         & info [ "campaign" ] ~docv:"FILE"
-             ~doc:"Summarize a $(b,bespoke-campaign/v1) JSONL stream \
-                   (outcomes, per-kind time, heartbeats).")
-  in
-  let guard_arg =
-    Arg.(value & opt (some file) None
-         & info [ "guard" ] ~docv:"FILE"
-             ~doc:"Summarize a $(b,bespoke-guard/v1) JSONL stream (monitor \
-                   coverage, violation verdict, cut-reason histogram).")
-  in
   let top_arg =
     Arg.(value & opt int 15
-         & info [ "top" ] ~docv:"N" ~doc:"Rows in the span table (default 15).")
+         & info [ "top" ] ~docv:"N" ~doc:"Rows in a span table (default 15).")
   in
   let compare_arg =
     Arg.(value & flag
@@ -1341,13 +1298,14 @@ let cmd_stats =
   in
   let files_arg =
     Arg.(value & pos_all file []
-         & info [] ~docv:"FILE" ~doc:"For --compare: the OLD and NEW bench \
-                                      artifacts.")
+         & info [] ~docv:"FILE"
+             ~doc:"Artifacts to check and summarize; each one's kind is \
+                   worked out from its schema tag or shape.  For \
+                   $(b,--compare): the OLD and NEW bench artifacts.")
   in
-  let run trace metrics campaign guard top compare threshold files =
+  let run top compare threshold files =
     handle
       (catching (fun () ->
-           let ( let* ) = Result.bind in
            if compare then
              match files with
              | [ old_f; new_f ] ->
@@ -1356,73 +1314,35 @@ let cmd_stats =
                let threshold = threshold /. 100.0 in
                let c = Stats.compare_benches ~threshold old_e new_e in
                print_string (Stats.render_compare ~threshold old_e new_e c);
-               if c.Stats.regressions = [] then Ok ()
-               else
+               (match c.Stats.regressions with
+               | [] -> Ok ()
+               | worst :: _ as rs ->
                  Error
-                   (Printf.sprintf
-                      "%d metric(s) regressed more than %.0f%% (worst: %s, \
-                       %+.1f%%)"
-                      (List.length c.Stats.regressions)
-                      (threshold *. 100.0)
-                      (List.hd c.Stats.regressions).Stats.d_metric
-                      (100.0
-                      *. ((List.hd c.Stats.regressions).Stats.d_ratio -. 1.0)))
+                   (Printf.sprintf "%d metric(s) regressed more than %.0f%% (worst: %s, %+.1f%%)"
+                      (List.length rs) (threshold *. 100.0) worst.Stats.d_metric
+                      (100.0 *. (worst.Stats.d_ratio -. 1.0))))
              | _ -> Error "--compare needs exactly two files: OLD NEW"
-           else if
-             trace = None && metrics = None && campaign = None && guard = None
-           then
-             Error
-               "nothing to do: give --trace, --metrics, --campaign and/or \
-                --guard, or --compare OLD NEW"
-           else begin
-             let* () =
-               match trace with
-               | None -> Ok ()
-               | Some path ->
-                 let* spans = Stats.load_trace path in
-                 Printf.printf "spans (%s):\n%s" path
-                   (Stats.render_spans ~top spans);
-                 Ok ()
-             in
-             let* () =
-               match metrics with
-               | None -> Ok ()
-               | Some path ->
-                 let* series = Stats.load_metrics path in
-                 Printf.printf "metrics (%s): %s" path
-                   (Stats.render_series series);
-                 Ok ()
-             in
-             let* () =
-               match campaign with
-               | None -> Ok ()
-               | Some path ->
-                 let* c = Stats.load_campaign path in
-                 Printf.printf "campaign (%s): %s" path
-                   (Stats.render_campaign c);
-                 Ok ()
-             in
-             let* () =
-               match guard with
-               | None -> Ok ()
-               | Some path ->
-                 let* g = Stats.load_guard path in
-                 Printf.printf "guard (%s): %s" path (Stats.render_guard g);
-                 Ok ()
-             in
-             Ok ()
-           end))
+           else if files = [] then
+             Error "nothing to do: give artifact FILEs, or --compare OLD NEW"
+           else
+             List.fold_left
+               (fun acc path ->
+                 let* () = acc in
+                 let* a = Stats.load path in
+                 print_string (Stats.render ~top path a);
+                 Ok ())
+               (Ok ()) files))
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Aggregate flow telemetry artifacts — per-span self-time tables \
-             from traces, metrics time-series summaries, campaign stream \
-             digests — and compare bench artifacts for performance \
-             regressions (non-zero exit when --compare finds one).")
-    Term.(
-      ret
-        (const run $ trace_arg $ metrics_arg $ campaign_arg $ guard_arg
-       $ top_arg $ compare_arg $ threshold_arg $ files_arg))
+       ~doc:"Check and summarize flow artifacts — traces, metrics snapshots \
+             and series, campaign and guard streams, report and verify \
+             artifacts, BENCH_sim.json and bench history — and compare \
+             bench artifacts for performance regressions.  Exits non-zero \
+             naming the file and the invariant on the first artifact that \
+             breaks its schema's contract, and when --compare finds a \
+             regression.")
+    Term.(ret (const run $ top_arg $ compare_arg $ threshold_arg $ files_arg))
 
 (* ---- bench-list ---- *)
 

@@ -122,6 +122,30 @@ let stats_payload (stats : Cut.stats) =
     ("area_ratio", J.num (stats.Cut.bespoke_area /. stats.Cut.original_area));
   ]
 
+(* The mutation catalog rewrites MSP430 assembly, so only that core
+   has mutants; a guard replay (CLI or campaign job) resolves its
+   workload here. *)
+let mutants ~(core : Coredef.t) b =
+  let msp430 = Cores.default.Cores.core.Coredef.name in
+  if core.Coredef.name <> msp430 then
+    Error
+      (Printf.sprintf
+         "guard mutants are not available on core %s (the mutation catalog \
+          rewrites %s assembly)"
+         core.Coredef.name msp430)
+  else Ok (Mutation.mutants b)
+
+let guard_workload ~core (b : B.t) = function
+  | None -> Ok b
+  | Some id ->
+    Result.bind (mutants ~core b) @@ fun ms ->
+    List.find_opt (fun m -> m.Mutation.id = id) ms
+    |> Option.map (Mutation.to_benchmark b)
+    |> Option.to_result
+         ~none:
+           (Printf.sprintf "no mutant %d of %s (%d mutant(s); see guard --list)"
+              id b.B.name (List.length ms))
+
 let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
   match j.kind with
   | Analyze ->
@@ -165,26 +189,8 @@ let exec_kind (j : job) ~(core : Coredef.t) (b : B.t) : (string * string) list =
     let t = Runner.tailor_cached ~core b in
     let plan = Guard.plan_of_tailored t in
     let bespoke = t.Runner.bespoke in
-    let workload =
-      if j.mutant < 0 then b
-      else if core.Coredef.name <> Cores.default.Cores.core.Coredef.name then
-        (* the mutation catalog rewrites MSP430 assembly; other cores
-           replay their pristine workload only *)
-        failwith
-          (Printf.sprintf "guard mutants are not available on core %s"
-             core.Coredef.name)
-      else
-        match
-          List.find_opt
-            (fun m -> m.Mutation.id = j.mutant)
-            (Mutation.mutants b)
-        with
-        | Some m -> Mutation.to_benchmark b m
-        | None ->
-          failwith
-            (Printf.sprintf "no mutant %d of %s (see `bespoke guard --list`)"
-               j.mutant b.B.name)
-    in
+    let mutant = if j.mutant < 0 then None else Some j.mutant in
+    let workload = Result.fold ~ok:Fun.id ~error:failwith (guard_workload ~core b mutant) in
     let w = Guard.watch_bespoke plan in
     let rp = Guard.replay w ~core ~netlist:bespoke workload ~seed:j.seed in
     [

@@ -50,6 +50,17 @@ val job :
 
 val program_name : program -> string
 
+val mutants :
+  core:Bespoke_coreapi.Coredef.t -> B.t ->
+  (Bespoke_mutation.Mutation.mutant list, string) result
+(** The program's single-instruction mutants; an error on any core but
+    msp430, whose assembly the mutation catalog rewrites. *)
+
+val guard_workload :
+  core:Bespoke_coreapi.Coredef.t -> B.t -> int option -> (B.t, string) result
+(** What a guard replay runs: the program itself ([None]) or its
+    mutant with the given id, resolved through {!mutants}. *)
+
 type outcome = {
   o_job : job;
   o_index : int;  (** position in the submitted job list *)

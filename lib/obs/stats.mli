@@ -1,14 +1,18 @@
-(** Offline aggregation of flow telemetry artifacts: Chrome-trace
-    JSONL, bespoke-metrics/v1 time series, bespoke-campaign/v1
-    streams, and bench artifacts (BENCH_sim.json /
-    BENCH_history.jsonl) with threshold-based regression comparison.
-    Backs the [stats] CLI subcommand; parsing uses {!Obs.Json}, so no
-    external JSON dependency.
+(** One reader per artifact the flow writes: Chrome-trace JSONL, metrics
+    snapshots and bespoke-metrics/v1 series, bespoke-campaign/v1 and
+    bespoke-guard/v1 streams, bespoke-report/v1 and bespoke-verify/v1
+    artifacts, BENCH_sim.json and bespoke-bench/v1 history lines.  Each
+    reader checks its schema's invariants (docs/SCHEMAS.md) while it
+    loads the file and fails on the first broken one, so loading an
+    artifact is checking it.  Backs the [stats] CLI subcommand; parsing
+    uses {!Obs.Json}, so no external JSON dependency.
 
-    All JSONL loaders tolerate a truncated {e final} line (a live
+    Every JSONL reader tolerates a truncated {e final} line (a live
     stream cut mid-record by a crash or a full disk): the tail is
-    skipped with a warning on stderr and the records before it still
-    aggregate.  A malformed line anywhere else is an error. *)
+    skipped with a warning on stderr, the records before it still
+    aggregate, and the invariants only a finished stream can meet (a
+    trailing summary, every job recorded, every span closed) are not
+    asked of it.  A malformed line anywhere else is an error. *)
 
 (** Per-span aggregate over a trace: [self_us] is [total_us] minus the
     time spent in directly nested child spans — summing self times
@@ -27,25 +31,19 @@ val spans_of_events : Obs.Trace.event list -> span_stat list
     {!Obs.Trace.events}. *)
 
 val load_trace : string -> (span_stat list, string) result
-(** {!spans_of_events} over the events of a trace JSONL file. *)
+(** {!spans_of_events} over the events of a trace JSONL file, which
+    must be a well-formed trace (see {!load}). *)
 
 val render_spans : ?top:int -> span_stat list -> string
 (** Table of the [top] (default 15) spans by self time. *)
 
-(** A loaded metrics time series. *)
+(** A metrics time series. *)
 type series = {
   interval_ms : int;
   snapshots : int;  (** number of snapshot records *)
   span_us : float;  (** last snapshot ts - first snapshot ts *)
   last : Obs.Json.t;  (** the last snapshot's metrics object *)
 }
-
-val load_metrics : string -> (series, string) result
-(** Parse a bespoke-metrics/v1 JSONL file (header + snapshots). *)
-
-val render_series : series -> string
-(** Counters/gauges and histogram p50/p90/p99 from the last
-    snapshot, plus the sampling envelope. *)
 
 (** Aggregate over a campaign stream, heartbeat records included. *)
 type campaign_stat = {
@@ -58,21 +56,12 @@ type campaign_stat = {
   c_kinds : (string * int * float) list;  (** kind, records, cumulative s *)
 }
 
-val load_campaign : string -> (campaign_stat, string) result
-val render_campaign : campaign_stat -> string
-
 (** Aggregate over a [bespoke-guard/v1] stream (see
     {!Bespoke_guard.Guard}): the plan's monitor coverage from the
     header, the violation verdict from the trailing summary, and a
     cut-reason histogram over the violation records. *)
 type guard_stat = {
-  g_design : string;
-  g_workload : string;
-  g_mode : string;  (** [hw], [shadow] or [original] *)
-  g_assumptions : int;
-  g_monitors : int;
-  g_implied : int;
-  g_unmonitorable : int;
+  g_header : Obs.Json.t;  (** the checked header: design, workload, mode, coverage *)
   g_cycles : int;
   g_violations : int;
   g_violating_gates : int;
@@ -80,9 +69,6 @@ type guard_stat = {
   g_reasons : (string * int) list;
       (** violated cut-reason label -> violating gates *)
 }
-
-val load_guard : string -> (guard_stat, string) result
-val render_guard : guard_stat -> string
 
 val history_schema : string
 (** ["bespoke-bench/v1"] — the schema of BENCH_history.jsonl lines,
@@ -94,9 +80,35 @@ val history_schema : string
     and [campaign/jobs_per_sec/<mode>]. *)
 type bench_entry = { b_label : string; b_metrics : (string * float) list }
 
+(** A checked artifact, by kind. *)
+type artifact =
+  | Trace of span_stat list
+  | Snapshot of Obs.Json.t  (** one [--metrics-out] registry snapshot *)
+  | Series of series
+  | Campaign of campaign_stat
+  | Guard of guard_stat
+  | Report of Obs.Json.t list  (** the benchmark rows *)
+  | Verify of (string * Obs.Json.t list)  (** the core, the benchmark rows *)
+  | Bench_sim of Obs.Json.t
+      (** BENCH_sim.json, which also meets its acceptance bars *)
+  | History of bench_entry list  (** one entry per history line *)
+
+val load : string -> (artifact, string) result
+(** Work out the file's kind from its schema tag or shape, read it and
+    check its invariants.  [Error "FILE: invariant"] names the first
+    one broken. *)
+
+val read : name:string -> string -> (artifact, string) result
+(** {!load} over an artifact's text; [name] stands for the file in
+    messages. *)
+
+val render : ?top:int -> string -> artifact -> string
+(** [render path a]: the [stats] table of one artifact, headed with
+    its kind and [path]; [top] as in {!render_spans}. *)
+
 val load_bench : string -> (bench_entry, string) result
-(** Load BENCH_sim.json (one JSON value) or a BENCH_history.jsonl file
-    (the last line is used). *)
+(** Load BENCH_sim.json or a BENCH_history.jsonl file (every line is
+    read and checked; the last one is the entry). *)
 
 type delta = {
   d_metric : string;

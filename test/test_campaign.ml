@@ -8,7 +8,7 @@ module Campaign = Bespoke_campaign.Campaign
 module B = Bespoke_programs.Benchmark
 module Flowcache = Bespoke_core.Flowcache
 module Obs = Bespoke_obs.Obs
-module Json = Obs.Json
+module Stats = Bespoke_obs.Stats
 
 (* A benchmark whose execution raises mid-campaign: the source
    assembles, but input generation explodes when a job runs it. *)
@@ -104,38 +104,21 @@ let test_streaming_and_jsonl () =
   in
   Alcotest.(check int) "one stream line per job" (List.length outcomes)
     (List.length !lines);
-  let header =
-    Json.parse
-      (Campaign.header_jsonl ~jobs:2 ~cores:[ "msp430" ]
-         ~total:summary.Campaign.total)
+  (* header, records and summary make a stream the campaign reader
+     accepts: one record per job, ok/error records well formed, the
+     summary's counts agreeing with the records *)
+  let stream =
+    String.concat "\n"
+      ((Campaign.header_jsonl ~jobs:2 ~cores:[ "msp430" ]
+          ~total:summary.Campaign.total
+       :: List.rev !lines)
+      @ [ Campaign.summary_jsonl summary ])
   in
-  (match header with
-  | Ok j ->
-    Alcotest.(check bool) "schema" true
-      (Json.member "schema" j = Some (Json.Str "bespoke-campaign/v1"))
-  | Error m -> Alcotest.fail ("header does not parse: " ^ m));
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Error m -> Alcotest.fail ("outcome line does not parse: " ^ m)
-      | Ok j ->
-        let has f = Json.member f j <> None in
-        List.iter
-          (fun f ->
-            Alcotest.(check bool) (f ^ " present") true (has f))
-          [ "job"; "kind"; "bench"; "status"; "time_s"; "cached" ];
-        (match Json.member "status" j with
-        | Some (Json.Str "ok") ->
-          Alcotest.(check bool) "ok line has payload" true (has "payload")
-        | Some (Json.Str "error") ->
-          Alcotest.(check bool) "error line has error" true (has "error")
-        | _ -> Alcotest.fail "status is neither ok nor error"))
-    !lines;
-  match Json.parse (Campaign.summary_jsonl summary) with
-  | Ok j ->
-    Alcotest.(check bool) "summary failed count" true
-      (Json.member "failed" j = Some (Json.Num 2.0))
-  | Error m -> Alcotest.fail ("summary does not parse: " ^ m)
+  match Stats.read ~name:"campaign stream" stream with
+  | Ok (Stats.Campaign c) ->
+    Alcotest.(check int) "summary failed count" 2 c.Stats.c_failed
+  | Ok _ -> Alcotest.fail "stream read as another kind"
+  | Error m -> Alcotest.fail m
 
 let test_warm_rerun_cached () =
   let jobs =

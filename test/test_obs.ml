@@ -103,45 +103,19 @@ let json_num k j =
   | Some (Obs.Json.Num n) -> n
   | _ -> Alcotest.failf "field %S missing or not a number" k
 
-(* Parse a trace export and hold it to the checker's discipline: every
-   line parses, ts >= 0, B/E strictly balanced per tid in LIFO order. *)
-let balanced_events jsonl =
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl) in
-  Alcotest.(check bool) "trace is non-empty" true (lines <> []);
-  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 4 in
-  let events =
-    List.map
-      (fun line ->
-        match Obs.Json.parse line with
-        | Error m -> Alcotest.failf "unparseable line %S: %s" line m
-        | Ok j ->
-          let tid = int_of_float (json_num "tid" j) in
-          Alcotest.(check bool) "ts is non-negative" true (json_num "ts" j >= 0.0);
-          let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-          (match json_str "ph" j with
-          | "B" -> Hashtbl.replace stacks tid (json_str "name" j :: stack)
-          | "E" -> (
-            match stack with
-            | top :: rest ->
-              Alcotest.(check string) "E closes innermost B" top (json_str "name" j);
-              Hashtbl.replace stacks tid rest
-            | [] -> Alcotest.failf "E with no open span: %s" line)
-          | "i" | "M" -> ()
-          | ph -> Alcotest.failf "unexpected ph %S" ph);
-          j)
-      lines
-  in
-  Hashtbl.iter
-    (fun tid stack ->
-      if stack <> [] then
-        Alcotest.failf "tid %d ends with %d unclosed spans" tid (List.length stack))
-    stacks;
-  events
+(* A trace export must pass the Stats trace reader (ts >= 0, B/E
+   balanced per tid in LIFO order, track metadata); its lines. *)
+let checked_trace () =
+  let text = Obs.Trace.to_jsonl () in
+  match Stats.read ~name:"trace export" text with
+  | Ok (Stats.Trace _) -> String.split_on_char '\n' text
+  | Ok _ -> Alcotest.fail "trace export read as another kind"
+  | Error m -> Alcotest.failf "trace export invalid: %s" m
 
 let test_jsonl_wellformed () =
   with_tracing (fun () ->
       ignore (run_tailor_mult ());
-      ignore (balanced_events (Obs.Trace.to_jsonl ())))
+      ignore (checked_trace ()))
 
 (* A pool worker parks inside an open [pool.idle] span once a map
    drains; exporting then must close that span with a synthesized,
@@ -165,16 +139,16 @@ let test_parked_worker_closed () =
         Unix.sleepf 0.001
       done;
       Alcotest.(check bool) "a worker is parked in pool.idle" true (open_idle ());
-      let truncated =
-        List.filter
-          (fun j ->
-            json_str "ph" j = "E"
-            && Option.bind (Obs.Json.member "args" j) (Obs.Json.mem_str "truncated")
-               = Some "true")
-          (balanced_events (Obs.Trace.to_jsonl ()))
+      let closed_as_truncated l =
+        match Obs.Json.parse l with
+        | Ok j ->
+          json_str "ph" j = "E" && json_str "name" j = "pool.idle"
+          && Option.bind (Obs.Json.member "args" j) (Obs.Json.mem_str "truncated")
+             = Some "true"
+        | Error _ -> false
       in
       Alcotest.(check bool) "the parked span is closed as truncated" true
-        (List.exists (fun j -> json_str "name" j = "pool.idle") truncated))
+        (List.exists closed_as_truncated (checked_trace ())))
 
 (* ---- the JSON encoders ---- *)
 
@@ -383,16 +357,17 @@ let test_sampler_series () =
       Unix.sleepf 0.12;
       Obs.Sampler.stop ();
       Alcotest.(check bool) "sampler stopped" false (Obs.Sampler.running ());
-      match Stats.load_metrics path with
+      match Stats.load path with
       | Error m -> Alcotest.failf "sampler output invalid: %s" m
-      | Ok series ->
+      | Ok (Stats.Series series) ->
         Alcotest.(check int) "declared interval" 40 series.Stats.interval_ms;
         Alcotest.(check bool)
           (Printf.sprintf "at least 2 snapshots (got %d)"
              series.Stats.snapshots)
           true (series.Stats.snapshots >= 2);
         Alcotest.(check bool) "series spans real time" true
-          (series.Stats.span_us > 0.0))
+          (series.Stats.span_us > 0.0)
+      | Ok _ -> Alcotest.fail "sampler output read as another kind")
 
 (* ---- bench regression comparison ---- *)
 
@@ -457,95 +432,21 @@ let test_sampler_interval_clamp () =
         Obs.Sampler.start ~path ~interval_ms ();
         Unix.sleepf 0.05;
         Obs.Sampler.stop ();
-        match Stats.load_metrics path with
+        match Stats.load path with
         | Error m ->
           Alcotest.failf "sampler output for interval %d invalid: %s"
             interval_ms m
-        | Ok series ->
+        | Ok (Stats.Series series) ->
           Alcotest.(check int)
             (Printf.sprintf "interval %d clamped to 1 ms in the header"
                interval_ms)
             1 series.Stats.interval_ms;
           Alcotest.(check bool) "clamped sampler still snapshots" true
-            (series.Stats.snapshots >= 1))
+            (series.Stats.snapshots >= 1)
+        | Ok _ -> Alcotest.fail "sampler output read as another kind")
   in
   probe 0;
   probe (-25)
-
-(* ---- truncated-stream tolerance in the stats loaders ---- *)
-
-(* A live JSONL stream can end mid-record (crash, kill -9, full disk).
-   Every loader must skip a malformed FINAL line and aggregate what
-   came before — and must stay fatal on corruption anywhere else. *)
-let test_truncated_loaders () =
-  let tmp lines f =
-    let path = Filename.temp_file "bespoke_test_stats" ".jsonl" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-      (fun () ->
-        let oc = open_out_bin path in
-        List.iter
-          (fun l ->
-            output_string oc l;
-            output_char oc '\n')
-          lines;
-        close_out oc;
-        f path)
-  in
-  let cut = {|{"cycle":12,"ga|} in
-  (* trace *)
-  let b = {|{"ph":"B","name":"work","ts":1.0,"tid":0,"pid":1}|} in
-  let e = {|{"ph":"E","name":"work","ts":5.0,"tid":0,"pid":1}|} in
-  (match tmp [ b; e; cut ] Stats.load_trace with
-  | Error m -> Alcotest.failf "trace with truncated tail rejected: %s" m
-  | Ok [ s ] ->
-    Alcotest.(check string) "span survives the cut" "work" s.Stats.span_name;
-    Alcotest.(check int) "span count" 1 s.Stats.count
-  | Ok l -> Alcotest.failf "expected 1 span, got %d" (List.length l));
-  (match tmp [ b; cut; e ] Stats.load_trace with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "mid-stream trace corruption must stay fatal");
-  (* metrics *)
-  let mh = Printf.sprintf {|{"schema":%S,"interval_ms":40}|} Obs.Sampler.schema in
-  let snap ts = Printf.sprintf {|{"ts_us":%.1f,"metrics":{}}|} ts in
-  (match tmp [ mh; snap 1.0; snap 2.0; cut ] Stats.load_metrics with
-  | Error m -> Alcotest.failf "metrics with truncated tail rejected: %s" m
-  | Ok series ->
-    Alcotest.(check int) "snapshots before the cut kept" 2
-      series.Stats.snapshots);
-  (match tmp [ mh; snap 1.0; cut; snap 2.0 ] Stats.load_metrics with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "mid-stream metrics corruption must stay fatal");
-  (* campaign *)
-  let ch = {|{"schema":"bespoke-campaign/v1","jobs":2,"total_jobs":2}|} in
-  let job =
-    {|{"job":0,"kind":"analyze","bench":"mult","status":"ok","cached":false,"time_s":0.1,"payload":{}}|}
-  in
-  (match tmp [ ch; job; cut ] Stats.load_campaign with
-  | Error m -> Alcotest.failf "campaign with truncated tail rejected: %s" m
-  | Ok c ->
-    Alcotest.(check int) "job before the cut kept" 1 c.Stats.c_ok;
-    Alcotest.(check int) "no summary: total from records" 1 c.Stats.c_total);
-  (match tmp [ ch; job; cut; job ] Stats.load_campaign with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "mid-stream campaign corruption must stay fatal");
-  (* guard *)
-  let gh =
-    {|{"schema":"bespoke-guard/v1","design":"mult","workload":"mult","mode":"shadow","assumptions":10,"monitors":4,"implied":5,"unmonitorable":1}|}
-  in
-  let viol =
-    {|{"cycle":3,"gate":7,"assumed":0,"observed":1,"reason":"cut: never toggles"}|}
-  in
-  match tmp [ gh; viol; cut ] Stats.load_guard with
-  | Error m -> Alcotest.failf "guard with truncated tail rejected: %s" m
-  | Ok g ->
-    Alcotest.(check bool) "violation before the cut kept" false g.Stats.g_clean;
-    Alcotest.(check int) "truncated stream: lower-bound violations" 1
-      g.Stats.g_violations;
-    Alcotest.(check (list (pair string int)))
-      "cut-reason provenance aggregated"
-      [ ("cut: never toggles", 1) ]
-      g.Stats.g_reasons
 
 (* ---- metrics from a real tailor run ---- *)
 
@@ -658,8 +559,6 @@ let () =
         [
           Alcotest.test_case "bench regression comparison" `Quick
             test_stats_compare;
-          Alcotest.test_case "truncated final line tolerated" `Quick
-            test_truncated_loaders;
         ] );
       ( "disabled",
         [ Alcotest.test_case "hooks are no-ops" `Quick test_disabled_noop ] );

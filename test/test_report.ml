@@ -14,6 +14,7 @@ module Attribution = Bespoke_report.Attribution
 module Artifact = Bespoke_report.Artifact
 module B = Bespoke_programs.Benchmark
 module Obs = Bespoke_obs.Obs
+module Stats = Bespoke_obs.Stats
 let core = Bespoke_cpu.Msp430.core
 
 (* One shared analyze+tailor of mult for all integration tests. *)
@@ -187,37 +188,20 @@ let entry_of_flow () =
     modules = Attribution.table ~original:net ~bespoke;
   }
 
-let member_exn k j =
-  match Obs.Json.member k j with
-  | Some v -> v
-  | None -> Alcotest.failf "artifact missing field %S" k
-
+(* The artifact passes the report reader (schema, savings arithmetic,
+   cut-reason partition, attribution totals) and round-trips. *)
 let test_artifact_json_parses () =
   let e = entry_of_flow () in
-  let text = Artifact.to_json [ e ] in
-  match Obs.Json.parse text with
-  | Error m -> Alcotest.failf "artifact does not parse: %s" m
-  | Ok j -> (
-    (match member_exn "schema" j with
-    | Obs.Json.Str s ->
-      Alcotest.(check string) "schema tag" Artifact.schema s
-    | _ -> Alcotest.fail "schema is not a string");
-    match member_exn "benchmarks" j with
-    | Obs.Json.Arr [ bench ] -> (
-      (match member_exn "gates" bench with
-      | gates -> (
-        match member_exn "original" gates with
-        | Obs.Json.Num n ->
-          Alcotest.(check int) "gates.original round-trips"
-            e.Artifact.gates_original (int_of_float n)
-        | _ -> Alcotest.fail "gates.original is not a number"));
-      match member_exn "cut_reasons" bench with
-      | Obs.Json.Obj fields ->
-        Alcotest.(check int) "all histogram entries serialized"
-          (List.length e.Artifact.cut_reasons)
-          (List.length fields)
-      | _ -> Alcotest.fail "cut_reasons is not an object")
-    | _ -> Alcotest.fail "expected exactly one benchmark entry")
+  match Stats.read ~name:"report" (Artifact.to_json [ e ]) with
+  | Ok (Stats.Report [ bench ]) ->
+    Alcotest.(check (option (float 0.0))) "gates.original round-trips"
+      (Some (float_of_int e.Artifact.gates_original))
+      (Option.bind (Obs.Json.member "gates" bench) (Obs.Json.mem_num "original"));
+    Alcotest.(check (option int)) "all histogram entries serialized"
+      (Some (List.length e.Artifact.cut_reasons))
+      (Option.map List.length (Obs.Json.mem_obj "cut_reasons" bench))
+  | Ok _ -> Alcotest.fail "expected a report with exactly one benchmark"
+  | Error m -> Alcotest.failf "artifact rejected: %s" m
 
 let test_analysis_json_parses () =
   let text =
@@ -227,10 +211,9 @@ let test_analysis_json_parses () =
   in
   match Obs.Json.parse text with
   | Error m -> Alcotest.failf "analyze json does not parse: %s" m
-  | Ok j -> (
-    match member_exn "modules" j with
-    | Obs.Json.Arr l -> Alcotest.(check int) "module rows" 2 (List.length l)
-    | _ -> Alcotest.fail "modules is not an array")
+  | Ok j ->
+    Alcotest.(check (option int)) "module rows" (Some 2)
+      (Option.map List.length (Obs.Json.mem_arr "modules" j))
 
 let () =
   Alcotest.run "bespoke_report"

@@ -233,18 +233,15 @@ let test_no_reanalysis () =
 
 let test_json_artifact () =
   let c = Lazy.force campaign in
-  let json = Verify.to_json [ c ] in
-  match Obs.Json.parse json with
-  | Error m -> Alcotest.failf "artifact does not parse: %s" m
-  | Ok j ->
-    let str k o =
-      match Obs.Json.member k o with Some (Obs.Json.Str s) -> s | _ -> "" in
-    Alcotest.(check string) "schema tag" Verify.schema (str "schema" j);
-    (match Obs.Json.member "benchmarks" j with
-    | Some (Obs.Json.Arr [ b ]) ->
-      Alcotest.(check string) "benchmark name" "mult" (str "name" b);
-      Alcotest.(check string) "verdict" "equivalent" (str "verdict" b)
-    | _ -> Alcotest.fail "expected one benchmark entry")
+  (* the verify reader holds it to the whole contract: every layer
+     agrees and every detectable fault is killed *)
+  match Bespoke_obs.Stats.read ~name:"verify" (Verify.to_json [ c ]) with
+  | Ok (Bespoke_obs.Stats.Verify (core_name, [ b ])) ->
+    Alcotest.(check string) "core" core.Coredef.name core_name;
+    Alcotest.(check (option string)) "benchmark name" (Some "mult")
+      (Obs.Json.mem_str "name" b)
+  | Ok _ -> Alcotest.fail "expected a verify artifact with one benchmark"
+  | Error m -> Alcotest.failf "artifact rejected: %s" m
 
 (* A divergence's [at_insn] counts retired instructions, like the IRQ
    schedule: on msp430 irq, fault seed 1's input-killed faults are
