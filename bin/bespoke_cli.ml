@@ -92,12 +92,14 @@ let jobs_arg =
 
 let apply_jobs jobs = Option.iter Pool.set_default_jobs jobs
 
-let json_arg =
+(* [schema] is the tag of the document the subcommand writes. *)
+let json_arg schema =
   Arg.(value & flag
        & info [ "json" ]
-           ~doc:"Emit a machine-readable JSON document on stdout (schema \
-                 $(b,bespoke-report/v1)); all human-readable output moves to \
-                 stderr so stdout stays parseable.")
+           ~doc:(Printf.sprintf
+                   "Emit a machine-readable JSON document on stdout (schema \
+                    $(b,%s)); all human-readable output moves to stderr so \
+                    stdout stays parseable." schema))
 
 (* [gpio] is a raw program's GPIO input: its whole stimulus, since a
    raw program has no generated RAM inputs and no IRQ schedule. *)
@@ -568,8 +570,8 @@ let cmd_analyze =
        ~doc:"Input-independent gate activity analysis of a program")
     Term.(
       ret
-        (const run $ program_arg $ json_arg $ tree_dot_arg $ jobs_arg
-        $ obs_args))
+        (const run $ program_arg $ json_arg "bespoke-analysis/v1"
+        $ tree_dot_arg $ jobs_arg $ obs_args))
 
 (* ---- tailor ---- *)
 
@@ -698,8 +700,9 @@ let cmd_tailor =
     (Cmd.info "tailor" ~doc:"Produce and report the bespoke design for a program")
     Term.(
       ret
-        (const run $ program_arg $ verify_arg $ save_arg $ json_arg
-        $ explain_arg $ instrument_arg $ jobs_arg $ obs_args $ cache_stats_arg))
+        (const run $ program_arg $ verify_arg $ save_arg
+        $ json_arg "bespoke-report/v1" $ explain_arg $ instrument_arg $ jobs_arg
+        $ obs_args $ cache_stats_arg))
 
 (* ---- report (savings artifact across benchmarks) ---- *)
 
@@ -739,8 +742,8 @@ let cmd_report =
              per-module attribution and cut-reason histograms)")
     Term.(
       ret
-        (const run $ programs_arg (Term.const None) $ json_arg $ out_arg
-        $ obs_args))
+        (const run $ programs_arg (Term.const None)
+        $ json_arg "bespoke-report/v1" $ out_arg $ obs_args))
 
 (* ---- verify (paper Section 5.1 / Table 3 campaign) ---- *)
 
@@ -808,8 +811,9 @@ let cmd_verify =
              design is non-equivalent or any detectable fault survives.")
     Term.(
       ret
-        (const run $ programs_arg file_arg $ json_arg $ faults_arg $ seed_arg
-        $ budget_arg $ jobs_arg $ obs_args $ cache_stats_arg))
+        (const run $ programs_arg file_arg $ json_arg "bespoke-verify/v1"
+        $ faults_arg $ seed_arg $ budget_arg $ jobs_arg $ obs_args
+        $ cache_stats_arg))
 
 (* ---- campaign (batch jobs on the pool, JSONL stream) ---- *)
 
@@ -910,14 +914,14 @@ let cmd_campaign =
              in
              (* Heartbeats: one every ~1/8 of the campaign (at least one,
                 always one at the end), written after the outcome record
-                that triggered them — the callbacks share the campaign's
-                serialization lock, so the stream never interleaves.  The
-                stderr line is wall-clock throttled instead, to stay
-                readable on fast cache-warm runs. *)
+                that triggered them — the callback runs under the
+                campaign's serialization lock, so the stream never
+                interleaves.  The stderr line is wall-clock throttled
+                instead, to stay readable on fast cache-warm runs. *)
              let hb_every = max 1 (List.length js / 8) in
              let hb_seq = ref 0 in
              let last_render = ref 0.0 in
-             let on_event ev (p : Campaign.progress) =
+             let on_progress ev (p : Campaign.progress) =
                (match ev with
                | Campaign.Job_finished _
                  when p.Campaign.p_done mod hb_every = 0
@@ -936,11 +940,13 @@ let cmd_campaign =
                  Printf.eprintf "\r%s%!" (Campaign.progress_line p)
                end
              in
-             let _, summary =
-               Campaign.run ~on_outcome:emit
-                 ?on_event:(if progress then Some on_event else None)
-                 js
+             let on_event ev p =
+               (match ev with
+               | Campaign.Job_finished o -> emit o
+               | Campaign.Job_started _ -> ());
+               if progress then on_progress ev p
              in
+             let _, summary = Campaign.run ~on_event js in
              if progress then prerr_newline ();
              output_string oc (Campaign.summary_jsonl summary);
              output_char oc '\n';

@@ -1,6 +1,5 @@
 module Bit = Bespoke_logic.Bit
 module Bvec = Bespoke_logic.Bvec
-module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module Engine = Bespoke_sim.Engine
 module Memory = Bespoke_sim.Memory
@@ -17,31 +16,26 @@ let m_paths = Obs.Metrics.counter "analysis.paths"
 let m_cycles = Obs.Metrics.counter "analysis.cycles"
 
 type config = {
-  gpio_x : bool;
   irq_x : bool;
   ram_x_ranges : (int * int) list;
   max_total_cycles : int;
   max_paths : int;
-  max_pc_candidates : int;
   computed_branch_fallback : [ `Escape | `Enumerate ];
   key_refinement : [ `Pc_only | `Pc_gie | `Full ];
-  verbose : bool;
-  probe : (System.t -> unit) option;
 }
 
 let default_config =
   {
-    gpio_x = true;
     irq_x = true;
     ram_x_ranges = [];
     max_total_cycles = 3_000_000;
     max_paths = 20_000;
-    max_pc_candidates = 1024;
     computed_branch_fallback = `Escape;
     key_refinement = `Full;
-    verbose = false;
-    probe = None;
   }
+
+(* Bound on the forks of one [`Enumerate] computed-branch fallback. *)
+let max_pc_candidates = 1024
 
 type first_toggle = { ft_cycle : int; ft_node : int; ft_pc : int }
 
@@ -168,7 +162,7 @@ let irq_children snap positions =
 
 let init_system config s =
   System.reset s;
-  if config.gpio_x then System.set_gpio_in_x s else System.set_gpio_in_int s 0;
+  System.set_gpio_in_x s;
   System.set_irq s (if config.irq_x then Bit.X else Bit.Zero);
   List.iter
     (fun (lo, hi) -> System.set_ram_x s ~lo_addr:lo ~hi_addr:hi)
@@ -333,10 +327,6 @@ let analyze_impl ?(config = default_config) sys =
     | `Full -> (pcv, gie_value (), sp_bucket (), ret_context pcv)
   in
   let stack : entry Stack.t = Stack.create () in
-  let log fmt =
-    if config.verbose then Printf.eprintf (fmt ^^ "\n%!")
-    else Printf.ifprintf stderr fmt
-  in
 
   (* Simulate from the current (settled, boundary) state to the next
      instruction boundary.  Returns the recorded conditional-jump
@@ -346,7 +336,6 @@ let analyze_impl ?(config = default_config) sys =
     let rec go cycles =
       if cycles = 20 then fail "instruction did not complete in 20 cycles";
       System.step_cycle sys;
-      Option.iter (fun f -> f sys) config.probe;
       incr total_cycles;
       (!cur_node).node_cycles <- (!cur_node).node_cycles + 1;
       if !total_cycles > config.max_total_cycles then
@@ -354,8 +343,6 @@ let analyze_impl ?(config = default_config) sys =
       (* record candidate targets at an unknown branch decision *)
       (match (System.read_hook sys "exec_jump").(0) with
       | Bit.One | Bit.X -> (
-        log "exec_jump: taken=%c"
-          (Bit.to_char (System.read_hook sys "branch_taken").(0));
         match (System.read_hook sys "branch_taken").(0) with
         | Bit.X -> (
           match
@@ -413,7 +400,6 @@ let analyze_impl ?(config = default_config) sys =
           (* a computed branch whose target merged to X: see the
              [computed_branch_fallback] documentation *)
           incr escaped_paths;
-          log "computed-branch escape (pc %s)" (Bvec.to_string (System.pc sys));
           emit Escape 0;
           finish "escaped";
           finished := true
@@ -449,7 +435,7 @@ let analyze_impl ?(config = default_config) sys =
                     insn_starts []
               in
               if valid = [] then fail "no valid PC candidate";
-              if List.length valid > config.max_pc_candidates then
+              if List.length valid > max_pc_candidates then
                 fail "too many PC candidates (%d)" (List.length valid);
               valid
           in
@@ -483,7 +469,6 @@ let analyze_impl ?(config = default_config) sys =
                   stack
               end)
             cands;
-          log "fork: pc unknown -> %d candidates" (List.length cands);
           finish "forked";
           finished := true
         | Some pcv when
@@ -495,7 +480,6 @@ let analyze_impl ?(config = default_config) sys =
              the binary reaches here, so ending the path loses no real
              activity; the count is reported for auditability. *)
           incr escaped_paths;
-          log "path escaped at %04x" pcv;
           emit Escape 0;
           cur_pc := pcv;
           finish "escaped";
@@ -513,7 +497,6 @@ let analyze_impl ?(config = default_config) sys =
             match Hashtbl.find_opt table key with
             | Some (_, c) when System.snapshot_subsumes ~general:c ~specific:s ->
               incr prunes;
-              log "prune at %04x" pcv;
               emit Prune 0;
               finish "pruned";
               finished := true
@@ -522,8 +505,7 @@ let analyze_impl ?(config = default_config) sys =
               Hashtbl.replace table key (id, m);
               incr merges;
               emit Merge id;
-              System.restore sys m;
-              log "merge at %04x" pcv
+              System.restore sys m
             | None ->
               let id = Hashtbl.length table in
               Hashtbl.replace table key (id, s);
@@ -572,9 +554,7 @@ let analyze_impl ?(config = default_config) sys =
                       stack)
                   rest;
                 System.restore sys first
-              | [] -> assert false);
-              log "fork on pending irq at %04x (%d children)" pcv
-                (List.length children)
+              | [] -> assert false)
             | Bit.Zero | Bit.One -> ());
             match simulate_segment () with
             | `Halted, _ ->
@@ -809,10 +789,3 @@ let tree_dot ?(max_nodes = 4000) r =
 
 let exercisable_count r =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 r.possibly_toggled
-
-let gate_is_cuttable r net id =
-  (not r.possibly_toggled.(id))
-  &&
-  match net.Netlist.gates.(id).Gate.op with
-  | Gate.Input | Gate.Const _ -> false
-  | _ -> true

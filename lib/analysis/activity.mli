@@ -33,13 +33,11 @@ module Bit := Bespoke_logic.Bit
 module System := Bespoke_coreapi.System
 
 type config = {
-  gpio_x : bool;  (** drive the GPIO input port with X (default true) *)
   irq_x : bool;  (** drive the IRQ line with X (default true) *)
   ram_x_ranges : (int * int) list;
       (** byte-address ranges of RAM holding application inputs *)
   max_total_cycles : int;
   max_paths : int;
-  max_pc_candidates : int;
   computed_branch_fallback : [ `Escape | `Enumerate ];
       (** What to do when the PC is unknown at a boundary {e without}
           recorded conditional-jump candidates (a computed branch —
@@ -52,16 +50,16 @@ type config = {
           over every instruction-start the X pattern allows — fully
           conservative, but the spurious children execute from
           mid-sequence states and can smear X over shared memory,
-          grossly over-approximating interrupt-driven programs. *)
+          grossly over-approximating interrupt-driven programs; more
+          than 1024 candidates fail the analysis. *)
   key_refinement : [ `Pc_only | `Pc_gie | `Full ];
       (** Granularity of the conservative-state table key: PC only
           (the paper's scheme), PC+GIE, or PC+GIE+stack context
           (default).  Finer keys merge strictly less, trading paths
           explored for precision; see the ablation bench. *)
-  verbose : bool;
-  probe : (System.t -> unit) option;
-      (** debugging hook, called after every simulated cycle *)
 }
+(** The GPIO input port is always X: the analysis holds for every input
+    value. *)
 
 val default_config : config
 
@@ -167,5 +165,3 @@ val tree_dot : ?max_nodes:int -> report -> string
     a truncation marker. *)
 
 val exercisable_count : report -> int
-val gate_is_cuttable : report -> Bespoke_netlist.Netlist.t -> int -> bool
-(** True for a real gate (not port/const) that can never toggle. *)

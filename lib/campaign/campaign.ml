@@ -313,7 +313,7 @@ let progress_line p =
     (100.0 *. cache_hit_rate p)
     (match eta_s p with Some e -> Printf.sprintf "%.0fs" e | None -> "?")
 
-let run ?jobs ?on_outcome ?on_event (js : job list) =
+let run ?jobs ?on_event (js : job list) =
   (* the campaign is CPU-bound, so even an explicit request is capped
      at the hardware's concurrency *)
   let jobs_n =
@@ -328,20 +328,10 @@ let run ?jobs ?on_outcome ?on_event (js : job list) =
         ("tasks", string_of_int (List.length js));
       ]
   @@ fun () ->
-  (* the shared stock netlist, forced once per distinct core before the
-     domains fan out (its memo table is not domain-safe).  An unresolvable
-     core name is skipped here — it becomes that job's error record
-     inside the execution fence. *)
-  List.iter
-    (fun name ->
-      match Cores.find name with
-      | Some e -> ignore (Runner.shared_netlist e.Cores.core)
-      | None -> ())
-    (List.sort_uniq compare (List.map (fun j -> j.core) js));
   let t0 = now () in
-  (* One lock serializes progress-state updates AND both callbacks, so
-     a stream writer in the callback sees events in a consistent
-     order with monotonically advancing progress counts. *)
+  (* One lock serializes progress-state updates and the callback, so
+     a stream writer in the callback sees events in a consistent order
+     with monotonically advancing progress counts. *)
   let cb_lock = Mutex.create () in
   let st =
     ref
@@ -355,43 +345,33 @@ let run ?jobs ?on_outcome ?on_event (js : job list) =
         p_elapsed_s = 0.0;
       }
   in
-  let guard what f =
-    try f ()
-    with e ->
-      Printf.eprintf "warning: campaign %s raised: %s\n%!" what
-        (Printexc.to_string e)
+  let notify update ev =
+    Option.iter
+      (fun f ->
+        Mutex.protect cb_lock (fun () ->
+            st := { (update !st) with p_elapsed_s = now () -. t0 };
+            try f ev !st
+            with e ->
+              Printf.eprintf "warning: campaign on_event raised: %s\n%!"
+                (Printexc.to_string e)))
+      on_event
   in
   let started i j =
-    if on_event <> None then begin
-      Mutex.lock cb_lock;
-      st :=
-        { !st with p_running = !st.p_running + 1; p_elapsed_s = now () -. t0 };
-      Option.iter
-        (fun f -> guard "on_event" (fun () -> f (Job_started (i, j)) !st))
-        on_event;
-      Mutex.unlock cb_lock
-    end
+    notify (fun p -> { p with p_running = p.p_running + 1 }) (Job_started (i, j))
   in
   let emit o =
-    if on_outcome <> None || on_event <> None then begin
-      Mutex.lock cb_lock;
-      let ok = Result.is_ok o.status in
-      st :=
+    let ok = Result.is_ok o.status in
+    notify
+      (fun p ->
         {
-          !st with
-          p_done = !st.p_done + 1;
-          p_ok = (!st.p_ok + if ok then 1 else 0);
-          p_failed = (!st.p_failed + if ok then 0 else 1);
-          p_cached = (!st.p_cached + if o.cached then 1 else 0);
-          p_running = max 0 (!st.p_running - 1);
-          p_elapsed_s = now () -. t0;
-        };
-      Option.iter (fun f -> guard "on_outcome" (fun () -> f o)) on_outcome;
-      Option.iter
-        (fun f -> guard "on_event" (fun () -> f (Job_finished o) !st))
-        on_event;
-      Mutex.unlock cb_lock
-    end
+          p with
+          p_done = p.p_done + 1;
+          p_ok = (p.p_ok + if ok then 1 else 0);
+          p_failed = (p.p_failed + if ok then 0 else 1);
+          p_cached = (p.p_cached + if o.cached then 1 else 0);
+          p_running = max 0 (p.p_running - 1);
+        })
+      (Job_finished o)
   in
   (* A Ctrl-C (Sys.Break) is the user killing the campaign, not a job
      failure: it escapes the job fence, and Pool.map drops the jobs not

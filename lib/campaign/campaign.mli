@@ -100,10 +100,6 @@ type progress = {
 val jobs_per_sec : progress -> float
 (** Completion rate so far; 0 until the first job finishes. *)
 
-val eta_s : progress -> float option
-(** Remaining wall-clock estimate at the current rate; [None] until
-    the first job finishes. *)
-
 val cache_hit_rate : progress -> float
 (** Fraction of finished jobs served from the flow cache, in [0,1]. *)
 
@@ -113,7 +109,6 @@ val progress_line : progress -> string
 
 val run :
   ?jobs:int ->
-  ?on_outcome:(outcome -> unit) ->
   ?on_event:(event -> progress -> unit) ->
   job list ->
   outcome list * summary
@@ -121,10 +116,10 @@ val run :
     {!Bespoke_core.Pool.default_jobs}; either way the count is
     clamped to the hardware's concurrency — the campaign is CPU-bound
     and oversubscribed domains only slow it down).  The count
-    actually used is reported as [jobs_used].  [on_outcome] is called as
-    each job finishes and [on_event] on every start/finish, with the
-    progress snapshot taken after applying the event; both are
-    serialized under one lock — safe to write a stream from.
+    actually used is reported as [jobs_used].  [on_event] is called on
+    every start and finish (each outcome arrives as [Job_finished]),
+    with the progress snapshot taken after applying the event; calls
+    are serialized under one lock — safe to write a stream from.
     Outcomes are returned in input order regardless.  Each job is
     memoized by (kind, binary hash, netlist hash, input content,
     params).

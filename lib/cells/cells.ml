@@ -10,8 +10,6 @@ type cell = {
   internal_sw_ff : float;
 }
 
-let drive_strengths = 2
-
 let mk name area leak cap intr res sw =
   {
     name;

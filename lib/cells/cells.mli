@@ -18,9 +18,6 @@ type cell = {
       (** equivalent internal switched capacitance per output toggle *)
 }
 
-val drive_strengths : int
-(** Number of available drive variants per function (X1, X2). *)
-
 val of_gate : Bespoke_netlist.Gate.op -> drive:int -> cell
 (** [Input] and [Const] map to zero-cost pseudo-cells (port pins and
     tie cells are free in our model). *)

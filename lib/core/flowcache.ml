@@ -153,12 +153,6 @@ let length c =
   Mutex.unlock c.lock;
   n
 
-let evictions c =
-  Mutex.lock c.lock;
-  let e = c.evictions in
-  Mutex.unlock c.lock;
-  e
-
 let clear_all () =
   Mutex.lock reg_lock;
   let cs = !registry in

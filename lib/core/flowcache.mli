@@ -36,7 +36,6 @@ val clear : 'v t -> unit
 
 val hits : 'v t -> int
 val misses : 'v t -> int
-val evictions : 'v t -> int
 val length : 'v t -> int
 
 val clear_all : unit -> unit

@@ -13,8 +13,6 @@ let union_toggled = function
       rest;
     acc
 
-let intersect_untoggled = union_toggled
-
 let supported ~design_toggled ~app_toggled =
   let ok = ref true in
   Array.iteri

@@ -9,8 +9,8 @@
 module Netlist := Bespoke_netlist.Netlist
 
 val union_toggled : bool array list -> bool array
-val intersect_untoggled : bool array list -> bool array
-(** Same as [union_toggled]; named for the paper's phrasing. *)
+(** Gates toggled by any of the applications: what a multi-application
+    design keeps. *)
 
 val supported : design_toggled:bool array -> app_toggled:bool array -> bool
 (** Does a design tailored to [design_toggled] run an application

@@ -19,11 +19,7 @@
 
    Ctrl-C is the one error that is not a task's: a task that raises
    [Sys.Break] stops its map — queued tasks of that map are dropped,
-   running ones finish — and [map] re-raises [Sys.Break].
-
-   Callers are responsible for forcing any shared lazy values (e.g.
-   [Runner.shared_netlist]) before mapping: stdlib [Lazy] is not
-   domain-safe. *)
+   running ones finish — and [map] re-raises [Sys.Break]. *)
 
 module Obs = Bespoke_obs.Obs
 

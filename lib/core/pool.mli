@@ -11,9 +11,7 @@
     (default 1 = fully sequential, no domains spawned), overridable
     in-process with {!set_default_jobs} (the CLI [--jobs] flag).
     Results are assembled in input order regardless of the job count.
-
-    Tasks must be independent and must not force shared lazy values
-    (force them before mapping — stdlib [Lazy] is not domain-safe). *)
+    Tasks must be independent. *)
 
 exception Task_errors of (int * exn) list
 (** Raised by {!map}/{!iter} when one or more tasks raised: every

@@ -235,8 +235,6 @@ let rewrite_traced ?(seq_const = true) net =
   Obs.Metrics.add m_const_folds !folds;
   (B.finish b, map)
 
-let rewrite ?seq_const net = fst (rewrite_traced ?seq_const net)
-
 let dead_sweep net =
   let keep = Netlist.live_gates net in
   (* keep tie cells referenced by names so analysis hooks stay
@@ -254,7 +252,10 @@ let pass_traced ?seq_const net =
 
 let pass ?seq_const net = fst (pass_traced ?seq_const net)
 
-let optimize_traced ?(max_rounds = 8) ?seq_const net =
+(* Rounds before [optimize] stops even if the gate count still falls. *)
+let max_rounds = 8
+
+let optimize_traced ?seq_const net =
   Obs.Span.with_ ~name:"resynth.optimize" (fun () ->
       let rec go round net map =
         if round >= max_rounds then (net, map)
@@ -269,5 +270,4 @@ let optimize_traced ?(max_rounds = 8) ?seq_const net =
       in
       go 0 net (Array.init (Netlist.gate_count net) Fun.id))
 
-let optimize ?max_rounds ?seq_const net =
-  fst (optimize_traced ?max_rounds ?seq_const net)
+let optimize ?seq_const net = fst (optimize_traced ?seq_const net)

@@ -8,23 +8,20 @@
     outputs cannot reach a state element or output port (floating
     outputs). *)
 
-val rewrite :
-  ?seq_const:bool -> Bespoke_netlist.Netlist.t -> Bespoke_netlist.Netlist.t
-(** The rewrite step alone (no dead sweep), exposed for tests.
-    [seq_const] (default true) enables sequential constant
-    propagation (DFFs provably stuck at their reset value). *)
-
 val pass :
   ?seq_const:bool -> Bespoke_netlist.Netlist.t -> Bespoke_netlist.Netlist.t
-(** One rewrite + dead-sweep round. *)
+(** One rewrite + dead-sweep round.  [seq_const] (default true)
+    enables sequential constant propagation (DFFs provably stuck at
+    their reset value). *)
 
 val optimize :
-  ?max_rounds:int -> ?seq_const:bool -> Bespoke_netlist.Netlist.t ->
-  Bespoke_netlist.Netlist.t
-(** Iterate {!pass} until the gate count stops improving. *)
+  ?seq_const:bool -> Bespoke_netlist.Netlist.t -> Bespoke_netlist.Netlist.t
+(** Iterate {!pass} until the gate count stops improving, for at most
+    8 rounds.  [seq_const] as in {!pass}; the ablation bench turns it
+    off. *)
 
 val optimize_traced :
-  ?max_rounds:int -> ?seq_const:bool -> Bespoke_netlist.Netlist.t ->
+  ?seq_const:bool -> Bespoke_netlist.Netlist.t ->
   Bespoke_netlist.Netlist.t * int array
 (** Like {!optimize}, but also returns the composed old-id -> new-id
     map ([-1] for gates with no image in the result: swept dead or

@@ -36,32 +36,32 @@ exception Mismatch of string
 (* Per-core memoization.  One stock netlist per core descriptor, keyed
    by core name; one assembled image per (core, source digest), so
    re-assembly of mutant sources never collides with the pristine
-   benchmark.  As with the old lazy cell:
-   force these in the parent before fanning out with [Pool] — the
-   tables are not domain-safe. *)
+   benchmark.  Pool tasks look both up, so one mutex guards the two
+   tables, and a value is built under it: every caller, on any domain,
+   gets the same physical netlist or image. *)
 
+let memo_mu = Mutex.create ()
 let netlist_table : (string, Netlist.t) Hashtbl.t = Hashtbl.create 4
+let image_table : (string, Coredef.image) Hashtbl.t = Hashtbl.create 64
+
+let memo table key build =
+  Mutex.protect memo_mu (fun () ->
+      match Hashtbl.find_opt table key with
+      | Some v -> v
+      | None ->
+        let v = build () in
+        Hashtbl.replace table key v;
+        v)
 
 let shared_netlist (core : Coredef.t) =
-  match Hashtbl.find_opt netlist_table core.Coredef.name with
-  | Some net -> net
-  | None ->
-    let net = core.Coredef.build () in
-    Hashtbl.replace netlist_table core.Coredef.name net;
-    net
+  memo netlist_table core.Coredef.name core.Coredef.build
 
 let shared_netlist_hash core = Serial.hash (shared_netlist core)
 
-let image_table : (string, Coredef.image) Hashtbl.t = Hashtbl.create 64
-
 let image ~core (b : Benchmark.t) =
-  let key = core.Coredef.name ^ "/" ^ Digest.to_hex (Digest.string b.Benchmark.source) in
-  match Hashtbl.find_opt image_table key with
-  | Some img -> img
-  | None ->
-    let img = core.Coredef.assemble b.Benchmark.source in
-    Hashtbl.replace image_table key img;
-    img
+  memo image_table
+    (core.Coredef.name ^ "/" ^ Digest.to_hex (Digest.string b.Benchmark.source))
+    (fun () -> core.Coredef.assemble b.Benchmark.source)
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed keys for the flow cache: a binary-image hash, a
@@ -72,17 +72,14 @@ let image ~core (b : Benchmark.t) =
 let image_hash = Coredef.image_hash
 
 let config_fingerprint (c : Activity.config) =
-  (* [verbose] only changes logging and [probe] bypasses the cache
-     entirely, so neither is part of the fingerprint. *)
   let ranges =
     String.concat ","
       (List.map
          (fun (a, b) -> Printf.sprintf "%x-%x" a b)
          c.Activity.ram_x_ranges)
   in
-  Printf.sprintf "gpio_x=%b;irq_x=%b;ram=%s;cycles=%d;paths=%d;pc=%d;cbf=%s;key=%s"
-    c.Activity.gpio_x c.Activity.irq_x ranges c.Activity.max_total_cycles
-    c.Activity.max_paths c.Activity.max_pc_candidates
+  Printf.sprintf "irq_x=%b;ram=%s;cycles=%d;paths=%d;cbf=%s;key=%s"
+    c.Activity.irq_x ranges c.Activity.max_total_cycles c.Activity.max_paths
     (match c.Activity.computed_branch_fallback with
     | `Escape -> "escape"
     | `Enumerate -> "enumerate")
@@ -356,16 +353,10 @@ let analysis_key ~core ~net rc (b : Benchmark.t) =
 
 let analyze_cached ?config ?netlist ~core (b : Benchmark.t) =
   let rc = resolve_analysis_config ?config b in
-  if rc.Activity.probe <> None || rc.Activity.verbose then
-    (* a probe observes every simulated cycle and verbose logs as it
-       explores — a cache hit would silently skip both *)
-    (analyze ~config:rc ?netlist ~core b, false)
-  else begin
-    let net = match netlist with Some n -> n | None -> shared_netlist core in
-    Flowcache.find_or_compute_report analysis_cache
-      ~key:(analysis_key ~core ~net rc b)
-      (fun () -> analyze ~config:rc ~netlist:net ~core b)
-  end
+  let net = match netlist with Some n -> n | None -> shared_netlist core in
+  Flowcache.find_or_compute_report analysis_cache
+    ~key:(analysis_key ~core ~net rc b)
+    (fun () -> analyze ~config:rc ~netlist:net ~core b)
 
 type tailored = {
   report : Activity.report;

@@ -133,9 +133,7 @@ val analyze_cached :
 (** {!analyze} through the content-addressed flow cache: keyed by
     (core fingerprint, binary image hash, netlist hash, config
     fingerprint), so a repeat analysis of the same tuple returns the
-    memoized report.  The returned flag is [true] on a cache hit.
-    Bypasses the cache (and reports a miss) when the config carries a
-    [probe] or [verbose]. *)
+    memoized report.  The returned flag is [true] on a cache hit. *)
 
 (** A benchmark's tailored design, with everything that explains it. *)
 type tailored = {
@@ -159,13 +157,13 @@ val tailor_cached : core:Coredef.t -> Benchmark.t -> tailored
 val image : core:Coredef.t -> Benchmark.t -> Coredef.image
 (** Assemble the benchmark's source with the core's assembler,
     memoized per (core, source digest) — so mutated sources never
-    collide with the pristine benchmark. *)
+    collide with the pristine benchmark.  Domain-safe: concurrent
+    callers get the same physical image. *)
 
 val shared_netlist : Coredef.t -> Netlist.t
 (** One memoized copy of the core's stock netlist, shared by callers
-    that do not mutate netlists.  Force this (or
-    {!shared_netlist_hash}) in the parent before fanning out with
-    [Pool] — the memo table is not domain-safe. *)
+    that do not mutate netlists.  Domain-safe: it is built once, and
+    every caller on any domain gets the same physical netlist. *)
 
 val shared_netlist_hash : Coredef.t -> string
 (** {!Bespoke_netlist.Serial.hash} of {!shared_netlist} (forces the

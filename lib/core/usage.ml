@@ -41,14 +41,6 @@ let usable_fraction net toggled =
     net.Netlist.gates;
   if !total = 0 then 0.0 else float_of_int !active /. float_of_int !total
 
-let unused_count net toggled =
-  let n = ref 0 in
-  Array.iteri
-    (fun id (g : Gate.t) ->
-      if is_real g && not toggled.(id) then incr n)
-    net.Netlist.gates;
-  !n
-
 type diff = {
   common_untoggled : int;
   unique_a : int;

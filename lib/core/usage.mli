@@ -16,7 +16,6 @@ val per_module : Netlist.t -> bool array -> module_row list
     rest. *)
 
 val usable_fraction : Netlist.t -> bool array -> float
-val unused_count : Netlist.t -> bool array -> int
 
 type diff = {
   common_untoggled : int;  (** untoggled by both applications *)

@@ -18,8 +18,6 @@ let st_irq_sr = 11
 let st_irq_vec = 12
 let st_reset = 13
 
-let state_fetch = st_fetch
-
 let c16 n = constant ~width:16 n
 let c4 n = constant ~width:4 n
 

@@ -34,7 +34,4 @@
     ["pc_next_seq"] (16: the PC value an instruction boundary will see
     next), ["halted"] (1). *)
 
-val state_fetch : int
-(** FSM encoding of the FETCH state, for harnesses watching ["state"]. *)
-
 val build : unit -> Bespoke_netlist.Netlist.t

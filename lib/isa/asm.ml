@@ -544,13 +544,6 @@ let assemble (source : string) : image =
     line_of_addr = List.rev !line_map;
   }
 
-let assemble_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  assemble src
-
 let image_rom (img : image) : int array =
   let rom = Array.make Memmap.rom_words 0 in
   List.iter

@@ -34,8 +34,6 @@ exception Error of { line : int; message : string }
 val assemble : string -> image
 (** @raise Error with the offending source line. *)
 
-val assemble_file : string -> image
-
 val image_rom : image -> int array
 (** The ROM contents as [Memmap.rom_words] words (unset words are 0),
     indexed from [Memmap.rom_base]. *)

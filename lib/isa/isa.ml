@@ -295,8 +295,6 @@ let decode word rest =
   end
   else raise (Decode_error (Printf.sprintf "illegal opcode word %04x" word))
 
-let length_words i = List.length (encode i)
-
 let flag_c = 0
 let flag_z = 1
 let flag_n = 2

@@ -68,8 +68,6 @@ val decode : int -> int list -> t * int
     words).  Returns the instruction and the number of words consumed.
     @raise Decode_error on an illegal encoding. *)
 
-val length_words : t -> int
-
 (** {1 Condition evaluation} *)
 
 val flag_c : int

@@ -248,7 +248,6 @@ let bus_write t ~now ~size addr v =
 let read_word t addr = bus_read_word t ~now:t.cycles addr
 let read_ram_word t addr = t.ram.((addr land 0xfffe - Memmap.ram_base) / 2)
 let write_ram_word t addr v = t.ram.((addr land 0xfffe - Memmap.ram_base) / 2) <- w16 v
-let ram_snapshot t = Array.copy t.ram
 
 (* ---------------- flags ---------------- *)
 

@@ -31,9 +31,6 @@ val read_ram_word : t -> int -> int
 
 val write_ram_word : t -> int -> int -> unit
 
-val ram_snapshot : t -> int array
-(** All [Memmap.ram_words] words. *)
-
 (** {1 I/O} *)
 
 val set_gpio_in : t -> int -> unit

@@ -94,5 +94,3 @@ let add a b =
     carry := Bit.lor_ (Bit.land_ x y) (Bit.land_ c (Bit.lor_ x y))
   done;
   out
-
-let succ v = add v (of_int ~width:(width v) 1)

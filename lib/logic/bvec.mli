@@ -52,4 +52,3 @@ val lxor_ : t -> t -> t
 val add : t -> t -> t
 (** Ternary ripple-carry addition (X carries propagate). *)
 
-val succ : t -> t

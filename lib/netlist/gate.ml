@@ -59,8 +59,6 @@ let op_name = function
   | Mux -> "mux"
   | Dff _ -> "dff"
 
-let pp_op fmt op = Format.pp_print_string fmt (op_name op)
-
 let eval op (ins : Bit.t array) =
   match op with
   | Const b -> b

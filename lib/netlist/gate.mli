@@ -33,7 +33,6 @@ val is_source : t -> bool
 
 val op_equal : op -> op -> bool
 val op_name : op -> string
-val pp_op : Format.formatter -> op -> unit
 
 val eval : op -> Bespoke_logic.Bit.t array -> Bespoke_logic.Bit.t
 (** Combinational evaluation ([Dff] evaluates its [d] input, i.e. the

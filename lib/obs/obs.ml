@@ -457,7 +457,6 @@ module Metrics = struct
   let incr c = add c 1
   let counter_value = Atomic.get
   let set g v = if enabled () then Atomic.set g v
-  let gauge_value = Atomic.get
 
   let bucket_of v =
     if v <= 0 then 0

@@ -64,7 +64,6 @@ module Metrics : sig
 
   val gauge : string -> gauge
   val set : gauge -> float -> unit
-  val gauge_value : gauge -> float
 
   val histogram : string -> histogram
 

@@ -2,11 +2,11 @@
 
    Chrome-trace JSONL ([Obs.Trace]), metrics snapshots and
    bespoke-metrics/v1 series ([Obs.Sampler]), bespoke-campaign/v1 and
-   bespoke-guard/v1 streams, bespoke-report/v1 and bespoke-verify/v1
-   artifacts, BENCH_sim.json and bespoke-bench/v1 history lines: each
-   kind has one reader here, which checks the invariants its schema
-   promises (docs/SCHEMAS.md) while it loads the file and stops at the
-   first broken one.  [load] works out a file's kind from its header or
+   bespoke-guard/v1 streams, bespoke-report/v1, bespoke-analysis/v1 and
+   bespoke-verify/v1 artifacts, BENCH_sim.json and bespoke-bench/v1
+   history lines: each kind has one reader here, which checks the
+   invariants its schema promises (docs/SCHEMAS.md) while it loads the
+   file and stops at the first broken one.  [load] works out a file's kind from its header or
    shape; the `stats` subcommand renders what the readers return.
    Parsing uses the in-tree [Obs.Json] reader, so the module stays
    dependency-free. *)
@@ -554,6 +554,39 @@ let render_report b benches =
     benches
 
 (* ------------------------------------------------------------------ *)
+(* bespoke-analysis/v1: the exploration counts of one analysis and the
+   exercisable share of each module. *)
+
+let analysis j =
+  ignore (str "generator" j);
+  let name = str "benchmark" j in
+  let a = mem "analysis" j in
+  List.iter
+    (fun k -> if num k a < 0.0 then fail "%s: analysis.%s is negative" name k)
+    [ "paths"; "merges"; "prunes"; "escapes"; "cycles" ];
+  List.iter
+    (fun m ->
+      let total = num "total" m and ex = num "exercisable" m in
+      if ex < 0.0 || ex > total then
+        fail "%s: module %s has %g exercisable of %g gates" name (str "module" m)
+          ex total)
+    (arr "modules" j);
+  j
+
+let render_analysis b j =
+  let a = mem "analysis" j in
+  Printf.bprintf b
+    "%s: %.0f paths (%.0f merges, %.0f prunes, %.0f escapes), %.0f cycles\n"
+    (str "benchmark" j) (num "paths" a) (num "merges" a) (num "prunes" a)
+    (num "escapes" a) (num "cycles" a);
+  Printf.bprintf b "%-24s %11s %8s\n" "module" "exercisable" "total";
+  List.iter
+    (fun m ->
+      Printf.bprintf b "%-24s %11.0f %8.0f\n" (str "module" m)
+        (num "exercisable" m) (num "total" m))
+    (arr "modules" j)
+
+(* ------------------------------------------------------------------ *)
 (* bespoke-verify/v1: every layer agrees, and every detectable fault
    is killed. *)
 
@@ -764,6 +797,7 @@ type artifact =
   | Campaign of campaign_stat
   | Guard of guard_stat
   | Report of J.t list
+  | Analysis of J.t
   | Verify of (string * J.t list)
   | Bench_sim of J.t
   | History of bench_entry list
@@ -800,6 +834,7 @@ let read ~name text =
   | Ok j -> (
     match J.mem_str "schema" j with
     | Some "bespoke-report/v1" -> Report (report j)
+    | Some "bespoke-analysis/v1" -> Analysis (analysis j)
     | Some "bespoke-verify/v1" -> Verify (verify j)
     | None when J.member "counters" j <> None -> Snapshot (snapshot j)
     | None when J.member "benchmarks" j <> None -> Bench_sim (bench_sim j)
@@ -826,6 +861,7 @@ let render ?top path a =
   | Campaign c -> head "campaign"; render_campaign b c
   | Guard g -> head "guard"; render_guard b g
   | Report rows -> head "report"; render_report b rows
+  | Analysis j -> head "analysis"; render_analysis b j
   | Verify v -> head "verify"; render_verify b v
   | Bench_sim j -> head "bench"; render_bench_sim b j
   | History es ->

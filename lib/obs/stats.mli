@@ -1,10 +1,10 @@
 (** One reader per artifact the flow writes: Chrome-trace JSONL, metrics
     snapshots and bespoke-metrics/v1 series, bespoke-campaign/v1 and
-    bespoke-guard/v1 streams, bespoke-report/v1 and bespoke-verify/v1
-    artifacts, BENCH_sim.json and bespoke-bench/v1 history lines.  Each
-    reader checks its schema's invariants (docs/SCHEMAS.md) while it
-    loads the file and fails on the first broken one, so loading an
-    artifact is checking it.  Backs the [stats] CLI subcommand; parsing
+    bespoke-guard/v1 streams, bespoke-report/v1, bespoke-analysis/v1
+    and bespoke-verify/v1 artifacts, BENCH_sim.json and bespoke-bench/v1
+    history lines.  Each reader checks its schema's invariants
+    (docs/SCHEMAS.md) while it loads the file and fails on the first
+    broken one, so loading an artifact is checking it.  Backs the [stats] CLI subcommand; parsing
     uses {!Obs.Json}, so no external JSON dependency.
 
     Every JSONL reader tolerates a truncated {e final} line (a live
@@ -88,6 +88,7 @@ type artifact =
   | Campaign of campaign_stat
   | Guard of guard_stat
   | Report of Obs.Json.t list  (** the benchmark rows *)
+  | Analysis of Obs.Json.t  (** one [analyze --json] document *)
   | Verify of (string * Obs.Json.t list)  (** the core, the benchmark rows *)
   | Bench_sim of Obs.Json.t
       (** BENCH_sim.json, which also meets its acceptance bars *)

@@ -86,16 +86,6 @@ let power ?(vdd = Cells.vdd_nominal) ~freq_hz ~toggles ~cycles net =
     vdd;
   }
 
-let per_module_area net =
-  let tbl = Hashtbl.create 16 in
-  for id = 0 to Netlist.gate_count net - 1 do
-    let m = Netlist.module_of net id in
-    let a = (cell_of net id).Cells.area_um2 in
-    Hashtbl.replace tbl m (a +. Option.value ~default:0.0 (Hashtbl.find_opt tbl m))
-  done;
-  Hashtbl.fold (fun k v acc -> (k, v *. Cells.area_routing_overhead) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let pp fmt t =
   Format.fprintf fmt
     "%d gates (%d DFFs), %.0f um2, %.1f uW total (%.1f leak / %.1f dyn / %.1f clk) @ %.2f V"

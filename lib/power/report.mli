@@ -37,7 +37,4 @@ val power :
   Bespoke_netlist.Netlist.t ->
   t
 
-val per_module_area : Bespoke_netlist.Netlist.t -> (string * float) list
-(** Sorted by module name. *)
-
 val pp : Format.formatter -> t -> unit

@@ -102,10 +102,12 @@ let to_json entries =
     ]
   ^ "\n"
 
+let analysis_schema = "bespoke-analysis/v1"
+
 let analysis_to_json ~name ~paths ~merges ~prunes ~escapes ~cycles ~modules =
   J.obj
     [
-      ("schema", J.str schema);
+      ("schema", J.str analysis_schema);
       ("generator", J.str "bespoke_cli analyze");
       ("benchmark", J.str name);
       ( "analysis",

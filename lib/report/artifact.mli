@@ -48,5 +48,5 @@ val analysis_to_json :
   modules:(string * int * int) list ->
   string
 (** Machine-readable [analyze] result: exploration statistics plus
-    [(module, exercisable, total)] gate counts, under the same schema
-    tag. *)
+    [(module, exercisable, total)] gate counts, tagged
+    ["bespoke-analysis/v1"]. *)

@@ -13,8 +13,6 @@ type row = {
 }
 
 let gates_cut r = r.gates_original - r.gates_bespoke
-let area_cut r = r.area_original -. r.area_bespoke
-let leak_cut r = r.leak_original -. r.leak_bespoke
 
 let is_real (g : Gate.t) =
   match g.Gate.op with Gate.Input | Gate.Const _ -> false | _ -> true

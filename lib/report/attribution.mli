@@ -21,8 +21,6 @@ type row = {
 }
 
 val gates_cut : row -> int
-val area_cut : row -> float
-val leak_cut : row -> float
 
 val table : original:Netlist.t -> bespoke:Netlist.t -> row list
 (** One row per top-level RTL module present in either design, sorted

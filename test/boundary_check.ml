@@ -9,7 +9,11 @@
    The same pass enforces one JSON string escaper: a [\u]-escape
    format ([u%04x]) anywhere in lib/, bin/ or bench/main.ml outside
    lib/obs/obs.ml is a private escaper, and fails the build too —
-   every artifact encodes strings through [Obs.Json.str].
+   every artifact encodes strings through [Obs.Json.str].  Likewise a
+   hand-formatted JSON key — an escaped quote, a key, an escaped quote
+   and a colon inside a string literal — in lib/, bin/ or bench/main.ml
+   outside lib/obs: every artifact builds its objects with
+   [Obs.Json.obj].
 
    And engine choice stays in lib/core and lib/sim: bin/ and the
    layers above lib/core (campaign, verify, guard) may not name an
@@ -74,6 +78,34 @@ let read_file path =
 
 let violations = ref []
 
+(* Does [line] hold an escaped quote, a key, an escaped quote and a
+   colon (blanks allowed before the colon)? *)
+let has_json_key line =
+  let n = String.length line in
+  let is_key = function
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '-' -> true
+    | _ -> false
+  in
+  let quote i = i + 1 < n && line.[i] = '\\' && line.[i + 1] = '"' in
+  let rec skip p i = if i < n && p line.[i] then skip p (i + 1) else i in
+  let key_at i =
+    let j = skip is_key (i + 2) in
+    j > i + 2 && quote j
+    &&
+    let k = skip (( = ) ' ') (j + 2) in
+    k < n && line.[k] = ':'
+  in
+  let rec go i = i < n && ((quote i && key_at i) || go (i + 1)) in
+  go 0
+
+let scan_json_keys path =
+  String.split_on_char '\n' (read_file path)
+  |> List.iteri (fun i line ->
+         if has_json_key line then
+           violations :=
+             Printf.sprintf "%s:%d writes a JSON key by hand" path (i + 1)
+             :: !violations)
+
 let scan_file ~patterns path =
   let body = read_file path in
   List.iter
@@ -97,12 +129,14 @@ let rec ml_files path =
 
 let () =
   let files = ref 0 in
+  let obs_home = Filename.concat lib_root "obs" ^ Filename.dir_sep in
   List.iter
     (fun path ->
       if path <> escaper_home then begin
         incr files;
         scan_file ~patterns:escaper_needles path
-      end)
+      end;
+      if not (String.starts_with ~prefix:obs_home path) then scan_json_keys path)
     (ml_files lib_root
     @ ml_files (Filename.concat root "bin")
     @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]);
@@ -162,7 +196,7 @@ let () =
     Printf.printf
       "boundary-check: %d file(s) checked: lib/{%s} are core-agnostic (no \
        Bespoke_cpu/Bespoke_isa references), lib/obs/obs.ml holds the only \
-       JSON string escaper, %s pick no engine, %s leave the cut to \
+       JSON string escaper, lib/obs alone writes JSON keys, %s pick no engine, %s leave the cut to \
        Runner.tailor_cached, and only lib/core/runner.ml calls \
        Activity.analyze outside lib/analysis or reads benchmark inputs \
        outside lib/programs and lib/rv32\n"
@@ -175,7 +209,7 @@ let () =
       (List.rev vs);
     Printf.eprintf
       "boundary-check: the flow layers must target Coredef, not a \
-       concrete core, JSON strings must go through Obs.Json.str, \
+       concrete core, JSON strings and objects must go through Obs.Json, \
        engine choice belongs to lib/core and lib/sim, tailoring to \
        Runner.tailor_cached, and exploration and benchmark inputs to \
        Runner\n";

@@ -83,7 +83,10 @@ let test_break_stops_campaign () =
       let emitted = ref [] in
       (match
          Campaign.run ~jobs
-           ~on_outcome:(fun o -> emitted := o.Campaign.o_index :: !emitted)
+           ~on_event:(fun ev _ ->
+             match ev with
+             | Campaign.Job_finished o -> emitted := o.Campaign.o_index :: !emitted
+             | Campaign.Job_started _ -> ())
            js
        with
       | _ -> Alcotest.failf "jobs=%d: expected Sys.Break" jobs
@@ -99,7 +102,10 @@ let test_streaming_and_jsonl () =
   let lines = ref [] in
   let outcomes, summary =
     Campaign.run ~jobs:2
-      ~on_outcome:(fun o -> lines := Campaign.outcome_jsonl o :: !lines)
+      ~on_event:(fun ev _ ->
+        match ev with
+        | Campaign.Job_finished o -> lines := Campaign.outcome_jsonl o :: !lines
+        | Campaign.Job_started _ -> ())
       jobs_mixed
   in
   Alcotest.(check int) "one stream line per job" (List.length outcomes)

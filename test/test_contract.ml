@@ -80,6 +80,26 @@ let report_cases =
     ("attribution area_original_um2 250", r [ ({|"area_original_um2":200|}, {|"area_original_um2":250|}) ]);
   ]
 
+(* ---- bespoke-analysis/v1 ---- *)
+
+let analysis =
+  {|{"schema":"bespoke-analysis/v1","generator":"g","benchmark":"m","analysis":{"paths":3,"merges":1,"prunes":2,"escapes":0,"cycles":78},"modules":[{"module":"alu","exercisable":5,"total":9}]}|}
+
+let analysis_cases =
+  let a = sub analysis in
+  [
+    ("unexpected schema tag", a [ ("analysis/v1", "analysis/v2") ]);
+    ({|"generator"|}, a [ ({|"generator":"g",|}, "") ]);
+    ({|"benchmark"|}, a [ ({|"benchmark":"m",|}, "") ]);
+    ("analysis.paths is negative", a [ ({|"paths":3|}, {|"paths":-1|}) ]);
+    ("analysis.merges is negative", a [ ({|"merges":1|}, {|"merges":-1|}) ]);
+    ("analysis.prunes is negative", a [ ({|"prunes":2|}, {|"prunes":-1|}) ]);
+    ("analysis.escapes is negative", a [ ({|"escapes":0|}, {|"escapes":-1|}) ]);
+    ("analysis.cycles is negative", a [ ({|"cycles":78|}, {|"cycles":-1|}) ]);
+    ("module alu has 10 exercisable of 9", a [ ({|"exercisable":5|}, {|"exercisable":10|}) ]);
+    ("module alu has -1 exercisable", a [ ({|"exercisable":5|}, {|"exercisable":-1|}) ]);
+  ]
+
 (* ---- bespoke-verify/v1 ---- *)
 
 let verify_bench =
@@ -369,6 +389,8 @@ let () =
       ( "every invariant fires",
         [
           case "report" report (function Stats.Report _ -> true | _ -> false) report_cases;
+          case "analysis" analysis (function Stats.Analysis _ -> true | _ -> false)
+            analysis_cases;
           case "verify" verify (function Stats.Verify _ -> true | _ -> false) verify_cases;
           case "campaign" campaign (function Stats.Campaign _ -> true | _ -> false) campaign_cases;
           case "guard" guard (function Stats.Guard _ -> true | _ -> false) guard_cases;

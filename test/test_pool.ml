@@ -8,6 +8,7 @@ module Flowcache = Bespoke_core.Flowcache
 module Runner = Bespoke_core.Runner
 module Activity = Bespoke_analysis.Activity
 module B = Bespoke_programs.Benchmark
+module Mutation = Bespoke_mutation.Mutation
 let core = Bespoke_cpu.Msp430.core
 
 let test_map_matches_list_map () =
@@ -201,6 +202,32 @@ let test_flowcache_digest_distinct () =
   Alcotest.(check bool) "parts not concatenated" false
     (Flowcache.digest [ "ab"; "c" ] = Flowcache.digest [ "a"; "bc" ])
 
+(* Pool tasks look up Runner's per-core memos: concurrent lookups must
+   neither lose an entry nor build a second stock netlist. *)
+let test_runner_memos_from_domains () =
+  let progs =
+    List.concat_map
+      (fun b -> List.map (Mutation.to_benchmark b) (Mutation.mutants b))
+      B.table1
+    |> List.filteri (fun i _ -> i < 120)
+  in
+  Alcotest.(check bool) "at least 100 distinct sources" true
+    (List.length
+       (List.sort_uniq compare (List.map (fun p -> p.B.source) progs))
+    >= 100);
+  let got =
+    Pool.map ~jobs:4
+      (fun p -> (Runner.image ~core p, Runner.shared_netlist core))
+      progs
+  in
+  List.iter2
+    (fun p (img, net) ->
+      Alcotest.(check bool) "one image per source" true
+        (img == Runner.image ~core p);
+      Alcotest.(check bool) "one stock netlist" true
+        (net == Runner.shared_netlist core))
+    progs got
+
 let test_analyze_cached_config_change () =
   let b = B.find "mult" in
   let (r1, _), hit1 = Runner.analyze_cached ~core b in
@@ -240,6 +267,8 @@ let () =
             test_jobs_override;
           Alcotest.test_case "domains persist across maps" `Quick
             test_domains_persist;
+          Alcotest.test_case "Runner memos from many domains" `Quick
+            test_runner_memos_from_domains;
         ] );
       ( "flowcache",
         [
