@@ -28,6 +28,7 @@ module Coverage = Bespoke_coverage.Coverage
 module System = Bespoke_coreapi.System
 module Engine = Bespoke_sim.Engine
 module Compile = Bespoke_sim.Compile
+module Sweep = Bespoke_oracle.Sweep
 module Pool = Bespoke_core.Pool
 module Flowcache = Bespoke_core.Flowcache
 module Campaign = Bespoke_campaign.Campaign
@@ -833,22 +834,22 @@ type sim_row = {
 let bench_sim_row ~core (b : B.t) : sim_row =
   let net = Runner.shared_netlist core in
   let sim_cycles = ref 0 in
-  let run_engine mode =
+  let run_engine engine =
     median_of_reps (fun () ->
         let cyc = ref 0 in
         let (), dt =
           time (fun () ->
               List.iter
                 (fun seed ->
-                  let o = Runner.run_gate ~core ~mode ~netlist:net b ~seed in
+                  let o = Runner.run_gate ~core ~engine ~netlist:net b ~seed in
                   cyc := !cyc + o.Runner.sim_cycles)
                 profile_seeds)
         in
         sim_cycles := !cyc;
         float_of_int !cyc /. dt)
   in
-  let full_cps = run_engine Engine.Full in
-  let compiled_cps = run_engine Engine.Compiled in
+  let full_cps = run_engine Sweep.create in
+  let compiled_cps = run_engine Engine.create in
   let packed_cps =
     median_of_reps (fun () ->
         let cyc = ref 0 in
@@ -1449,11 +1450,11 @@ let run_bench_smoke () =
   let b = B.find "mult" in
   let net = stock () in
   let seeds = [ 1; 2; 3 ] in
-  let run mode =
-    List.map (fun s -> Runner.run_gate ~core ~mode ~netlist:net b ~seed:s) seeds
+  let run engine =
+    List.map (fun s -> Runner.run_gate ~core ~engine ~netlist:net b ~seed:s) seeds
   in
-  let full = run Engine.Full in
-  let compiled = run Engine.Compiled in
+  let full = run Sweep.create in
+  let compiled = run Engine.create in
   let packed = List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds) in
   let check tag (a : Runner.gate_outcome) (c : Runner.gate_outcome) =
     if

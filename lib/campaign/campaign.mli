@@ -23,7 +23,6 @@ type kind =
           carries monitor coverage and the violation verdict *)
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 type program =
   | Named of string

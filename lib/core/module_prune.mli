@@ -5,9 +5,6 @@
 
 module Netlist := Bespoke_netlist.Netlist
 
-val removable_modules : Netlist.t -> bool array -> string list
-(** Top-level modules in which no real gate is possibly-toggled. *)
-
 val prune :
   Netlist.t -> possibly_toggled:bool array ->
   constants:Bespoke_logic.Bit.t array ->

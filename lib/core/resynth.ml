@@ -1,7 +1,6 @@
 module Bit = Bespoke_logic.Bit
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
-module Engine = Bespoke_sim.Engine
 module B = Netlist.Builder
 module Obs = Bespoke_obs.Obs
 
@@ -13,54 +12,61 @@ let m_rounds = Obs.Metrics.counter "resynth.rounds"
 
 (* Sequential constant propagation: find DFFs that provably hold their
    reset value forever.  Greatest fixpoint: start by assuming every
-   DFF stuck at its init; evaluate the combinational logic ternarily
-   with all primary inputs X, stuck DFFs at their inits and the rest
-   X; a DFF whose D pin is not definitely its init value is demoted.
-   Ternary evaluation is monotone, so any real reachable state refines
-   the evaluated one and the surviving DFFs truly never change.  Runs
-   the full sweep: compiling would cache a program for every
-   intermediate netlist of the optimization rounds. *)
+   DFF stuck at its init; evaluate the combinational logic ternarily,
+   in levelized order, with all primary inputs X, stuck DFFs at their
+   inits and the rest X; a DFF whose D pin is not definitely its init
+   value is demoted.  Ternary evaluation is monotone, so any real
+   reachable state refines the evaluated one and the surviving DFFs
+   truly never change. *)
 let stuck_dffs net =
-  let eng = Engine.create ~mode:Full net in
-  let dffs = Engine.dff_ids eng in
-  let init_of id =
-    match net.Netlist.gates.(id).Gate.op with
-    | Gate.Dff v -> v
-    | _ -> assert false
+  let gates = net.Netlist.gates in
+  let order = Netlist.levelize net in
+  let dffs =
+    List.filter_map
+      (fun id ->
+        match gates.(id).Gate.op with
+        | Gate.Dff init -> Some (id, init, gates.(id).Gate.fanin.(0))
+        | _ -> None)
+      (List.init (Array.length gates) Fun.id)
   in
-  let stuck = Array.map (fun _ -> true) dffs in
+  let v =
+    Array.map
+      (fun (g : Gate.t) -> match g.op with Gate.Const b -> b | _ -> Bit.X)
+      gates
+  in
+  let stuck = Array.map Gate.is_sequential gates in
+  let ins = Array.make 3 Bit.X in
   let changed = ref true in
   while !changed do
     changed := false;
-    Engine.reset eng;
-    Engine.set_all_inputs_x eng;
-    let state =
-      Array.mapi
-        (fun i id -> if stuck.(i) then init_of id else Bit.X)
-        dffs
-    in
-    Engine.restore_dff_state eng state;
-    Array.iteri
-      (fun i id ->
-        if stuck.(i) then begin
-          let d = net.Netlist.gates.(id).Gate.fanin.(0) in
-          if not (Bit.equal (Engine.value eng d) (init_of id)) then begin
-            stuck.(i) <- false;
-            changed := true
-          end
+    List.iter
+      (fun (id, init, _) -> v.(id) <- (if stuck.(id) then init else Bit.X))
+      dffs;
+    Array.iter
+      (fun id ->
+        let g = gates.(id) in
+        for k = 0 to Array.length g.fanin - 1 do
+          ins.(k) <- v.(g.fanin.(k))
+        done;
+        v.(id) <- Gate.eval g.op ins)
+      order;
+    List.iter
+      (fun (id, init, d) ->
+        if stuck.(id) && not (Bit.equal v.(d) init) then begin
+          stuck.(id) <- false;
+          changed := true
         end)
       dffs
   done;
-  let by_gate = Hashtbl.create 64 in
-  Array.iteri (fun i id -> if stuck.(i) then Hashtbl.replace by_gate id ()) dffs;
-  by_gate
+  stuck
 
 (* Rebuild the netlist gate by gate in topological order, folding
    constants, simplifying, and structurally hashing.  DFFs stuck at
    their reset value (constant or self-looped D) become tie cells. *)
 let rewrite_traced ?(seq_const = true) net =
   let sequentially_stuck =
-    if seq_const then stuck_dffs net else Hashtbl.create 1
+    if seq_const then stuck_dffs net
+    else Array.make (Netlist.gate_count net) false
   in
   let ng = Netlist.gate_count net in
   let b = B.create () in
@@ -195,7 +201,7 @@ let rewrite_traced ?(seq_const = true) net =
         let d = g.Gate.fanin.(0) in
         let stuck =
           d = id
-          || Hashtbl.mem sequentially_stuck id
+          || sequentially_stuck.(id)
           ||
           match net.Netlist.gates.(d).Gate.op with
           | Gate.Const v -> Bit.equal v init

@@ -8,6 +8,13 @@
     outputs cannot reach a state element or output port (floating
     outputs). *)
 
+val stuck_dffs : Bespoke_netlist.Netlist.t -> bool array
+(** [stuck.(id)] holds for the DFFs that provably hold their reset
+    value forever: the greatest fixpoint of one ternary combinational
+    evaluation with every primary input X, the stuck DFFs at their
+    reset values and the other DFFs X.  A DFF stays stuck while its D
+    pin is definitely its reset value. *)
+
 val pass :
   ?seq_const:bool -> Bespoke_netlist.Netlist.t -> Bespoke_netlist.Netlist.t
 (** One rewrite + dead-sweep round.  [seq_const] (default true)

@@ -146,7 +146,7 @@ let run_iss ~core (b : Benchmark.t) ~seed =
     gpio_out = t.Coredef.gpio_out ();
   }
 
-let run_gate ?mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
+let run_gate ?engine ?attach ?netlist ?(max_cycles = 3_000_000) ~core
     (b : Benchmark.t) ~seed =
   Obs.Span.with_ ~name:"runner.run_gate"
     ~args:[ ("benchmark", b.Benchmark.name); ("seed", string_of_int seed) ]
@@ -154,7 +154,7 @@ let run_gate ?mode ?attach ?netlist ?(max_cycles = 3_000_000) ~core
   Obs.Metrics.incr m_gate_runs;
   let img = image ~core b in
   let net = match netlist with Some n -> n | None -> shared_netlist core in
-  let sys = System.create ?mode ~netlist:net ~core img in
+  let sys = System.create ?engine ~netlist:net ~core img in
   System.reset sys;
   let st = stimulus b ~seed in
   List.iter (fun (a, v) -> System.load_ram_word sys a v) st.ram_writes;
@@ -329,12 +329,12 @@ let resolve_analysis_config ?config (b : Benchmark.t) =
       irq_x = b.Benchmark.uses_irq;
     }
 
-let analyze ?config ?mode ?netlist ~core (b : Benchmark.t) =
+let analyze ?config ?netlist ~core (b : Benchmark.t) =
   Obs.Span.with_ ~name:"runner.analyze"
     ~args:[ ("benchmark", b.Benchmark.name) ]
   @@ fun () ->
   let net = match netlist with Some n -> n | None -> shared_netlist core in
-  let sys = System.create ?mode ~netlist:net ~core (image ~core b) in
+  let sys = System.create ~netlist:net ~core (image ~core b) in
   let config = resolve_analysis_config ?config b in
   (Activity.analyze ~config sys, net)
 

@@ -59,7 +59,7 @@ type gate_outcome = {
 }
 
 val run_gate :
-  ?mode:Bespoke_sim.Engine.mode ->
+  ?engine:(Netlist.t -> Bespoke_sim.Engine.t) ->
   ?attach:(Bespoke_sim.Engine.t -> unit) ->
   ?netlist:Netlist.t -> ?max_cycles:int -> core:Coredef.t ->
   Benchmark.t -> seed:int ->
@@ -68,8 +68,9 @@ val run_gate :
     design), driving input [seed]'s {!stimulus}: IRQ pulses are keyed
     on retired instructions, counted at instruction boundaries, so the
     line rises before the same instruction as on the ISS.  The run
-    uses the compiled engine; [mode] exists for the differential tests
-    and the engine benchmark, which pass [Full] as the reference.
+    uses the compiled engine ({!Bespoke_sim.Engine.create}); [engine]
+    exists for the differential tests and the engine benchmark, which
+    pass the test oracle's sweep as the reference.
     [attach] is called on the engine once the inputs are loaded,
     before the first cycle — probe hook-up point for guard shadow
     watchers, the VCD tracer and power gating
@@ -112,14 +113,12 @@ val check_equivalence :
     counts.  Returns the ISS outcome.  [attach] as in {!run_gate}.  @raise Mismatch. *)
 
 val analyze :
-  ?config:Activity.config -> ?mode:Bespoke_sim.Engine.mode ->
-  ?netlist:Netlist.t -> core:Coredef.t -> Benchmark.t ->
+  ?config:Activity.config -> ?netlist:Netlist.t -> core:Coredef.t -> Benchmark.t ->
   Activity.report * Netlist.t
 (** Input-independent analysis of the benchmark (inputs per its
     [input_ranges]; GPIO X; IRQ X only if the benchmark uses it).
     Returns the report and the netlist analyzed.  The symbolic
-    exploration runs on the compiled engine; [mode] exists for the
-    differential tests, which pass [Full] as the reference. *)
+    exploration runs on the compiled engine. *)
 
 val resolve_analysis_config :
   ?config:Activity.config -> Benchmark.t -> Activity.config

@@ -168,7 +168,7 @@ let compare_final ~x_dont_care ~insn_idx sys (iss : Coredef.iss) =
   | None ->
     fail ~at_insn:insn_idx ~at_pc ~what:"gpio_out" "gpio_out unknown in CPU"
 
-let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
+let run_result ?engine ?netlist ?(gpio_in = 0) ?(ram_writes = [])
     ?(irq_pulse_at = []) ?(max_insns = 200_000) ?(x_dont_care = false) ~core
     (image : Coredef.image) =
   try
@@ -176,7 +176,7 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
     iss.Coredef.reset ();
     iss.Coredef.set_gpio_in gpio_in;
     List.iter (fun (a, v) -> iss.Coredef.write_ram_word a v) ram_writes;
-    let sys = System.create ?mode ?netlist ~core image in
+    let sys = System.create ?engine ?netlist ~core image in
     System.reset sys;
     System.set_gpio_in_int sys gpio_in;
     List.iter (fun (a, v) -> System.load_ram_word sys a v) ram_writes;
@@ -243,10 +243,10 @@ let run_result ?mode ?netlist ?(gpio_in = 0) ?(ram_writes = [])
       }
   with Diverged info -> Error info
 
-let run ?mode ?netlist ?gpio_in ?ram_writes ?irq_pulse_at ?max_insns
+let run ?engine ?netlist ?gpio_in ?ram_writes ?irq_pulse_at ?max_insns
     ?x_dont_care ~core image =
   match
-    run_result ?mode ?netlist ?gpio_in ?ram_writes ?irq_pulse_at ?max_insns
+    run_result ?engine ?netlist ?gpio_in ?ram_writes ?irq_pulse_at ?max_insns
       ?x_dont_care ~core image
   with
   | Ok r -> r

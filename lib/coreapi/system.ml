@@ -42,7 +42,6 @@ type t = {
   image : Coredef.image;
   rom : Memory.t;
   ram : Memory.t;
-  mem_cone : Engine.cone;
   hk : hooks;
   mutable gpio_in : Bvec.t;
   mutable irq : Bit.t;
@@ -50,19 +49,13 @@ type t = {
   mutable trace : (int * Bvec.t) list;  (* newest first *)
 }
 
-let create ?mode ?netlist ~core (image : Coredef.image) =
+let create ?(engine = Engine.create) ?netlist ~core (image : Coredef.image) =
   let net = match netlist with Some n -> n | None -> core.Coredef.build () in
-  let eng = Engine.create ?mode net in
+  let eng = engine net in
   let width = core.Coredef.word_bits in
   let rom = Memory.create ~words:core.Coredef.mem_words ~width ~init:Bit.Zero in
   Array.iteri (fun i w -> Memory.load_int rom i w) image.Coredef.rom;
   let ram = Memory.create ~words:core.Coredef.mem_words ~width ~init:Bit.Zero in
-  let mem_inputs =
-    Array.append
-      (Netlist.find_input net "pmem_rdata")
-      (Netlist.find_input net "dmem_rdata")
-  in
-  let mem_cone = Engine.make_cone eng mem_inputs in
   let bit0 name = (Netlist.find_name net name).(0) in
   let hk =
     {
@@ -85,7 +78,6 @@ let create ?mode ?netlist ~core (image : Coredef.image) =
     image;
     rom;
     ram;
-    mem_cone;
     hk;
     gpio_in = Bvec.of_int ~width 0;
     irq = Bit.Zero;
@@ -118,7 +110,7 @@ let feed_port t mem ~widx ~rdata =
 let feed_memories t =
   feed_port t t.rom ~widx:t.hk.pmem_widx ~rdata:t.hk.pmem_rdata;
   feed_port t t.ram ~widx:t.hk.dmem_widx ~rdata:t.hk.dmem_rdata;
-  Engine.eval_cone t.eng t.mem_cone
+  Engine.eval t.eng
 
 let apply_inputs t =
   Engine.set_input t.eng "gpio_in" t.gpio_in;

@@ -325,13 +325,13 @@ let scan w eng cycle =
 
 let attach w eng =
   Obs.Metrics.incr m_watchers;
-  let packed = Engine.checks eng w.checks in
+  let violated = Engine.checks eng w.checks in
   Engine.set_cycle_hook eng
     (Some
        (fun cycle ->
          w.cycles <- w.cycles + 1;
          Obs.Metrics.incr m_cycles;
-         if Engine.any_violated packed then scan w eng cycle))
+         if violated () then scan w eng cycle))
 
 let violations w = List.rev w.listed
 let total_violations w = w.total

@@ -137,7 +137,7 @@ val watch_bespoke : plan -> watcher
     usable on the tailored {e or} instrumented design. *)
 
 val attach : watcher -> Engine.t -> unit
-(** Hook the watcher into an engine's per-cycle commit (any mode).
+(** Hook the watcher into an engine's per-cycle commit (any engine).
     The checks are prepared once ({!Engine.checks}: word operations on
     the compiled engine's rails); each cycle asks only whether any
     check is violated, and a cycle that says yes gets the exact

@@ -1,10 +1,5 @@
 (** Disassembly of assembled images. *)
 
-val instruction_at : Asm.image -> int -> (Isa.t * int) option
-(** Decode the instruction starting at a byte address; returns the
-    instruction and its word count, or [None] if the address is
-    outside ROM or does not decode. *)
-
 val listing : Asm.image -> string
 (** Human-readable listing of every assembled instruction:
     address, raw words, mnemonic. *)

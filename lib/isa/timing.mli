@@ -8,9 +8,6 @@
 val src_ext_cycles : Isa.src -> int
 (** 1 when the source needs an extension-word fetch. *)
 
-val src_read_cycles : Isa.src -> int
-(** 1 when the source is a memory operand. *)
-
 val writes_dst : Isa.two_op -> bool
 (** CMP and BIT compute flags only and skip the destination write. *)
 

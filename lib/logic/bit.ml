@@ -34,8 +34,6 @@ let of_int_exn = function
   | 2 -> X
   | n -> invalid_arg (Printf.sprintf "Bit.of_int_exn: %d" n)
 
-let code_zero = 0
-let code_one = 1
 let code_x = 2
 
 let lnot = function Zero -> One | One -> Zero | X -> X
@@ -92,7 +90,6 @@ let table3 f =
         (f (of_int_exn (i / 9)) (of_int_exn (i / 3 mod 3)) (of_int_exn (i mod 3))))
 
 let tbl_not = table1 lnot
-let tbl_buf = table1 (fun b -> b)
 let tbl_and = table2 land_
 let tbl_or = table2 lor_
 let tbl_nand = table2 lnand

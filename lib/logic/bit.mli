@@ -31,8 +31,6 @@ val is_known : t -> bool
 val to_int : t -> int
 val of_int_exn : int -> t
 
-val code_zero : int
-val code_one : int
 val code_x : int
 
 (** {1 Ternary operators} *)
@@ -73,7 +71,6 @@ val concretizations : t -> t list
     [tbl_mux.(sel * 9 + a * 3 + b)]. *)
 
 val tbl_not : int array
-val tbl_buf : int array
 val tbl_and : int array
 val tbl_or : int array
 val tbl_nand : int array

@@ -58,9 +58,6 @@ val levels : t -> int array
 val fanout : t -> int array array
 (** [fanout.(id)] = ids of gates reading gate [id]'s output. *)
 
-val output_ids : t -> int list
-(** All gate ids referenced by output ports. *)
-
 val live_gates : t -> bool array
 (** Gates whose output can reach (transitively, through combinational
     and sequential elements) an output port or a DFF data input.  Used

@@ -62,15 +62,10 @@ val bin_search : t
 val div : t
 val in_sort : t
 val int_avg : t
-val int_filt : t
-val scrambled_int_filt : t
 val mult : t
 val rle : t
-val t_hold : t
 val tea8 : t
-val fft : t
 val viterbi : t
-val conv_en : t
 val autocorr : t
 val irq : t
 val dbg : t

@@ -29,10 +29,6 @@ type entry = {
   modules : Attribution.row list;
 }
 
-val schema : string
-(** The version tag written to the ["schema"] field
-    (["bespoke-report/v1"]); bump on any incompatible change. *)
-
 val to_json : entry list -> string
 (** The full artifact as one JSON object:
     [{"schema":..., "generator":..., "benchmarks":[...]}]. *)

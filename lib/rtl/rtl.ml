@@ -210,14 +210,9 @@ let sub_co a b =
   (select s ~hi:(a.w - 1) ~lo:0, bit s a.w)
 
 let sub a b = fst (sub_co a b)
-let negate a = sub (zero a.w) a
 
 let reduce_or s =
   let rec go acc i = if i >= s.w then acc else go (acc |: bit s i) (i + 1) in
-  if s.w = 1 then s else go (bit s 0) 1
-
-let reduce_and s =
-  let rec go acc i = if i >= s.w then acc else go (acc &: bit s i) (i + 1) in
   if s.w = 1 then s else go (bit s 0) 1
 
 let is_zero s = ~:(reduce_or s)

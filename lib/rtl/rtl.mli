@@ -82,10 +82,6 @@ val add_co : ?cin:signal -> signal -> signal -> signal * signal
 (** Result plus carry-out. *)
 
 val sub : signal -> signal -> signal
-val sub_co : signal -> signal -> signal * signal
-(** Carry-out of [a + ~b + 1] — the MSP430 C flag convention for SUB/CMP. *)
-
-val negate : signal -> signal
 val ( ==: ) : signal -> signal -> signal
 val ( <>: ) : signal -> signal -> signal
 val eq_const : signal -> int -> signal
@@ -94,8 +90,6 @@ val ( >=: ) : signal -> signal -> signal
 val ( *: ) : signal -> signal -> signal
 (** Array multiplier; result width is the sum of operand widths. *)
 
-val reduce_or : signal -> signal
-val reduce_and : signal -> signal
 val is_zero : signal -> signal
 
 (** {1 Shifts} *)

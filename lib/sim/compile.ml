@@ -21,7 +21,10 @@ let m_instructions = Obs.Metrics.counter "sim.compile.instructions"
 let m_word_gates = Obs.Metrics.counter "sim.compile.word_gates"
 let m_adders = Obs.Metrics.counter "sim.compile.adders"
 
-(* Gate opcodes, same numbering as [Engine]. *)
+(* The cycle hook's time, sampled on every 64th committed cycle. *)
+let h_hook = Obs.Metrics.histogram "sim.hook_ns"
+
+(* Gate opcodes. *)
 let op_buf = 0
 
 and op_not = 1
@@ -160,6 +163,9 @@ type t = {
   mutable committed : int;
   mutable full_commit : bool;
   mutable on_first_possibly : (int -> unit) option;
+  mutable on_cycle : (int -> unit) option;
+      (* probe hook: called after every [commit_cycle] with the new
+         committed count (guard shadow watchers) *)
   mutable sc_lo : int;  (* operand-load scratch, avoids tuple allocation *)
   mutable sc_hi : int;
   dff_next_lo : int array;
@@ -816,8 +822,8 @@ let create net =
     {
       net;
       p;
-      (* like [Engine.create]: everything starts X, and the whole
-         program is pending so the first eval is a complete sweep *)
+      (* everything starts X, and the whole program is pending so
+         the first eval is a complete sweep *)
       lo = Array.copy p.ch_mask;
       hi = Array.copy p.ch_mask;
       prev_lo = Array.copy p.ch_mask;
@@ -832,6 +838,7 @@ let create net =
       committed = 0;
       full_commit = true;
       on_first_possibly = None;
+      on_cycle = None;
       sc_lo = 0;
       sc_hi = 0;
       dff_next_lo = Array.make (max (Array.length p.dc_chunk) 1) 0;
@@ -1201,7 +1208,6 @@ let reset t =
 (* ---------- values ---------- *)
 
 let value_code t g = code_loc t (loc_pack t.p.g_chunk.(g) t.p.g_bit.(g))
-let value t g = Bit.of_int_exn (value_code t g)
 
 let write_bit t g bit =
   let c = t.p.g_chunk.(g) and b = t.p.g_bit.(g) in
@@ -1264,7 +1270,7 @@ let set_gates_int t (ids : int array) v =
 
 (* Int readback of a gate-id vector; [None] if any bit is X.  One word
    extract when the ids are consecutive bits of a chunk. *)
-let read_ids_int t (ids : int array) =
+let read_int_ids t (ids : int array) =
   let n = Array.length ids in
   if n = 0 then Some 0
   else begin
@@ -1321,27 +1327,6 @@ let rails_reader t (ids : int array) =
     done;
     dst.(0) <- !lo;
     dst.(1) <- !hi
-
-let find_port t name = Netlist.find_input t.net name
-
-let set_input t name (v : Bvec.t) =
-  let ids = find_port t name in
-  if Array.length ids <> Bvec.width v then
-    invalid_arg (Printf.sprintf "Compile.set_input %s: width mismatch" name);
-  Array.iteri (fun i id -> set_gate t id v.(i)) ids
-
-let set_input_int t name n =
-  let ids = find_port t name in
-  set_input t name (Bvec.of_int ~width:(Array.length ids) n)
-
-let set_input_x t name =
-  Array.iter (fun id -> set_gate t id Bit.X) (find_port t name)
-
-let set_all_inputs_x t =
-  List.iter (fun (name, _) -> set_input_x t name) t.net.Netlist.input_ports
-
-let read t name = Array.map (fun id -> value t id) (Netlist.find_name t.net name)
-let read_int t name = Bvec.to_int (read t name)
 
 (* ---------- clock edge ---------- *)
 
@@ -1412,9 +1397,14 @@ let commit_cycle t =
     done;
   clear_touched t;
   t.committed <- t.committed + 1;
-  if Obs.enabled () then Obs.Metrics.incr m_cycles
-
-let cycles_committed t = t.committed
+  if Obs.enabled () then Obs.Metrics.incr m_cycles;
+  match t.on_cycle with
+  | None -> ()
+  | Some f when Obs.enabled () && t.committed land 63 = 0 ->
+    let t0 = Obs.now_ns () in
+    f t.committed;
+    ignore (Obs.Metrics.lap h_hook t0)
+  | Some f -> f t.committed
 
 let toggle_counts t =
   let arr = Array.make (max t.p.ng 1) 0 in
@@ -1436,33 +1426,17 @@ let toggle_counts t =
 let possibly_toggled t =
   Array.init t.p.ng (fun i -> Bytes.get t.possibly i <> '\000')
 
-let merge_possibly_toggled_into t (acc : bool array) =
-  for i = 0 to t.p.ng - 1 do
-    if Bytes.unsafe_get t.possibly i <> '\000' then acc.(i) <- true
-  done
-
-let clear_activity t =
-  Array.fill t.tplanes 0 (Array.length t.tplanes) 0;
-  Bytes.fill t.possibly 0 (Bytes.length t.possibly) '\000';
-  Array.fill t.poss_w 0 (Array.length t.poss_w) 0;
-  Array.blit t.lo 0 t.prev_lo 0 t.p.nchunks;
-  Array.blit t.hi 0 t.prev_hi 0 t.p.nchunks;
-  t.committed <- 0;
-  clear_touched t;
-  t.full_commit <- true
-
 let set_first_possibly_hook t f = t.on_first_possibly <- f
+let set_cycle_hook t f = t.on_cycle <- f
 
 let sync_prev t =
   Array.blit t.lo 0 t.prev_lo 0 t.p.nchunks;
   Array.blit t.hi 0 t.prev_hi 0 t.p.nchunks
 
-let snapshot_values t = Array.init t.p.ng (fun i -> value t i)
 
 (* ---------- sequential state ---------- *)
 
-let dff_ids t = Array.copy t.p.dff_ids
-let dff_state t = Array.map (fun id -> value t id) t.p.dff_ids
+let dff_ids t = t.p.dff_ids
 
 let restore_dff_state t (s : Bvec.t) =
   if Bvec.width s <> Array.length t.p.dff_ids then
@@ -1711,3 +1685,7 @@ let any_violated k =
     incr w
   done;
   !w < nw
+
+let checks t cs =
+  let k = lower_checks t cs in
+  fun () -> any_violated k

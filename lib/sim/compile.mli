@@ -21,13 +21,16 @@
 
     State is dual-rail (can-be-0 / can-be-1 masks), making the word
     operations exact three-valued Kleene evaluation: values, toggle
-    counts and possibly-toggled flags are bit-identical to the
-    {!Engine} [Full] sweep (enforced by [test_compile_equiv]).  Instructions are re-executed only when an
-    operand word actually changed (a pending bitmask in topological
-    order), so settles after small input changes are cheap.
+    counts and possibly-toggled flags are bit-identical to a plain
+    levelized sweep (the test oracle in [test/oracle/sweep.ml],
+    enforced by [test_compile_equiv]).  Instructions are re-executed
+    only when an operand word actually changed (a pending bitmask in
+    topological order), so settles after small input changes are
+    cheap.
 
-    This module mirrors the {!Engine} per-cycle protocol; it is
-    normally driven through [Engine.create ~mode:Compiled]. *)
+    This module implements the primitives of {!Engine.S}; it is driven
+    through {!Engine.create}, which also derives every named-port and
+    whole-design operation from them. *)
 
 module Bit := Bespoke_logic.Bit
 module Bvec := Bespoke_logic.Bvec
@@ -44,7 +47,6 @@ val reset : t -> unit
 
 (** {1 Values} *)
 
-val value : t -> int -> Bit.t
 val value_code : t -> int -> int
 val set_gate : t -> int -> Bit.t -> unit
 
@@ -53,7 +55,7 @@ val set_gates_int : t -> int array -> int -> unit
     [v].  When the ids are consecutive bits of one state word (the
     common case for input ports) this is a single word store. *)
 
-val read_ids_int : t -> int array -> int option
+val read_int_ids : t -> int array -> int option
 (** Int readback of a gate-id vector, LSB first, or [None] if any bit
     is X; one word extract when the ids are chunk-aligned. *)
 
@@ -64,13 +66,6 @@ val rails_reader : t -> int array -> int array -> unit
     0) and [dst.(1)] (bit [i] can be 1) with one word extract per run
     and no allocation. *)
 
-val read : t -> string -> Bvec.t
-val read_int : t -> string -> int option
-val set_input : t -> string -> Bvec.t -> unit
-val set_input_int : t -> string -> int -> unit
-val set_input_x : t -> string -> unit
-val set_all_inputs_x : t -> unit
-
 (** {1 Evaluation} *)
 
 val eval : t -> unit
@@ -79,19 +74,20 @@ val step : t -> unit
 (** {1 Per-cycle activity} *)
 
 val commit_cycle : t -> unit
-val cycles_committed : t -> int
 val toggle_counts : t -> int array
 val possibly_toggled : t -> bool array
-val merge_possibly_toggled_into : t -> bool array -> unit
-val clear_activity : t -> unit
 val set_first_possibly_hook : t -> (int -> unit) option -> unit
+
+val set_cycle_hook : t -> (int -> unit) option -> unit
+(** [f n] runs at the end of every {!commit_cycle} with the new
+    committed-cycle count [n]; with Obs on, every 64th call is timed
+    into the [sim.hook_ns] histogram. *)
+
 val sync_prev : t -> unit
-val snapshot_values : t -> Bvec.t
 
 (** {1 Sequential state} *)
 
 val dff_ids : t -> int array
-val dff_state : t -> Bvec.t
 val restore_dff_state : t -> Bvec.t -> unit
 
 (** {1 Program introspection} *)
@@ -123,15 +119,11 @@ type check = {
 (** A check is violated when its value is known and differs from
     [c_assumed]: X never convicts. *)
 
-type checks
-
-val lower_checks : t -> check array -> checks
-(** Lower checks into word operations on this instance's dual rails:
-    lanes grouped by opcode into words of up to 63, each fanin column
-    loaded as a few shift-and-mask segments ORed with its tie
-    constants.  @raise Invalid_argument on an [Input] check or one
-    with fewer fanins than its op reads. *)
-
-val any_violated : checks -> bool
-(** Whether some check is violated by the current settled values:
-    exactly the OR of the per-check scalar verdicts. *)
+val checks : t -> check array -> unit -> bool
+(** [checks t cs] lowers [cs] into word operations on this instance's
+    dual rails (lanes grouped by opcode into words of up to 63, each
+    fanin column loaded as a few shift-and-mask segments ORed with its
+    tie constants) and returns the violation test: whether some check
+    is violated by the current settled values, exactly the OR of the
+    per-check scalar verdicts.  @raise Invalid_argument on an [Input]
+    check or one with fewer fanins than its op reads. *)

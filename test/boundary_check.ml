@@ -16,9 +16,13 @@
    [Obs.Json.obj].
 
    And engine choice stays in lib/core and lib/sim: bin/ and the
-   layers above lib/core (campaign, verify, guard) may not name an
-   engine mode, the packed engine or the packed runner — each entry
-   point runs the engine its library picks.
+   layers above lib/core (campaign, verify, guard) may not name the
+   packed engine or the packed runner — each entry point runs the
+   engine its library picks.  The reference sweep the compiled engine
+   is tested against lives in the test-only [bespoke_oracle] library:
+   any [Bespoke_oracle] reference in a source under lib/ or bin/, or a
+   [bespoke_oracle] entry in a dune file there, fails the build, so
+   the product ships one scalar engine.
 
    And tailoring has one home: bin/, bench/main.ml and the consumers
    of a tailored design (campaign, verify, guard) may not call the cut
@@ -44,8 +48,9 @@ let forbidden_src = [ "Bespoke_cpu."; "Bespoke_isa." ]
 let forbidden_dep = [ "bespoke_cpu"; "bespoke_isa" ]
 let engine_free = [ "bin"; "lib/campaign"; "lib/verify"; "lib/guard" ]
 
-let engine_needles =
-  [ "Engine.Full"; "Engine.Compiled"; "Engine64"; "run_gate_packed" ]
+let engine_needles = [ "Engine64"; "run_gate_packed" ]
+let oracle_src = [ "Bespoke_oracle" ]
+let oracle_dep = [ "bespoke_oracle" ]
 
 let tailor_free =
   [ "bin"; "lib/campaign"; "lib/verify"; "lib/guard"; "bench/main.ml" ]
@@ -118,14 +123,19 @@ let scan_file ~patterns path =
                  :: !violations))
     patterns
 
-let rec ml_files path =
+let rec files_where keep path =
   if Sys.is_directory path then
     Array.to_list (Sys.readdir path)
     |> List.sort compare
-    |> List.concat_map (fun f -> ml_files (Filename.concat path f))
-  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then [ path ]
+    |> List.concat_map (fun f -> files_where keep (Filename.concat path f))
+  else if keep path then [ path ]
   else []
+
+let ml_files =
+  files_where (fun p ->
+      Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli")
+
+let dune_files = files_where (fun p -> Filename.basename p = "dune")
 
 let () =
   let files = ref 0 in
@@ -141,6 +151,16 @@ let () =
     @ ml_files (Filename.concat root "bin")
     @ [ Filename.concat root (Filename.concat "bench" "main.ml") ]);
   (* already counted: every engine-free file lies under lib/ or bin/ *)
+  List.iter
+    (fun dir ->
+      let dir = Filename.concat root dir in
+      List.iter (scan_file ~patterns:oracle_src) (ml_files dir);
+      List.iter
+        (fun path ->
+          incr files;
+          scan_file ~patterns:oracle_dep path)
+        (dune_files dir))
+    [ "lib"; "bin" ];
   List.iter
     (fun dir ->
       List.iter (scan_file ~patterns:engine_needles)
@@ -196,7 +216,8 @@ let () =
     Printf.printf
       "boundary-check: %d file(s) checked: lib/{%s} are core-agnostic (no \
        Bespoke_cpu/Bespoke_isa references), lib/obs/obs.ml holds the only \
-       JSON string escaper, lib/obs alone writes JSON keys, %s pick no engine, %s leave the cut to \
+       JSON string escaper, lib/obs alone writes JSON keys, lib and bin \
+       link no test oracle, %s pick no engine, %s leave the cut to \
        Runner.tailor_cached, and only lib/core/runner.ml calls \
        Activity.analyze outside lib/analysis or reads benchmark inputs \
        outside lib/programs and lib/rv32\n"
@@ -210,7 +231,7 @@ let () =
     Printf.eprintf
       "boundary-check: the flow layers must target Coredef, not a \
        concrete core, JSON strings and objects must go through Obs.Json, \
-       engine choice belongs to lib/core and lib/sim, tailoring to \
-       Runner.tailor_cached, and exploration and benchmark inputs to \
-       Runner\n";
+       the test oracle stays out of lib and bin, engine choice belongs to \
+       lib/core and lib/sim, tailoring to Runner.tailor_cached, and \
+       exploration and benchmark inputs to Runner\n";
     exit 1

@@ -36,6 +36,7 @@ module Serial = Bespoke_netlist.Serial
 module Activity = Bespoke_analysis.Activity
 module Runner = Bespoke_core.Runner
 module Engine = Bespoke_sim.Engine
+module Sweep = Bespoke_oracle.Sweep
 module Cut = Bespoke_core.Cut
 module Coredef = Bespoke_coreapi.Coredef
 module Lockstep = Bespoke_coreapi.Lockstep
@@ -98,13 +99,13 @@ struct
     List.iter
       (fun (b : B.t) ->
         let name = cname ^ "/" ^ b.B.name in
-        let run mode =
+        let run engine =
           List.map
-            (fun seed -> Runner.run_gate ~core ~mode ~netlist:net b ~seed)
+            (fun seed -> Runner.run_gate ~core ~engine ~netlist:net b ~seed)
             seeds
         in
-        let full = run Engine.Full in
-        let compiled = run Engine.Compiled in
+        let full = run Sweep.create in
+        let compiled = run Engine.create in
         let packed =
           List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds)
         in
@@ -144,7 +145,7 @@ struct
       QCheck.(pair (int_bound 1_000_000) (int_bound 0xffff))
       (fun (seed, gpio) -> fuzz_one ~seed ~gpio)
 
-  (* analysis: Full vs Compiled report and schedule, the tailored
+  (* analysis: sweep vs compiled report and schedule, the tailored
      design's replay, then soundness against concrete runs.  GPIO is X
      in the analysis and a random word in each concrete run; the
      programs use no RAM inputs and no IRQs. *)
@@ -169,8 +170,11 @@ struct
         fmt
     in
     let net = Lazy.force stock in
-    let analyze mode = fst (Runner.analyze ~mode ~netlist:net ~core b) in
-    let full = analyze Engine.Full and compiled = analyze Engine.Compiled in
+    let full =
+      Activity.analyze ~config:(Runner.resolve_analysis_config b)
+        (Bespoke_coreapi.System.create ~engine:Sweep.create ~netlist:net ~core
+           (Runner.image ~core b))
+    and compiled = fst (Runner.analyze ~netlist:net ~core b) in
     let same what x y =
       if x <> y then fail "full and compiled analyses differ in %s" what
     in

@@ -1,7 +1,7 @@
 (* Differential equivalence of the compiled word-level engine.
 
-   The full-order sweep (Engine mode Full) is the reference
-   semantics; the compiled engine (Engine mode Compiled,
+   The full-order sweep (the test oracle, Bespoke_oracle.Sweep) is the
+   reference semantics; the compiled engine (Engine.create,
    lib/sim/compile.ml) must be bit-identical to it:
 
    - every in-tree benchmark runs gate-level under both engines and
@@ -17,7 +17,7 @@
      the compiler mines;
    - a tailored (bespoke) design must round-trip identically, covering
      const-X ties and cut stitches;
-   - packed assumption checks (Engine.checks / any_violated) must
+   - packed assumption checks (the test Engine.checks returns) must
      give, on every cycle of a random netlist, exactly the OR of the
      per-check scalar verdicts (Gate.eval, known and != assumed), on
      both engines;
@@ -29,6 +29,7 @@ module Netlist = Bespoke_netlist.Netlist
 module Gate = Bespoke_netlist.Gate
 module Engine = Bespoke_sim.Engine
 module Compile = Bespoke_sim.Compile
+module Sweep = Bespoke_oracle.Sweep
 module Asm = Bespoke_isa.Asm
 module Lockstep = Bespoke_coreapi.Lockstep
 module Activity = Bespoke_analysis.Activity
@@ -61,8 +62,8 @@ let test_benchmark (b : B.t) () =
   let net = Runner.shared_netlist core in
   List.iter
     (fun seed ->
-      let fu = Runner.run_gate ~core ~mode:Engine.Full ~netlist:net b ~seed in
-      let co = Runner.run_gate ~core ~mode:Engine.Compiled ~netlist:net b ~seed in
+      let fu = Runner.run_gate ~core ~engine:Sweep.create ~netlist:net b ~seed in
+      let co = Runner.run_gate ~core ~engine:Engine.create ~netlist:net b ~seed in
       check_outcome_equal b.B.name (Printf.sprintf "seed %d" seed) fu co)
     [ 1; 2 ]
 
@@ -77,9 +78,9 @@ let test_fuzz_programs () =
     let src = Fuzzgen.program ~seed in
     let img = Asm.assemble src in
     let gpio = (seed * 40503) land 0xffff in
-    let run mode = Lockstep.run ~mode ~netlist:net ~gpio_in:gpio
+    let run engine = Lockstep.run ~engine ~netlist:net ~gpio_in:gpio
       ~core (Msp430.coreimage img) in
-    let fu = run Engine.Full and co = run Engine.Compiled in
+    let fu = run Sweep.create and co = run Engine.create in
     if fu <> co then
       Alcotest.failf
         "fuzz seed %d: compiled lockstep differs from full\n\
@@ -95,61 +96,14 @@ let test_fuzz_programs () =
 (* ------------------------------------------------------------------ *)
 (* Random netlists, random ternary stimuli (scalar-fallback stress)    *)
 
-type rng = { mutable s : int }
-
-let next r =
-  r.s <- ((r.s * 1103515245) + 12345) land 0x3FFFFFFF;
-  (r.s lsr 7) land 0xFFFFFF
-
-let pick r l = List.nth l (next r mod List.length l)
-
-let rand_bit r =
-  match next r mod 5 with 0 -> Bit.X | 1 | 2 -> Bit.Zero | _ -> Bit.One
-
-let gen_net seed =
-  let r = { s = (seed * 2654435761) lor 1 } in
-  let bld = Netlist.Builder.create () in
-  let add op fanin =
-    Netlist.Builder.add bld { Gate.op; fanin; module_path = ""; drive = 0 }
-  in
-  let n_in = 3 + (next r mod 4) in
-  let inputs = Array.init n_in (fun _ -> add Gate.Input [||]) in
-  let consts =
-    [ add (Gate.Const Bit.Zero) [||]; add (Gate.Const Bit.One) [||];
-      add (Gate.Const Bit.X) [||] ]
-  in
-  let n_dff = 1 + (next r mod 3) in
-  let dffs =
-    Array.init n_dff (fun _ ->
-        add (Gate.Dff (pick r [ Bit.Zero; Bit.One ])) [| inputs.(0) |])
-  in
-  let pool = ref (Array.to_list inputs @ consts @ Array.to_list dffs) in
-  let n_logic = 20 + (next r mod 40) in
-  for _ = 1 to n_logic do
-    let op =
-      pick r
-        [ Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor;
-          Gate.Xor; Gate.Xnor; Gate.Mux ]
-    in
-    let fanin = Array.init (Gate.arity op) (fun _ -> pick r !pool) in
-    let id = add op fanin in
-    pool := id :: !pool
-  done;
-  Array.iter
-    (fun id ->
-      let g = Netlist.Builder.gate bld id in
-      Netlist.Builder.set bld id { g with Gate.fanin = [| pick r !pool |] })
-    dffs;
-  Netlist.Builder.set_output_port bld "out"
-    (Array.of_list (List.filteri (fun i _ -> i < 4) !pool));
-  (Netlist.Builder.finish bld, inputs)
+open Fuzzgen  (* rng, next, pick, rand_bit, gen_net *)
 
 let run_diff seed =
   let r = { s = (seed * 48271) lor 1 } in
   let net, inputs = gen_net seed in
   let cycles = 8 + (next r mod 16) in
-  let ef = Engine.create ~mode:Full net in
-  let ec = Engine.create ~mode:Compiled net in
+  let ef = Sweep.create net in
+  let ec = Engine.create net in
   Engine.reset ef;
   Engine.reset ec;
   let ng = Netlist.gate_count net in
@@ -240,11 +194,11 @@ let run_checks seed =
   let fixed = gen_checks r ng in
   let engines =
     List.map
-      (fun mode ->
-        let e = Engine.create ~mode net in
+      (fun (tag, create) ->
+        let e = create net in
         Engine.reset e;
-        (mode, e, Engine.checks e fixed))
-      [ Engine.Full; Engine.Compiled ]
+        (tag, e, Engine.checks e fixed))
+      [ ("full", Sweep.create); ("compiled", Engine.create) ]
   in
   let cycles = 8 + (next r mod 16) in
   for cyc = 0 to cycles - 1 do
@@ -256,13 +210,12 @@ let run_checks seed =
     let targeted = gen_checks r ng in
     let target = next r mod Array.length targeted in
     List.iter
-      (fun (mode, e, packed) ->
-        let tag = if mode = Engine.Full then "full" else "compiled" in
+      (fun (tag, e, violated) ->
         Array.iteri (fun i id -> Engine.set_gate e id stim.(i)) inputs;
         Engine.eval e;
         Engine.commit_cycle e;
         let expect = Array.exists (scalar_verdict e) fixed in
-        if Engine.any_violated packed <> expect then
+        if violated () <> expect then
           QCheck.Test.fail_reportf "seed %d cycle %d (%s): packed verdict %b, \
                                     scalar OR %b"
             seed cyc tag (not expect) expect;
@@ -275,7 +228,7 @@ let run_checks seed =
             targeted
         in
         let expect = scalar_verdict e tcs.(target) in
-        if Engine.any_violated (Engine.checks e tcs) <> expect then
+        if Engine.checks e tcs () <> expect then
           QCheck.Test.fail_reportf
             "seed %d cycle %d (%s): lane %d of %d: packed verdict %b, scalar %b"
             seed cyc tag target (Array.length tcs) (not expect) expect;
@@ -303,9 +256,9 @@ let test_tailored () =
   in
   List.iter
     (fun seed ->
-      let fu = Runner.run_gate ~core ~mode:Engine.Full ~netlist:bespoke b ~seed in
+      let fu = Runner.run_gate ~core ~engine:Sweep.create ~netlist:bespoke b ~seed in
       let co =
-        Runner.run_gate ~core ~mode:Engine.Compiled ~netlist:bespoke b ~seed
+        Runner.run_gate ~core ~engine:Engine.create ~netlist:bespoke b ~seed
       in
       check_outcome_equal "mult-bespoke" (Printf.sprintf "seed %d" seed) fu co)
     [ 1; 2 ]

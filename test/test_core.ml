@@ -17,6 +17,7 @@ module Module_prune = Bespoke_core.Module_prune
 module Profiling = Bespoke_core.Profiling
 module Lockstep = Bespoke_coreapi.Lockstep
 module Msp430 = Bespoke_cpu.Msp430
+module Sweep = Bespoke_oracle.Sweep
 let core = Msp430.core
 
 (* ---- Resynth ---- *)
@@ -71,6 +72,90 @@ let test_resynth_removes_floating () =
   Rtl.output b "out" (Rtl.bit a 0);
   let opt = Resynth.optimize (Rtl.synthesize b) in
   Alcotest.(check int) "only nothing left" 0 (Netlist.num_gates opt)
+
+(* Random sequential netlists for the stuck-DFF fold: each DFF's D is
+   the DFF itself, a constant, a DFF or random logic over inputs,
+   constants and DFFs, so stuck sets of every size occur. *)
+let gen_seq_net seed =
+  let st = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let bld = Netlist.Builder.create () in
+  let add op fanin =
+    Netlist.Builder.add bld { Gate.op; fanin; module_path = ""; drive = 0 }
+  in
+  let inputs = List.init (1 + Random.State.int st 3) (fun _ -> add Gate.Input [||]) in
+  let consts =
+    List.map (fun b -> add (Gate.Const b) [||]) [ Bit.Zero; Bit.One; Bit.X ]
+  in
+  let dffs =
+    List.init
+      (1 + Random.State.int st 8)
+      (fun _ -> add (Gate.Dff (pick [ Bit.Zero; Bit.One; Bit.X ])) [| 0 |])
+  in
+  let pool = ref (inputs @ consts @ dffs @ dffs) in
+  for _ = 1 to Random.State.int st 30 do
+    let op =
+      pick
+        [ Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor;
+          Gate.Xnor; Gate.Mux ]
+    in
+    pool := add op (Array.init (Gate.arity op) (fun _ -> pick !pool)) :: !pool
+  done;
+  List.iter
+    (fun id ->
+      let d =
+        match Random.State.int st 4 with
+        | 0 -> id
+        | 1 -> pick consts
+        | 2 -> pick dffs
+        | _ -> pick !pool
+      in
+      Netlist.Builder.set bld id
+        { (Netlist.Builder.gate bld id) with Gate.fanin = [| d |] })
+    dffs;
+  Netlist.Builder.set_output_port bld "out" (Array.of_list dffs);
+  Netlist.Builder.finish bld
+
+let test_stuck_fold_random =
+  QCheck.Test.make
+    ~name:"stuck-DFF fold = engine fixpoint on random sequential netlists"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let net = gen_seq_net seed in
+      Resynth.stuck_dffs net = Sweep.stuck_dffs net)
+
+(* The generator is not vacuous: over its first seeds some DFFs stay
+   stuck and some are demoted. *)
+let test_stuck_fold_mixed () =
+  let stuck = ref 0 and dffs = ref 0 in
+  for seed = 1 to 100 do
+    let net = gen_seq_net seed in
+    Array.iter (fun b -> if b then incr stuck) (Resynth.stuck_dffs net);
+    dffs := !dffs + Netlist.num_dffs net
+  done;
+  Alcotest.(check bool) "some stuck" true (!stuck > 0);
+  Alcotest.(check bool) "some demoted" true (!stuck < !dffs)
+
+(* On the raw cuts of mult (both cores) and on the stock designs (the
+   stock rv32 core has two stuck DFFs). *)
+let test_stuck_fold_mult () =
+  List.iter
+    (fun (e : Bespoke_cores.Cores.entry) ->
+      let core = e.Bespoke_cores.Cores.core in
+      let b = Option.get (Bespoke_cores.Cores.benchmark e "mult") in
+      let report, net = Runner.analyze ~core b in
+      let raw =
+        Cut.cut_and_stitch net ~possibly_toggled:report.Activity.possibly_toggled
+          ~constants:report.Activity.constant_values
+      in
+      List.iter
+        (fun (what, n) ->
+          Alcotest.(check (array bool))
+            (core.Bespoke_coreapi.Coredef.name ^ " " ^ what)
+            (Sweep.stuck_dffs n) (Resynth.stuck_dffs n))
+        [ ("stock", net); ("raw mult cut", raw) ])
+    Bespoke_cores.Cores.all
 
 (* ---- Cut & stitch on the real core ---- *)
 
@@ -339,6 +424,11 @@ let () =
           Alcotest.test_case "constant folding" `Quick
             test_resynth_folds_constants;
           Alcotest.test_case "stuck dffs" `Quick test_resynth_removes_stuck_dffs;
+          qt test_stuck_fold_random;
+          Alcotest.test_case "stuck-DFF generator mixes verdicts" `Quick
+            test_stuck_fold_mixed;
+          Alcotest.test_case "stuck-DFF fold = engine fixpoint on mult" `Quick
+            test_stuck_fold_mult;
           Alcotest.test_case "floating gates" `Quick
             test_resynth_removes_floating;
         ] );

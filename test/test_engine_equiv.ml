@@ -1,7 +1,8 @@
 (* Differential equivalence of the packed engine, and of partially
    propagated compiled state, against the reference.
 
-   The full-order sweep (Engine mode Full) is the reference semantics;
+   The full-order sweep (the test oracle, Bespoke_oracle.Sweep) is the
+   reference semantics;
    the 64-way bit-parallel engine (Engine64) must be bit-identical to
    it (the compiled engine's own differential suite is
    test_compile_equiv):
@@ -15,8 +16,8 @@
      possibly-toggled marks, lane by lane;
    - reset and restore_dff_state must discard partially-propagated
      state: interleaving un-evaluated input writes with reset /
-     restore must leave Compiled (pending instructions) and Packed
-     (dirty queue) indistinguishable from Full;
+     restore must leave the compiled engine (pending instructions)
+     and Packed (dirty queue) indistinguishable from the sweep;
    - the packed harness's ternary fallbacks: a lane with an X RAM
      range and a lane with an X GPIO word run next to a plain lane
      (word path), each equal to a scalar System set up the same way;
@@ -28,6 +29,7 @@ module Netlist = Bespoke_netlist.Netlist
 module Gate = Bespoke_netlist.Gate
 module Engine = Bespoke_sim.Engine
 module Engine64 = Bespoke_sim.Engine64
+module Sweep = Bespoke_oracle.Sweep
 module Runner = Bespoke_core.Runner
 module B = Bespoke_programs.Benchmark
 module Bvec = Bespoke_logic.Bvec
@@ -61,7 +63,7 @@ let test_benchmark (b : B.t) () =
   let seeds = [ 1; 2 ] in
   let full =
     List.map
-      (fun s -> Runner.run_gate ~core ~mode:Engine.Full ~netlist:net b ~seed:s)
+      (fun s -> Runner.run_gate ~core ~engine:Sweep.create ~netlist:net b ~seed:s)
       seeds
   in
   let packed = List.map snd (Runner.run_gate_packed ~core ~netlist:net b ~seeds) in
@@ -70,60 +72,9 @@ let test_benchmark (b : B.t) () =
 (* ------------------------------------------------------------------ *)
 (* Random netlists, random ternary stimuli                             *)
 
-type rng = { mutable s : int }
+open Fuzzgen  (* rng, next, pick, rand_bit, gen_net *)
 
-let next r =
-  r.s <- ((r.s * 1103515245) + 12345) land 0x3FFFFFFF;
-  (r.s lsr 7) land 0xFFFFFF
-
-let pick r l = List.nth l (next r mod List.length l)
-
-let rand_bit r =
-  match next r mod 5 with 0 -> Bit.X | 1 | 2 -> Bit.Zero | _ -> Bit.One
-
-(* Random DAG: inputs, consts (incl. a tied X), a few DFFs whose [d]
-   pins are patched to arbitrary gates afterwards (sequential feedback
-   allowed), then a layer of random combinational gates. *)
-let gen_net seed =
-  let r = { s = (seed * 2654435761) lor 1 } in
-  let bld = Netlist.Builder.create () in
-  let add op fanin =
-    Netlist.Builder.add bld { Gate.op; fanin; module_path = ""; drive = 0 }
-  in
-  let n_in = 3 + (next r mod 4) in
-  let inputs = Array.init n_in (fun _ -> add Gate.Input [||]) in
-  let consts =
-    [ add (Gate.Const Bit.Zero) [||]; add (Gate.Const Bit.One) [||];
-      add (Gate.Const Bit.X) [||] ]
-  in
-  let n_dff = 1 + (next r mod 3) in
-  let dffs =
-    Array.init n_dff (fun _ ->
-        add (Gate.Dff (pick r [ Bit.Zero; Bit.One ])) [| inputs.(0) |])
-  in
-  let pool = ref (Array.to_list inputs @ consts @ Array.to_list dffs) in
-  let n_logic = 20 + (next r mod 40) in
-  for _ = 1 to n_logic do
-    let op =
-      pick r
-        [ Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor;
-          Gate.Xor; Gate.Xnor; Gate.Mux ]
-    in
-    let fanin = Array.init (Gate.arity op) (fun _ -> pick r !pool) in
-    let id = add op fanin in
-    pool := id :: !pool
-  done;
-  (* patch DFF data pins now that the whole gate pool exists *)
-  Array.iter
-    (fun id ->
-      let g = Netlist.Builder.gate bld id in
-      Netlist.Builder.set bld id { g with Gate.fanin = [| pick r !pool |] })
-    dffs;
-  Netlist.Builder.set_output_port bld "out"
-    (Array.of_list (List.filteri (fun i _ -> i < 4) !pool));
-  (Netlist.Builder.finish bld, inputs)
-
-(* Drive [lanes] pre-generated stimulus sequences through one Full
+(* Drive [lanes] pre-generated stimulus sequences through one sweep
    scalar engine per lane plus a single packed engine, and
    require identical values every cycle and identical activity at the
    end. *)
@@ -137,7 +88,7 @@ let run_diff seed =
         Array.init cycles (fun _ ->
             Array.init (Array.length inputs) (fun _ -> rand_bit r)))
   in
-  let fulls = Array.init lanes (fun _ -> Engine.create ~mode:Full net) in
+  let fulls = Array.init lanes (fun _ -> Sweep.create net) in
   let packed = Engine64.create ~lanes net in
   Array.iter Engine.reset fulls;
   Engine64.reset packed;
@@ -188,7 +139,7 @@ let test_full_width () =
   let r = { s = 0x1234567 } in
   let lanes = Engine64.max_lanes in
   let cycles = 6 in
-  let scalars = Array.init lanes (fun _ -> Engine.create ~mode:Full net) in
+  let scalars = Array.init lanes (fun _ -> Sweep.create net) in
   let packed = Engine64.create ~lanes net in
   Array.iter Engine.reset scalars;
   Engine64.reset packed;
@@ -251,8 +202,8 @@ let drive_and_compare name ef ec inputs r cycles =
 
 let test_reset_after_partial () =
   let net, inputs = gen_net 42 in
-  let ef = Engine.create ~mode:Full net in
-  let ec = Engine.create ~mode:Compiled net in
+  let ef = Sweep.create net in
+  let ec = Engine.create net in
   let r = { s = 0xbeef1 } in
   Engine.reset ef;
   Engine.reset ec;
@@ -277,8 +228,8 @@ let test_reset_after_partial () =
 
 let test_restore_after_partial () =
   let net, inputs = gen_net 99 in
-  let ef = Engine.create ~mode:Full net in
-  let ec = Engine.create ~mode:Compiled net in
+  let ef = Sweep.create net in
+  let ec = Engine.create net in
   let r = { s = 0xcafe3 } in
   Engine.reset ef;
   Engine.reset ec;
@@ -306,7 +257,7 @@ let test_restore_after_partial () =
 
 let test_packed_reset_after_partial () =
   let net, inputs = gen_net 17 in
-  let scalar = Engine.create ~mode:Full net in
+  let scalar = Sweep.create net in
   let packed = Engine64.create ~lanes:3 net in
   Engine.reset scalar;
   Engine64.reset packed;
@@ -357,7 +308,7 @@ let test_packed_fallbacks () =
   System64.reset packed;
   let scalars =
     Array.init lanes (fun lane ->
-        let s = System.create ~mode:Engine.Full ~netlist:net ~core img in
+        let s = System.create ~engine:Sweep.create ~netlist:net ~core img in
         System.reset s;
         List.iter
           (fun (a, v) -> System.load_ram_word s a v)

@@ -9,6 +9,7 @@ module Mutation = Bespoke_mutation.Mutation
 module Provenance = Bespoke_report.Provenance
 module Guard = Bespoke_guard.Guard
 module Engine = Bespoke_sim.Engine
+module Sweep = Bespoke_oracle.Sweep
 module Vcd = Bespoke_sim.Vcd
 module Obs = Bespoke_obs.Obs
 let core = Bespoke_cpu.Msp430.core
@@ -91,11 +92,11 @@ let test_clean_on_own_benchmark () =
   let inst = Guard.instrument plan in
   let iss = Runner.run_iss ~core base ~seed:1 in
   List.iter
-    (fun (label, mode) ->
+    (fun (label, engine) ->
       let w = Guard.watch_bespoke plan in
       let eng = ref None in
       let o =
-        Runner.run_gate ~core ~mode
+        Runner.run_gate ~core ~engine
           ~attach:(fun e ->
             eng := Some e;
             Guard.attach w e)
@@ -116,7 +117,7 @@ let test_clean_on_own_benchmark () =
       let port = (Netlist.find_output inst.Guard.i_design "guard_violation").(0) in
       Alcotest.(check string) (label ^ ": hw guard_violation low") "0"
         (String.make 1 (Bit.to_char (Engine.value (Option.get !eng) port))))
-    [ ("full", Engine.Full); ("compiled", Engine.Compiled) ]
+    [ ("full", Sweep.create); ("compiled", Engine.create) ]
 
 (* Shadow mode on the original design is also clean on the base
    benchmark: the analysis constants really are invariants of every
@@ -261,11 +262,11 @@ let test_violating_replay_engines_agree () =
     | None -> Alcotest.failf "%s: no mutant tripped the guard on seeds 1-3" label
     | Some ((m : Mutation.mutant), seed, _) ->
       let mb = Mutation.to_benchmark (B.find "rle") m in
-      let run mode =
+      let run engine =
         let w = watch plan in
         (try
            ignore
-             (Runner.run_gate ~core ~mode ~attach:(Guard.attach w) ~netlist
+             (Runner.run_gate ~core ~engine ~attach:(Guard.attach w) ~netlist
                 ~max_cycles:300_000 mb ~seed)
          with Failure _ -> ());
         let path = Filename.temp_file "guard_replay" ".jsonl" in
@@ -276,8 +277,8 @@ let test_violating_replay_engines_agree () =
         Sys.remove path;
         (w, bytes)
       in
-      let wc, sc = run Engine.Compiled in
-      let wf, sf = run Engine.Full in
+      let wc, sc = run Engine.create in
+      let wf, sf = run Sweep.create in
       Alcotest.(check bool) (label ^ ": violated") false (Guard.clean wc);
       Alcotest.(check bool) (label ^ ": same first offences") true
         (Guard.violations wc = Guard.violations wf);

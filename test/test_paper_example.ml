@@ -67,14 +67,16 @@ let run_paths circ =
       (* cycle 0 establishes the activity baseline (the paper's table
          starts from the cycle-0 values, not from an all-X state) *)
       apply first;
-      Engine.clear_activity eng;
+      Engine.sync_prev eng;
       Engine.commit_cycle eng;
       List.iter
         (fun inputs ->
           apply inputs;
           Engine.commit_cycle eng)
         rest;
-      Engine.merge_possibly_toggled_into eng possibly
+      Array.iteri
+        (fun i p -> if p then possibly.(i) <- true)
+        (Engine.possibly_toggled eng)
   in
   let one = Bit.One and zero = Bit.Zero and x = Bit.X in
   (* left execution path of Figure 7 *)

@@ -9,6 +9,9 @@ module Runner = Bespoke_core.Runner
 module Activity = Bespoke_analysis.Activity
 module B = Bespoke_programs.Benchmark
 module Mutation = Bespoke_mutation.Mutation
+module Campaign = Bespoke_campaign.Campaign
+module Verify = Bespoke_verify.Verify
+module Multi = Bespoke_core.Multi
 let core = Bespoke_cpu.Msp430.core
 
 let test_map_matches_list_map () =
@@ -246,6 +249,65 @@ let test_analyze_cached_config_change () =
   Alcotest.(check int) "mult still fits the budget" r1.Activity.paths
     r3.Activity.paths
 
+(* The pooled entry points answer the same at jobs 1 and 3, time fields
+   dropped.  Every flow cache is cleared before each run, so the jobs-3
+   run recomputes rather than reading the jobs-1 answers back.
+   Verify.run_campaign and Multi.sweep run an explicit job count as
+   given; Campaign.run clamps it to the host's domain count. *)
+let test_jobs_invariance () =
+  let campaign jobs =
+    Flowcache.clear_all ();
+    let js =
+      Campaign.
+        [
+          job (Named "mult");
+          job ~kind:Tailor (Named "binSearch");
+          job ~kind:Run ~seed:2 (Named "mult");
+          job ~kind:Report (Named "binSearch");
+          job ~kind:Guard (Named "mult");
+          job ~kind:Verify ~faults:1 (Named "mult");
+          job ~kind:Analyze ~core:"rv32" (Named "mult");
+          job (Named "no-such-bench");
+        ]
+    in
+    let outcomes, s = Campaign.run ~jobs js in
+    ( List.map
+        (fun (o : Campaign.outcome) ->
+          (o.Campaign.o_job, o.o_index, o.status, o.cached))
+        outcomes,
+      (s.Campaign.total, s.ok, s.failed, s.cache_hits) )
+  in
+  let seq = campaign 1 in
+  Alcotest.(check bool) "Campaign.run" true (seq = campaign 3);
+  let _, (_, ok, failed, _) = seq in
+  Alcotest.(check (pair int int)) "ok and failed jobs" (7, 1) (ok, failed);
+  let verify jobs =
+    Flowcache.clear_all ();
+    Verify.run_campaign ~faults:2 ~jobs ~core
+      [ B.find "mult"; B.find "binSearch" ]
+    |> List.map (fun (c : Verify.campaign) ->
+           {
+             c with
+             Verify.symbolic = { c.Verify.symbolic with Verify.sym_time_s = 0. };
+             inputs =
+               List.map (fun r -> { r with Verify.ir_time_s = 0. }) c.inputs;
+             faults =
+               List.map (fun f -> { f with Verify.fr_time_s = 0. }) c.faults;
+             total_time_s = 0.;
+           })
+  in
+  Alcotest.(check bool) "Verify.run_campaign" true (verify 1 = verify 3);
+  let st = Random.State.make [| 26 |] in
+  for _ = 1 to 20 do
+    let apps = 2 + Random.State.int st 6 and width = 1 + Random.State.int st 300 in
+    let sets =
+      Array.init apps (fun _ ->
+          Multi.bitset_of (Array.init width (fun _ -> Random.State.int st 4 = 0)))
+    in
+    Alcotest.(check bool) "Multi.sweep" true
+      (Multi.sweep ~jobs:1 sets = Multi.sweep ~jobs:3 sets)
+  done
+
 let () =
   Alcotest.run "pool"
     [
@@ -269,6 +331,8 @@ let () =
             test_domains_persist;
           Alcotest.test_case "Runner memos from many domains" `Quick
             test_runner_memos_from_domains;
+          Alcotest.test_case "pooled entry points: jobs 1 = jobs 3" `Quick
+            test_jobs_invariance;
         ] );
       ( "flowcache",
         [
