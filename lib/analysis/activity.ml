@@ -15,6 +15,10 @@ let m_prunes = Obs.Metrics.counter "analysis.prunes"
 let m_paths = Obs.Metrics.counter "analysis.paths"
 let m_cycles = Obs.Metrics.counter "analysis.cycles"
 
+(* Sampled timer of the instruction segments an exploration simulates;
+   {!System} times the state operations the same way. *)
+let t_segment = System.timer "analysis.segment_ns"
+
 type config = {
   irq_x : bool;
   ram_x_ranges : (int * int) list;
@@ -123,42 +127,51 @@ let push b x =
 
 let contents b = Array.sub b.buf 0 b.len
 
-(* Positions of specific architectural bits inside the DFF-state
-   vector, for forcing forked values.  In a bespoke (pruned) netlist
-   some hook bits are constants rather than DFFs; those get position
-   -1 and forcing skips them (a reachable forced value always agrees
-   with the constant the cut recorded). *)
-let dff_positions sys hook =
-  let ids = Netlist.find_name (System.netlist sys) hook in
-  let dff_ids = Engine.dff_ids (System.engine sys) in
-  let pos_of id =
-    let rec go i =
-      if i >= Array.length dff_ids then -1
-      else if dff_ids.(i) = id then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  Array.map pos_of ids
-
-let force_bits snap positions (value : Bvec.t) =
-  let dffs = Bvec.copy (System.snapshot_dffs snap) in
-  Array.iteri (fun i pos -> if pos >= 0 then dffs.(pos) <- value.(i)) positions;
-  System.with_dffs snap dffs
-
 (* The children of an irq fork in push order: both values of every
-   forced source bit, the first source varying slowest. *)
-let irq_children snap positions =
+   forced source bit (a {!System.dff_slots} slot), the first source
+   varying slowest. *)
+let irq_children snap slots =
   List.fold_left
-    (fun acc pos ->
+    (fun acc slot ->
       List.concat_map
-        (fun s ->
-          [
-            force_bits s [| pos |] [| Bit.Zero |];
-            force_bits s [| pos |] [| Bit.One |];
-          ])
+        (fun s -> [ System.force_dffs s [| slot |] 0; System.force_dffs s [| slot |] 1 ])
         acc)
-    [ snap ] positions
+    [ snap ] slots
+
+(* Gate ids of the hooks the exploration reads at every cycle or
+   boundary, resolved once per run. *)
+type hook_ids = {
+  pc : int array;
+  exec_jump : int;
+  branch_taken : int;
+  irq_pending : int;
+  gie : int;  (* -1 on a core without a GIE bit *)
+}
+
+let hook_ids sys =
+  let net = System.netlist sys in
+  let bit name i = (Netlist.find_name net name).(i) in
+  {
+    pc = Netlist.find_name net "pc";
+    exec_jump = bit "exec_jump" 0;
+    branch_taken = bit "branch_taken" 0;
+    irq_pending = bit "irq_pending" 0;
+    gie =
+      (match (System.core sys).Coredef.gie_bit with
+      | Some (hook, b) -> bit hook b
+      | None -> -1);
+  }
+
+(* The sources of a pending interrupt as (bit in an [Irq] op, gate id,
+   {!System.dff_slots} slot): 1 irq_flag, 2 GIE (on a core with one),
+   4 irq_enable. *)
+let irq_sources sys =
+  let source bit (hook, i) =
+    (bit, (Netlist.find_name (System.netlist sys) hook).(i), (System.dff_slots sys hook).(i))
+  in
+  (source 1 ("irq_flag", 0)
+   :: Option.to_list (Option.map (source 2) (System.core sys).Coredef.gie_bit))
+  @ [ source 4 ("irq_enable", 0) ]
 
 let init_system config s =
   System.reset s;
@@ -188,16 +201,9 @@ let analyze_impl ?(config = default_config) sys =
   let classify ~pc =
     try core.Coredef.classify ~rom_word ~pc with Failure m -> fail "%s" m
   in
-  let pc_pos = dff_positions sys "pc" in
-  let pc_width = Array.length pc_pos in
-  let ifg0_pos = lazy (dff_positions sys "irq_flag").(0) in
-  let gie_pos =
-    lazy
-      (match core.Coredef.gie_bit with
-      | Some (hook, bit) -> (dff_positions sys hook).(bit)
-      | None -> -1)
-  in
-  let ie0_pos = lazy (dff_positions sys "irq_enable").(0) in
+  let hk = hook_ids sys in
+  let pc_slots = System.dff_slots sys "pc" in
+  let irq_sources = lazy (irq_sources sys) in
   (* Valid fork targets for X-bit PC enumeration: actual instruction
      start addresses of the binary (mid-instruction words are not
      reachable boundaries of any concrete execution). *)
@@ -304,11 +310,7 @@ let analyze_impl ?(config = default_config) sys =
       | Some b -> b
       | None -> -1)
   in
-  let gie_value () =
-    match core.Coredef.gie_bit with
-    | Some (hook, bit) -> Bit.to_int (System.read_hook sys hook).(bit)
-    | None -> 0
-  in
+  let gie_value () = if hk.gie < 0 then 0 else Engine.value_code eng hk.gie in
   (* For instructions that load PC from memory (returns), the return
      context — the core-defined key words, e.g. the stack top — is
      part of the key: states returning to different places are never
@@ -332,6 +334,7 @@ let analyze_impl ?(config = default_config) sys =
      instruction boundary.  Returns the recorded conditional-jump
      candidates if the branch decision was unknown. *)
   let simulate_segment () =
+    let t0 = System.start t_segment in
     let candidates = ref [] in
     let rec go cycles =
       if cycles = 20 then fail "instruction did not complete in 20 cycles";
@@ -341,28 +344,28 @@ let analyze_impl ?(config = default_config) sys =
       if !total_cycles > config.max_total_cycles then
         fail "exceeded max_total_cycles (%d)" config.max_total_cycles;
       (* record candidate targets at an unknown branch decision *)
-      (match (System.read_hook sys "exec_jump").(0) with
-      | Bit.One | Bit.X -> (
-        match (System.read_hook sys "branch_taken").(0) with
-        | Bit.X -> (
-          match
-            ( System.read_hook_int sys "branch_target",
-              System.read_hook_int sys "branch_fallthrough" )
-          with
-          | Some t, Some f -> candidates := [ t; f ]
-          | _ -> ())
-        | Bit.Zero | Bit.One -> ())
-      | Bit.Zero -> ());
+      if
+        Engine.value_code eng hk.exec_jump <> 0
+        && Engine.value_code eng hk.branch_taken = Bit.code_x
+      then begin
+        match
+          ( System.read_hook_int sys "branch_target",
+            System.read_hook_int sys "branch_fallthrough" )
+        with
+        | Some t, Some f -> candidates := [ t; f ]
+        | _ -> ()
+      end;
       if System.halted sys then (`Halted, cycles + 1)
       else
-        match (System.read_hook sys "insn_boundary").(0) with
-        | Bit.One -> (`Boundary, cycles + 1)
-        | Bit.X ->
+        match System.insn_boundary_code sys with
+        | 1 -> (`Boundary, cycles + 1)
+        | 0 -> go (cycles + 1)
+        | _ ->
           fail "FSM state became unknown (pc %s)" (Bvec.to_string (System.pc sys))
-        | Bit.Zero -> go (cycles + 1)
     in
     let r, cycles = go 0 in
     emit Seg cycles;
+    System.stop t_segment t0;
     (r, !candidates)
   in
 
@@ -394,7 +397,7 @@ let analyze_impl ?(config = default_config) sys =
       end
       else begin
         record_regs Boundary;
-        match Bvec.to_int (System.pc sys) with
+        match Engine.read_int_ids eng hk.pc with
         | None when !candidates = [] && config.computed_branch_fallback = `Escape
           ->
           (* a computed branch whose target merged to X: see the
@@ -443,15 +446,14 @@ let analyze_impl ?(config = default_config) sys =
           emit Fork (List.length cands);
           List.iter
             (fun t ->
-              let s = force_bits snap pc_pos (Bvec.of_int ~width:pc_width t) in
+              let s = System.force_dffs snap pc_slots t in
               let edge = Printf.sprintf "pc=0x%04x" t in
               (* prune eagerly if the table already covers this child *)
               let covered =
                 Hashtbl.fold
                   (fun (p, _, _, _) (_, c) acc ->
                     acc
-                    || p = t
-                       && System.snapshot_subsumes ~general:c ~specific:s)
+                    || p = t && System.snapshot_subsumes ~general:c ~specific:s)
                   table false
               in
               push ops ((t lsl 1) lor Bool.to_int covered);
@@ -487,9 +489,8 @@ let analyze_impl ?(config = default_config) sys =
         | Some pcv ->
           cur_pc := pcv;
           let info = classify ~pc:pcv in
-          let pending = (System.read_hook sys "irq_pending").(0) in
           let is_ctl =
-            info.Coredef.ci_control || not (Bit.equal pending Bit.Zero)
+            info.Coredef.ci_control || Engine.value_code eng hk.irq_pending <> 0
           in
           if is_ctl && not !skip_table then begin
             let key = table_key pcv in
@@ -517,29 +518,18 @@ let analyze_impl ?(config = default_config) sys =
                fork must leave [pending] definite in every child, so
                every X bit among {IFG0, GIE, IE0} is enumerated (at
                most 8 children). *)
-            let pending = (System.read_hook sys "irq_pending").(0) in
-            (match pending with
-            | Bit.X ->
-              let gie_source =
-                match core.Coredef.gie_bit with
-                | Some (hook, bit) ->
-                  [ ((System.read_hook sys hook).(bit), gie_pos, 2) ]
-                | None -> []
-              in
-              let sources =
-                ((System.read_hook sys "irq_flag").(0), ifg0_pos, 1)
-                :: gie_source
-                @ [ ((System.read_hook sys "irq_enable").(0), ie0_pos, 4) ]
-              in
+            if Engine.value_code eng hk.irq_pending = Bit.code_x then begin
               let unknown =
-                List.filter (fun (v, _, _) -> not (Bit.is_known v)) sources
+                List.filter
+                  (fun (_, id, _) -> Engine.value_code eng id = Bit.code_x)
+                  (Lazy.force irq_sources)
               in
               if unknown = [] then
                 fail "irq_pending X but its sources are known at %04x" pcv;
-              emit Irq (List.fold_left (fun m (_, _, bit) -> m lor bit) 0 unknown);
+              emit Irq (List.fold_left (fun m (bit, _, _) -> m lor bit) 0 unknown);
               let children =
                 irq_children (System.snapshot sys)
-                  (List.map (fun (_, pos, _) -> Lazy.force pos) unknown)
+                  (List.map (fun (_, _, slot) -> slot) unknown)
               in
               (match children with
               | first :: rest ->
@@ -555,7 +545,7 @@ let analyze_impl ?(config = default_config) sys =
                   rest;
                 System.restore sys first
               | [] -> assert false)
-            | Bit.Zero | Bit.One -> ());
+            end;
             match simulate_segment () with
             | `Halted, _ ->
               halt ();
@@ -608,7 +598,7 @@ let analyze_impl ?(config = default_config) sys =
   }
 
 let analyze ?config sys =
-  Obs.Span.with_ ~name:"analysis.analyze" (fun () -> analyze_impl ?config sys)
+  Obs.Span.with_alloc ~name:"analysis.analyze" (fun () -> analyze_impl ?config sys)
 
 (* No bit known 0 in one dual-rail word and known 1 in the other.
    Re-synthesized logic is functionally equivalent but not ternary-
@@ -671,26 +661,18 @@ let replay_impl r sys =
         (Memory.consistent_snapshots original (Memory.snapshot (System.ram sys)))
     then mismatch "%s: data memory differs at path end" context
   in
-  let pc_pos = lazy (dff_positions sys "pc") in
-  let irq_pos =
-    lazy
-      [
-        (1, (dff_positions sys "irq_flag").(0));
-        ( 2,
-          match core.Coredef.gie_bit with
-          | Some (hook, bit) -> (dff_positions sys hook).(bit)
-          | None -> -1 );
-        (4, (dff_positions sys "irq_enable").(0));
-      ]
-  in
+  let pc_slots = lazy (System.dff_slots sys "pc") in
+  let irq_sources = lazy (irq_sources sys) in
   (* the replayed design's merge table; every key is inserted before it
      is merged, so the filler is never read *)
   let table = Array.make sc.keys (System.snapshot sys) in
   let stack = Stack.create () in
   let step cycles =
+    let t0 = System.start t_segment in
     for _ = 1 to cycles do
       System.step_cycle sys
-    done
+    done;
+    System.stop t_segment t0
   in
   (* one path: replay ops up to the one that ends it *)
   let rec run_path () =
@@ -708,14 +690,11 @@ let replay_impl r sys =
       compare_ram "halted path"
     | Escape | Prune -> ()
     | Fork ->
-      let snap = System.snapshot sys and pc_pos = Lazy.force pc_pos in
+      let snap = System.snapshot sys and pc_slots = Lazy.force pc_slots in
       for _ = 1 to arg do
         let c = next () in
         if c land 1 = 0 then
-          Stack.push
-            (force_bits snap pc_pos
-               (Bvec.of_int ~width:(Array.length pc_pos) (c lsr 1)))
-            stack
+          Stack.push (System.force_dffs snap pc_slots (c lsr 1)) stack
       done
     | Insert ->
       table.(arg) <- System.snapshot sys;
@@ -726,12 +705,12 @@ let replay_impl r sys =
       System.restore sys m;
       run_path ()
     | Irq ->
-      let positions =
+      let slots =
         List.filter_map
-          (fun (bit, pos) -> if arg land bit <> 0 then Some pos else None)
-          (Lazy.force irq_pos)
+          (fun (bit, _, slot) -> if arg land bit <> 0 then Some slot else None)
+          (Lazy.force irq_sources)
       in
-      (match irq_children (System.snapshot sys) positions with
+      (match irq_children (System.snapshot sys) slots with
       | first :: rest ->
         List.iter (fun c -> Stack.push c stack) rest;
         System.restore sys first
@@ -747,7 +726,7 @@ let replay_impl r sys =
   done
 
 let replay r sys =
-  Obs.Span.with_ ~name:"analysis.replay" (fun () -> replay_impl r sys)
+  Obs.Span.with_alloc ~name:"analysis.replay" (fun () -> replay_impl r sys)
 
 let tree_dot ?(max_nodes = 4000) r =
   let b = Buffer.create 4096 in

@@ -34,6 +34,8 @@ type hooks = {
   halted : int;
   fetching : int;
   insn_boundary : int;
+  gpio_in : int array;
+  irq_in : int;
 }
 
 type t = {
@@ -70,6 +72,8 @@ let create ?(engine = Engine.create) ?netlist ~core (image : Coredef.image) =
       halted = bit0 "halted";
       fetching = bit0 "fetching";
       insn_boundary = bit0 "insn_boundary";
+      gpio_in = Netlist.find_input net "gpio_in";
+      irq_in = (Netlist.find_input net "irq").(0);
     }
   in
   {
@@ -113,8 +117,8 @@ let feed_memories t =
   Engine.eval t.eng
 
 let apply_inputs t =
-  Engine.set_input t.eng "gpio_in" t.gpio_in;
-  Engine.set_input t.eng "irq" [| t.irq |]
+  set_gates t t.hk.gpio_in t.gpio_in;
+  Engine.set_gate t.eng t.hk.irq_in t.irq
 
 let reset t =
   Memory.clear t.ram Bit.Zero;
@@ -290,30 +294,84 @@ let run ?(max_cycles = 5_000_000) t =
   if not (halted t) then failwith "System.run: cycle limit exceeded";
   t.cycle
 
-type snapshot = { dffs : Bvec.t; ram_snap : Memory.snapshot }
+(* Sampled timers of the exploration-state operations below: every
+   16th call of each is timed, and only while Obs is on.  The call
+   counts are shared by all systems, so concurrent explorations only
+   shift which of their calls get timed. *)
+type timer = { h : Obs.Metrics.histogram; mutable calls : int }
+
+let timer name = { h = Obs.Metrics.histogram name; calls = 0 }
+let t_snapshot = timer "analysis.snapshot_ns"
+let t_subsume = timer "analysis.subsume_ns"
+let t_merge = timer "analysis.merge_ns"
+let t_restore = timer "analysis.restore_ns"
+let m_restores = Obs.Metrics.counter "analysis.restores"
+
+let start tm =
+  if Obs.enabled () then begin
+    tm.calls <- tm.calls + 1;
+    if tm.calls land 15 = 0 then Obs.now_ns () else 0
+  end
+  else 0
+
+let stop tm t0 = if t0 <> 0 then ignore (Obs.Metrics.lap tm.h t0)
+
+(* An exploration state: the engine's DFF rails ({!Engine.dff_rails})
+   and the data RAM's pages, shared with every snapshot they were not
+   written since.  Snapshots are immutable. *)
+type snapshot = { dffs : int array; ram_snap : Memory.snapshot }
 
 let snapshot t =
-  { dffs = Engine.dff_state t.eng; ram_snap = Memory.snapshot t.ram }
+  let t0 = start t_snapshot in
+  let s = { dffs = Engine.dff_rails t.eng; ram_snap = Memory.snapshot t.ram } in
+  stop t_snapshot t0;
+  s
 
 let restore t s =
+  let t0 = start t_restore in
   Memory.restore t.ram s.ram_snap;
-  Engine.restore_dff_state t.eng s.dffs;
+  Engine.restore_dff_rails t.eng s.dffs;
   apply_inputs t;
   Engine.eval t.eng;
   feed_memories t;
   (* the jump between exploration states is not switching activity *)
-  Engine.sync_prev t.eng
-
-let snapshot_dffs s = s.dffs
+  Engine.sync_prev t.eng;
+  if Obs.enabled () then Obs.Metrics.incr m_restores;
+  stop t_restore t0
 
 let snapshot_subsumes ~general ~specific =
-  Bvec.subsumes ~general:general.dffs ~specific:specific.dffs
-  && Memory.subsumes ~general:general.ram_snap ~specific:specific.ram_snap
+  let t0 = start t_subsume in
+  let r =
+    Engine.rails_subsumes ~general:general.dffs ~specific:specific.dffs
+    && Memory.subsumes ~general:general.ram_snap ~specific:specific.ram_snap
+  in
+  stop t_subsume t0;
+  r
 
 let snapshot_merge a b =
-  {
-    dffs = Bvec.merge a.dffs b.dffs;
-    ram_snap = Memory.merge_snapshot a.ram_snap b.ram_snap;
-  }
+  let t0 = start t_merge in
+  let m =
+    {
+      dffs = Engine.rails_merge a.dffs b.dffs;
+      ram_snap = Memory.merge_snapshot a.ram_snap b.ram_snap;
+    }
+  in
+  stop t_merge t0;
+  m
 
-let with_dffs s dffs = { s with dffs }
+(* The {!Engine.dff_slot}s of a named hook's bits, for forcing forked
+   values.  In a bespoke (pruned) netlist some hook bits are constants
+   rather than DFFs; those get slot -1 and [force_dffs] skips them (a
+   reachable forced value always agrees with the constant the cut
+   recorded). *)
+let dff_slots t hook =
+  Array.map (Engine.dff_slot t.eng) (Netlist.find_name (netlist t) hook)
+
+(* A copy of [s] with the DFF in [slots.(i)] set to bit [i] of [v]. *)
+let force_dffs s slots v =
+  let dffs = Array.copy s.dffs in
+  Array.iteri
+    (fun i slot ->
+      if slot >= 0 then Engine.set_slot dffs slot (Bit.of_bool ((v lsr i) land 1 = 1)))
+    slots;
+  { s with dffs }

@@ -5,7 +5,6 @@ let width = Array.length
 let equal a b = width a = width b && Array.for_all2 Bit.equal a b
 let get (v : t) i = v.(i)
 let set (v : t) i b = v.(i) <- b
-let copy = Array.copy
 
 let of_int ~width:w n =
   Array.init w (fun i -> Bit.of_bool ((n lsr i) land 1 = 1))
@@ -65,14 +64,14 @@ let concretizations v =
       | Bit.Zero | Bit.One -> go (i + 1) acc
       | Bit.X ->
         let fill b u =
-          let u = copy u in
+          let u = Array.copy u in
           u.(i) <- b;
           u
         in
         go (i + 1)
           (List.concat_map (fun u -> [ fill Bit.Zero u; fill Bit.One u ]) acc)
   in
-  go 0 [ copy v ]
+  go 0 [ Array.copy v ]
 
 let lnot v = Array.map Bit.lnot v
 

@@ -11,7 +11,6 @@ val width : t -> int
 val equal : t -> t -> bool
 val get : t -> int -> Bit.t
 val set : t -> int -> Bit.t -> unit
-val copy : t -> t
 
 val of_int : width:int -> int -> t
 (** Low [width] bits of the two's-complement representation. *)

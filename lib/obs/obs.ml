@@ -394,6 +394,22 @@ module Span = struct
       Fun.protect ~finally:(fun () -> Trace.emit name 'E' []) f
     end
 
+  let with_alloc ~name f =
+    if not (enabled ()) then f ()
+    else begin
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let w0 = allocated () in
+      Trace.emit name 'B' [];
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.emit name 'E'
+            [ ("alloc_words", Printf.sprintf "%.0f" (allocated () -. w0)) ])
+        f
+    end
+
   let instant ?(args = []) name =
     if enabled () then Trace.emit name 'i' args
 end

@@ -45,6 +45,11 @@ module Span : sig
       even if [f] raises.  When collection is disabled this is exactly
       [f ()]. *)
 
+  val with_alloc : name:string -> (unit -> 'a) -> 'a
+  (** As {!with_}, and the end event carries [alloc_words]: the words
+      the calling domain allocated inside [f] ([Gc.counters]: minor
+      plus major, less promoted). *)
+
   val instant : ?args:(string * string) list -> string -> unit
   (** A point event ([ph:"i"]) in the current domain's buffer. *)
 end

@@ -36,14 +36,17 @@ type builder = {
   mutable scope_stack : string list;
 }
 
-let next_id = ref 0
-let ambient_scope = ref ""
+(* Signal ids only need to be unique (lowering memoizes by id), so one
+   atomic counter serves builds in any number of domains; the scope new
+   signals are tagged with belongs to the build running in the calling
+   domain. *)
+let next_id = Atomic.make 0
+let ambient_scope = Domain.DLS.new_key (fun () -> "")
 
 let fresh node w scope =
-  incr next_id;
-  { id = !next_id; w; node; scope }
+  { id = Atomic.fetch_and_add next_id 1 + 1; w; node; scope }
 
-let mk node w = fresh node w !ambient_scope
+let mk node w = fresh node w (Domain.DLS.get ambient_scope)
 
 let create_builder () =
   { inputs = []; outputs = []; named = []; scope_stack = [] }
@@ -54,11 +57,11 @@ let scope_path stack = String.concat "/" (List.rev stack)
 
 let in_scope b name f =
   b.scope_stack <- name :: b.scope_stack;
-  let saved = !ambient_scope in
-  ambient_scope := scope_path b.scope_stack;
+  let saved = Domain.DLS.get ambient_scope in
+  Domain.DLS.set ambient_scope (scope_path b.scope_stack);
   let finally () =
     b.scope_stack <- List.tl b.scope_stack;
-    ambient_scope := saved
+    Domain.DLS.set ambient_scope saved
   in
   match f () with
   | v ->
@@ -70,12 +73,12 @@ let in_scope b name f =
 
 let at_scope b path f =
   let saved_stack = b.scope_stack in
-  let saved = !ambient_scope in
+  let saved = Domain.DLS.get ambient_scope in
   b.scope_stack <- [ path ];
-  ambient_scope := path;
+  Domain.DLS.set ambient_scope path;
   let finally () =
     b.scope_stack <- saved_stack;
-    ambient_scope := saved
+    Domain.DLS.set ambient_scope saved
   in
   match f () with
   | v ->

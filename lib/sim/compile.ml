@@ -1,5 +1,4 @@
 module Bit = Bespoke_logic.Bit
-module Bvec = Bespoke_logic.Bvec
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module Serial = Bespoke_netlist.Serial
@@ -1438,11 +1437,33 @@ let sync_prev t =
 
 let dff_ids t = t.p.dff_ids
 
-let restore_dff_state t (s : Bvec.t) =
-  if Bvec.width s <> Array.length t.p.dff_ids then
-    invalid_arg "Compile.restore_dff_state: width mismatch";
-  Array.iteri (fun i id -> write_bit t id s.(i)) t.p.dff_ids;
+(* The DFF state is the DFF chunks' own rails, [lo; hi] per chunk in
+   clock-edge-plan order; slot [k lsl 6 lor b] is bit [b] of pair
+   [k]. *)
+let dff_rails t =
+  let dc = t.p.dc_chunk in
+  let r = Array.make (2 * Array.length dc) 0 in
+  Array.iteri
+    (fun k c ->
+      Array.unsafe_set r (2 * k) (Array.unsafe_get t.lo c);
+      Array.unsafe_set r ((2 * k) + 1) (Array.unsafe_get t.hi c))
+    dc;
+  r
+
+let restore_dff_rails t r =
+  let dc = t.p.dc_chunk in
+  if Array.length r <> 2 * Array.length dc then
+    invalid_arg "Compile.restore_dff_rails: size mismatch";
+  Array.iteri (fun k c -> store t c r.(2 * k) r.((2 * k) + 1)) dc;
   eval t
+
+let dff_slot t g =
+  match t.net.Netlist.gates.(g).Gate.op with
+  | Gate.Dff _ ->
+    let c = t.p.g_chunk.(g) in
+    let rec find k = if t.p.dc_chunk.(k) = c then k else find (k + 1) in
+    (find 0 lsl 6) lor t.p.g_bit.(g)
+  | _ -> -1
 
 (* ---------- packed assumption checks ---------- *)
 

@@ -33,7 +33,6 @@
     whole-design operation from them. *)
 
 module Bit := Bespoke_logic.Bit
-module Bvec := Bespoke_logic.Bvec
 module Netlist := Bespoke_netlist.Netlist
 
 type t
@@ -88,7 +87,9 @@ val sync_prev : t -> unit
 (** {1 Sequential state} *)
 
 val dff_ids : t -> int array
-val restore_dff_state : t -> Bvec.t -> unit
+val dff_rails : t -> int array
+val restore_dff_rails : t -> int array -> unit
+val dff_slot : t -> int -> int
 
 (** {1 Program introspection} *)
 

@@ -29,7 +29,9 @@ module type S = sig
   val set_first_possibly_hook : t -> (int -> unit) option -> unit
   val set_cycle_hook : t -> (int -> unit) option -> unit
   val dff_ids : t -> int array
-  val restore_dff_state : t -> Bvec.t -> unit
+  val dff_rails : t -> int array
+  val restore_dff_rails : t -> int array -> unit
+  val dff_slot : t -> int -> int
   val sync_prev : t -> unit
   val checks : t -> check array -> unit -> bool
 end
@@ -56,7 +58,9 @@ let possibly_toggled (E ((module M), x)) = M.possibly_toggled x
 let set_first_possibly_hook (E ((module M), x)) f = M.set_first_possibly_hook x f
 let set_cycle_hook (E ((module M), x)) f = M.set_cycle_hook x f
 let dff_ids (E ((module M), x)) = M.dff_ids x
-let restore_dff_state (E ((module M), x)) st = M.restore_dff_state x st
+let dff_rails (E ((module M), x)) = M.dff_rails x
+let restore_dff_rails (E ((module M), x)) r = M.restore_dff_rails x r
+let dff_slot (E ((module M), x)) id = M.dff_slot x id
 let sync_prev (E ((module M), x)) = M.sync_prev x
 let checks (E ((module M), x)) cs = M.checks x cs
 
@@ -83,7 +87,36 @@ let set_all_inputs_x t =
   List.iter (fun (name, _) -> set_input_x t name) (netlist t).Netlist.input_ports
 
 let snapshot_values t = Array.init (Netlist.gate_count (netlist t)) (value t)
-let dff_state t = Array.map (value t) (dff_ids t)
+
+(* DFF rails: pair [k] is [r.(2k)] (can be 0) and [r.(2k+1)] (can be
+   1); slot [k lsl 6 lor b] is bit [b] of pair [k]. *)
+let slot_code r s =
+  let k = 2 * (s lsr 6) and b = s land 63 in
+  let lo = (r.(k) lsr b) land 1 and hi = (r.(k + 1) lsr b) land 1 in
+  hi + (lo land hi)
+
+let set_slot r s (b : Bit.t) =
+  let k = 2 * (s lsr 6) and m = 1 lsl (s land 63) in
+  let can0 = if Bit.equal b Bit.One then 0 else m
+  and can1 = if Bit.equal b Bit.Zero then 0 else m in
+  r.(k) <- r.(k) land lnot m lor can0;
+  r.(k + 1) <- r.(k + 1) land lnot m lor can1
+
+let rails_subsumes ~general ~specific =
+  let rec go i =
+    i < 0 || (specific.(i) land lnot general.(i) = 0 && go (i - 1))
+  in
+  Array.length general = Array.length specific
+  && go (Array.length general - 1)
+
+let rails_merge a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Engine.rails_merge: size mismatch";
+  Array.map2 ( lor ) a b
+
+let dff_state t =
+  let r = dff_rails t in
+  Array.map (fun id -> Bit.of_int_exn (slot_code r (dff_slot t id))) (dff_ids t)
 
 let check_code t c =
   Bit.to_int

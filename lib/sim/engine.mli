@@ -109,11 +109,24 @@ module type S = sig
 
   val dff_ids : t -> int array
   (** The DFF gate ids, in ascending order: the engine's own array,
-      read at every snapshot, so callers must not mutate it. *)
+      so callers must not mutate it. *)
 
-  val restore_dff_state : t -> Bvec.t -> unit
-  (** Overwrite DFF outputs (in [dff_ids] order) and re-settle
-      combinational logic.  Does not touch activity. *)
+  val dff_rails : t -> int array
+  (** The DFF state as a fresh array of dual-rail word pairs: bit [b]
+      of [r.(2k)] is set when the DFF in slot [(k lsl 6) lor b] can be
+      0, of [r.(2k+1)] when it can be 1 (X sets both; a bit no DFF
+      holds is clear in both).  The compiled engine's pairs are its
+      DFF chunks' own words, so this is one copy per chunk. *)
+
+  val restore_dff_rails : t -> int array -> unit
+  (** Overwrite the DFF outputs from a {!dff_rails} array of this
+      engine and re-settle combinational logic, re-evaluating only the
+      readers of bits that changed.  Does not touch activity. *)
+
+  val dff_slot : t -> int -> int
+  (** [dff_slot t id]: the slot of DFF gate [id] in {!dff_rails}
+      arrays, [-1] if [id] is not a DFF.  Resolve it once; it is not
+      meant for inner loops. *)
 
   val sync_prev : t -> unit
   (** Make the current settled values the activity baseline without
@@ -154,7 +167,26 @@ val snapshot_values : t -> Bvec.t
     values of never-toggled gates). *)
 
 val dff_state : t -> Bvec.t
-(** Current DFF outputs, in [dff_ids] order. *)
+(** Current DFF outputs, in [dff_ids] order: a per-bit view of
+    {!dff_rails}. *)
+
+(** {2 DFF rails}
+
+    Word operations over {!dff_rails} arrays, exact against the
+    per-bit semantics of {!Bit.subsumes}, {!Bit.merge} and assigning
+    one bit. *)
+
+val slot_code : int array -> int -> int
+(** The value code (0/1/2=X) at a slot. *)
+
+val set_slot : int array -> int -> Bit.t -> unit
+(** Set the bit at a slot, in place. *)
+
+val rails_subsumes : general:int array -> specific:int array -> bool
+(** Every value [specific] allows, [general] allows too. *)
+
+val rails_merge : int array -> int array -> int array
+(** The least state subsuming both: the rails ORed. *)
 
 val check_code : t -> check -> int
 (** The check's value code (0/1/2=X) at the current settled values:

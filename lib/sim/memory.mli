@@ -21,7 +21,17 @@
     two [int]s over its bits, [lo] (the bit can be 0) and [hi] (the bit
     can be 1), so X sets both.  An X-index read ORs the candidate
     words' rails, merging snapshots is an OR, and subsumption is
-    [specific land lnot general = 0]; the word width is at most 62. *)
+    [specific land lnot general = 0]; the word width is at most 62.
+
+    A snapshot is an immutable array of 32-word pages that snapshots
+    share: the live memory is one flat rail array that remembers which
+    pages were written since its last snapshot or restore, so a
+    snapshot copies only those pages and reuses the rest of the
+    previous one.  A restore copies in only the pages that differ from
+    the live memory's, and merge, subsume, equality, consistency and
+    {!diff} skip a pair of shared pages without reading it.  The
+    number of memory words snapshots copy is the Obs counter
+    [sim.memory.snapshot_words]. *)
 
 module Bit := Bespoke_logic.Bit
 module Bvec := Bespoke_logic.Bvec
@@ -86,3 +96,7 @@ val patch : snapshot -> int array -> pos:int -> len:int -> snapshot
 (** [consistent_snapshots a b]: no bit is definite in both snapshots
     with different values (X is compatible with anything). *)
 val consistent_snapshots : snapshot -> snapshot -> bool
+
+val shared_pages : snapshot -> snapshot -> int
+(** The pages two snapshots share: the ones merge, subsume,
+    equality, consistency and {!diff} skip without reading a word. *)

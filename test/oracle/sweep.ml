@@ -6,7 +6,6 @@
    and the engine benchmark get it behind the same [Engine] seam. *)
 
 module Bit = Bespoke_logic.Bit
-module Bvec = Bespoke_logic.Bvec
 module Gate = Bespoke_netlist.Gate
 module Netlist = Bespoke_netlist.Netlist
 module Engine = Bespoke_sim.Engine
@@ -176,11 +175,30 @@ module Impl = struct
   let set_cycle_hook s f = s.on_cycle <- f
   let dff_ids s = s.dffs
 
-  let restore_dff_state s (st : Bvec.t) =
-    if Bvec.width st <> Array.length s.dffs then
-      invalid_arg "Sweep.restore_dff_state: width mismatch";
-    Array.iteri (fun i id -> put s id (Bit.to_int st.(i))) s.dffs;
+  (* DFF [i] (in [dffs] order) sits at bit [i mod 62] of pair [i / 62] *)
+  let slot i = ((i / 62) lsl 6) lor (i mod 62)
+  let pairs s = (Array.length s.dffs + 61) / 62
+
+  let dff_rails s =
+    let r = Array.make (2 * pairs s) 0 in
+    Array.iteri
+      (fun i id -> Engine.set_slot r (slot i) (Bit.of_int_exn (get s id)))
+      s.dffs;
+    r
+
+  let restore_dff_rails s r =
+    if Array.length r <> 2 * pairs s then
+      invalid_arg "Sweep.restore_dff_rails: size mismatch";
+    Array.iteri (fun i id -> put s id (Engine.slot_code r (slot i))) s.dffs;
     sweep s
+
+  let dff_slot s id =
+    let rec find i =
+      if i >= Array.length s.dffs then -1
+      else if s.dffs.(i) = id then slot i
+      else find (i + 1)
+    in
+    find 0
 
   (* one scalar evaluation per check: the oracle the compiled
      engine's word-packed checks are tested against *)
@@ -216,8 +234,13 @@ let stuck_dffs net =
     changed := false;
     Engine.reset eng;
     Engine.set_all_inputs_x eng;
-    Engine.restore_dff_state eng
-      (Array.mapi (fun i id -> if stuck.(i) then init_of id else Bit.X) dffs);
+    let r = Engine.dff_rails eng in
+    Array.iteri
+      (fun i id ->
+        Engine.set_slot r (Engine.dff_slot eng id)
+          (if stuck.(i) then init_of id else Bit.X))
+      dffs;
+    Engine.restore_dff_rails eng r;
     Array.iteri
       (fun i id ->
         if stuck.(i) then begin

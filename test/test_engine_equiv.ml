@@ -14,7 +14,7 @@
      random ternary stimuli including X) must agree on every gate
      value at every cycle, and on final toggle counts and
      possibly-toggled marks, lane by lane;
-   - reset and restore_dff_state must discard partially-propagated
+   - reset and restore_dff_rails must discard partially-propagated
      state: interleaving un-evaluated input writes with reset /
      restore must leave the compiled engine (pending instructions)
      and Packed (dirty queue) indistinguishable from the sweep;
@@ -236,6 +236,7 @@ let test_restore_after_partial () =
   drive_and_compare "restore: warm-up" ef ec inputs r 4;
   let st = Engine.dff_state ef in
   Alcotest.(check bool) "dff snapshots agree" true (st = Engine.dff_state ec);
+  let rf = Engine.dff_rails ef and rc = Engine.dff_rails ec in
   (* pending un-evaluated input writes, then snapshot restore: the
      compiled engine must re-settle from the restored state, not from
      the stale pending set *)
@@ -244,8 +245,8 @@ let test_restore_after_partial () =
       Engine.set_gate ef id Bit.X;
       Engine.set_gate ec id Bit.X)
     inputs;
-  Engine.restore_dff_state ef st;
-  Engine.restore_dff_state ec st;
+  Engine.restore_dff_rails ef rf;
+  Engine.restore_dff_rails ec rc;
   Engine.sync_prev ef;
   Engine.sync_prev ec;
   let ng = Netlist.gate_count net in
@@ -254,6 +255,75 @@ let test_restore_after_partial () =
       Alcotest.failf "restore: gate %d differs right after restore" id
   done;
   drive_and_compare "restore: after" ef ec inputs r 8
+
+(* DFF rails against per-bit semantics.  On each engine, two random
+   ternary DFF states [va] and [vb] are written into rails through
+   [set_slot]; rail subsume, merge and slot assignment must match
+   [Bit.subsumes], [Bit.merge] and assigning one bit, and restoring
+   the rails must read back as [va] with both engines settled alike. *)
+let check_rail_ops ~what net seed =
+  let r = { s = (seed * 69069) lor 1 } in
+  let engines = [ ("sweep", Sweep.create net); ("compiled", Engine.create net) ] in
+  let dffs = Engine.dff_ids (snd (List.hd engines)) in
+  let n = Array.length dffs in
+  let va = Array.init n (fun _ -> rand_bit r) in
+  (* half the time a refinement of [va], which [va] subsumes *)
+  let vb =
+    if next r mod 2 = 0 then
+      Array.map (fun x -> if Bit.is_known x then x else Bit.of_bool (next r mod 2 = 0)) va
+    else Array.init n (fun _ -> rand_bit r)
+  in
+  let i = if n = 0 then 0 else next r mod n and b = rand_bit r in
+  let fail fmt = Printf.ksprintf (fun m -> failwith (what ^ ": " ^ m)) fmt in
+  List.iter
+    (fun (name, e) ->
+      Engine.reset e;
+      let slots = Array.map (Engine.dff_slot e) dffs in
+      let rails v =
+        let x = Engine.dff_rails e in
+        Array.iteri (fun k slot -> Engine.set_slot x slot v.(k)) slots;
+        x
+      in
+      let bits x = Array.map (fun slot -> Bit.of_int_exn (Engine.slot_code x slot)) slots in
+      let ra = rails va and rb = rails vb in
+      if bits ra <> va then fail "%s: set_slot/slot_code do not round-trip" name;
+      let per_bit = Array.for_all2 Bit.subsumes va vb in
+      if Engine.rails_subsumes ~general:ra ~specific:rb <> per_bit then
+        fail "%s: rails_subsumes differs from Bit.subsumes" name;
+      if not (Engine.rails_subsumes ~general:ra ~specific:ra) then
+        fail "%s: a state does not subsume itself" name;
+      if bits (Engine.rails_merge ra rb) <> Array.map2 Bit.merge va vb then
+        fail "%s: rails_merge differs from Bit.merge" name;
+      if n > 0 then begin
+        let x = Array.copy ra in
+        Engine.set_slot x slots.(i) b;
+        let expect = Array.copy va in
+        expect.(i) <- b;
+        if bits x <> expect then fail "%s: set_slot differs from assigning a bit" name
+      end;
+      Engine.restore_dff_rails e ra;
+      if Engine.dff_state e <> va || Engine.dff_rails e <> ra then
+        fail "%s: restore does not read back" name)
+    engines;
+  match engines with
+  | [ (_, ef); (_, ec) ] ->
+    for id = 0 to Netlist.gate_count net - 1 do
+      if Engine.value ef id <> Engine.value ec id then
+        fail "gate %d differs between the engines after restore" id
+    done
+  | _ -> assert false
+
+let test_rail_ops =
+  QCheck.Test.make ~name:"random netlists: DFF rail ops = per-bit semantics"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      check_rail_ops ~what:(Printf.sprintf "seed %d" seed) (fst (gen_net seed)) seed;
+      true)
+
+let test_rail_ops_core () =
+  let net = Runner.shared_netlist core in
+  List.iter (fun seed -> check_rail_ops ~what:"msp430 core" net seed) [ 1; 2; 3 ]
 
 let test_packed_reset_after_partial () =
   let net, inputs = gen_net 17 in
@@ -397,13 +467,16 @@ let () =
           B.table1 );
       ( "random",
         [ qt test_random_netlists;
+          qt test_rail_ops;
+          Alcotest.test_case "DFF rail ops on the msp430 core" `Quick
+            test_rail_ops_core;
           Alcotest.test_case "63 lanes vs 63 scalar runs" `Quick
             test_full_width ] );
       ( "invalidate",
         [
           Alcotest.test_case "reset after partial propagation" `Quick
             test_reset_after_partial;
-          Alcotest.test_case "restore_dff_state after partial propagation"
+          Alcotest.test_case "restore_dff_rails after partial propagation"
             `Quick test_restore_after_partial;
           Alcotest.test_case "packed reset after partial propagation" `Quick
             test_packed_reset_after_partial;

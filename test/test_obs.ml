@@ -461,6 +461,16 @@ let test_tailor_metrics () =
         "compiled analysis cycles counted" true
         (c "sim.compile.cycles" > 0);
       Alcotest.(check bool) "analysis paths counted" true (c "analysis.paths" > 0);
+      Alcotest.(check bool)
+        "analysis restores counted" true
+        (c "analysis.restores" > 0);
+      Alcotest.(check bool)
+        "analysis span ends with its allocation" true
+        (List.exists
+           (fun (e : Obs.Trace.event) ->
+             e.name = "analysis.analyze" && e.ph = 'E'
+             && List.mem_assoc "alloc_words" e.args)
+           (Obs.Trace.events ()));
       Alcotest.(check int) "cut.gates_removed matches Cut.stats"
         stats.Cut.cut_gates (c "cut.gates_removed");
       Alcotest.(check bool)

@@ -286,6 +286,32 @@ let test_x_soundness =
           Bvec.subsumes ~general:tern ~specific:concrete)
         [ 0; 1; 0x55; 0xaa; 0xff; 37; 200 ])
 
+(* A build keeps its state to itself: both cores built three times
+   over in 4 domains at once hash as they do built one after the
+   other. *)
+let test_parallel_builds () =
+  let cores = Bespoke_cores.Cores.[ msp430.core; rv32.core ] in
+  let hashes () =
+    List.map
+      (fun c -> Bespoke_netlist.Serial.hash (c.Bespoke_coreapi.Coredef.build ()))
+      cores
+  in
+  let sequential = hashes () in
+  (* the domains start building together *)
+  let ready = Atomic.make 0 in
+  let build () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    List.init 3 (fun _ -> hashes ())
+  in
+  List.init 4 (fun _ -> Domain.spawn build)
+  |> List.iteri (fun i d ->
+         List.iter
+           (Alcotest.(check (list string)) (Printf.sprintf "domain %d" i) sequential)
+           (Domain.join d))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bespoke_rtl"
@@ -310,6 +336,7 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "cse" `Quick test_cse;
           Alcotest.test_case "scopes" `Quick test_scope_tagging;
+          Alcotest.test_case "parallel core builds" `Quick test_parallel_builds;
           qt test_random_exprs;
           qt test_x_soundness;
         ] );

@@ -68,11 +68,11 @@ let test_dff_state_roundtrip () =
   Engine.eval eng;
   Engine.step eng;
   Engine.step eng;
-  let s = Engine.dff_state eng in
+  let s = Engine.dff_rails eng in
   Engine.step eng;
   Engine.step eng;
   Alcotest.(check (option int)) "advanced" (Some 4) (Engine.read_int eng "q");
-  Engine.restore_dff_state eng s;
+  Engine.restore_dff_rails eng s;
   Alcotest.(check (option int)) "restored" (Some 2) (Engine.read_int eng "q")
 
 (* ---- Memory ---- *)
@@ -149,6 +149,68 @@ let test_mem_snapshots () =
   Memory.restore m s1;
   Alcotest.(check (option int)) "restored" (Some 42)
     (Bvec.to_int (Memory.read_word m 1))
+
+(* Snapshots share 32-word pages: 256 words are 8 pages. *)
+let test_mem_pages () =
+  let m = Memory.create ~words:256 ~width:16 ~init:Bit.Zero in
+  let word s w =
+    let r = Memory.create ~words:256 ~width:16 ~init:Bit.One in
+    Memory.restore r s;
+    Memory.read_word_int r w
+  in
+  let copied = Bespoke_obs.Obs.Metrics.counter "sim.memory.snapshot_words" in
+  let copied_by f =
+    Bespoke_obs.Obs.enable ();
+    let before = Bespoke_obs.Obs.Metrics.counter_value copied in
+    let s = f () in
+    let n = Bespoke_obs.Obs.Metrics.counter_value copied - before in
+    Bespoke_obs.Obs.disable ();
+    (s, n)
+  in
+  Memory.load_int m 3 7;
+  let s1 = Memory.snapshot m in
+  let s2, n = copied_by (fun () -> Memory.snapshot m) in
+  Alcotest.(check int) "no write, nothing copied" 0 n;
+  Alcotest.(check bool) "no write, equal" true (Memory.equal_snapshot s1 s2);
+  Alcotest.(check int) "no write, every page shared" 8 (Memory.shared_pages s1 s2);
+  Alcotest.(check int) "merge keeps the shared pages" 8
+    (Memory.shared_pages (Memory.merge_snapshot s1 s2) s1);
+  Alcotest.(check bool) "subsumes" true (Memory.subsumes ~general:s1 ~specific:s2);
+  (* writes after a snapshot, through every write path, leave it be *)
+  Memory.write_masked_int m 3 ~data:9 ~mask:0xffff;
+  Memory.load_int m 40 1;
+  Memory.set_x_range m ~lo:100 ~hi:101;
+  Memory.write m ~addr:(Bvec.of_int ~width:8 200) ~data:(v16 5) ~mask:mask_all
+    ~en:Bit.One;
+  Alcotest.(check (option int)) "snapshot kept word 3" (Some 7) (word s1 3);
+  Alcotest.(check (option int)) "snapshot kept word 40" (Some 0) (word s1 40);
+  Alcotest.(check (option int)) "snapshot kept word 100" (Some 0) (word s1 100);
+  Alcotest.(check (option int)) "snapshot kept word 200" (Some 0) (word s1 200);
+  let s3, n = copied_by (fun () -> Memory.snapshot m) in
+  Alcotest.(check int) "only the four written pages copied" (4 * 32) n;
+  Alcotest.(check int) "the other pages shared" 4 (Memory.shared_pages s2 s3);
+  Alcotest.(check bool) "merge subsumes both" true
+    (let g = Memory.merge_snapshot s1 s3 in
+     Memory.subsumes ~general:g ~specific:s1 && Memory.subsumes ~general:g ~specific:s3);
+  (* a write after a restore leaves the restored snapshot be *)
+  Memory.restore m s1;
+  Memory.load_int m 3 11;
+  Alcotest.(check (option int)) "restored snapshot kept" (Some 7) (word s1 3);
+  let s4, n = copied_by (fun () -> Memory.snapshot m) in
+  Alcotest.(check int) "after restore, one written page copied" 32 n;
+  Alcotest.(check int) "and the rest shared with the restored one" 7
+    (Memory.shared_pages s1 s4);
+  (* diff and patch across pages *)
+  Memory.restore m s1;
+  Memory.load_int m 0 1;
+  Memory.load_int m 33 2;
+  Memory.load_int m 255 3;
+  let d = Memory.diff ~base:s1 m in
+  Alcotest.(check (list int)) "diff indices, ascending" [ 0; 33; 255 ]
+    (List.filteri (fun i _ -> i mod 3 = 0) (Array.to_list d));
+  Alcotest.(check bool) "patch rebuilds the memory" true
+    (Memory.equal_snapshot (Memory.patch s1 d ~pos:0 ~len:3) (Memory.snapshot m));
+  Alcotest.(check (option int)) "patch leaves its base be" (Some 0) (word s1 33)
 
 let test_mem_set_x_range () =
   let m = Memory.create ~words:8 ~width:8 ~init:Bit.Zero in
@@ -367,18 +429,23 @@ let pp_mem_op = function
   | Consistent (i, j) -> Printf.sprintf "consistent #%d #%d" i j
   | Diff_patch i -> Printf.sprintf "diff/patch #%d" i
 
-(* Geometries: small ones where random ops collide often, and 2048- and
+(* Geometries: small ones where random ops collide often, 2048- and
    4096-word ones where an all-X address exceeds 10 free index bits (on
-   4096 words that selects twice the words the X bits could reach). *)
+   4096 words that selects twice the words the X bits could reach), and
+   a 256-word one (8 pages) whose known-index ops hit a few words on
+   four pages, so snapshots share most pages and differ in some. *)
 let gen_mem_case =
   QCheck.Gen.(
     let* idx_bits, width =
       frequencyl
         [ (4, (2, 8)); (2, (3, 8)); (1, (4, 16)); (1, (6, 32)); (1, (11, 32));
-          (1, (12, 8)) ]
+          (1, (12, 8)); (2, (8, 16)) ]
     in
     let words = 1 lsl idx_bits in
-    let word = int_bound (words + 3) in
+    let word =
+      if idx_bits = 8 then oneofl [ 0; 1; 31; 32; 33; 130; 255; 256 + 33 ]
+      else int_bound (words + 3)
+    in
     let value = map (fun n -> n land ((1 lsl width) - 1)) int in
     let tern n =
       let* px = oneofl [ 0; 1; 5; 9 ] in
@@ -621,6 +688,7 @@ let () =
           Alcotest.test_case "x addr read" `Quick test_mem_x_addr_read;
           Alcotest.test_case "x addr write" `Quick test_mem_x_addr_write;
           Alcotest.test_case "snapshots" `Quick test_mem_snapshots;
+          Alcotest.test_case "snapshots share pages" `Quick test_mem_pages;
           Alcotest.test_case "set x range" `Quick test_mem_set_x_range;
           qt test_mem_model;
           qt test_mem_conservative_write;
