@@ -771,8 +771,25 @@ let run_bechamel () =
       (Staged.stage (fun () -> System.step_cycle sys))
   in
   let t_tern =
-    Test.make ~name:"ternary and (table)"
-      (Staged.stage (fun () -> Bit.tbl_and.(4)))
+    (* one scalar Nand instruction on its rail formulas: flip an input
+       and settle *)
+    let bld = Netlist.Builder.create () in
+    let input name =
+      let id = Netlist.Builder.add_op bld Gate.Input [||] in
+      Netlist.Builder.set_input_port bld name [| id |];
+      id
+    in
+    let a = input "a" and b = input "b" in
+    ignore (Netlist.Builder.add_op bld Gate.Nand [| a; b |]);
+    let c = Compile.create (Netlist.Builder.finish bld) in
+    Compile.reset c;
+    Compile.set_gate c b Bit.X;
+    let v = ref false in
+    Test.make ~name:"ternary nand settle (rails)"
+      (Staged.stage (fun () ->
+           v := not !v;
+           Compile.set_gate c a (Bit.of_bool !v);
+           Compile.eval c))
   in
   let t_asm =
     Test.make ~name:"assemble small program"
@@ -1453,6 +1470,35 @@ let check_bespoke_structure () =
              stock.Compile.instructions))
     Bespoke_cores.Cores.all
 
+(* Same-work gate: instructions the compiled engine executes per
+   committed cycle of a stock mult run, which a faster inner loop must
+   not raise (a rewrite that woke readers whose read-mask missed would
+   keep every output and do more work).  The bars are the readings of
+   the pending-bitmask engine with mask-filtered wake-ups (15793
+   instructions over 78 cycles on msp430, 45847 over 343 on rv32),
+   rounded up.  Host-independent. *)
+let max_execs_per_cycle = [ ("msp430", 202.48); ("rv32", 133.67) ]
+
+let check_same_work () =
+  List.iter
+    (fun (e : Bespoke_cores.Cores.entry) ->
+      let core = e.Bespoke_cores.Cores.core in
+      let name = core.Bespoke_coreapi.Coredef.name in
+      let b = Option.get (Bespoke_cores.Cores.benchmark e "mult") in
+      let netlist = Runner.shared_netlist core in
+      Obs.enable ();
+      Obs.reset ();
+      ignore (Runner.run_gate ~core ~netlist b ~seed:1);
+      let count m = float_of_int (Obs.Metrics.counter_value (Obs.Metrics.counter m)) in
+      let per_cycle = count "sim.compile.instr_execs" /. count "sim.compile.cycles" in
+      Obs.reset ();
+      Obs.disable ();
+      let bar = List.assoc name max_execs_per_cycle in
+      printf "bench-smoke: %s mult executes %.2f instructions/cycle (gate %.2f)\n"
+        name per_cycle bar;
+      if per_cycle > bar then failwith "bench-smoke: same-work gate exceeded")
+    Bespoke_cores.Cores.all
+
 let run_bench_smoke () =
   let b = B.find "mult" in
   let net = stock () in
@@ -1480,7 +1526,8 @@ let run_bench_smoke () =
     b.B.name (List.length seeds) (List.hd full).Runner.sim_cycles;
   check_analysis_alloc ();
   check_guard_alloc ();
-  check_bespoke_structure ()
+  check_bespoke_structure ();
+  check_same_work ()
 
 (* ------------------------------------------------------------------ *)
 

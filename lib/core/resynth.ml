@@ -17,46 +17,71 @@ let m_rounds = Obs.Metrics.counter "resynth.rounds"
    inits and the rest X; a DFF whose D pin is not definitely its init
    value is demoted.  Ternary evaluation is monotone, so any real
    reachable state refines the evaluated one and the surviving DFFs
-   truly never change. *)
+   truly never change.  After the first sweep a round re-evaluates
+   only the gates whose fanin changed: the cones of the DFFs the round
+   before demoted. *)
 let stuck_dffs net =
   let gates = net.Netlist.gates in
   let order = Netlist.levelize net in
-  let dffs =
-    List.filter_map
-      (fun id ->
-        match gates.(id).Gate.op with
-        | Gate.Dff init -> Some (id, init, gates.(id).Gate.fanin.(0))
-        | _ -> None)
-      (List.init (Array.length gates) Fun.id)
-  in
+  let dffs = ref [] in
+  for id = Array.length gates - 1 downto 0 do
+    match gates.(id).Gate.op with
+    | Gate.Dff init -> dffs := (id, init, gates.(id).Gate.fanin.(0)) :: !dffs
+    | _ -> ()
+  done;
   let v =
     Array.map
-      (fun (g : Gate.t) -> match g.op with Gate.Const b -> b | _ -> Bit.X)
+      (fun (g : Gate.t) ->
+        match g.op with Gate.Const b | Gate.Dff b -> b | _ -> Bit.X)
       gates
   in
   let stuck = Array.map Gate.is_sequential gates in
+  (* the round (mod 256) in which each value last changed: a later
+     round re-evaluates a gate only when a fanin changed in it (a
+     wrapped stamp only re-evaluates a gate needlessly) *)
+  let changed_in = Bytes.make (Array.length gates) '\000' in
+  let round = ref 1 in
   let ins = Array.make 3 Bit.X in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (id, init, _) -> v.(id) <- (if stuck.(id) then init else Bit.X))
-      dffs;
-    Array.iter
-      (fun id ->
-        let g = gates.(id) in
-        for k = 0 to Array.length g.fanin - 1 do
-          ins.(k) <- v.(g.fanin.(k))
+    let stamp = Char.unsafe_chr (!round land 255) in
+    for r = 0 to Array.length order - 1 do
+      let id = order.(r) in
+      let g = gates.(id) in
+      let f = g.fanin in
+      let stale = ref (!round = 1) in
+      for k = 0 to Array.length f - 1 do
+        if Bytes.get changed_in f.(k) = stamp then stale := true
+      done;
+      if !stale then begin
+        for k = 0 to Array.length f - 1 do
+          ins.(k) <- v.(f.(k))
         done;
-        v.(id) <- Gate.eval g.op ins)
-      order;
+        let x = Gate.eval g.op ins in
+        if not (Bit.equal x v.(id)) then begin
+          v.(id) <- x;
+          Bytes.set changed_in id stamp
+        end
+      end
+    done;
+    incr round;
+    let stamp = Char.unsafe_chr (!round land 255) in
+    (* every verdict reads this round's values, then demotions apply *)
+    let demoted =
+      List.filter
+        (fun (id, init, d) -> stuck.(id) && not (Bit.equal v.(d) init))
+        !dffs
+    in
     List.iter
-      (fun (id, init, d) ->
-        if stuck.(id) && not (Bit.equal v.(d) init) then begin
-          stuck.(id) <- false;
-          changed := true
+      (fun (id, _, _) ->
+        stuck.(id) <- false;
+        changed := true;
+        if not (Bit.equal v.(id) Bit.X) then begin
+          v.(id) <- Bit.X;
+          Bytes.set changed_in id stamp
         end)
-      dffs
+      demoted
   done;
   stuck
 

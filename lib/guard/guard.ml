@@ -27,6 +27,7 @@ type plan = {
   p_prov : Provenance.t;
   p_assumptions : Cut.assumption list;
   p_monitors : monitor list;
+  p_checks : Engine.check array;
   p_implied : int;
   p_unmonitorable : int;
 }
@@ -88,12 +89,14 @@ let plan ~original ~bespoke ~prov ~possibly_toggled ~constants =
     assumptions;
   Obs.Metrics.add m_assumptions (List.length assumptions);
   Obs.Metrics.add m_monitors (List.length !monitors);
+  let monitors = List.rev !monitors in
   {
     p_original = original;
     p_bespoke = bespoke;
     p_prov = prov;
     p_assumptions = assumptions;
-    p_monitors = List.rev !monitors;
+    p_monitors = monitors;
+    p_checks = Array.of_list (List.map (fun m -> m.m_check) monitors);
     p_implied = !implied;
     p_unmonitorable = !unmonitorable;
   }
@@ -290,10 +293,9 @@ let watch_original plan =
        a)
 
 let watch_bespoke plan =
-  let ms = Array.of_list plan.p_monitors in
   make_watcher
-    (Array.map (fun m -> m.m_gate) ms)
-    (Array.map (fun m -> m.m_check) ms)
+    (Array.of_list (List.map (fun m -> m.m_gate) plan.p_monitors))
+    plan.p_checks
 
 (* The exact pass over the checks at a committed cycle, run only when
    the packed program reports a violation: it finds which checks

@@ -56,6 +56,10 @@ type plan = {
   p_monitors : monitor list;
       (** boundary assumptions checkable in hardware: every fanin maps
           to a surviving net or tie, and at least one is a live net *)
+  p_checks : Engine.check array;
+      (** the monitors' checks in [p_monitors] order, built once: every
+          {!watch_bespoke} watcher of the plan shares this array, so
+          runs of one compiled design lower it once ({!Engine.checks}) *)
   p_implied : int;
       (** interior assumptions statically satisfied by the ties alone
           (all fanins constant) — no monitor needed *)
@@ -138,8 +142,9 @@ val watch_bespoke : plan -> watcher
 
 val attach : watcher -> Engine.t -> unit
 (** Hook the watcher into an engine's per-cycle commit (any engine).
-    The checks are prepared once ({!Engine.checks}: word operations on
-    the compiled engine's rails); each cycle asks only whether any
+    The checks are prepared once per compiled design ({!Engine.checks}:
+    word operations on the compiled engine's rails, shared by every
+    watcher of one plan); each cycle asks only whether any
     check is violated, and a cycle that says yes gets the exact
     per-check scan, counted by the [guard.exact_scans] metric.  One
     watcher per engine; violations are sticky per gate (a gate is

@@ -76,29 +76,3 @@ let concretizations = function
   | Zero -> [ Zero ]
   | One -> [ One ]
   | X -> [ Zero; One ]
-
-let all = [ Zero; One; X ]
-
-let table1 f = Array.init 3 (fun a -> to_int (f (of_int_exn a)))
-
-let table2 f =
-  Array.init 9 (fun i -> to_int (f (of_int_exn (i / 3)) (of_int_exn (i mod 3))))
-
-let table3 f =
-  Array.init 27 (fun i ->
-      to_int
-        (f (of_int_exn (i / 9)) (of_int_exn (i / 3 mod 3)) (of_int_exn (i mod 3))))
-
-let tbl_not = table1 lnot
-let tbl_and = table2 land_
-let tbl_or = table2 lor_
-let tbl_nand = table2 lnand
-let tbl_nor = table2 lnor
-let tbl_xor = table2 lxor_
-let tbl_xnor = table2 lxnor
-let tbl_mux = table3 mux
-let tbl_merge = table2 merge
-
-(* Referenced so the exhaustive-value list is available to tests via
-   [concretizations]; [all] itself is intentionally not exported. *)
-let _ = all

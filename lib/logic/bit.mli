@@ -24,9 +24,9 @@ val is_known : t -> bool
 
 (** {1 Integer encoding}
 
-    [Zero] = 0, [One] = 1, [X] = 2.  The simulator stores values in
-    int arrays with this encoding; the lookup tables below are indexed
-    as [a * 3 + b]. *)
+    [Zero] = 0, [One] = 1, [X] = 2: the value codes the engines read
+    back ([value_code]).  The engines compute on dual rails (can be 0 /
+    can be 1), not on codes. *)
 
 val to_int : t -> int
 val of_int_exn : int -> t
@@ -63,19 +63,3 @@ val subsumes : t -> t -> bool
 
 val concretizations : t -> t list
 (** [Zero]/[One] map to themselves; [X] maps to [[Zero; One]]. *)
-
-(** {1 Packed operator tables}
-
-    Flat int tables over the 0/1/2 encoding, for the inner loop of the
-    levelized simulator.  [tbl_not.(a)], [tbl_and.(a * 3 + b)], and
-    [tbl_mux.(sel * 9 + a * 3 + b)]. *)
-
-val tbl_not : int array
-val tbl_and : int array
-val tbl_or : int array
-val tbl_nand : int array
-val tbl_nor : int array
-val tbl_xor : int array
-val tbl_xnor : int array
-val tbl_mux : int array
-val tbl_merge : int array

@@ -20,8 +20,16 @@ let m_instructions = Obs.Metrics.counter "sim.compile.instructions"
 let m_word_gates = Obs.Metrics.counter "sim.compile.word_gates"
 let m_adders = Obs.Metrics.counter "sim.compile.adders"
 
-(* The cycle hook's time, sampled on every 64th committed cycle. *)
+(* Assumption-check programs lowered (not found with their program). *)
+let m_lowerings = Obs.Metrics.counter "sim.compile.check_lowerings"
+
+(* The cycle hook's time, sampled on every 64th committed cycle, and
+   a settle's, sampled on every [eval_stride]th [eval] of an instance:
+   a prime, so the samples rotate through the two or three settles of
+   a cycle instead of always landing on the same one. *)
 let h_hook = Obs.Metrics.histogram "sim.hook_ns"
+let h_eval = Obs.Metrics.histogram "sim.eval_ns"
+let eval_stride = 61
 
 (* Gate opcodes. *)
 let op_buf = 0
@@ -88,7 +96,6 @@ type instr =
       d_t1 : int;
       d_t2 : int;
       d_cout : int;
-      w : int;
       mask : int;
     }
   | IGate of {
@@ -100,12 +107,42 @@ type instr =
       dg : int;  (* destination gate id *)
     }
 
-(* The immutable compiled design, shared by every instance simulating
-   a netlist with the same design hash (including across domains).
+(* ---------- packed assumption checks (types) ---------- *)
+
+type source = Net of int | Tie of Bit.t
+type check = { c_op : Gate.op; c_fanin : source array; c_assumed : Bit.t }
+
+(* A lowered check program, bound to no instance: lanes grouped by
+   opcode into words of up to 63.  Word [w] has opcode [k_op.(w)],
+   fanin columns [k_col.(w) ..] (one per operand) and per-lane
+   assumed-0/1/X masks.  Column [j] is its tie rails [col_lo.(j)]/[col_hi.(j)] ORed with
+   three-int segments of [segs]:
+   - runs [col_seg.(j) .. col_bc.(j) - 1] (chunk, source bit, length
+     and first lane packed as [len lsl 6 lor lane]): consecutive state
+     bits into consecutive lanes, one shift and one mask each;
+   - broadcasts [col_bc.(j) .. col_seg.(j + 1) - 1] (chunk, source
+     bit, lane mask): one state bit read by several neighbouring
+     lanes. *)
+type lowered = {
+  k_op : int array;
+  k_col : int array;
+  k_a0 : int array;
+  k_a1 : int array;
+  k_ax : int array;
+  col_lo : int array;
+  col_hi : int array;
+  col_seg : int array;
+  col_bc : int array;
+  segs : int array;
+}
+
+(* The compiled design, immutable but for its check-lowering cache and
+   shared by every instance simulating a netlist with the same design
+   hash (including across domains).
    Instructions live in one flat int array [code] indexed through
    [ioff], so the dispatch loop chases no pointers:
      word ops    [opc; dst; mask; operands...]         opc 0..9
-     adder       [10; mask; w; cin; 5 dsts; x; y]
+     adder       [10; mask; cin; 5 dsts; x; y]
      scalar gate [11+op; dstloc; dstgate; fanin locs]
    Word operands are ints: low 2 bits select aligned (0) / broadcast
    (1) / gather (2); aligned and broadcast carry chunk and shift,
@@ -125,7 +162,7 @@ type program = {
   ioff : int array;  (* instr index -> offset into [code] *)
   gpool : int array;
   rd_start : int array;  (* CSR: word chunk -> (reader, read-mask) *)
-  rd_instr : int array;
+  rd_instr : int array;  (* readers as pending slots ([pend_slot]) *)
   rd_mask : int array;
   rb_start : int array;  (* CSR: gate -> readers (bit-indexed chunks) *)
   rb : int array;
@@ -138,6 +175,8 @@ type program = {
   dff_ids : int array;
   n_word_gates : int;
   n_adders : int;
+  lowerings : (check array, lowered) Ephemeron.K1.t list Atomic.t;
+      (* recent check lowerings, keyed (weakly) by the check array *)
 }
 
 (* Toggle counters are bit-sliced: plane i of a chunk holds bit i of
@@ -160,6 +199,7 @@ type t = {
   mutable touched_len : int;
   in_touched : Bytes.t;
   mutable committed : int;
+  mutable evals : int;  (* [eval] calls while Obs was on *)
   mutable full_commit : bool;
   mutable on_first_possibly : (int -> unit) option;
   mutable on_cycle : (int -> unit) option;
@@ -174,31 +214,19 @@ type t = {
 
 let max_w = 63
 
-(* trailing-zero count of a one-bit word *)
-let ntz b =
-  let n = ref 0 and b = ref b in
-  if !b land 0xFFFFFFFF = 0 then begin
-    n := !n + 32;
-    b := !b lsr 32
-  end;
-  if !b land 0xFFFF = 0 then begin
-    n := !n + 16;
-    b := !b lsr 16
-  end;
-  if !b land 0xFF = 0 then begin
-    n := !n + 8;
-    b := !b lsr 8
-  end;
-  if !b land 0xF = 0 then begin
-    n := !n + 4;
-    b := !b lsr 4
-  end;
-  if !b land 0x3 = 0 then begin
-    n := !n + 2;
-    b := !b lsr 2
-  end;
-  if !b land 0x1 = 0 then incr n;
-  !n
+(* Trailing-zero count of a one-bit word, without a branch: the de
+   Bruijn multiply sends each of the 63 one-bit words to a distinct
+   slot in the product's top six bits. *)
+let debruijn = 0x03f79d71b4ca8b09
+
+let ntz_slot =
+  let tbl = Array.make 64 0 in
+  for i = 0 to max_w - 1 do
+    tbl.(((1 lsl i) * debruijn) lsr 57) <- i
+  done;
+  tbl
+
+let ntz b = Array.unsafe_get ntz_slot ((b * debruijn) lsr 57)
 
 (* ---------- compilation ---------- *)
 
@@ -208,6 +236,9 @@ type kind =
   | KSeq of int  (* w consecutive DFF or input bits sharing one word *)
 
 let loc_pack c b = (c lsl 6) lor b
+
+(* instruction [i]'s pending bit, packed as (word lsl 6) lor bit *)
+let pend_slot i = loc_pack (i / 63) (i mod 63)
 
 let compile net =
   let ng = Netlist.gate_count net in
@@ -496,7 +527,6 @@ let compile net =
              d_t1 = g_chunk.(id + 2);
              d_t2 = g_chunk.(id + 3);
              d_cout = g_chunk.(id + 4);
-             w;
              mask = (1 lsl w) - 1;
            })
     | Some (KRun w) ->
@@ -591,11 +621,9 @@ let compile net =
         emitw (enc_op sel);
         emitw (enc_op a);
         emitw (enc_op b)
-      | IAdd { x; y; cin_c; cin_sh; d_axb; d_out; d_t1; d_t2; d_cout; w; mask }
-        ->
+      | IAdd { x; y; cin_c; cin_sh; d_axb; d_out; d_t1; d_t2; d_cout; mask } ->
         emitw 10;
         emitw mask;
-        emitw w;
         emitw (loc_pack cin_c cin_sh);
         emitw d_axb;
         emitw d_out;
@@ -694,14 +722,14 @@ let compile net =
       List.iter
         (fun (c, m) ->
           if Bytes.get ch_bitidx c = '\000' then begin
-            rd_instr.(rd_start.(c) + wfill.(c)) <- idx;
+            rd_instr.(rd_start.(c) + wfill.(c)) <- pend_slot idx;
             rd_mask.(rd_start.(c) + wfill.(c)) <- m;
             wfill.(c) <- wfill.(c) + 1
           end
           else
             iter_bits m (fun b ->
                 let g = gid_tbl.(ch_gidx.(c) + b) in
-                rb.(rb_start.(g) + gfill.(g)) <- idx;
+                rb.(rb_start.(g) + gfill.(g)) <- pend_slot idx;
                 gfill.(g) <- gfill.(g) + 1))
         dl)
     deps;
@@ -767,6 +795,7 @@ let compile net =
     dff_ids = Array.of_list !dff_ids;
     n_word_gates = !n_word_gates;
     n_adders = !n_adders;
+    lowerings = Atomic.make [];
   }
 
 (* ---------- design cache ---------- *)
@@ -835,6 +864,7 @@ let create net =
       touched_len = 0;
       in_touched = Bytes.make nc '\000';
       committed = 0;
+      evals = 0;
       full_commit = true;
       on_first_possibly = None;
       on_cycle = None;
@@ -883,10 +913,10 @@ let schedule_rb t g =
   let s = Array.unsafe_get t.p.rb_start g
   and e = Array.unsafe_get t.p.rb_start (g + 1) in
   for k = s to e - 1 do
-    let i = Array.unsafe_get t.p.rb k in
-    let wi = i / 63 in
+    let x = Array.unsafe_get t.p.rb k in
+    let wi = x lsr 6 in
     Array.unsafe_set t.pend wi
-      (Array.unsafe_get t.pend wi lor (1 lsl (i mod 63)))
+      (Array.unsafe_get t.pend wi lor (1 lsl (x land 63)))
   done
 
 (* wake readers of the changed bits [delta] of chunk [c] *)
@@ -903,13 +933,16 @@ let schedule_delta t c delta =
   else begin
     let s = Array.unsafe_get t.p.rd_start c
     and e = Array.unsafe_get t.p.rd_start (c + 1) in
+    (* [(hit lor (0 - hit)) lsr 62] is 1 exactly when the read-mask
+       meets [delta]: every reader's pending bit is ORed in without a
+       branch on the mask *)
     for k = s to e - 1 do
-      if Array.unsafe_get t.p.rd_mask k land delta <> 0 then begin
-        let i = Array.unsafe_get t.p.rd_instr k in
-        let wi = i / 63 in
-        Array.unsafe_set t.pend wi
-          (Array.unsafe_get t.pend wi lor (1 lsl (i mod 63)))
-      end
+      let hit = Array.unsafe_get t.p.rd_mask k land delta in
+      let x = Array.unsafe_get t.p.rd_instr k in
+      let wi = x lsr 6 in
+      Array.unsafe_set t.pend wi
+        (Array.unsafe_get t.pend wi
+        lor (((hit lor (0 - hit)) lsr 62) lsl (x land 63)))
     done
   end
 
@@ -971,12 +1004,47 @@ let load_rec t a mask =
     t.sc_lo <- !llo;
     t.sc_hi <- !lhi
 
-(* value code (0/1/2) of the bit at a packed location *)
-let code_loc t l =
-  let c = l lsr 6 and b = l land 63 in
-  let lo = (Array.unsafe_get t.lo c lsr b) land 1
-  and hi = (Array.unsafe_get t.hi c lsr b) land 1 in
-  hi + (lo land hi)
+let set_scratch t l h =
+  t.sc_lo <- l;
+  t.sc_hi <- h
+
+(* The Kleene rail formulas of gate opcode [opc] over dual-rail words
+   [a], [b] and [c] (a mux reads [sel; a; b] from them), into the
+   scratch pair.  Word instructions, scalar gates (on one-bit words)
+   and check programs all evaluate through this one set. *)
+let rails t opc alo ahi blo bhi clo chi =
+  if opc = op_buf then set_scratch t alo ahi
+  else if opc = op_not then set_scratch t ahi alo
+  else if opc = op_and then set_scratch t (alo lor blo) (ahi land bhi)
+  else if opc = op_or then set_scratch t (alo land blo) (ahi lor bhi)
+  else if opc = op_nand then set_scratch t (ahi land bhi) (alo lor blo)
+  else if opc = op_nor then set_scratch t (ahi lor bhi) (alo land blo)
+  else if opc = op_xor then
+    set_scratch t
+      ((alo land blo) lor (ahi land bhi))
+      ((alo land bhi) lor (ahi land blo))
+  else if opc = op_xnor then
+    set_scratch t
+      ((alo land bhi) lor (ahi land blo))
+      ((alo land blo) lor (ahi land bhi))
+  else begin
+    let s0 = alo land lnot ahi and s1 = ahi land lnot alo and sx = alo land ahi in
+    set_scratch t
+      ((s0 land blo) lor (s1 land clo) lor (sx land (blo lor clo)))
+      ((s0 land bhi) lor (s1 land chi) lor (sx land (bhi lor chi)))
+  end
+
+(* the can-be-0 / can-be-1 rail bit at a packed location *)
+let[@inline] bit_lo t l = (Array.unsafe_get t.lo (l lsr 6) lsr (l land 63)) land 1
+let[@inline] bit_hi t l = (Array.unsafe_get t.hi (l lsr 6) lsr (l land 63)) land 1
+
+(* The carry into every bit of the chain c' = g | (p & c) from carry-in
+   [cin], and out of the top bit above it: with a = g | p and b = g,
+   a & b = g and a ^ b = p & ~g, so the carries of a + b + cin are the
+   chain's. *)
+let[@inline] carries g p cin =
+  let a = g lor p in
+  (a + g + cin) lxor a lxor g
 
 let exec t i =
   let code = t.p.code in
@@ -984,30 +1052,21 @@ let exec t i =
   let opc = Array.unsafe_get code o in
   if opc >= 11 then begin
     (* scalar gate: one dispatch evaluates and stores a single bit *)
-    let a = code_loc t (Array.unsafe_get code (o + 3)) in
-    let r =
-      if opc = 11 then a
-      else if opc = 12 then Bit.tbl_not.(a)
-      else
-        let b = code_loc t (Array.unsafe_get code (o + 4)) in
-        if opc = 13 then Bit.tbl_and.((a * 3) + b)
-        else if opc = 14 then Bit.tbl_or.((a * 3) + b)
-        else if opc = 15 then Bit.tbl_nand.((a * 3) + b)
-        else if opc = 16 then Bit.tbl_nor.((a * 3) + b)
-        else if opc = 17 then Bit.tbl_xor.((a * 3) + b)
-        else if opc = 18 then Bit.tbl_xnor.((a * 3) + b)
-        else
-          let s = code_loc t (Array.unsafe_get code (o + 5)) in
-          Bit.tbl_mux.((a * 9) + (b * 3) + s)
-    in
+    let op = opc - 11 in
+    let la = Array.unsafe_get code (o + 3) in
+    let lb = if op >= op_and then Array.unsafe_get code (o + 4) else la in
+    let lc = if op = op_mux then Array.unsafe_get code (o + 5) else la in
+    rails t op (bit_lo t la) (bit_hi t la) (bit_lo t lb) (bit_hi t lb)
+      (bit_lo t lc) (bit_hi t lc);
     let dst = Array.unsafe_get code (o + 1) in
     let c = dst lsr 6 and b = dst land 63 in
-    let nl = 1 - (r land 1) and nh = (r + 1) lsr 1 in
     let olo = Array.unsafe_get t.lo c and ohi = Array.unsafe_get t.hi c in
-    if (olo lsr b) land 1 <> nl || (ohi lsr b) land 1 <> nh then begin
-      let m = lnot (1 lsl b) in
-      Array.unsafe_set t.lo c (olo land m lor (nl lsl b));
-      Array.unsafe_set t.hi c (ohi land m lor (nh lsl b));
+    let m = 1 lsl b in
+    let nlo = olo land lnot m lor (t.sc_lo lsl b)
+    and nhi = ohi land lnot m lor (t.sc_hi lsl b) in
+    if nlo <> olo || nhi <> ohi then begin
+      Array.unsafe_set t.lo c nlo;
+      Array.unsafe_set t.hi c nhi;
       mark_touched t c;
       schedule_rb t (Array.unsafe_get code (o + 2))
     end
@@ -1015,37 +1074,20 @@ let exec t i =
   else if opc < 8 then begin
     let dst = Array.unsafe_get code (o + 1)
     and mask = Array.unsafe_get code (o + 2) in
-    if opc < 2 then begin
-      load t (Array.unsafe_get code (o + 3)) mask;
-      if opc = 0 then store t dst t.sc_lo t.sc_hi
-      else store t dst t.sc_hi t.sc_lo
-    end
+    load t (Array.unsafe_get code (o + 3)) mask;
+    if opc < 2 then rails t opc t.sc_lo t.sc_hi 0 0 0 0
     else begin
-      load t (Array.unsafe_get code (o + 3)) mask;
       let alo = t.sc_lo and ahi = t.sc_hi in
       load t (Array.unsafe_get code (o + 4)) mask;
-      let blo = t.sc_lo and bhi = t.sc_hi in
-      if opc = 2 then store t dst (alo lor blo) (ahi land bhi)
-      else if opc = 3 then store t dst (alo land blo) (ahi lor bhi)
-      else if opc = 4 then store t dst (ahi land bhi) (alo lor blo)
-      else if opc = 5 then store t dst (ahi lor bhi) (alo land blo)
-      else if opc = 6 then
-        store t dst
-          ((alo land blo) lor (ahi land bhi))
-          ((alo land bhi) lor (ahi land blo))
-      else
-        store t dst
-          ((alo land bhi) lor (ahi land blo))
-          ((alo land blo) lor (ahi land bhi))
-    end
+      rails t opc alo ahi t.sc_lo t.sc_hi 0 0
+    end;
+    store t dst t.sc_lo t.sc_hi
   end
   else if opc = 8 then begin
     let dst = Array.unsafe_get code (o + 1)
     and mask = Array.unsafe_get code (o + 2)
     and sel = Array.unsafe_get code (o + 3) in
-    let sc = sel lsr 6 and sb = sel land 63 in
-    let sl = (Array.unsafe_get t.lo sc lsr sb) land 1
-    and sh = (Array.unsafe_get t.hi sc lsr sb) land 1 in
+    let sl = bit_lo t sel and sh = bit_hi t sel in
     if sh = 0 then begin
       load t (Array.unsafe_get code (o + 4)) mask;
       store t dst t.sc_lo t.sc_hi
@@ -1069,113 +1111,68 @@ let exec t i =
     load t (Array.unsafe_get code (o + 4)) mask;
     let alo = t.sc_lo and ahi = t.sc_hi in
     load t (Array.unsafe_get code (o + 5)) mask;
-    let blo = t.sc_lo and bhi = t.sc_hi in
-    let s0 = slo land lnot shi
-    and s1 = shi land lnot slo
-    and sx = slo land shi in
-    store t dst
-      ((s0 land alo) lor (s1 land blo) lor (sx land (alo lor blo)))
-      ((s0 land ahi) lor (s1 land bhi) lor (sx land (ahi lor bhi)))
+    rails t op_mux slo shi alo ahi t.sc_lo t.sc_hi;
+    store t dst t.sc_lo t.sc_hi
   end
   else begin
-    (* opc = 10: recovered ripple-carry adder *)
+    (* opc = 10: recovered ripple-carry adder.  Per bit the chain is
+       axb = x^y, out = axb^c, t1 = x&y, t2 = c&axb, c' = t1|t2.  On
+       rails, c' can be 1 where t1 can be 1, or axb and c can be 1; it
+       can be 0 where t1 can be 0 and (axb or c can be 0).  Each carry
+       rail is a generate/propagate recurrence that [carries] resolves
+       with one native add. *)
     let mask = Array.unsafe_get code (o + 1)
-    and w = Array.unsafe_get code (o + 2)
-    and cin = Array.unsafe_get code (o + 3) in
-    let d_axb = Array.unsafe_get code (o + 4)
-    and d_out = Array.unsafe_get code (o + 5)
-    and d_t1 = Array.unsafe_get code (o + 6)
-    and d_t2 = Array.unsafe_get code (o + 7)
-    and d_cout = Array.unsafe_get code (o + 8) in
-    load t (Array.unsafe_get code (o + 9)) mask;
+    and cin = Array.unsafe_get code (o + 2) in
+    load t (Array.unsafe_get code (o + 8)) mask;
     let xlo = t.sc_lo and xhi = t.sc_hi in
-    load t (Array.unsafe_get code (o + 10)) mask;
+    load t (Array.unsafe_get code (o + 9)) mask;
     let ylo = t.sc_lo and yhi = t.sc_hi in
-    let cc = cin lsr 6 and cb = cin land 63 in
-    let cl = (Array.unsafe_get t.lo cc lsr cb) land 1
-    and ch = (Array.unsafe_get t.hi cc lsr cb) land 1 in
-    if (xlo land xhi) lor (ylo land yhi) lor (cl land ch) = 0 then begin
-      (* no X anywhere: one native add reconstructs every internal
-         gate of the ripple chain word-wise *)
-      let a = xhi and b = yhi in
-      let tsum = a + b + ch in
-      let u = tsum lxor a lxor b in
-      (* bit k of [u] is the carry into bit k *)
-      let axb = a lxor b in
-      let sum = tsum land mask in
-      let t1 = a land b in
-      let cinw = u land mask in
-      let t2 = cinw land axb in
-      let cout = (u lsr 1) land mask in
-      store t d_axb (lnot axb land mask) axb;
-      store t d_out (lnot sum land mask) sum;
-      store t d_t1 (lnot t1 land mask) t1;
-      store t d_t2 (lnot t2 land mask) t2;
-      store t d_cout (lnot cout land mask) cout
-    end
-    else begin
-      (* three-valued fallback: exact per-bit gate functions *)
-      let lo_axb = ref 0 and hi_axb = ref 0 in
-      let lo_out = ref 0 and hi_out = ref 0 in
-      let lo_t1 = ref 0 and hi_t1 = ref 0 in
-      let lo_t2 = ref 0 and hi_t2 = ref 0 in
-      let lo_co = ref 0 and hi_co = ref 0 in
-      let cc = ref (ch + (cl land ch)) in
-      for k = 0 to w - 1 do
-        let xc =
-          let l = (xlo lsr k) land 1 and h = (xhi lsr k) land 1 in
-          h + (l land h)
-        in
-        let yc =
-          let l = (ylo lsr k) land 1 and h = (yhi lsr k) land 1 in
-          h + (l land h)
-        in
-        let axb = Bit.tbl_xor.((xc * 3) + yc) in
-        let out = Bit.tbl_xor.((axb * 3) + !cc) in
-        let t1 = Bit.tbl_and.((xc * 3) + yc) in
-        let t2 = Bit.tbl_and.((!cc * 3) + axb) in
-        let co = Bit.tbl_or.((t1 * 3) + t2) in
-        let dep lo hi c =
-          lo := !lo lor ((1 - (c land 1)) lsl k);
-          hi := !hi lor (((c + 1) lsr 1) lsl k)
-        in
-        dep lo_axb hi_axb axb;
-        dep lo_out hi_out out;
-        dep lo_t1 hi_t1 t1;
-        dep lo_t2 hi_t2 t2;
-        dep lo_co hi_co co;
-        cc := co
-      done;
-      store t d_axb !lo_axb !hi_axb;
-      store t d_out !lo_out !hi_out;
-      store t d_t1 !lo_t1 !hi_t1;
-      store t d_t2 !lo_t2 !hi_t2;
-      store t d_cout !lo_co !hi_co
-    end
+    let t1lo = xlo lor ylo and t1hi = xhi land yhi in
+    let axlo = (xlo land ylo) lor (xhi land yhi)
+    and axhi = (xlo land yhi) lor (xhi land ylo) in
+    let u0 = carries (t1lo land axlo) t1lo (bit_lo t cin)
+    and u1 = carries t1hi axhi (bit_hi t cin) in
+    let clo = u0 land mask and chi = u1 land mask in
+    store t (Array.unsafe_get code (o + 3)) axlo axhi;
+    store t
+      (Array.unsafe_get code (o + 4))
+      ((axlo land clo) lor (axhi land chi))
+      ((axlo land chi) lor (axhi land clo));
+    store t (Array.unsafe_get code (o + 5)) t1lo t1hi;
+    store t (Array.unsafe_get code (o + 6)) (clo lor axlo) (chi land axhi);
+    store t (Array.unsafe_get code (o + 7)) ((u0 lsr 1) land mask)
+      ((u1 lsr 1) land mask)
   end
 
 (* Drain pending instructions in topological order.  Every reader of a
    chunk sits strictly later in the program, so one forward sweep
-   settles everything. *)
-let eval t =
+   settles everything.  The scan isolates the lowest pending bit and
+   maps it to its index with [ntz]'s multiply and lookup, so picking
+   the next instruction costs no data-dependent branch. *)
+let drain t =
   let pend = t.pend in
-  let nw = Array.length pend in
-  let counting = Obs.enabled () in
   let execs = ref 0 in
-  for wi = 0 to nw - 1 do
+  for wi = 0 to Array.length pend - 1 do
     while Array.unsafe_get pend wi <> 0 do
       let w = Array.unsafe_get pend wi in
       let b = w land (0 - w) in
       Array.unsafe_set pend wi (w lxor b);
-      let i = (wi * 63) + ntz b in
-      exec t i;
-      if counting then incr execs
+      exec t ((wi * 63) + ntz b);
+      incr execs
     done
   done;
-  if counting then begin
-    Obs.Metrics.add m_instr_execs !execs;
+  !execs
+
+let eval t =
+  if not (Obs.enabled ()) then ignore (drain t)
+  else begin
+    t.evals <- t.evals + 1;
+    let t0 = if t.evals mod eval_stride = 0 then Obs.now_ns () else 0 in
+    let execs = drain t in
+    if t0 <> 0 then ignore (Obs.Metrics.lap h_eval t0);
+    Obs.Metrics.add m_instr_execs execs;
     Obs.Metrics.incr m_settles;
-    Obs.Metrics.observe h_active !execs
+    Obs.Metrics.observe h_active execs
   end
 
 let clear_pending t = Array.fill t.pend 0 (Array.length t.pend) 0
@@ -1206,7 +1203,10 @@ let reset t =
 
 (* ---------- values ---------- *)
 
-let value_code t g = code_loc t (loc_pack t.p.g_chunk.(g) t.p.g_bit.(g))
+let value_code t g =
+  let l = loc_pack t.p.g_chunk.(g) t.p.g_bit.(g) in
+  let hi = bit_hi t l in
+  hi + (bit_lo t l land hi)
 
 let write_bit t g bit =
   let c = t.p.g_chunk.(g) and b = t.p.g_bit.(g) in
@@ -1467,34 +1467,6 @@ let dff_slot t g =
 
 (* ---------- packed assumption checks ---------- *)
 
-type source = Net of int | Tie of Bit.t
-type check = { c_op : Gate.op; c_fanin : source array; c_assumed : Bit.t }
-
-(* A lowered check program: lanes grouped by opcode into words of up
-   to 63.  Word [w] has opcode [k_op.(w)], fanin columns
-   [k_col.(w) ..] (one per operand) and per-lane assumed-0/1/X masks.
-   Column [j] is its tie rails [col_lo.(j)]/[col_hi.(j)] ORed with
-   three-int segments of [segs]:
-   - runs [col_seg.(j) .. col_bc.(j) - 1] (chunk, source bit, length
-     and first lane packed as [len lsl 6 lor lane]): consecutive state
-     bits into consecutive lanes, one shift and one mask each;
-   - broadcasts [col_bc.(j) .. col_seg.(j + 1) - 1] (chunk, source
-     bit, lane mask): one state bit read by several neighbouring
-     lanes. *)
-type checks = {
-  k_t : t;
-  k_op : int array;
-  k_col : int array;
-  k_a0 : int array;
-  k_a1 : int array;
-  k_ax : int array;
-  col_lo : int array;
-  col_hi : int array;
-  col_seg : int array;
-  col_bc : int array;
-  segs : int array;
-}
-
 let arity_of_opcode opc = if opc < op_and then 1 else if opc = op_mux then 3 else 2
 
 (* A DFF is checked through its next-state function (Buf of D); a
@@ -1507,8 +1479,7 @@ let check_opcode c =
 
 let fanin_src c j = match c.c_op with Gate.Const b -> Tie b | _ -> c.c_fanin.(j)
 
-let lower_checks t (cs : check array) =
-  let p = t.p in
+let lower_checks p (cs : check array) =
   let n = Array.length cs in
   let opcs = Bytes.init n (fun i -> Char.chr (check_opcode cs.(i))) in
   let maxw = (n / max_w) + op_mux + 1 in
@@ -1617,7 +1588,6 @@ let lower_checks t (cs : check array) =
   done;
   cseg.(!ncol) <- !nseg;
   {
-    k_t = t;
     k_op = Array.sub ops 0 !nw;
     k_col = Array.sub cols 0 !nw;
     k_a0 = Array.sub a0 0 !nw;
@@ -1631,8 +1601,8 @@ let lower_checks t (cs : check array) =
   }
 
 (* Column [j]'s dual rails, into the scratch pair. *)
-let load_column k j =
-  let t = k.k_t and segs = k.segs in
+let load_column t k j =
+  let segs = k.segs in
   let l = ref (Array.unsafe_get k.col_lo j)
   and h = ref (Array.unsafe_get k.col_hi j) in
   let bc = Array.unsafe_get k.col_bc j in
@@ -1656,57 +1626,52 @@ let load_column k j =
   t.sc_lo <- !l;
   t.sc_hi <- !h
 
-let set_scratch t l h =
-  t.sc_lo <- l;
-  t.sc_hi <- h
-
 (* Word [w]'s lanes that are known and differ from their assumption,
-   with [exec]'s Kleene rail formulas, so X never convicts.  ([exec]
-   keeps its own copy, storing straight into the state.) *)
-let violated_lanes k w =
-  let t = k.k_t in
+   with the engine's rail formulas, so X never convicts. *)
+let violated_lanes t k w =
   let opc = Array.unsafe_get k.k_op w and col = Array.unsafe_get k.k_col w in
-  load_column k col;
+  load_column t k col;
   let alo = t.sc_lo and ahi = t.sc_hi in
-  if opc = op_not then set_scratch t ahi alo
-  else if opc >= op_and then begin
-    load_column k (col + 1);
+  if opc >= op_and then begin
+    load_column t k (col + 1);
     let blo = t.sc_lo and bhi = t.sc_hi in
-    if opc = op_and then set_scratch t (alo lor blo) (ahi land bhi)
-    else if opc = op_or then set_scratch t (alo land blo) (ahi lor bhi)
-    else if opc = op_nand then set_scratch t (ahi land bhi) (alo lor blo)
-    else if opc = op_nor then set_scratch t (ahi lor bhi) (alo land blo)
-    else if opc = op_xor then
-      set_scratch t
-        ((alo land blo) lor (ahi land bhi))
-        ((alo land bhi) lor (ahi land blo))
-    else if opc = op_xnor then
-      set_scratch t
-        ((alo land bhi) lor (ahi land blo))
-        ((alo land blo) lor (ahi land bhi))
-    else begin
-      (* mux fanin is [sel; a; b]: the first column selects *)
-      load_column k (col + 2);
-      let clo = t.sc_lo and chi = t.sc_hi in
-      let s0 = alo land lnot ahi and s1 = ahi land lnot alo and sx = alo land ahi in
-      set_scratch t
-        ((s0 land blo) lor (s1 land clo) lor (sx land (blo lor clo)))
-        ((s0 land bhi) lor (s1 land chi) lor (sx land (bhi lor chi)))
+    if opc = op_mux then begin
+      load_column t k (col + 2);
+      rails t opc alo ahi blo bhi t.sc_lo t.sc_hi
     end
-  end;
+    else rails t opc alo ahi blo bhi 0 0
+  end
+  else rails t opc alo ahi 0 0 0 0;
   let lo = t.sc_lo and hi = t.sc_hi in
   Array.unsafe_get k.k_a0 w land hi land lnot lo
   lor (Array.unsafe_get k.k_a1 w land lo land lnot hi)
   lor (Array.unsafe_get k.k_ax w land (lo lxor hi))
 
-let any_violated k =
+let any_violated t k =
   let nw = Array.length k.k_op in
   let w = ref 0 in
-  while !w < nw && violated_lanes k !w = 0 do
+  while !w < nw && violated_lanes t k !w = 0 do
     incr w
   done;
   !w < nw
 
+(* The lowering reads only the program, so it is kept with it: an
+   instance attaching a check array that a run of the same program
+   lowered (a guard plan builds its array once) reuses that lowering.
+   The newest few stay, each only while its array lives (holding the
+   arrays of finished plans strongly raised flow-rv32's peak RSS by
+   about 15 %); a race between domains at worst lowers twice. *)
+let lowered p cs =
+  let entries = Atomic.get p.lowerings in
+  match List.find_map (fun e -> Ephemeron.K1.query e cs) entries with
+  | Some k -> k
+  | None ->
+    if Obs.enabled () then Obs.Metrics.incr m_lowerings;
+    let k = lower_checks p cs in
+    let keep = List.filteri (fun i _ -> i < 7) entries in
+    Atomic.set p.lowerings (Ephemeron.K1.make cs k :: keep);
+    k
+
 let checks t cs =
-  let k = lower_checks t cs in
-  fun () -> any_violated k
+  let k = lowered t.p cs in
+  fun () -> any_violated t k

@@ -13,11 +13,12 @@
       fanin columns are arithmetic progressions become one vector
       instruction (AND/OR/XOR/... over a whole word per step);
     - the 5-gates-per-bit ripple-carry pattern emitted for adders
-      becomes one integer-add instruction that reconstructs every
-      internal carry/propagate gate value word-wise, so per-gate
-      activity stays exact;
+      becomes one adder instruction: one native add per carry rail
+      resolves the chain's three-valued carries, and every internal
+      gate value follows word-wise, so per-gate activity stays exact;
     - consecutive DFF and input-port bits share one word each;
-    - everything else falls back to per-gate instructions.
+    - everything else falls back to per-gate instructions, on the
+      same rail formulas as the word instructions.
 
     State is dual-rail (can-be-0 / can-be-1 masks), making the word
     operations exact three-valued Kleene evaluation: values, toggle
@@ -26,7 +27,8 @@
     enforced by [test_compile_equiv]).  Instructions are re-executed
     only when an operand word actually changed (a pending bitmask in
     topological order), so settles after small input changes are
-    cheap.
+    cheap.  The drain picks the next pending instruction with a
+    branch-free bit scan ({!ntz}).
 
     This module implements the primitives of {!Engine.S}; it is driven
     through {!Engine.create}, which also derives every named-port and
@@ -91,6 +93,13 @@ val dff_rails : t -> int array
 val restore_dff_rails : t -> int array -> unit
 val dff_slot : t -> int -> int
 
+(** {1 Kernels} *)
+
+val ntz : int -> int
+(** [ntz b] is the index of the set bit of a one-bit word [b] (bits
+    0-62): a de Bruijn multiply and a 64-entry lookup, no branch.  The
+    pending-instruction scan and every per-changed-bit loop use it. *)
+
 (** {1 Program introspection} *)
 
 type stats = {
@@ -126,5 +135,9 @@ val checks : t -> check array -> unit -> bool
     fanin column loaded as a few shift-and-mask segments ORed with its
     tie constants) and returns the violation test: whether some check
     is violated by the current settled values, exactly the OR of the
-    per-check scalar verdicts.  @raise Invalid_argument on an [Input]
-    check or one with fewer fanins than its op reads. *)
+    per-check scalar verdicts.  The lowering reads only the program,
+    so it is kept with it (for the last eight check arrays, compared
+    physically and held weakly; the metric
+    [sim.compile.check_lowerings] counts the lowerings done): every
+    instance of the design reuses it for the same array.  @raise Invalid_argument on an [Input] check or one
+    with fewer fanins than its op reads. *)

@@ -137,7 +137,10 @@ module type S = sig
   val checks : t -> check array -> unit -> bool
   (** [checks t cs] prepares [cs] for repeated evaluation on this
       engine and returns the violation test: whether any check
-      {!convicts} at the current settled values. *)
+      {!convicts} at the current settled values.  An implementation
+      may reuse the preparation for the same (physically equal) array
+      on another instance of the same design, so [cs] must not be
+      mutated afterwards. *)
 end
 
 type t

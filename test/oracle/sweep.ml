@@ -1,6 +1,6 @@
 (* The reference semantics of the gate-level engine: every settle
    re-evaluates the whole levelized order, one gate at a time, through
-   the ternary truth tables of [Bit].  The compiled engine
+   [Bit]'s ternary functions tabulated over value codes.  The compiled engine
    ([Bespoke_sim.Compile]) must agree with it bit for bit on values,
    toggle counts and possibly-toggled flags; the differential tests
    and the engine benchmark get it behind the same [Engine] seam. *)
@@ -65,7 +65,21 @@ module Impl = struct
   let get s id = Char.code (Bytes.unsafe_get s.values id)
   let put s id c = Bytes.unsafe_set s.values id (Char.unsafe_chr c)
 
-  (* Tables are indexed a*3+b, and sel*9+a*3+b for a Mux [sel; a; b]. *)
+  (* The gate functions straight from [Bit], tabulated over value codes:
+     [a * 3 + b], and [sel * 9 + a * 3 + b] for a Mux [sel; a; b]. *)
+  let tbl2 f =
+    Array.init 9 (fun i ->
+        Bit.to_int (f (Bit.of_int_exn (i / 3)) (Bit.of_int_exn (i mod 3))))
+
+  let tbl_not = Array.init 3 (fun a -> Bit.to_int (Bit.lnot (Bit.of_int_exn a)))
+  let tbl_and = tbl2 Bit.land_
+  let tbl_or = tbl2 Bit.lor_
+  let tbl_nand = tbl2 Bit.lnand
+  let tbl_nor = tbl2 Bit.lnor
+  let tbl_xor = tbl2 Bit.lxor_
+  let tbl_xnor = tbl2 Bit.lxnor
+  let tbl_mux = Array.init 27 (fun i -> (tbl2 (Bit.mux (Bit.of_int_exn (i / 9)))).(i mod 9))
+
   let eval_one s id =
     let g = s.net.Netlist.gates.(id) in
     let f = g.Gate.fanin in
@@ -73,17 +87,17 @@ module Impl = struct
     put s id
       (match g.Gate.op with
       | Gate.Buf -> a
-      | Gate.Not -> Bit.tbl_not.(a)
-      | Gate.Mux -> Bit.tbl_mux.((a * 9) + (get s f.(1) * 3) + get s f.(2))
+      | Gate.Not -> tbl_not.(a)
+      | Gate.Mux -> tbl_mux.((a * 9) + (get s f.(1) * 3) + get s f.(2))
       | op -> (
         let ab = (a * 3) + get s f.(1) in
         match op with
-        | Gate.And -> Bit.tbl_and.(ab)
-        | Gate.Or -> Bit.tbl_or.(ab)
-        | Gate.Nand -> Bit.tbl_nand.(ab)
-        | Gate.Nor -> Bit.tbl_nor.(ab)
-        | Gate.Xor -> Bit.tbl_xor.(ab)
-        | Gate.Xnor -> Bit.tbl_xnor.(ab)
+        | Gate.And -> tbl_and.(ab)
+        | Gate.Or -> tbl_or.(ab)
+        | Gate.Nand -> tbl_nand.(ab)
+        | Gate.Nor -> tbl_nor.(ab)
+        | Gate.Xor -> tbl_xor.(ab)
+        | Gate.Xnor -> tbl_xnor.(ab)
         | _ -> assert false))
 
   let sweep s =

@@ -306,6 +306,144 @@ let test_cache () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Kernels: the pending-bit scan, scalar gates, the ternary adder       *)
+
+let test_ntz () =
+  let naive b =
+    let rec go k = if (b lsr k) land 1 = 1 then k else go (k + 1) in
+    go 0
+  in
+  for i = 0 to 62 do
+    Alcotest.(check int)
+      (Printf.sprintf "bit %d" i) (naive (1 lsl i)) (Compile.ntz (1 lsl i))
+  done
+
+let bits3 = [ Bit.Zero; Bit.One; Bit.X ]
+
+(* One singleton gate per op over inputs a, b, s: each compiles to a
+   scalar-gate instruction, driven through all of {0,1,X}^3. *)
+let test_scalar_gates () =
+  let bld = Netlist.Builder.create () in
+  let inp name =
+    let id = Netlist.Builder.add_op bld Gate.Input [||] in
+    Netlist.Builder.set_input_port bld name [| id |];
+    id
+  in
+  let a = inp "a" and b = inp "b" and s = inp "s" in
+  let ops =
+    [
+      (Gate.Buf, [| a |], fun x _ _ -> x);
+      (Gate.Not, [| a |], fun x _ _ -> Bit.lnot x);
+      (Gate.And, [| a; b |], fun x y _ -> Bit.land_ x y);
+      (Gate.Or, [| a; b |], fun x y _ -> Bit.lor_ x y);
+      (Gate.Nand, [| a; b |], fun x y _ -> Bit.lnand x y);
+      (Gate.Nor, [| a; b |], fun x y _ -> Bit.lnor x y);
+      (Gate.Xor, [| a; b |], fun x y _ -> Bit.lxor_ x y);
+      (Gate.Xnor, [| a; b |], fun x y _ -> Bit.lxnor x y);
+      (Gate.Mux, [| s; a; b |], fun x y z -> Bit.mux z x y);
+    ]
+  in
+  let gates =
+    List.map (fun (op, f, sem) -> (Netlist.Builder.add_op bld op f, op, sem)) ops
+  in
+  let c = Compile.create (Netlist.Builder.finish bld) in
+  Alcotest.(check int) "one instruction per gate" (List.length ops)
+    (Compile.stats c).Compile.instructions;
+  Compile.reset c;
+  List.iter
+    (fun va ->
+      List.iter
+        (fun vb ->
+          List.iter
+            (fun vs ->
+              Compile.set_gate c a va;
+              Compile.set_gate c b vb;
+              Compile.set_gate c s vs;
+              Compile.eval c;
+              List.iter
+                (fun (id, op, sem) ->
+                  Alcotest.(check char)
+                    (Printf.sprintf "%s a=%c b=%c s=%c" (Gate.op_name op)
+                       (Bit.to_char va) (Bit.to_char vb) (Bit.to_char vs))
+                    (Bit.to_char (sem va vb vs))
+                    (Bit.to_char (Bit.of_int_exn (Compile.value_code c id))))
+                gates)
+            bits3)
+        bits3)
+    bits3
+
+(* A w-bit ripple-carry chain in the RTL lowering's gate order (5 gates
+   per bit), which the compiler recovers as one adder instruction for
+   w >= 2, against the per-bit Kleene chain over random X in x, y and
+   cin. *)
+let test_ternary_adder =
+  QCheck.Test.make ~name:"word-parallel adder = per-bit Kleene chain" ~count:300
+    QCheck.(pair (int_range 1 60) (int_bound 1_000_000))
+    (fun (w, seed) ->
+      let r = Random.State.make [| seed |] in
+      let bld = Netlist.Builder.create () in
+      let port name n =
+        let ids = Array.init n (fun _ -> Netlist.Builder.add_op bld Gate.Input [||]) in
+        Netlist.Builder.set_input_port bld name ids;
+        ids
+      in
+      let x = port "x" w and y = port "y" w and cin = port "cin" 1 in
+      let add op f = Netlist.Builder.add_op bld op f in
+      let chain = Array.make w (0, 0, 0, 0, 0) in
+      let carry = ref cin.(0) in
+      for k = 0 to w - 1 do
+        let axb = add Gate.Xor [| x.(k); y.(k) |] in
+        let out = add Gate.Xor [| axb; !carry |] in
+        let t1 = add Gate.And [| x.(k); y.(k) |] in
+        let t2 = add Gate.And [| !carry; axb |] in
+        let co = add Gate.Or [| t1; t2 |] in
+        chain.(k) <- (axb, out, t1, t2, co);
+        carry := co
+      done;
+      let c = Compile.create (Netlist.Builder.finish bld) in
+      if w >= 2 && (Compile.stats c).Compile.adders <> 1 then
+        QCheck.Test.fail_reportf "width %d: chain not recovered as an adder" w;
+      Compile.reset c;
+      for _ = 1 to 8 do
+        (* an X density per stimulus, from none to all *)
+        let px = Random.State.int r 4 in
+        let draw () =
+          if Random.State.int r 3 < px then Bit.X
+          else Bit.of_bool (Random.State.bool r)
+        in
+        let vx = Array.map (fun _ -> draw ()) x
+        and vy = Array.map (fun _ -> draw ()) y
+        and vc = draw () in
+        Array.iteri (fun k id -> Compile.set_gate c id vx.(k)) x;
+        Array.iteri (fun k id -> Compile.set_gate c id vy.(k)) y;
+        Compile.set_gate c cin.(0) vc;
+        Compile.eval c;
+        let cc = ref vc in
+        Array.iteri
+          (fun k (axb, out, t1, t2, co) ->
+            let e_axb = Bit.lxor_ vx.(k) vy.(k) in
+            let e_t1 = Bit.land_ vx.(k) vy.(k) in
+            let e_t2 = Bit.land_ !cc e_axb in
+            let e_co = Bit.lor_ e_t1 e_t2 in
+            List.iter
+              (fun (name, id, e) ->
+                let got = Bit.of_int_exn (Compile.value_code c id) in
+                if not (Bit.equal got e) then
+                  QCheck.Test.fail_reportf "width %d seed %d bit %d: %s = %c, chain %c"
+                    w seed k name (Bit.to_char got) (Bit.to_char e))
+              [
+                ("axb", axb, e_axb);
+                ("out", out, Bit.lxor_ e_axb !cc);
+                ("t1", t1, e_t1);
+                ("t2", t2, e_t2);
+                ("cout", co, e_co);
+              ];
+            cc := e_co)
+          chain
+      done;
+      true)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "compile_equiv"
@@ -320,4 +458,10 @@ let () =
       ("checks", [ qt test_packed_checks ]);
       ("tailored", [ Alcotest.test_case "bespoke mult" `Quick test_tailored ]);
       ("cache", [ Alcotest.test_case "memoization" `Quick test_cache ]);
+      ( "kernels",
+        [
+          Alcotest.test_case "ntz on every one-bit word" `Quick test_ntz;
+          Alcotest.test_case "scalar gates over {0,1,X}" `Quick test_scalar_gates;
+          qt test_ternary_adder;
+        ] );
     ]

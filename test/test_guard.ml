@@ -332,6 +332,53 @@ let test_exact_scans_counter () =
     Alcotest.(check bool) "every scan finds a violation" true
       (scans <= Guard.total_violations w)
 
+(* A plan's checks are lowered once per compiled design: watchers of
+   the plan on repeated runs of one design share that lowering
+   ([sim.compile.check_lowerings] counts one) and give the verdicts and
+   violation lists of a fresh lowering (the same checks in a new array,
+   which the cache never matches); the instrumented design is another
+   program and lowers its own. *)
+let test_lowering_shared () =
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let _, plan, _, _, hw_hit = Lazy.force rle_hits in
+  match hw_hit with
+  | None -> Alcotest.fail "no mutant tripped the hardware guard on seeds 1-3"
+  | Some ((m : Mutation.mutant), seed, _) ->
+    let mb = Mutation.to_benchmark (B.find "rle") m in
+    let run plan netlist =
+      let w = Guard.watch_bespoke plan in
+      (try
+         ignore
+           (Runner.run_gate ~core ~attach:(Guard.attach w) ~netlist
+              ~max_cycles:300_000 mb ~seed)
+       with Failure _ -> ());
+      (Guard.violations w, Guard.total_violations w, Guard.cycles_checked w)
+    in
+    let bespoke = plan.Guard.p_bespoke in
+    Bespoke_sim.Compile.clear_cache ();
+    Obs.Metrics.reset ();
+    Obs.enable ();
+    let first = run plan bespoke in
+    let again = List.init 3 (fun _ -> run plan bespoke) in
+    let shared = counter "sim.compile.check_lowerings" in
+    let fresh =
+      run { plan with Guard.p_checks = Array.copy plan.Guard.p_checks } bespoke
+    in
+    let copied = counter "sim.compile.check_lowerings" in
+    ignore (run plan (Guard.instrument plan).Guard.i_design);
+    let other = counter "sim.compile.check_lowerings" in
+    Obs.disable ();
+    Obs.Metrics.reset ();
+    let _, total, _ = first in
+    Alcotest.(check bool) "the mutant violates" true (total > 0);
+    Alcotest.(check int) "four attaches to one design lower once" 1 shared;
+    List.iter
+      (fun r -> Alcotest.(check bool) "shared lowering: same verdicts" true (r = first))
+      again;
+    Alcotest.(check int) "a new check array lowers again" 2 copied;
+    Alcotest.(check bool) "fresh lowering: same verdicts" true (fresh = first);
+    Alcotest.(check int) "another design never reuses the lowering" 3 other
+
 (* VCD export of an instrumented design: the guard nets are
    exportable signals, named in the header and dumped. *)
 let test_vcd_of_instrumented () =
@@ -382,6 +429,8 @@ let () =
             test_violating_replay_engines_agree;
           Alcotest.test_case "exact scans only on violating cycles" `Quick
             test_exact_scans_counter;
+          Alcotest.test_case "check lowering shared per design" `Quick
+            test_lowering_shared;
           Alcotest.test_case "vcd of instrumented design" `Quick
             test_vcd_of_instrumented;
         ] );

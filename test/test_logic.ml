@@ -67,46 +67,11 @@ let ops2 =
     ("xnor", Bit.lxnor, ( = ));
   ]
 
-let test_tables () =
-  List.iter
-    (fun (name, f, tbl) ->
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              let via_tbl =
-                Bit.of_int_exn tbl.((Bit.to_int a * 3) + Bit.to_int b)
-              in
-              check_bit (name ^ " table") (f a b) via_tbl)
-            all_bits)
-        all_bits)
-    [
-      ("and", Bit.land_, Bit.tbl_and);
-      ("or", Bit.lor_, Bit.tbl_or);
-      ("xor", Bit.lxor_, Bit.tbl_xor);
-      ("nand", Bit.lnand, Bit.tbl_nand);
-      ("nor", Bit.lnor, Bit.tbl_nor);
-      ("xnor", Bit.lxnor, Bit.tbl_xnor);
-      ("merge", Bit.merge, Bit.tbl_merge);
-    ]
-
 let test_mux () =
   check_bit "mux 0" (Bit.mux Bit.Zero Bit.One Bit.Zero) Bit.One;
   check_bit "mux 1" (Bit.mux Bit.One Bit.One Bit.Zero) Bit.Zero;
   check_bit "mux x same" (Bit.mux Bit.X Bit.One Bit.One) Bit.One;
-  check_bit "mux x diff" (Bit.mux Bit.X Bit.One Bit.Zero) Bit.X;
-  List.iter
-    (fun s ->
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              let t = Bit.mux s a b in
-              let idx = (Bit.to_int s * 9) + (Bit.to_int a * 3) + Bit.to_int b in
-              check_bit "mux table" t (Bit.of_int_exn Bit.tbl_mux.(idx)))
-            all_bits)
-        all_bits)
-    all_bits
+  check_bit "mux x diff" (Bit.mux Bit.X Bit.One Bit.Zero) Bit.X
 
 let test_merge_subsumes () =
   List.iter
@@ -203,7 +168,6 @@ let () =
     [
       ( "bit",
         [
-          Alcotest.test_case "operator tables" `Quick test_tables;
           Alcotest.test_case "mux" `Quick test_mux;
           Alcotest.test_case "merge/subsumes" `Quick test_merge_subsumes;
           Alcotest.test_case "char conversions" `Quick test_chars;

@@ -460,6 +460,12 @@ let test_tailor_metrics () =
       Alcotest.(check bool)
         "compiled analysis cycles counted" true
         (c "sim.compile.cycles" > 0);
+      (let n = Obs.Metrics.histogram_count (Obs.Metrics.histogram "sim.eval_ns") in
+       Alcotest.(check bool)
+         (Printf.sprintf "sim.eval_ns samples every 61st settle (%d of %d)" n
+            (c "sim.compile.settles"))
+         true
+         (n > 0 && n <= c "sim.compile.settles" / 61));
       Alcotest.(check bool) "analysis paths counted" true (c "analysis.paths" > 0);
       Alcotest.(check bool)
         "analysis restores counted" true
