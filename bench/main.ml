@@ -669,88 +669,6 @@ let run_table6 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Ablations of this reproduction's own design choices (DESIGN.md)     *)
-
-let run_ablation () =
-  printf "=== Ablation 1: conservative-table key refinement ===\n";
-  printf "%-12s %22s %22s %22s\n" "Benchmark" "pc-only" "pc+gie" "full (default)";
-  let try_key b key =
-    let config =
-      {
-        Activity.default_config with
-        Activity.ram_x_ranges = b.B.input_ranges;
-        irq_x = b.B.uses_irq;
-        key_refinement = key;
-        max_paths = 100_000;
-      }
-    in
-    match time (fun () -> Runner.analyze ~core ~config b) with
-    | (r, net), dt ->
-      Printf.sprintf "%4.0f%% %5dp %5.1fs"
-        (pct (Usage.usable_fraction net r.Activity.possibly_toggled))
-        r.Activity.paths dt
-    | exception Activity.Analysis_error m ->
-      "fail: " ^ String.sub m 0 (min 14 (String.length m))
-  in
-  List.iter
-    (fun name ->
-      let b = if name = "rtos" then Rtos.kernel else B.find name in
-      printf "%-12s %22s %22s %22s\n" name (try_key b `Pc_only)
-        (try_key b `Pc_gie) (try_key b `Full))
-    [ "binSearch"; "tea8"; "irq"; "rtos" ];
-  printf
-    "\n=== Ablation 2: re-synthesis depth (gates remaining after the cut) ===\n";
-  printf "%-12s %10s %12s %12s %12s\n" "Benchmark" "stitched" "no-seqconst"
-    "one-pass" "full";
-  List.iter
-    (fun name ->
-      let b = B.find name in
-      let c = ctx_of b in
-      let stitched =
-        Cut.cut_and_stitch (stock ())
-          ~possibly_toggled:c.report.Activity.possibly_toggled
-          ~constants:c.report.Activity.constant_values
-      in
-      let no_seq =
-        Bespoke_core.Resynth.optimize ~seq_const:false stitched
-      in
-      let one_pass = Bespoke_core.Resynth.pass stitched in
-      let full = Bespoke_core.Resynth.optimize stitched in
-      printf "%-12s %10d %12d %12d %12d\n" name
-        (Netlist.num_gates stitched)
-        (Netlist.num_gates no_seq)
-        (Netlist.num_gates one_pass)
-        (Netlist.num_gates full))
-    [ "binSearch"; "intFilt"; "FFT"; "dbg" ];
-  printf
-    "\n=== Ablation 3: computed-branch fallback (escape vs enumerate) ===\n";
-  printf "%-12s %26s %26s\n" "Benchmark" "escape (default)" "enumerate";
-  let try_fb b fb =
-    let config =
-      {
-        Activity.default_config with
-        Activity.ram_x_ranges = b.B.input_ranges;
-        irq_x = b.B.uses_irq;
-        computed_branch_fallback = fb;
-        max_paths = 100_000;
-        max_total_cycles = 30_000_000;
-      }
-    in
-    match time (fun () -> Runner.analyze ~core ~config b) with
-    | (r, net), dt ->
-      Printf.sprintf "%4.0f%% %5dp %2de %5.1fs"
-        (pct (Usage.usable_fraction net r.Activity.possibly_toggled))
-        r.Activity.paths r.Activity.escaped_paths dt
-    | exception Activity.Analysis_error m ->
-      "fail: " ^ String.sub m 0 (min 16 (String.length m))
-  in
-  List.iter
-    (fun name ->
-      let b = if name = "rtos" then Rtos.kernel else B.find name in
-      printf "%-12s %26s %26s\n" name (try_fb b `Escape) (try_fb b `Enumerate))
-    [ "irq"; "rtos" ]
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the hot primitives                       *)
 
 let run_bechamel () =
@@ -1550,7 +1468,6 @@ let sections : (string * (unit -> unit)) list =
     ("rtos", run_rtos);
     ("fig15", run_fig15);
     ("table6", run_table6);
-    ("ablation", run_ablation);
     ("bechamel", run_bechamel);
     ("guard-table", run_guard_table);
     ("bench-sim", run_bench_sim);

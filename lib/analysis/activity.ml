@@ -24,8 +24,6 @@ type config = {
   ram_x_ranges : (int * int) list;
   max_total_cycles : int;
   max_paths : int;
-  computed_branch_fallback : [ `Escape | `Enumerate ];
-  key_refinement : [ `Pc_only | `Pc_gie | `Full ];
 }
 
 let default_config =
@@ -34,12 +32,7 @@ let default_config =
     ram_x_ranges = [];
     max_total_cycles = 3_000_000;
     max_paths = 20_000;
-    computed_branch_fallback = `Escape;
-    key_refinement = `Full;
   }
-
-(* Bound on the forks of one [`Enumerate] computed-branch fallback. *)
-let max_pc_candidates = 1024
 
 type first_toggle = { ft_cycle : int; ft_node : int; ft_pc : int }
 
@@ -204,9 +197,8 @@ let analyze_impl ?(config = default_config) sys =
   let hk = hook_ids sys in
   let pc_slots = System.dff_slots sys "pc" in
   let irq_sources = lazy (irq_sources sys) in
-  (* Valid fork targets for X-bit PC enumeration: actual instruction
-     start addresses of the binary (mid-instruction words are not
-     reachable boundaries of any concrete execution). *)
+  (* The binary's instruction start addresses: mid-instruction words
+     are not reachable boundaries of any concrete execution. *)
   let insn_starts =
     let tbl = Hashtbl.create 256 in
     List.iter (fun a -> Hashtbl.replace tbl a ()) image.Coredef.insn_addrs;
@@ -322,12 +314,7 @@ let analyze_impl ?(config = default_config) sys =
       ~read_ram_word:(fun a -> Bvec.to_int (System.read_ram_word sys a))
       ~pc:pcv
   in
-  let table_key pcv =
-    match config.key_refinement with
-    | `Pc_only -> (pcv, 0, 0, (0, 0))
-    | `Pc_gie -> (pcv, gie_value (), 0, (0, 0))
-    | `Full -> (pcv, gie_value (), sp_bucket (), ret_context pcv)
-  in
+  let table_key pcv = (pcv, gie_value (), sp_bucket (), ret_context pcv) in
   let stack : entry Stack.t = Stack.create () in
 
   (* Simulate from the current (settled, boundary) state to the next
@@ -398,52 +385,22 @@ let analyze_impl ?(config = default_config) sys =
       else begin
         record_regs Boundary;
         match Engine.read_int_ids eng hk.pc with
-        | None when !candidates = [] && config.computed_branch_fallback = `Escape
-          ->
-          (* a computed branch whose target merged to X: see the
-             [computed_branch_fallback] documentation *)
+        | None when !candidates = [] ->
+          (* a computed branch (RET/RETI/BR) whose target merged to
+             X: every concrete predecessor pushed a concrete target and
+             was explored before the merge, and X data reaching the
+             code after the return is propagated by the table at the
+             surrounding control points, so this merge-artifact path
+             ends here *)
           incr escaped_paths;
           emit Escape 0;
           finish "escaped";
           finished := true
         | None ->
           (* conditional jump with unknown decision: fork on the
-             recorded candidates; or, under [`Enumerate], bounded
-             X-bit enumeration of a computed target *)
-          let cands =
-            match !candidates with
-            | _ :: _ as c -> c
-            | [] ->
-              let pcv = System.pc sys in
-              let valid =
-                if Bvec.count_x pcv <= 10 then
-                  List.filter_map
-                    (fun v ->
-                      let a = Bvec.to_int_exn v in
-                      if
-                        a land (core.Coredef.insn_align - 1) = 0
-                        && Coredef.in_rom core a
-                        && Hashtbl.mem insn_starts a
-                      then Some a
-                      else None)
-                    (Bvec.concretizations pcv)
-                else
-                  Hashtbl.fold
-                    (fun a () acc ->
-                      if
-                        Bvec.subsumes ~general:pcv
-                          ~specific:(Bvec.of_int ~width:(Array.length pcv) a)
-                      then a :: acc
-                      else acc)
-                    insn_starts []
-              in
-              if valid = [] then fail "no valid PC candidate";
-              if List.length valid > max_pc_candidates then
-                fail "too many PC candidates (%d)" (List.length valid);
-              valid
-          in
+             recorded candidates *)
           let snap = System.snapshot sys in
-          emit Fork (List.length cands);
+          emit Fork (List.length !candidates);
           List.iter
             (fun t ->
               let s = System.force_dffs snap pc_slots t in
@@ -470,17 +427,17 @@ let analyze_impl ?(config = default_config) sys =
                     node = new_node ~parent:nd.node_id ~edge ~start_pc:t }
                   stack
               end)
-            cands;
+            !candidates;
           finish "forked";
           finished := true
         | Some pcv when
             (not (Coredef.in_rom core pcv)) || not (Hashtbl.mem insn_starts pcv)
           ->
           (* Only an over-approximate merged superstate can compute a
-             PC outside the program (e.g. a spurious enumeration child
-             that unwinds an empty stack).  No concrete execution of
-             the binary reaches here, so ending the path loses no real
-             activity; the count is reported for auditability. *)
+             PC outside the program (e.g. one that unwinds an empty
+             stack).  No concrete execution of the binary reaches
+             here, so ending the path loses no real activity; the
+             count is reported for auditability. *)
           incr escaped_paths;
           emit Escape 0;
           cur_pc := pcv;

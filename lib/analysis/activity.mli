@@ -6,13 +6,16 @@
     - at an input-dependent conditional jump the explorer forks on the
       two recorded candidate targets;
     - at an input-dependent computed branch (PC with X bits and no
-      recorded candidates) it falls back to bounded enumeration of the
-      X bits, keeping only even ROM addresses;
+      recorded candidates — a RET/RETI/BR whose target merged to X)
+      the path ends as escaped: every concrete predecessor pushed a
+      concrete target and was explored before the merge;
     - when the pending-interrupt condition is unknown it forks on the
       interrupt flag;
     - at every PC-modifying instruction boundary the state is checked
       against the most conservative state previously observed at that
-      PC: substates are pruned, otherwise the table entry is merged
+      PC in the same context (GIE bit, stack bucket, return target —
+      finer than the paper's PC-only key, so it merges strictly less):
+      substates are pruned, otherwise the table entry is merged
       and simulation continues from the merged (more conservative)
       state, which guarantees the continuation covers every state
       merged into it.
@@ -38,25 +41,6 @@ type config = {
       (** byte-address ranges of RAM holding application inputs *)
   max_total_cycles : int;
   max_paths : int;
-  computed_branch_fallback : [ `Escape | `Enumerate ];
-      (** What to do when the PC is unknown at a boundary {e without}
-          recorded conditional-jump candidates (a computed branch —
-          RET/RETI/BR — whose target merged to X).  Every concrete
-          predecessor path pushed a concrete target and was explored
-          before the merge, and X data reaching post-return code is
-          propagated by the conservative table at the surrounding
-          control points, so [`Escape] ends such merge-artifact paths
-          (counted in [escaped_paths]).  [`Enumerate] instead forks
-          over every instruction-start the X pattern allows — fully
-          conservative, but the spurious children execute from
-          mid-sequence states and can smear X over shared memory,
-          grossly over-approximating interrupt-driven programs; more
-          than 1024 candidates fail the analysis. *)
-  key_refinement : [ `Pc_only | `Pc_gie | `Full ];
-      (** Granularity of the conservative-state table key: PC only
-          (the paper's scheme), PC+GIE, or PC+GIE+stack context
-          (default).  Finer keys merge strictly less, trading paths
-          explored for precision; see the ablation bench. *)
 }
 (** The GPIO input port is always X: the analysis holds for every input
     value. *)
@@ -126,8 +110,9 @@ type report = {
   halted_paths : int;
   escaped_paths : int;
       (** paths ended because an over-approximate merged superstate
-          computed a PC outside the program — impossible for any
-          concrete execution, reported for auditability *)
+          computed a PC outside the program or an X computed-branch
+          target — impossible for any concrete execution, reported for
+          auditability *)
   first_toggle : first_toggle option array;
       (** per gate; [Some _] exactly for possibly-toggled gates *)
   tree : tree_node array;  (** indexed by [node_id] *)

@@ -10,89 +10,10 @@ module Obs = Bespoke_obs.Obs
 let m_const_folds = Obs.Metrics.counter "resynth.const_folds"
 let m_rounds = Obs.Metrics.counter "resynth.rounds"
 
-(* Sequential constant propagation: find DFFs that provably hold their
-   reset value forever.  Greatest fixpoint: start by assuming every
-   DFF stuck at its init; evaluate the combinational logic ternarily,
-   in levelized order, with all primary inputs X, stuck DFFs at their
-   inits and the rest X; a DFF whose D pin is not definitely its init
-   value is demoted.  Ternary evaluation is monotone, so any real
-   reachable state refines the evaluated one and the surviving DFFs
-   truly never change.  After the first sweep a round re-evaluates
-   only the gates whose fanin changed: the cones of the DFFs the round
-   before demoted. *)
-let stuck_dffs net =
-  let gates = net.Netlist.gates in
-  let order = Netlist.levelize net in
-  let dffs = ref [] in
-  for id = Array.length gates - 1 downto 0 do
-    match gates.(id).Gate.op with
-    | Gate.Dff init -> dffs := (id, init, gates.(id).Gate.fanin.(0)) :: !dffs
-    | _ -> ()
-  done;
-  let v =
-    Array.map
-      (fun (g : Gate.t) ->
-        match g.op with Gate.Const b | Gate.Dff b -> b | _ -> Bit.X)
-      gates
-  in
-  let stuck = Array.map Gate.is_sequential gates in
-  (* the round (mod 256) in which each value last changed: a later
-     round re-evaluates a gate only when a fanin changed in it (a
-     wrapped stamp only re-evaluates a gate needlessly) *)
-  let changed_in = Bytes.make (Array.length gates) '\000' in
-  let round = ref 1 in
-  let ins = Array.make 3 Bit.X in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let stamp = Char.unsafe_chr (!round land 255) in
-    for r = 0 to Array.length order - 1 do
-      let id = order.(r) in
-      let g = gates.(id) in
-      let f = g.fanin in
-      let stale = ref (!round = 1) in
-      for k = 0 to Array.length f - 1 do
-        if Bytes.get changed_in f.(k) = stamp then stale := true
-      done;
-      if !stale then begin
-        for k = 0 to Array.length f - 1 do
-          ins.(k) <- v.(f.(k))
-        done;
-        let x = Gate.eval g.op ins in
-        if not (Bit.equal x v.(id)) then begin
-          v.(id) <- x;
-          Bytes.set changed_in id stamp
-        end
-      end
-    done;
-    incr round;
-    let stamp = Char.unsafe_chr (!round land 255) in
-    (* every verdict reads this round's values, then demotions apply *)
-    let demoted =
-      List.filter
-        (fun (id, init, d) -> stuck.(id) && not (Bit.equal v.(d) init))
-        !dffs
-    in
-    List.iter
-      (fun (id, _, _) ->
-        stuck.(id) <- false;
-        changed := true;
-        if not (Bit.equal v.(id) Bit.X) then begin
-          v.(id) <- Bit.X;
-          Bytes.set changed_in id stamp
-        end)
-      demoted
-  done;
-  stuck
-
 (* Rebuild the netlist gate by gate in topological order, folding
-   constants, simplifying, and structurally hashing.  DFFs stuck at
-   their reset value (constant or self-looped D) become tie cells. *)
-let rewrite_traced ?(seq_const = true) net =
-  let sequentially_stuck =
-    if seq_const then stuck_dffs net
-    else Array.make (Netlist.gate_count net) false
-  in
+   constants, simplifying, and structurally hashing.  A DFF whose D is
+   itself or a tie equal to its reset value becomes a tie cell. *)
+let rewrite_traced net =
   let ng = Netlist.gate_count net in
   let b = B.create () in
   let map = Array.make ng (-1) in
@@ -226,7 +147,6 @@ let rewrite_traced ?(seq_const = true) net =
         let d = g.Gate.fanin.(0) in
         let stuck =
           d = id
-          || sequentially_stuck.(id)
           ||
           match net.Netlist.gates.(d).Gate.op with
           | Gate.Const v -> Bit.equal v init
@@ -276,23 +196,21 @@ let dead_sweep net =
 let compose m1 m2 =
   Array.map (fun i -> if i < 0 then -1 else m2.(i)) m1
 
-let pass_traced ?seq_const net =
-  let net1, m1 = rewrite_traced ?seq_const net in
+let pass_traced net =
+  let net1, m1 = rewrite_traced net in
   let net2, m2 = dead_sweep net1 in
   (net2, compose m1 m2)
-
-let pass ?seq_const net = fst (pass_traced ?seq_const net)
 
 (* Rounds before [optimize] stops even if the gate count still falls. *)
 let max_rounds = 8
 
-let optimize_traced ?seq_const net =
+let optimize_traced net =
   Obs.Span.with_ ~name:"resynth.optimize" (fun () ->
       let rec go round net map =
         if round >= max_rounds then (net, map)
         else begin
           Obs.Metrics.incr m_rounds;
-          let net', m' = pass_traced ?seq_const net in
+          let net', m' = pass_traced net in
           let map' = compose map m' in
           if Netlist.gate_count net' < Netlist.gate_count net then
             go (round + 1) net' map'
@@ -301,4 +219,4 @@ let optimize_traced ?seq_const net =
       in
       go 0 net (Array.init (Netlist.gate_count net) Fun.id))
 
-let optimize ?seq_const net = fst (optimize_traced ?seq_const net)
+let optimize net = fst (optimize_traced net)

@@ -78,15 +78,8 @@ let config_fingerprint (c : Activity.config) =
          (fun (a, b) -> Printf.sprintf "%x-%x" a b)
          c.Activity.ram_x_ranges)
   in
-  Printf.sprintf "irq_x=%b;ram=%s;cycles=%d;paths=%d;cbf=%s;key=%s"
-    c.Activity.irq_x ranges c.Activity.max_total_cycles c.Activity.max_paths
-    (match c.Activity.computed_branch_fallback with
-    | `Escape -> "escape"
-    | `Enumerate -> "enumerate")
-    (match c.Activity.key_refinement with
-    | `Pc_only -> "pc"
-    | `Pc_gie -> "pc_gie"
-    | `Full -> "full")
+  Printf.sprintf "irq_x=%b;ram=%s;cycles=%d;paths=%d" c.Activity.irq_x ranges
+    c.Activity.max_total_cycles c.Activity.max_paths
 
 (* ------------------------------------------------------------------ *)
 (* The stimulus of one benchmark input.  Every concrete run of a

@@ -27,6 +27,7 @@ type plan = {
   p_prov : Provenance.t;
   p_assumptions : Cut.assumption list;
   p_monitors : monitor list;
+  p_gates : int array;
   p_checks : Engine.check array;
   p_implied : int;
   p_unmonitorable : int;
@@ -96,6 +97,7 @@ let plan ~original ~bespoke ~prov ~possibly_toggled ~constants =
     p_prov = prov;
     p_assumptions = assumptions;
     p_monitors = monitors;
+    p_gates = Array.of_list (List.map (fun m -> m.m_gate) monitors);
     p_checks = Array.of_list (List.map (fun m -> m.m_check) monitors);
     p_implied = !implied;
     p_unmonitorable = !unmonitorable;
@@ -292,10 +294,7 @@ let watch_original plan =
          { Engine.c_op = Gate.Buf; c_fanin = [| Net a_gate |]; c_assumed = a_const })
        a)
 
-let watch_bespoke plan =
-  make_watcher
-    (Array.of_list (List.map (fun m -> m.m_gate) plan.p_monitors))
-    plan.p_checks
+let watch_bespoke plan = make_watcher plan.p_gates plan.p_checks
 
 (* The exact pass over the checks at a committed cycle, run only when
    the packed program reports a violation: it finds which checks

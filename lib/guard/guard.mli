@@ -56,6 +56,9 @@ type plan = {
   p_monitors : monitor list;
       (** boundary assumptions checkable in hardware: every fanin maps
           to a surviving net or tie, and at least one is a live net *)
+  p_gates : int array;
+      (** the monitors' original gate ids in [p_monitors] order, built
+          once and shared by every {!watch_bespoke} watcher of the plan *)
   p_checks : Engine.check array;
       (** the monitors' checks in [p_monitors] order, built once: every
           {!watch_bespoke} watcher of the plan shares this array, so

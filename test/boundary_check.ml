@@ -35,6 +35,12 @@
    verification replays its recorded schedule instead of exploring
    again.
 
+   And analysis settings have one home: outside lib/analysis, only
+   lib/core/runner.ml may name [Activity.default_config] in lib/, bin/
+   or bench/main.ml — every analysis takes its config from
+   [Runner.resolve_analysis_config], so no caller runs the exploration
+   under settings of its own.
+
    And benchmark inputs have one home: outside lib/core/runner.ml
    (and the benchmark definitions in lib/programs and lib/rv32), no
    file in lib/, bin/ or bench/main.ml reads a benchmark's
@@ -57,6 +63,7 @@ let tailor_free =
 
 let tailor_needles = [ "Cut.tailor_explained" ]
 let analyze_needles = [ "Activity.analyze" ]
+let config_needles = [ "Activity.default_config" ]
 
 (* split so this file never matches its own needles *)
 let stimulus_needles = [ "." ^ "gen_inputs"; "." ^ "irq_pulses" ]
@@ -186,7 +193,7 @@ let () =
      (fun path ->
        if path <> runner then begin
          if not (under "analysis" path) then
-           scan_file ~patterns:analyze_needles path;
+           scan_file ~patterns:(analyze_needles @ config_needles) path;
          if not (under "programs" path || under "rv32" path) then
            scan_file ~patterns:stimulus_needles path
        end)
@@ -219,8 +226,9 @@ let () =
        JSON string escaper, lib/obs alone writes JSON keys, lib and bin \
        link no test oracle, %s pick no engine, %s leave the cut to \
        Runner.tailor_cached, and only lib/core/runner.ml calls \
-       Activity.analyze outside lib/analysis or reads benchmark inputs \
-       outside lib/programs and lib/rv32\n"
+       Activity.analyze or names Activity.default_config outside \
+       lib/analysis or reads benchmark inputs outside lib/programs and \
+       lib/rv32\n"
       !files
       (String.concat "," layers)
       (String.concat ", " engine_free)
@@ -233,5 +241,5 @@ let () =
        concrete core, JSON strings and objects must go through Obs.Json, \
        the test oracle stays out of lib and bin, engine choice belongs to \
        lib/core and lib/sim, tailoring to Runner.tailor_cached, and \
-       exploration and benchmark inputs to Runner\n";
+       exploration, analysis settings and benchmark inputs to Runner\n";
     exit 1

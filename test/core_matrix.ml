@@ -20,7 +20,8 @@
      replay schedule under the full-sweep oracle and the compiled
      engine, and it is sound: every gate that toggles in a concrete
      run on random GPIO words is marked possibly-toggled, so none of
-     them would be cut, and the tailored design passes the symbolic
+     them would be cut, the raw cut holds no DFF stuck at its reset
+     value ({!Witness}), and the tailored design passes the symbolic
      replay of the recorded exploration;
    - serialization: the stock and tailored netlists survive a
      to_string/of_string round trip as a byte-identical fixpoint;
@@ -145,10 +146,10 @@ struct
       QCheck.(pair (int_bound 1_000_000) (int_bound 0xffff))
       (fun (seed, gpio) -> fuzz_one ~seed ~gpio)
 
-  (* analysis: sweep vs compiled report and schedule, the tailored
-     design's replay, then soundness against concrete runs.  GPIO is X
-     in the analysis and a random word in each concrete run; the
-     programs use no RAM inputs and no IRQs. *)
+  (* analysis: sweep vs compiled report and schedule, no stuck DFF in
+     the raw cut, the tailored design's replay, then soundness against
+     concrete runs.  GPIO is X in the analysis and a random word in
+     each concrete run; the programs use no RAM inputs and no IRQs. *)
   let analysis_seeds = List.init 8 (fun i -> i + 1)
 
   let check_analysis ~seed =
@@ -190,6 +191,7 @@ struct
     same "schedule registers" sf.Activity.regs sc.Activity.regs;
     same "schedule RAM records" sf.Activity.ram sc.Activity.ram;
     same "schedule keys" sf.Activity.keys sc.Activity.keys;
+    Option.iter (fail "%s") (Witness.stuck_dff net compiled);
     (* the tailored design replays the recorded exploration *)
     (let bespoke, _ =
        Cut.tailor net ~possibly_toggled:compiled.Activity.possibly_toggled

@@ -229,11 +229,12 @@ end
 
 let create net = Engine.make (module Impl) (Impl.create net)
 
-(* The engine-based stuck-DFF fixpoint resynthesis ran before it
-   became a fold over the levelized order ([Resynth.stuck_dffs]): each
-   round resets a sweep engine, drives every input X, loads the stuck
-   DFFs' inits (the others X), settles, and demotes every DFF whose D
-   pin is not definitely its init. *)
+(* The sequential-constant fixpoint: the DFFs that provably hold
+   their reset value forever.  Each round resets a sweep engine,
+   drives every input X, loads the stuck DFFs' inits (the others X),
+   settles, and demotes every DFF whose D pin is not definitely its
+   init.  The tests run it on raw cuts as the witness that the
+   analysis leaves no DFF stuck at its reset value ([Witness]). *)
 let stuck_dffs net =
   let eng = create net in
   let dffs = Engine.dff_ids eng in

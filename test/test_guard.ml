@@ -337,7 +337,9 @@ let test_exact_scans_counter () =
    ([sim.compile.check_lowerings] counts one) and give the verdicts and
    violation lists of a fresh lowering (the same checks in a new array,
    which the cache never matches); the instrumented design is another
-   program and lowers its own. *)
+   program and lowers its own.  Two watchers of one plan share the
+   plan's gate-id and check arrays: together they allocate less than a
+   word per monitor, their [tripped] bytes and records. *)
 let test_lowering_shared () =
   let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let _, plan, _, _, hw_hit = Lazy.force rle_hits in
@@ -355,6 +357,15 @@ let test_lowering_shared () =
       (Guard.violations w, Guard.total_violations w, Guard.cycles_checked w)
     in
     let bespoke = plan.Guard.p_bespoke in
+    let monitors = Array.length plan.Guard.p_gates in
+    let w0 = Gc.minor_words () in
+    let pair = (Guard.watch_bespoke plan, Guard.watch_bespoke plan) in
+    let words = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity pair);
+    Alcotest.(check bool)
+      (Printf.sprintf "two watchers of %d monitors allocate %.0f words" monitors words)
+      true
+      (words < float_of_int monitors);
     Bespoke_sim.Compile.clear_cache ();
     Obs.Metrics.reset ();
     Obs.enable ();
